@@ -1,5 +1,7 @@
 """Hierarchically sparse recovery and wideband massive MIMO channel estimation."""
 
+__version__ = "0.1.0"
+
 from .blocks import (
     BlockShape,
     DimensionError,
@@ -71,5 +73,3 @@ from .simulate import (
     split_estimate,
     stack_delay_angular,
 )
-
-__version__ = "0.1.0"

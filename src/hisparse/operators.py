@@ -9,9 +9,11 @@ of two partial-Fourier factors:
 with F the unnormalized DFT matrix [F]_{n,m} = exp(-j*2*pi*m*n/N). Under the
 frequency-space (FS) vectorization the operator is conj(angle) (x) delay and
 the unknown carries block layout (M, U, D); under space-frequency (SF) it is
-delay (x) conj(angle) with layout (U, D, M). Forward and adjoint are applied
-with length-N and length-M FFTs; a dense materialization is kept as a test
-oracle for small problems.
+delay (x) conj(angle) with layout (U, D, M). The option is also the single
+place that decides how matrices are vectorized (``vectorize`` /
+``unvectorize``). Forward and adjoint are applied with length-N and length-M
+FFTs; ``columns`` builds exact columns of the matrix from the two factors,
+and a dense materialization is kept as a test oracle for small problems.
 """
 
 from __future__ import annotations
@@ -36,6 +38,25 @@ def _as_option(option) -> VectorizationOption:
     if isinstance(option, VectorizationOption):
         return option
     return VectorizationOption(str(option).upper())
+
+
+def vectorize(mat: np.ndarray, option) -> np.ndarray:
+    """Stack a (rows x cols [x ...]) matrix into a vector per the option.
+
+    FS stacks columns (column-major), SF stacks rows (row-major). Trailing
+    axes beyond the first two are kept, so a stack of matrices maps to a
+    stack of vectors.
+    """
+    if _as_option(option) is VectorizationOption.FS:
+        mat = mat.swapaxes(0, 1)
+    return mat.reshape((mat.shape[0] * mat.shape[1],) + mat.shape[2:])
+
+
+def unvectorize(v: np.ndarray, option, rows: int, cols: int) -> np.ndarray:
+    """Inverse of ``vectorize`` for one (rows x cols) matrix."""
+    if _as_option(option) is VectorizationOption.FS:
+        return v.reshape(cols, rows).T
+    return v.reshape(rows, cols)
 
 
 def dft_matrix(n: int, m: int) -> np.ndarray:
@@ -95,18 +116,6 @@ class KroneckerSensingOperator:
             raise DimensionError(f"input length {v.shape} != {self.in_dim}")
         return v
 
-    def _stacked(self, values: np.ndarray) -> np.ndarray:
-        """Unknown as the stacked (U*D x M) delay-angular matrix."""
-        d = self.design
-        if self.option is VectorizationOption.FS:
-            return values.reshape(d.M, self._ud).T
-        return values.reshape(self._ud, d.M)
-
-    def _unstack(self, mat: np.ndarray) -> np.ndarray:
-        if self.option is VectorizationOption.FS:
-            return mat.flatten(order="F")
-        return mat.reshape(-1)
-
     def _apply_tau(self, X: np.ndarray) -> np.ndarray:
         d = self.design
         buf = np.zeros((d.N, X.shape[1]), dtype=np.complex128)
@@ -140,34 +149,46 @@ class KroneckerSensingOperator:
 
     def measurement_matrix(self, x) -> np.ndarray:
         """Noiseless observation as an (Np x Mp) matrix."""
-        X = self._stacked(self._values(x))
+        X = unvectorize(self._values(x), self.option, self._ud, self.design.M)
         return self._apply_theta_adj_right(self._apply_tau(X))
 
     def forward(self, x) -> np.ndarray:
         """A @ x as a length Np*Mp vector (vectorized per the option)."""
-        Y = self.measurement_matrix(x)
-        if self.option is VectorizationOption.FS:
-            return Y.flatten(order="F")
-        return Y.reshape(-1)
+        return vectorize(self.measurement_matrix(x), self.option)
 
     def observation_matrix(self, y) -> np.ndarray:
         """Inverse of the option's vectorization: length Np*Mp -> (Np x Mp)."""
-        d = self.design
         v = np.asarray(y, dtype=np.complex128)
         if v.shape != (self.out_dim,):
             raise DimensionError(f"measurement length {v.shape} != {self.out_dim}")
-        if self.option is VectorizationOption.FS:
-            return v.reshape(d.Mp, d.Np).T
-        return v.reshape(d.Np, d.Mp)
+        return unvectorize(v, self.option, self.design.Np, self.design.Mp)
 
     def adjoint_values(self, y) -> np.ndarray:
         Y = self.observation_matrix(y)
-        G = self._apply_tau_adj(self._apply_theta_right(Y))
-        return self._unstack(G)
+        return vectorize(self._apply_tau_adj(self._apply_theta_right(Y)), self.option)
 
     def adjoint(self, y) -> MultiLevelVector:
         """A^H @ y as a multilevel vector with the operator's input layout."""
         return MultiLevelVector(self.shape_in, self.adjoint_values(y))
+
+    def columns(self, idx) -> np.ndarray:
+        """Exact columns A[:, idx] as an (Np*Mp x len(idx)) matrix.
+
+        Column j is the vectorized outer product of one delay-factor column
+        and one conjugated angle-factor column; only those Np + Mp entries per
+        column are evaluated, with DFT phases reduced mod N and mod M.
+        """
+        d = self.design
+        idx = np.asarray(idx, dtype=np.int64)
+        if self.option is VectorizationOption.FS:
+            m, q = np.divmod(idx, self._ud)
+        else:
+            q, m = np.divmod(idx, d.M)
+        sub = d.subcarriers[:, None]
+        delay = d.base_sequence[sub] * np.exp(-2j * np.pi * (sub * q % d.N) / d.N)
+        angle = np.exp(2j * np.pi * (d.antennas[:, None] * m % d.M) / d.M)
+        cols = delay[:, None, :] * angle[None, :, :] / math.sqrt(d.Np * d.Mp)
+        return vectorize(cols, self.option)
 
     def densify(self) -> np.ndarray:
         """Explicit (Np*Mp x U*D*M) matrix; test oracle for small problems."""
@@ -208,6 +229,9 @@ class DenseOperator:
 
     def adjoint(self, y) -> MultiLevelVector:
         return MultiLevelVector(self.shape_in, self.adjoint_values(y))
+
+    def columns(self, idx) -> np.ndarray:
+        return self.A[:, idx]
 
     def densify(self) -> np.ndarray:
         return self.A

@@ -1,13 +1,16 @@
 """Hierarchical and flat thresholding solvers, OMP, and guarantee calculators.
 
-All solvers share the same gradient-descent loop with unit step:
+The thresholding solvers are one gradient-descent loop with unit step:
 
     x_temp = x + A^H (y - A x)
 
-and differ in how they pick a support from x_temp (hierarchical or flat
-selection) and how they form the next estimate (hard projection or
-restricted least squares). Iteration stops when the selected support
-repeats or after max_iters passes.
+followed by hi_threshold on x_temp. HiIHT/HiHTP select under the unknown's
+hierarchical profile; the flat IHT/HTP are the one-level case (a single
+block of length U*D*M with sparsity k). The IHT variants keep x_temp on the
+selected support, the HTP variants refit it by dense least squares on the
+exact columns A[:, S]. Iteration stops when the selected support repeats or
+after max_iters passes. OMP grows its support one correlation pick at a
+time with the same least-squares refit.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from .blocks import (
 
 HI_ALGORITHMS = ("HiIHT", "HiHTP")
 FLAT_ALGORITHMS = ("IHT", "HTP", "OMP")
-DENSE_LS_MAX_SUPPORT = 1024
 
 
 class GuaranteeVoidError(ValueError):
@@ -40,7 +42,6 @@ class RecoveryConfig:
     profile: SparsityProfile | None = None
     max_iters: int = 10
     ls_tolerance: float = 1e-10
-    ls_max_iters: int = 200
     flat_k: int | None = None
 
     def __post_init__(self):
@@ -48,6 +49,8 @@ class RecoveryConfig:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
+        if self.flat_k is not None and self.flat_k < 1:
+            raise ValueError("flat_k must be >= 1")
 
     def sparsity(self, shape: BlockShape) -> int:
         """Flat selection size: explicit flat_k, else the profile product."""
@@ -65,14 +68,12 @@ class RecoveryResult:
     iterations: int
     residual_norm: float
     error_trace: list[float] | None = None
-    ls_converged: bool = True
 
     def to_json_dict(self) -> dict:
         doc = {
             "support": [int(i) for i in self.support],
             "iterations": self.iterations,
             "residual_norm": self.residual_norm,
-            "ls_converged": self.ls_converged,
         }
         if self.error_trace is not None:
             doc["error_trace"] = [float(e) for e in self.error_trace]
@@ -88,95 +89,39 @@ def _check_measurement(y, op) -> np.ndarray:
     return y
 
 
-def _materialize_columns(op, support: np.ndarray) -> np.ndarray:
-    cols = np.empty((op.out_dim, support.size), dtype=np.complex128)
-    e = np.zeros(op.shape_in.total, dtype=np.complex128)
-    for j, idx in enumerate(support):
-        e[idx] = 1.0
-        cols[:, j] = op.forward(e)
-        e[idx] = 0.0
-    return cols
+def _restricted_lstsq(y, op, support: np.ndarray) -> np.ndarray:
+    """Coefficients of argmin over vectors supported on ``support`` of ||y - A x||.
 
-
-def _restricted_lstsq(y, op, support, cfg):
-    """argmin over vectors supported on ``support`` of ||y - A x||.
-
-    Dense QR for supports up to DENSE_LS_MAX_SUPPORT columns; conjugate
-    gradient on the normal equations beyond that. Returns (coefficients,
-    converged flag).
+    One dense least-squares solve on the exact columns A[:, support].
     """
-    if support.size == 0:
-        return np.zeros(0, dtype=np.complex128), True
-    if support.size <= DENSE_LS_MAX_SUPPORT:
-        cols = _materialize_columns(op, support)
-        beta, *_ = np.linalg.lstsq(cols, y, rcond=None)
-        return beta, True
-
-    def apply_sub(b):
-        x = np.zeros(op.shape_in.total, dtype=np.complex128)
-        x[support] = b
-        return op.forward(x)
-
-    def apply_sub_adj(r):
-        return op.adjoint_values(r)[support]
-
-    beta = np.zeros(support.size, dtype=np.complex128)
-    r = apply_sub_adj(y)
-    p = r.copy()
-    rs = np.vdot(r, r).real
-    converged = False
-    for _ in range(cfg.ls_max_iters):
-        if math.sqrt(rs) <= cfg.ls_tolerance * max(1.0, float(np.linalg.norm(y))):
-            converged = True
-            break
-        Ap = apply_sub_adj(apply_sub(p))
-        alpha = rs / np.vdot(p, Ap).real
-        beta = beta + alpha * p
-        r = r - alpha * Ap
-        rs_new = np.vdot(r, r).real
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    else:
-        converged = math.sqrt(rs) <= cfg.ls_tolerance * max(1.0, float(np.linalg.norm(y)))
-    return beta, converged
+    beta, *_ = np.linalg.lstsq(op.columns(support), y, rcond=None)
+    return beta
 
 
-def _flat_select(values: np.ndarray, k: int) -> np.ndarray:
-    mag = values.real**2 + values.imag**2
-    if k >= mag.size:
-        return np.flatnonzero(mag > 0.0)
-    order = np.argsort(-mag, kind="stable")
-    keep = np.sort(order[:k])
-    return keep[mag[keep] > 0.0]
+def _hi_view(op, cfg: RecoveryConfig):
+    """Selection layout and profile of the hierarchical solvers."""
+    return op.shape_in, cfg.profile.clip(op.shape_in)
 
 
-def _threshold_loop(y, op, cfg, hierarchical: bool, pursuit: bool, x_true=None):
+def _flat_view(op, cfg: RecoveryConfig):
+    """One-level view: best-k selection is hi_threshold on a single block."""
+    return BlockShape((op.in_dim,)), SparsityProfile((cfg.sparsity(op.shape_in),))
+
+
+def _threshold_loop(y, op, cfg: RecoveryConfig, view, pursuit: bool, x_true=None):
     y = _check_measurement(y, op)
     shape = op.shape_in
-    if hierarchical:
-        profile = cfg.profile.clip(shape)
-    else:
-        k = cfg.sparsity(shape)
+    select_shape, profile = view
     x = np.zeros(shape.total, dtype=np.complex128)
     trace = [] if x_true is not None else None
     prev_support = None
-    ls_ok = True
     iterations = 0
     for i in range(1, cfg.max_iters + 1):
         iterations = i
         x_temp = x + op.adjoint_values(y - op.forward(x))
-        if hierarchical:
-            support = hi_threshold(MultiLevelVector(shape, x_temp), profile).indices
-        else:
-            support = _flat_select(x_temp, k)
-        if pursuit:
-            beta, ok = _restricted_lstsq(y, op, support, cfg)
-            ls_ok = ls_ok and ok
-            x = np.zeros(shape.total, dtype=np.complex128)
-            x[support] = beta
-        else:
-            x = np.zeros(shape.total, dtype=np.complex128)
-            x[support] = x_temp[support]
+        support = hi_threshold(MultiLevelVector(select_shape, x_temp), profile).indices
+        x = np.zeros(shape.total, dtype=np.complex128)
+        x[support] = _restricted_lstsq(y, op, support) if pursuit else x_temp[support]
         if trace is not None:
             trace.append(float(np.linalg.norm(x - x_true)))
         if prev_support is not None and np.array_equal(support, prev_support):
@@ -189,7 +134,6 @@ def _threshold_loop(y, op, cfg, hierarchical: bool, pursuit: bool, x_true=None):
         iterations=iterations,
         residual_norm=residual,
         error_trace=trace,
-        ls_converged=ls_ok,
     )
 
 
@@ -202,22 +146,22 @@ def hi_iht(y, op, cfg: RecoveryConfig, x_true=None) -> RecoveryResult:
         cfg: solver configuration; cfg.profile drives the selection.
         x_true: optional ground truth; records a per-iteration error trace.
     """
-    return _threshold_loop(y, op, cfg, hierarchical=True, pursuit=False, x_true=x_true)
+    return _threshold_loop(y, op, cfg, _hi_view(op, cfg), pursuit=False, x_true=x_true)
 
 
 def hi_htp(y, op, cfg: RecoveryConfig, x_true=None) -> RecoveryResult:
     """Hierarchical hard thresholding pursuit (restricted LS per iteration)."""
-    return _threshold_loop(y, op, cfg, hierarchical=True, pursuit=True, x_true=x_true)
+    return _threshold_loop(y, op, cfg, _hi_view(op, cfg), pursuit=True, x_true=x_true)
 
 
 def flat_iht(y, op, cfg: RecoveryConfig, x_true=None) -> RecoveryResult:
     """Plain IHT with best-k selection, k from cfg.sparsity()."""
-    return _threshold_loop(y, op, cfg, hierarchical=False, pursuit=False, x_true=x_true)
+    return _threshold_loop(y, op, cfg, _flat_view(op, cfg), pursuit=False, x_true=x_true)
 
 
 def flat_htp(y, op, cfg: RecoveryConfig, x_true=None) -> RecoveryResult:
     """Plain HTP with best-k selection and restricted LS."""
-    return _threshold_loop(y, op, cfg, hierarchical=False, pursuit=True, x_true=x_true)
+    return _threshold_loop(y, op, cfg, _flat_view(op, cfg), pursuit=True, x_true=x_true)
 
 
 def omp(y, op, k: int, cfg: RecoveryConfig | None = None, x_true=None) -> RecoveryResult:
@@ -239,9 +183,7 @@ def omp(y, op, k: int, cfg: RecoveryConfig | None = None, x_true=None) -> Recove
         corr = np.abs(op.adjoint_values(r))
         corr[selected] = -1.0
         selected.append(int(np.argmax(corr)))
-        e = np.zeros(shape.total, dtype=np.complex128)
-        e[selected[-1]] = 1.0
-        cols = np.concatenate([cols, op.forward(e)[:, None]], axis=1)
+        cols = np.concatenate([cols, op.columns(selected[-1:])], axis=1)
         beta, *_ = np.linalg.lstsq(cols, y, rcond=None)
         r = y - cols @ beta
         if trace is not None:

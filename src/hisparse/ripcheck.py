@@ -52,7 +52,7 @@ def _gram_deviation(A: np.ndarray, support) -> float:
     return max(float(ev[-1] - 1.0), float(1.0 - ev[0]))
 
 
-def _scan(A: np.ndarray, supports, count: int):
+def _scan(A: np.ndarray, supports):
     best = -1.0
     witness: tuple[int, ...] = ()
     for support in supports:
@@ -60,7 +60,7 @@ def _scan(A: np.ndarray, supports, count: int):
         if d > best:
             best = d
             witness = tuple(support)
-    return best, witness, count
+    return best, witness
 
 
 def rip_constant(A: np.ndarray, s: int, cap: int = ENUM_CAP) -> RipReport:
@@ -74,7 +74,7 @@ def rip_constant(A: np.ndarray, s: int, cap: int = ENUM_CAP) -> RipReport:
     count = math.comb(cols, s)
     if count > cap:
         raise ValueError(f"{count} supports exceed enumeration cap {cap}")
-    delta, witness, count = _scan(A, itertools.combinations(range(cols), s), count)
+    delta, witness = _scan(A, itertools.combinations(range(cols), s))
     return RipReport(rows, cols, int(s), None, delta, witness, count)
 
 
@@ -116,7 +116,7 @@ def hirip_constant(
     count = count_hi_supports(shape.dims, s.s)
     if count > cap:
         raise ValueError(f"{count} supports exceed enumeration cap {cap}")
-    delta, witness, count = _scan(A, iter_hi_supports(shape.dims, s.s), count)
+    delta, witness = _scan(A, iter_hi_supports(shape.dims, s.s))
     return RipReport(rows, cols, s.s, shape.dims, delta, witness, count)
 
 

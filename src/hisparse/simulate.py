@@ -11,7 +11,7 @@ reproducible from the run manifest.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, asdict, field
+from dataclasses import dataclass, asdict, field, replace
 import csv
 import json
 import math
@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .blocks import SparsityProfile
 from .channel import (
     ChannelParams,
@@ -31,10 +32,8 @@ from .channel import (
     transfer_from_delay_angular,
 )
 from .design import make_design, signature
-from .operators import KroneckerSensingOperator
+from .operators import KroneckerSensingOperator, unvectorize, vectorize
 from .recovery import RecoveryConfig, solve
-
-PACKAGE_VERSION = "0.1.0"
 
 PRESETS = {
     "small": {"N": 128, "M": 64, "D": 32},
@@ -156,17 +155,12 @@ def stack_delay_angular(realization: ChannelRealization, option: str) -> np.ndar
     for u, paths in enumerate(realization.paths):
         if paths:
             Xbar[u * p.D : (u + 1) * p.D] = delay_angular_matrix(paths, p.N, p.M, p.D)
-    if str(option).upper() == "FS":
-        return Xbar.flatten(order="F")
-    return Xbar.reshape(-1)
+    return vectorize(Xbar, option)
 
 
 def split_estimate(x_hat: np.ndarray, option: str, U: int, D: int, M: int) -> list[np.ndarray]:
     """Per-UE D x M delay-angular estimates from a solver output vector."""
-    if str(option).upper() == "FS":
-        Xbar = x_hat.reshape(M, U * D).T
-    else:
-        Xbar = x_hat.reshape(U * D, M)
+    Xbar = unvectorize(x_hat, option, U * D, M)
     return [Xbar[u * D : (u + 1) * D] for u in range(U)]
 
 
@@ -238,10 +232,7 @@ def run_trial(config: ExperimentConfig, condition: Condition, Np: int, trial_ind
     if condition.on_grid:
         x_true = stack_delay_angular(realization, condition.option)
         z = _noise(rng, design.Np, design.Mp, snr_linear) / math.sqrt(design.Np * design.Mp)
-        if condition.option.upper() == "FS":
-            y = op.forward(x_true) + z.flatten(order="F")
-        else:
-            y = op.forward(x_true) + z.reshape(-1)
+        y = op.forward(x_true) + vectorize(z, condition.option)
         result = solve(y, op, cfg)
         # Parseval: per-element MSE over all UEs equals the squared distance
         # of the stacked delay-angular vectors.
@@ -252,7 +243,7 @@ def run_trial(config: ExperimentConfig, condition: Condition, Np: int, trial_ind
         for paths in realization.paths
     ]
     Y = observed_matrix(realization, design, rng, config.snr_db, transfers=transfers)
-    y = Y.flatten(order="F") if condition.option.upper() == "FS" else Y.reshape(-1)
+    y = vectorize(Y, condition.option)
     result = solve(y, op, cfg)
     estimates = split_estimate(result.x_hat.values, condition.option, sys_cfg.U, sys_cfg.D, sys_cfg.M)
     err = 0.0
@@ -333,11 +324,7 @@ def _conditions(config: ExperimentConfig) -> list[Condition]:
 
 
 def _run_batch(config, condition, Np, lhat, threads) -> tuple[float, float, float]:
-    cond = condition if lhat is None else Condition(
-        label=condition.label, algorithm=condition.algorithm, option=condition.option,
-        V=condition.V, L=condition.L, lhat=lhat, on_grid=condition.on_grid,
-        L1=condition.L1, L2=condition.L2,
-    )
+    cond = condition if lhat is None else replace(condition, lhat=lhat)
     start = time.perf_counter()
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -418,7 +405,7 @@ def read_csv(path) -> list[MseRecord]:
 def run_manifest(config: ExperimentConfig, csv_name: str) -> str:
     doc = {
         "package": "hisparse",
-        "version": PACKAGE_VERSION,
+        "version": __version__,
         "config": json.loads(config.to_json()),
         "trial_seed_rule": "default_rng(SeedSequence([seed, trial_index]))",
         "csv": csv_name,

@@ -110,6 +110,15 @@ def test_single_level_reduces_to_top_k():
     support = hi_threshold(x, SparsityProfile((6,)))
     expected = set(np.argsort(np.abs(values))[-6:])
     assert support.as_set() == expected
+    # Flat best-k semantics: equal moduli go to the lowest index, and with
+    # k >= n every nonzero is kept while exact zeros are dropped.
+    tied = np.array([1, -1, 1j, 2, -1j, 0.5, 1], dtype=complex)
+    for k, expected in ((3, [0, 1, 3]), (4, [0, 1, 2, 3])):
+        support = hi_threshold(MultiLevelVector(BlockShape((7,)), tied), SparsityProfile((k,)))
+        np.testing.assert_array_equal(support.indices, expected)
+    sparse = np.array([0, 1, 0, 2j, 0.5, 0], dtype=complex)
+    support = hi_threshold(MultiLevelVector(BlockShape((6,)), sparse), SparsityProfile((6,)))
+    np.testing.assert_array_equal(support.indices, [1, 3, 4])
 
 
 def test_threshold_zero_vector():

@@ -44,6 +44,8 @@ def test_basis_vectors_give_dense_columns(option):
         e[k] = 1.0
         np.testing.assert_allclose(op.forward(e), A[:, k], atol=1e-12)
         e[k] = 0.0
+    idx = [op.in_dim - 1, 0, 5, 13, 5]
+    np.testing.assert_allclose(op.columns(idx), A[:, idx], atol=1e-12)
 
 
 @pytest.mark.parametrize("option", ["FS", "SF"])

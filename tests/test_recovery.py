@@ -67,6 +67,8 @@ def test_zero_measurement_gives_zero_estimate():
     for cfg in (
         RecoveryConfig(algorithm="HiIHT", profile=SparsityProfile((2, 1, 2))),
         RecoveryConfig(algorithm="IHT", flat_k=4),
+        RecoveryConfig(algorithm="HiHTP", profile=SparsityProfile((2, 1, 2))),
+        RecoveryConfig(algorithm="HTP", flat_k=4),
     ):
         res = solve(y, op, cfg)
         assert res.x_hat.norm() == 0.0
@@ -173,6 +175,12 @@ def test_measurement_validation():
     bad[0] = np.nan
     with pytest.raises(ValueError):
         hi_iht(bad, op, cfg)
+
+
+def test_config_rejects_nonpositive_flat_k():
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="flat_k"):
+            RecoveryConfig(algorithm="IHT", flat_k=k)
 
 
 def test_result_json_dict():

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import hisparse
 from hisparse import (
     ChannelParams,
     gen_ongrid,
@@ -178,6 +179,7 @@ def test_manifest_reproduces_rows(tmp_path):
     config = tiny_config()
     _, csv_path, manifest_path = run_sweep(config, out_dir=tmp_path / "a")
     manifest = json.loads(manifest_path.read_text())
+    assert manifest["version"] == hisparse.__version__
     rebuilt = ExperimentConfig.from_json_dict(manifest["config"])
     _, csv2, _ = run_sweep(rebuilt, out_dir=tmp_path / "b")
     first, second = read_csv(csv_path), read_csv(csv2)
