@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 from .blocks import (
     BlockShape,
     DimensionError,
-    HiSupport,
     MultiLevelVector,
     SparsityProfile,
     hi_threshold,
@@ -43,12 +42,7 @@ from .recovery import (
     RecoveryConfig,
     RecoveryResult,
     contraction_constants,
-    flat_htp,
-    flat_iht,
-    hi_htp,
-    hi_iht,
     min_overhead,
-    omp,
     solve,
 )
 from .ripcheck import (

@@ -39,25 +39,6 @@ class BlockShape:
     def total(self) -> int:
         return math.prod(self.dims)
 
-    def flat_index(self, multi) -> int:
-        if len(multi) != self.levels:
-            raise DimensionError("multi-index level count mismatch")
-        flat = 0
-        for i, n in zip(multi, self.dims):
-            if not 0 <= i < n:
-                raise DimensionError(f"multi-index {multi} out of range for {self.dims}")
-            flat = flat * n + i
-        return flat
-
-    def multi_index(self, flat: int) -> tuple[int, ...]:
-        if not 0 <= flat < self.total:
-            raise DimensionError(f"flat index {flat} out of range")
-        out = []
-        for n in reversed(self.dims):
-            out.append(flat % n)
-            flat //= n
-        return tuple(reversed(out))
-
 
 @dataclass(frozen=True)
 class SparsityProfile:
@@ -149,32 +130,6 @@ def _structurally_valid(indices: np.ndarray, shape: BlockShape, profile: Sparsit
     return True
 
 
-@dataclass(frozen=True)
-class HiSupport:
-    """Structurally valid hierarchical support: sorted flat indices."""
-
-    indices: np.ndarray
-    shape: BlockShape
-    profile: SparsityProfile
-
-    def __post_init__(self):
-        idx = np.unique(np.asarray(self.indices, dtype=np.int64))
-        if idx.size and (idx[0] < 0 or idx[-1] >= self.shape.total):
-            raise DimensionError("support index out of range")
-        self.profile.check_compatible(self.shape)
-        if not _structurally_valid(idx, self.shape, self.profile):
-            raise DimensionError(
-                f"support is not {self.profile.s}-hierarchical for dims {self.shape.dims}"
-            )
-        object.__setattr__(self, "indices", idx)
-
-    def __len__(self) -> int:
-        return int(self.indices.size)
-
-    def as_set(self) -> set[int]:
-        return set(int(i) for i in self.indices)
-
-
 def _top_mask(energy: np.ndarray, k: int) -> np.ndarray:
     """Boolean mask keeping the k largest entries along the last axis.
 
@@ -189,8 +144,10 @@ def _top_mask(energy: np.ndarray, k: int) -> np.ndarray:
     return mask
 
 
-def hi_threshold(x: MultiLevelVector, s: SparsityProfile) -> HiSupport:
+def hi_threshold(x: MultiLevelVector, s: SparsityProfile) -> np.ndarray:
     """Support of the best s-hierarchically-sparse approximation of x.
+
+    Returns the sorted flat indices (int64) of the support.
 
     Bottom-up selection: per innermost block keep the s_l largest-modulus
     entries, then at each coarser level keep the per-block child blocks of
@@ -216,16 +173,13 @@ def hi_threshold(x: MultiLevelVector, s: SparsityProfile) -> HiSupport:
 
     # Drop exact zeros so the support matches supp(z) of the projected vector.
     flat_e = (v.real**2 + v.imag**2).reshape(-1)
-    indices = indices[flat_e[indices] > 0.0]
-    return HiSupport(indices, x.shape, s)
+    return indices[flat_e[indices] > 0.0]
 
 
-def project_onto_support(x: MultiLevelVector, support: HiSupport) -> MultiLevelVector:
-    """Copy of x restricted to the support, zero elsewhere."""
-    if support.shape != x.shape:
-        raise DimensionError("support shape does not match vector shape")
+def project_onto_support(x: MultiLevelVector, indices: np.ndarray) -> MultiLevelVector:
+    """Copy of x restricted to the flat indices, zero elsewhere."""
     out = np.zeros_like(x.values)
-    out[support.indices] = x.values[support.indices]
+    out[indices] = x.values[indices]
     return MultiLevelVector(x.shape, out)
 
 

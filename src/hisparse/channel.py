@@ -19,6 +19,8 @@ import math
 
 import numpy as np
 
+from .operators import VectorizationOption, as_option
+
 DEFAULT_ALPHA = 0.25
 GRID_SNAP_TOL = 1e-12
 
@@ -156,21 +158,18 @@ def gen_ongrid(params: ChannelParams, rng: np.random.Generator, option="FS") -> 
     unit expected power.
     """
     p = params
-    option = str(option).upper()
+    fs = as_option(option) is VectorizationOption.FS
     active = sorted(int(i) for i in rng.permutation(p.U)[: p.V])
     paths: list[list[ChannelPath]] = [[] for _ in range(p.U)]
     angle_counts: dict[int, int] = {}
     for u in active:
-        if option == "FS":
+        if fs:
             pairs = _constrained_pairs(
                 p.M, p.D, p.L, p.K_L, rng, angle_counts, p.K_V
             )
             kl = [(d, a) for a, d in pairs]
-        elif option == "SF":
-            pairs = _constrained_pairs(p.D, p.M, p.L, p.K_L, rng, None, 0)
-            kl = pairs
         else:
-            raise ValueError(f"unknown option {option!r}")
+            kl = _constrained_pairs(p.D, p.M, p.L, p.K_L, rng, None, 0)
         gains = _gains(p.L, rng)
         paths[u] = [
             ChannelPath(k / p.N, l / p.M, complex(g)) for (k, l), g in zip(kl, gains)

@@ -41,11 +41,11 @@ def main(argv=None) -> int:
     if args.command == "run":
         try:
             config = ExperimentConfig.from_json(Path(args.config).read_text())
+            if args.preset:
+                config.apply_preset(args.preset)
         except (OSError, json.JSONDecodeError, TypeError, ValueError) as exc:
             print(f"error: bad config: {exc}", file=sys.stderr)
             return 1
-        if args.preset:
-            config.apply_preset(args.preset)
         records, csv_path, manifest_path = run_sweep(config, out_dir=args.out,
                                                      threads=args.threads)
         print(f"wrote {csv_path} ({len(records)} rows) and {manifest_path}")

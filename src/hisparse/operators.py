@@ -34,7 +34,8 @@ class VectorizationOption(str, enum.Enum):
     SF = "SF"
 
 
-def _as_option(option) -> VectorizationOption:
+def as_option(option) -> VectorizationOption:
+    """Parse "FS"/"SF" (any case) or a VectorizationOption; ValueError otherwise."""
     if isinstance(option, VectorizationOption):
         return option
     return VectorizationOption(str(option).upper())
@@ -47,14 +48,14 @@ def vectorize(mat: np.ndarray, option) -> np.ndarray:
     axes beyond the first two are kept, so a stack of matrices maps to a
     stack of vectors.
     """
-    if _as_option(option) is VectorizationOption.FS:
+    if as_option(option) is VectorizationOption.FS:
         mat = mat.swapaxes(0, 1)
     return mat.reshape((mat.shape[0] * mat.shape[1],) + mat.shape[2:])
 
 
 def unvectorize(v: np.ndarray, option, rows: int, cols: int) -> np.ndarray:
     """Inverse of ``vectorize`` for one (rows x cols) matrix."""
-    if _as_option(option) is VectorizationOption.FS:
+    if as_option(option) is VectorizationOption.FS:
         return v.reshape(cols, rows).T
     return v.reshape(rows, cols)
 
@@ -90,7 +91,7 @@ class KroneckerSensingOperator:
 
     def __init__(self, design: PilotDesign, option="FS", densify_cap: int = DENSIFY_CAP):
         self.design = design
-        self.option = _as_option(option)
+        self.option = as_option(option)
         self.densify_cap = int(densify_cap)
         d = design
         self._ud = d.U * d.D

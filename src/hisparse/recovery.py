@@ -1,16 +1,18 @@
-"""Hierarchical and flat thresholding solvers, OMP, and guarantee calculators.
+"""Hierarchical and flat recovery behind one entry point, plus guarantee calculators.
 
-The thresholding solvers are one gradient-descent loop with unit step:
+``solve(y, op, cfg)`` runs the solver named by ``cfg.algorithm``. The
+thresholding solvers are one gradient-descent loop with unit step:
 
     x_temp = x + A^H (y - A x)
 
 followed by hi_threshold on x_temp. HiIHT/HiHTP select under the unknown's
 hierarchical profile; the flat IHT/HTP are the one-level case (a single
-block of length U*D*M with sparsity k). The IHT variants keep x_temp on the
-selected support, the HTP variants refit it by dense least squares on the
-exact columns A[:, S]. Iteration stops when the selected support repeats or
-after max_iters passes. OMP grows its support one correlation pick at a
-time with the same least-squares refit.
+block of length U*D*M with sparsity k = cfg.sparsity()). The IHT variants
+keep x_temp on the selected support, the HTP variants refit it by dense
+least squares on the exact columns A[:, S]. Iteration stops when the
+selected support repeats or after max_iters passes. OMP grows its support
+one correlation pick at a time, k picks at most, with the same
+least-squares refit. Supports are sorted int64 arrays of flat indices.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .blocks import (
     SparsityProfile,
     hi_threshold,
 )
+from .operators import VectorizationOption, as_option
 
 HI_ALGORITHMS = ("HiIHT", "HiHTP")
 FLAT_ALGORITHMS = ("IHT", "HTP", "OMP")
@@ -51,13 +54,15 @@ class RecoveryConfig:
             raise ValueError("max_iters must be >= 1")
         if self.flat_k is not None and self.flat_k < 1:
             raise ValueError("flat_k must be >= 1")
+        if self.algorithm in HI_ALGORITHMS and self.profile is None:
+            raise ValueError(f"{self.algorithm} needs a profile")
+        if self.profile is None and self.flat_k is None:
+            raise ValueError(f"{self.algorithm} needs a profile or flat_k")
 
     def sparsity(self, shape: BlockShape) -> int:
         """Flat selection size: explicit flat_k, else the profile product."""
         if self.flat_k is not None:
             return min(self.flat_k, shape.total)
-        if self.profile is None:
-            raise ValueError("config needs a profile or flat_k")
         return min(self.profile.clip(shape).max_support, shape.total)
 
 
@@ -98,20 +103,8 @@ def _restricted_lstsq(y, op, support: np.ndarray) -> np.ndarray:
     return beta
 
 
-def _hi_view(op, cfg: RecoveryConfig):
-    """Selection layout and profile of the hierarchical solvers."""
-    return op.shape_in, cfg.profile.clip(op.shape_in)
-
-
-def _flat_view(op, cfg: RecoveryConfig):
-    """One-level view: best-k selection is hi_threshold on a single block."""
-    return BlockShape((op.in_dim,)), SparsityProfile((cfg.sparsity(op.shape_in),))
-
-
-def _threshold_loop(y, op, cfg: RecoveryConfig, view, pursuit: bool, x_true=None):
-    y = _check_measurement(y, op)
+def _threshold_loop(y, op, cfg: RecoveryConfig, select_shape, profile, pursuit: bool, x_true):
     shape = op.shape_in
-    select_shape, profile = view
     x = np.zeros(shape.total, dtype=np.complex128)
     trace = [] if x_true is not None else None
     prev_support = None
@@ -119,7 +112,7 @@ def _threshold_loop(y, op, cfg: RecoveryConfig, view, pursuit: bool, x_true=None
     for i in range(1, cfg.max_iters + 1):
         iterations = i
         x_temp = x + op.adjoint_values(y - op.forward(x))
-        support = hi_threshold(MultiLevelVector(select_shape, x_temp), profile).indices
+        support = hi_threshold(MultiLevelVector(select_shape, x_temp), profile)
         x = np.zeros(shape.total, dtype=np.complex128)
         x[support] = _restricted_lstsq(y, op, support) if pursuit else x_temp[support]
         if trace is not None:
@@ -137,37 +130,8 @@ def _threshold_loop(y, op, cfg: RecoveryConfig, view, pursuit: bool, x_true=None
     )
 
 
-def hi_iht(y, op, cfg: RecoveryConfig, x_true=None) -> RecoveryResult:
-    """Hierarchical iterative hard thresholding.
-
-    Args:
-        y: measurement vector of length op.out_dim.
-        op: forward/adjoint operator (fast or dense).
-        cfg: solver configuration; cfg.profile drives the selection.
-        x_true: optional ground truth; records a per-iteration error trace.
-    """
-    return _threshold_loop(y, op, cfg, _hi_view(op, cfg), pursuit=False, x_true=x_true)
-
-
-def hi_htp(y, op, cfg: RecoveryConfig, x_true=None) -> RecoveryResult:
-    """Hierarchical hard thresholding pursuit (restricted LS per iteration)."""
-    return _threshold_loop(y, op, cfg, _hi_view(op, cfg), pursuit=True, x_true=x_true)
-
-
-def flat_iht(y, op, cfg: RecoveryConfig, x_true=None) -> RecoveryResult:
-    """Plain IHT with best-k selection, k from cfg.sparsity()."""
-    return _threshold_loop(y, op, cfg, _flat_view(op, cfg), pursuit=False, x_true=x_true)
-
-
-def flat_htp(y, op, cfg: RecoveryConfig, x_true=None) -> RecoveryResult:
-    """Plain HTP with best-k selection and restricted LS."""
-    return _threshold_loop(y, op, cfg, _flat_view(op, cfg), pursuit=True, x_true=x_true)
-
-
-def omp(y, op, k: int, cfg: RecoveryConfig | None = None, x_true=None) -> RecoveryResult:
+def _omp(y, op, cfg: RecoveryConfig, x_true):
     """Orthogonal matching pursuit: k greedy correlation picks with LS refits."""
-    cfg = cfg or RecoveryConfig(algorithm="OMP", flat_k=k)
-    y = _check_measurement(y, op)
     shape = op.shape_in
     selected: list[int] = []
     cols = np.empty((op.out_dim, 0), dtype=np.complex128)
@@ -176,7 +140,7 @@ def omp(y, op, k: int, cfg: RecoveryConfig | None = None, x_true=None) -> Recove
     trace = [] if x_true is not None else None
     ynorm = float(np.linalg.norm(y))
     iterations = 0
-    for _ in range(min(k, shape.total)):
+    for _ in range(cfg.sparsity(shape)):
         if float(np.linalg.norm(r)) <= cfg.ls_tolerance * max(1.0, ynorm):
             break
         iterations += 1
@@ -204,19 +168,26 @@ def omp(y, op, k: int, cfg: RecoveryConfig | None = None, x_true=None) -> Recove
     )
 
 
-SOLVERS = {
-    "HiIHT": hi_iht,
-    "HiHTP": hi_htp,
-    "IHT": flat_iht,
-    "HTP": flat_htp,
-}
-
-
 def solve(y, op, cfg: RecoveryConfig, x_true=None) -> RecoveryResult:
-    """Dispatch on cfg.algorithm (OMP uses the profile product as k)."""
+    """Recover the unknown from y with the solver named by cfg.algorithm.
+
+    Args:
+        y: measurement vector of length op.out_dim.
+        op: forward/adjoint operator (fast or dense).
+        cfg: solver configuration. HiIHT/HiHTP select under cfg.profile
+            (clipped to op.shape_in); IHT/HTP/OMP use k = cfg.sparsity().
+        x_true: optional ground truth; records a per-iteration error trace.
+    """
+    y = _check_measurement(y, op)
     if cfg.algorithm == "OMP":
-        return omp(y, op, cfg.sparsity(op.shape_in), cfg, x_true=x_true)
-    return SOLVERS[cfg.algorithm](y, op, cfg, x_true=x_true)
+        return _omp(y, op, cfg, x_true)
+    if cfg.algorithm in HI_ALGORITHMS:
+        select_shape, profile = op.shape_in, cfg.profile.clip(op.shape_in)
+    else:
+        select_shape = BlockShape((op.in_dim,))
+        profile = SparsityProfile((cfg.sparsity(op.shape_in),))
+    pursuit = cfg.algorithm in ("HiHTP", "HTP")
+    return _threshold_loop(y, op, cfg, select_shape, profile, pursuit, x_true)
 
 
 @dataclass(frozen=True)
@@ -263,13 +234,10 @@ def min_overhead(delta_tau, delta_theta, V, L, K_V, K_L, N, M, C=1.0, option="FS
         )
     log4_n = math.log(N) ** 4
     log4_m = math.log(M) ** 4
-    option = str(option).upper()
-    if option == "FS":
+    if as_option(option) is VectorizationOption.FS:
         np_min = min(3.0 * C * delta_tau**-2 * K_V * K_L * log4_n, float(N))
         mp_min = min(9.0 * C * delta_theta**-2 * V * L * log4_m, float(M))
-    elif option == "SF":
+    else:
         np_min = min(9.0 * C * delta_tau**-2 * V * L * log4_n, float(N))
         mp_min = min(3.0 * C * delta_theta**-2 * K_L * log4_m, float(M))
-    else:
-        raise ValueError(f"unknown option {option!r}")
     return np_min, mp_min

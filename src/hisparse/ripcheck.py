@@ -1,9 +1,11 @@
 """Exact restricted-isometry constants on small matrices by brute force.
 
 Constants are computed by enumerating supports and taking extreme
-eigenvalues of the corresponding Gram blocks. This is exponential by
-nature, so every entry point enforces hard caps and refuses oversized
-instances instead of approximating.
+eigenvalues of the corresponding Gram blocks. The flat constant delta_s is
+the one-level case of the hierarchical one: ``rip_constant`` and
+``hirip_constant`` share one enumeration with the same width check and
+caps. This is exponential by nature, so oversized instances are refused
+instead of approximated.
 """
 
 from __future__ import annotations
@@ -63,21 +65,6 @@ def _scan(A: np.ndarray, supports):
     return best, witness
 
 
-def rip_constant(A: np.ndarray, s: int, cap: int = ENUM_CAP) -> RipReport:
-    """Exact flat restricted-isometry constant delta_s by full enumeration."""
-    A = np.asarray(A, dtype=np.complex128)
-    rows, cols = A.shape
-    if not 1 <= s <= cols:
-        raise ValueError(f"sparsity {s} outside [1, {cols}]")
-    if s > EIG_BLOCK_CAP:
-        raise ValueError(f"Gram block size {s} exceeds eigensolve cap {EIG_BLOCK_CAP}")
-    count = math.comb(cols, s)
-    if count > cap:
-        raise ValueError(f"{count} supports exceed enumeration cap {cap}")
-    delta, witness = _scan(A, itertools.combinations(range(cols), s))
-    return RipReport(rows, cols, int(s), None, delta, witness, count)
-
-
 def count_hi_supports(dims: tuple[int, ...], s: tuple[int, ...]) -> int:
     """Number of maximal hierarchical supports for the given layout."""
     count = 1
@@ -87,11 +74,13 @@ def count_hi_supports(dims: tuple[int, ...], s: tuple[int, ...]) -> int:
 
 
 def iter_hi_supports(dims: tuple[int, ...], s: tuple[int, ...], base: int = 0):
-    """Yield maximal hierarchical supports as sorted index tuples, lexicographic."""
+    """Yield maximal hierarchical supports as sorted index tuples, lexicographic.
+
+    For one level this is ``itertools.combinations`` of the block's indices.
+    """
     n, k = dims[0], s[0]
     if len(dims) == 1:
-        for combo in itertools.combinations(range(n), k):
-            yield tuple(base + i for i in combo)
+        yield from itertools.combinations(range(base, base + n), k)
         return
     stride = math.prod(dims[1:])
     for blocks in itertools.combinations(range(n), k):
@@ -100,15 +89,14 @@ def iter_hi_supports(dims: tuple[int, ...], s: tuple[int, ...], base: int = 0):
             yield tuple(sorted(itertools.chain.from_iterable(choice)))
 
 
-def hirip_constant(
-    A: np.ndarray, shape: BlockShape, s: SparsityProfile, cap: int = ENUM_CAP
-) -> RipReport:
-    """Exact hierarchical restricted-isometry constant over structured supports."""
-    A = np.asarray(A, dtype=np.complex128)
-    rows, cols = A.shape
-    if cols != shape.total:
-        raise ValueError(f"matrix width {cols} != block layout total {shape.total}")
-    s = s.clip(shape)
+def _enumerate(A: np.ndarray, shape: BlockShape, s: SparsityProfile, cap: int):
+    """(delta, witness, supports checked) over every maximal s-hierarchical support.
+
+    ``s`` must already fit ``shape``. Oversized instances are refused before
+    any eigensolve.
+    """
+    if A.shape[1] != shape.total:
+        raise ValueError(f"matrix width {A.shape[1]} != block layout total {shape.total}")
     if s.max_support > EIG_BLOCK_CAP:
         raise ValueError(
             f"Gram block size {s.max_support} exceeds eigensolve cap {EIG_BLOCK_CAP}"
@@ -117,7 +105,30 @@ def hirip_constant(
     if count > cap:
         raise ValueError(f"{count} supports exceed enumeration cap {cap}")
     delta, witness = _scan(A, iter_hi_supports(shape.dims, s.s))
-    return RipReport(rows, cols, s.s, shape.dims, delta, witness, count)
+    return delta, witness, count
+
+
+def rip_constant(A: np.ndarray, s: int, cap: int = ENUM_CAP) -> RipReport:
+    """Exact flat restricted-isometry constant delta_s by full enumeration.
+
+    The one-level case of ``hirip_constant``: one block of all columns.
+    """
+    A = np.asarray(A, dtype=np.complex128)
+    rows, cols = A.shape
+    if not 1 <= s <= cols:
+        raise ValueError(f"sparsity {s} outside [1, {cols}]")
+    delta, witness, count = _enumerate(A, BlockShape((cols,)), SparsityProfile((s,)), cap)
+    return RipReport(rows, cols, int(s), None, delta, witness, count)
+
+
+def hirip_constant(
+    A: np.ndarray, shape: BlockShape, s: SparsityProfile, cap: int = ENUM_CAP
+) -> RipReport:
+    """Exact hierarchical restricted-isometry constant over structured supports."""
+    A = np.asarray(A, dtype=np.complex128)
+    s = s.clip(shape)
+    delta, witness, count = _enumerate(A, shape, s, cap)
+    return RipReport(A.shape[0], A.shape[1], s.s, shape.dims, delta, witness, count)
 
 
 def kron_hirip_bound(A1, A2, s: SparsityProfile, grouping: str, cap: int = ENUM_CAP) -> float:

@@ -32,7 +32,13 @@ from .channel import (
     transfer_from_delay_angular,
 )
 from .design import make_design, signature
-from .operators import KroneckerSensingOperator, unvectorize, vectorize
+from .operators import (
+    KroneckerSensingOperator,
+    VectorizationOption,
+    as_option,
+    unvectorize,
+    vectorize,
+)
 from .recovery import RecoveryConfig, solve
 
 PRESETS = {
@@ -98,6 +104,27 @@ class ExperimentConfig:
             raise ValueError("mismatched-L needs a fixed pilot count Np")
         if self.scenario == "omp-compare" and self.Mp is None:
             self.Mp = max(1, self.system.M // 4)
+        self._validate()
+
+    def _validate(self) -> None:
+        """Reject a sweep the system cannot run, before any trial starts."""
+        as_option(self.option)  # ValueError unless FS or SF
+        N, M, D, U = self.system.N, self.system.M, self.system.D, self.system.U
+        if U * D > N:
+            raise ValueError(f"U*D = {U * D} exceeds N = {N}")
+        pilots = [self.Np] if self.scenario == "mismatched-L" else self.sweep
+        for Np in pilots:
+            if not 1 <= int(Np) <= N:
+                raise ValueError(f"pilot count Np = {Np} outside [1, N = {N}]")
+        if self.Mp is not None and not 1 <= self.Mp <= M:
+            raise ValueError(f"antenna count Mp = {self.Mp} outside [1, M = {M}]")
+        for cond in _conditions(self):
+            if not 1 <= cond.V <= U:
+                raise ValueError(f"{cond.label}: active UEs V = {cond.V} outside [1, U = {U}]")
+        if self.scenario == "offgrid-sweep" and self.system.alpha * N > D:
+            raise ValueError(
+                f"off-grid delays span alpha*N = {self.system.alpha * N:g} taps, more than D = {D}"
+            )
 
     def to_json(self) -> str:
         doc = asdict(self)
@@ -119,6 +146,7 @@ class ExperimentConfig:
         self.system.N = preset["N"]
         self.system.M = preset["M"]
         self.system.D = preset["D"]
+        self._validate()
 
 
 @dataclass
@@ -137,13 +165,14 @@ def recovery_profile(option, V, L, K_V, K_L, on_grid=True, L1=None, L2=None) -> 
     Off-grid recovery inflates the path budget by the per-path leakage
     footprint (2*L1+1 delay taps by 2*L2+1 angle bins).
     """
+    fs = as_option(option) is VectorizationOption.FS
     if on_grid:
-        if str(option).upper() == "FS":
+        if fs:
             return SparsityProfile((V * L, K_V, K_L))
         return SparsityProfile((V, L, K_L))
     if L1 is None or L2 is None:
         raise ValueError("off-grid recovery needs L1 and L2")
-    if str(option).upper() == "FS":
+    if fs:
         return SparsityProfile((V * L * (2 * L2 + 1), K_V, K_L * (2 * L1 + 1)))
     return SparsityProfile((V, L * (2 * L1 + 1), K_L * (2 * L2 + 1)))
 

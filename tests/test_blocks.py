@@ -1,18 +1,20 @@
 import itertools
+import math
 
+from hypothesis import assume, given, settings, strategies as st
 import numpy as np
 import pytest
 
 from hisparse import (
     BlockShape,
     DimensionError,
-    HiSupport,
     MultiLevelVector,
     SparsityProfile,
     hi_threshold,
     is_hi_sparse,
     project_onto_support,
 )
+from hisparse.ripcheck import count_hi_supports
 from conftest import REFERENCE_HIER_SUPPORT, REFERENCE_FLAT_SUPPORT
 
 
@@ -41,14 +43,6 @@ def best_residual_bruteforce(values, dims, s):
     return best
 
 
-def test_flat_index_roundtrip():
-    shape = BlockShape((2, 3, 5))
-    for flat in range(shape.total):
-        assert shape.flat_index(shape.multi_index(flat)) == flat
-    assert shape.flat_index((1, 2, 4)) == 29
-    assert shape.multi_index(0) == (0, 0, 0)
-
-
 def test_shape_and_profile_validation():
     with pytest.raises(DimensionError):
         BlockShape((2, 0))
@@ -65,13 +59,13 @@ def test_shape_and_profile_validation():
 def test_reference_vector_hierarchical_support(reference_vector):
     x = MultiLevelVector(BlockShape((2, 3, 5)), reference_vector)
     support = hi_threshold(x, SparsityProfile((1, 2, 2)))
-    assert support.as_set() == REFERENCE_HIER_SUPPORT
+    assert set(support.tolist()) == REFERENCE_HIER_SUPPORT
 
 
 def test_reference_vector_flat_support(reference_vector):
     x = MultiLevelVector(BlockShape((30,)), reference_vector)
     support = hi_threshold(x, SparsityProfile((4,)))
-    assert support.as_set() == REFERENCE_FLAT_SUPPORT
+    assert set(support.tolist()) == REFERENCE_FLAT_SUPPORT
 
 
 @pytest.mark.parametrize("dims,s", [
@@ -109,16 +103,16 @@ def test_single_level_reduces_to_top_k():
     x = MultiLevelVector(BlockShape((40,)), values)
     support = hi_threshold(x, SparsityProfile((6,)))
     expected = set(np.argsort(np.abs(values))[-6:])
-    assert support.as_set() == expected
+    assert set(support.tolist()) == expected
     # Flat best-k semantics: equal moduli go to the lowest index, and with
     # k >= n every nonzero is kept while exact zeros are dropped.
     tied = np.array([1, -1, 1j, 2, -1j, 0.5, 1], dtype=complex)
     for k, expected in ((3, [0, 1, 3]), (4, [0, 1, 2, 3])):
         support = hi_threshold(MultiLevelVector(BlockShape((7,)), tied), SparsityProfile((k,)))
-        np.testing.assert_array_equal(support.indices, expected)
+        np.testing.assert_array_equal(support, expected)
     sparse = np.array([0, 1, 0, 2j, 0.5, 0], dtype=complex)
     support = hi_threshold(MultiLevelVector(BlockShape((6,)), sparse), SparsityProfile((6,)))
-    np.testing.assert_array_equal(support.indices, [1, 3, 4])
+    np.testing.assert_array_equal(support, [1, 3, 4])
 
 
 def test_threshold_zero_vector():
@@ -133,7 +127,7 @@ def test_threshold_ties_go_to_lowest_index():
     values = np.array([1.0, 1.0, 1.0, 1.0], dtype=complex)
     x = MultiLevelVector(BlockShape((2, 2)), values)
     support = hi_threshold(x, SparsityProfile((1, 1)))
-    assert support.as_set() == {0}
+    assert support.tolist() == [0]
 
 
 def test_threshold_profile_mismatch():
@@ -145,17 +139,8 @@ def test_threshold_profile_mismatch():
 def test_project_full_and_empty_support(reference_vector):
     shape = BlockShape((2, 3, 5))
     x = MultiLevelVector(shape, reference_vector)
-    full = HiSupport(np.arange(30), shape, SparsityProfile((2, 3, 5)))
-    np.testing.assert_array_equal(project_onto_support(x, full).values, x.values)
-    empty = HiSupport(np.array([], dtype=np.int64), shape, SparsityProfile((1, 1, 1)))
-    assert project_onto_support(x, empty).norm() == 0.0
-
-
-def test_project_shape_mismatch(reference_vector):
-    x = MultiLevelVector(BlockShape((2, 3, 5)), reference_vector)
-    other = HiSupport(np.array([0]), BlockShape((30,)), SparsityProfile((1,)))
-    with pytest.raises(DimensionError):
-        project_onto_support(x, other)
+    np.testing.assert_array_equal(project_onto_support(x, np.arange(30)).values, x.values)
+    assert project_onto_support(x, np.array([], dtype=np.int64)).norm() == 0.0
 
 
 def test_reference_projection_matches_bruteforce(reference_vector):
@@ -183,9 +168,27 @@ def test_is_hi_sparse_cases():
     assert not is_hi_sparse(MultiLevelVector(shape, bad), profile)
 
 
-def test_hisupport_rejects_invalid_structure():
-    shape = BlockShape((2, 3, 5))
-    with pytest.raises(DimensionError):
-        HiSupport(np.array([0, 15]), shape, SparsityProfile((1, 2, 2)))
-    with pytest.raises(DimensionError):
-        HiSupport(np.array([31]), shape, SparsityProfile((1, 2, 2)))
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.data())
+def test_threshold_properties_on_random_layouts(data):
+    dims = tuple(data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=3), label="dims"))
+    s = tuple(data.draw(st.integers(1, n), label="s") for n in dims)
+    assume(count_hi_supports(dims, s) <= 2000)  # keeps the brute force fast
+    n = math.prod(dims)
+    # Small integers give ties and exact zeros; floats give generic values.
+    part = st.one_of(st.integers(-3, 3), st.floats(-4, 4, allow_subnormal=False))
+    parts = st.lists(part, min_size=2 * n, max_size=2 * n)
+    raw = np.asarray(data.draw(parts, label="values"), dtype=float)
+    values = raw[:n] + 1j * raw[n:]
+    x = MultiLevelVector(BlockShape(dims), values)
+    profile = SparsityProfile(s)
+
+    support = hi_threshold(x, profile)
+    assert support.dtype == np.int64
+    assert np.all(np.diff(support) > 0)
+    assert support.size == 0 or (support[0] >= 0 and support[-1] < n)
+    proj = project_onto_support(x, support)
+    np.testing.assert_array_equal(np.flatnonzero(proj.values), support)
+    assert is_hi_sparse(proj, profile)
+    residual = float(np.linalg.norm(values - proj.values))
+    assert residual == pytest.approx(best_residual_bruteforce(values, dims, s), abs=1e-12)

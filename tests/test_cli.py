@@ -47,6 +47,22 @@ def test_bad_config_exits_nonzero(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_out_of_model_config_exits_one_before_any_trial(tmp_path, capsys):
+    config_path = tmp_path / "config.json"
+    config = {"scenario": "single-user-sweep", "sweep": [5, 500], "trials": 1}
+    config_path.write_text(json.dumps(config))
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", str(config_path), "--out", str(out_dir)]) == 1
+    # Valid at N=1024, out of range once the preset shrinks N to 128.
+    config.update(sweep=[300], system={"N": 1024})
+    config_path.write_text(json.dumps(config))
+    assert main(["run", "--config", str(config_path), "--out", str(out_dir),
+                 "--preset", "small"]) == 1
+    assert not out_dir.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(line.startswith("error: bad config: ") for line in err)
+
+
 def test_verify_suites_pass(capsys):
     assert main(["verify", "--suite", "operators", "--trials", "8"]) == 0
     assert main(["verify", "--suite", "hirip", "--trials", "6"]) == 0

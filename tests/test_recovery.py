@@ -11,13 +11,9 @@ from hisparse import (
     RecoveryConfig,
     SparsityProfile,
     contraction_constants,
-    flat_iht,
-    hi_htp,
-    hi_iht,
     is_hi_sparse,
     make_design,
     min_overhead,
-    omp,
     solve,
 )
 from hisparse.simulate import (
@@ -40,7 +36,7 @@ def single_path_setup(seed=1):
 def test_hi_iht_single_path_exact():
     op, x, y = single_path_setup()
     cfg = RecoveryConfig(algorithm="HiIHT", profile=SparsityProfile((1, 1, 1)))
-    res = hi_iht(y, op, cfg)
+    res = solve(y, op, cfg)
     np.testing.assert_allclose(res.x_hat.values, x, atol=1e-12)
     np.testing.assert_array_equal(res.support, [7])
     assert res.iterations <= 2
@@ -49,14 +45,14 @@ def test_hi_iht_single_path_exact():
 def test_hi_htp_single_path_exact():
     op, x, y = single_path_setup()
     cfg = RecoveryConfig(algorithm="HiHTP", profile=SparsityProfile((1, 1, 1)))
-    res = hi_htp(y, op, cfg)
+    res = solve(y, op, cfg)
     np.testing.assert_allclose(res.x_hat.values, x, atol=1e-12)
     assert res.residual_norm <= 1e-12
 
 
 def test_omp_single_path_exact():
     op, x, y = single_path_setup()
-    res = omp(y, op, 1)
+    res = solve(y, op, RecoveryConfig(algorithm="OMP", flat_k=1))
     np.testing.assert_allclose(res.x_hat.values, x, atol=1e-12)
     assert res.iterations == 1
 
@@ -72,7 +68,7 @@ def test_zero_measurement_gives_zero_estimate():
     ):
         res = solve(y, op, cfg)
         assert res.x_hat.norm() == 0.0
-    res = omp(y, op, 3)
+    res = solve(y, op, RecoveryConfig(algorithm="OMP", flat_k=3))
     assert res.x_hat.norm() == 0.0
     assert res.support.size == 0
 
@@ -84,7 +80,7 @@ def test_restricted_ls_matches_pinv_oracle():
     A = op.densify()
     y = rng.standard_normal(op.out_dim) + 1j * rng.standard_normal(op.out_dim)
     cfg = RecoveryConfig(algorithm="HiHTP", profile=SparsityProfile((2, 1, 2)))
-    res = hi_htp(y, op, cfg)
+    res = solve(y, op, cfg)
     S = res.support
     oracle = np.linalg.pinv(A[:, S]) @ y
     np.testing.assert_allclose(res.x_hat.values[S], oracle, atol=1e-8)
@@ -98,7 +94,7 @@ def test_htp_consistent_system_zero_residual():
     x[[3, 17]] = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     y = op.forward(x)
     cfg = RecoveryConfig(algorithm="HiHTP", profile=SparsityProfile((2, 1, 1)))
-    res = hi_htp(y, op, cfg)
+    res = solve(y, op, cfg)
     assert res.residual_norm <= 1e-10
 
 
@@ -108,8 +104,8 @@ def test_flat_solvers_reduce_to_hierarchical_on_one_level():
     A /= np.linalg.norm(A, axis=0)
     op = DenseOperator(A, BlockShape((20,)))
     y = rng.standard_normal(12) + 1j * rng.standard_normal(12)
-    hi = hi_iht(y, op, RecoveryConfig(algorithm="HiIHT", profile=SparsityProfile((4,))))
-    flat = flat_iht(y, op, RecoveryConfig(algorithm="IHT", flat_k=4))
+    hi = solve(y, op, RecoveryConfig(algorithm="HiIHT", profile=SparsityProfile((4,))))
+    flat = solve(y, op, RecoveryConfig(algorithm="IHT", flat_k=4))
     np.testing.assert_array_equal(hi.support, flat.support)
     np.testing.assert_allclose(hi.x_hat.values, flat.x_hat.values, atol=1e-14)
 
@@ -120,7 +116,7 @@ def test_results_are_deterministic():
     op = KroneckerSensingOperator(d, "FS")
     y = rng.standard_normal(op.out_dim) + 1j * rng.standard_normal(op.out_dim)
     cfg = RecoveryConfig(algorithm="HiIHT", profile=SparsityProfile((4, 1, 1)))
-    a, b = hi_iht(y, op, cfg), hi_iht(y, op, cfg)
+    a, b = solve(y, op, cfg), solve(y, op, cfg)
     np.testing.assert_array_equal(a.support, b.support)
     assert a.iterations == b.iterations
     assert np.array_equal(a.x_hat.values, b.x_hat.values)
@@ -133,8 +129,8 @@ def test_outputs_are_hierarchically_sparse():
     profile = SparsityProfile((4, 2, 2))
     for seed in range(5):
         y = rng.standard_normal(op.out_dim) + 1j * rng.standard_normal(op.out_dim)
-        for alg, fn in (("HiIHT", hi_iht), ("HiHTP", hi_htp)):
-            res = fn(y, op, RecoveryConfig(algorithm=alg, profile=profile))
+        for alg in ("HiIHT", "HiHTP"):
+            res = solve(y, op, RecoveryConfig(algorithm=alg, profile=profile))
             assert is_hi_sparse(res.x_hat, profile)
 
 
@@ -147,9 +143,9 @@ def test_htp_residual_non_increasing_on_repeated_support():
     y = op.forward(x) + 0.05 * (rng.standard_normal(op.out_dim) + 1j * rng.standard_normal(op.out_dim))
     # Capped reruns replay identical loop prefixes, exposing the iterates.
     iterates = [
-        hi_htp(y, op, RecoveryConfig(algorithm="HiHTP",
-                                     profile=SparsityProfile((3, 1, 1)),
-                                     max_iters=k))
+        solve(y, op, RecoveryConfig(algorithm="HiHTP",
+                                    profile=SparsityProfile((3, 1, 1)),
+                                    max_iters=k))
         for k in range(1, 6)
     ]
     for prev, cur in zip(iterates, iterates[1:]):
@@ -160,7 +156,7 @@ def test_htp_residual_non_increasing_on_repeated_support():
 def test_error_trace_records_each_iteration():
     op, x, y = single_path_setup()
     cfg = RecoveryConfig(algorithm="HiIHT", profile=SparsityProfile((1, 1, 1)))
-    res = hi_iht(y, op, cfg, x_true=x)
+    res = solve(y, op, cfg, x_true=x)
     assert res.error_trace is not None
     assert len(res.error_trace) == res.iterations
     assert res.error_trace[-1] <= 1e-12
@@ -170,23 +166,32 @@ def test_measurement_validation():
     op, _, y = single_path_setup()
     cfg = RecoveryConfig(algorithm="HiIHT", profile=SparsityProfile((1, 1, 1)))
     with pytest.raises(Exception):
-        hi_iht(y[:-1], op, cfg)
+        solve(y[:-1], op, cfg)
     bad = y.copy()
     bad[0] = np.nan
     with pytest.raises(ValueError):
-        hi_iht(bad, op, cfg)
+        solve(bad, op, cfg)
 
 
 def test_config_rejects_nonpositive_flat_k():
     for k in (0, -1):
         with pytest.raises(ValueError, match="flat_k"):
             RecoveryConfig(algorithm="IHT", flat_k=k)
+    # A config the solver cannot size is rejected before any solve.
+    for alg in ("HiIHT", "HiHTP"):
+        with pytest.raises(ValueError, match="needs a profile"):
+            RecoveryConfig(algorithm=alg)
+        with pytest.raises(ValueError, match="needs a profile"):
+            RecoveryConfig(algorithm=alg, flat_k=4)
+    for alg in ("IHT", "HTP", "OMP"):
+        with pytest.raises(ValueError, match="needs a profile or flat_k"):
+            RecoveryConfig(algorithm=alg)
 
 
 def test_result_json_dict():
     op, x, y = single_path_setup()
     cfg = RecoveryConfig(algorithm="HiIHT", profile=SparsityProfile((1, 1, 1)))
-    doc = hi_iht(y, op, cfg, x_true=x).to_json_dict()
+    doc = solve(y, op, cfg, x_true=x).to_json_dict()
     assert doc["support"] == [7]
     assert "error_trace" in doc and "residual_norm" in doc
 
@@ -236,6 +241,8 @@ def test_min_overhead_formulas():
         min_overhead(0.5, 0.3, V=1, L=1, K_V=1, K_L=1, N=64, M=16)
     with pytest.raises(GuaranteeVoidError):
         min_overhead(-0.1, 0.2, V=1, L=1, K_V=1, K_L=1, N=64, M=16)
+    with pytest.raises(ValueError):
+        min_overhead(0.3, 0.2, V=1, L=1, K_V=1, K_L=1, N=64, M=16, option="XS")
 
 
 def test_omp_tracks_htp_at_reduced_antenna_sampling():

@@ -61,6 +61,54 @@ def test_config_validation():
         tiny_config(scenario="mismatched-L")  # needs fixed Np
 
 
+def test_config_rejects_unknown_option():
+    with pytest.raises(ValueError, match="VectorizationOption"):
+        tiny_config(option="XS")
+
+
+def test_config_rejects_pilot_count_outside_system():
+    for sweep in ([0, 8], [5, 65]):
+        with pytest.raises(ValueError, match="pilot count"):
+            tiny_config(sweep=sweep)
+    with pytest.raises(ValueError, match="pilot count"):
+        tiny_config(scenario="mismatched-L", sweep=[2, 3], Np=65)
+
+
+def test_config_rejects_antenna_count_outside_system():
+    for Mp in (0, 17):
+        with pytest.raises(ValueError, match="antenna count"):
+            tiny_config(Mp=Mp)
+
+
+def test_config_rejects_users_beyond_subcarriers():
+    with pytest.raises(ValueError, match="U\\*D"):
+        tiny_config(system=SystemConfig(N=64, M=16, D=16, U=5))
+
+
+def test_config_rejects_active_users_beyond_u():
+    with pytest.raises(ValueError, match="active UEs"):
+        tiny_config(scenario="multiuser-sweep", v_values=[2])
+    with pytest.raises(ValueError, match="active UEs"):
+        tiny_config(channel=ChannelConfig(L=2, V=2))
+    # The multiuser default sweeps V in (1, 2, 4), so U must reach 4.
+    with pytest.raises(ValueError, match="active UEs"):
+        tiny_config(scenario="multiuser-sweep", system=SystemConfig(N=64, M=16, D=16, U=2))
+
+
+def test_config_rejects_offgrid_delay_spread_beyond_d():
+    offgrid = dict(scenario="offgrid-sweep", system=SystemConfig(N=32, M=8, D=8, U=1, alpha=0.9))
+    with pytest.raises(ValueError, match="alpha"):
+        tiny_config(**offgrid)
+    # alpha*N == D sits exactly on the bound and is accepted.
+    tiny_config(scenario="offgrid-sweep", system=SystemConfig(N=32, M=8, D=8, U=1))
+
+
+def test_preset_revalidates():
+    config = tiny_config(system=SystemConfig(N=1024, M=16, D=16, U=1), sweep=[300])
+    with pytest.raises(ValueError, match="pilot count"):
+        config.apply_preset("small")
+
+
 def test_preset_override():
     config = tiny_config()
     config.apply_preset("paper")
@@ -74,6 +122,9 @@ def test_recovery_profile_shapes():
                             on_grid=False, L1=1, L2=2).s == (15, 1, 3)
     with pytest.raises(ValueError):
         recovery_profile("FS", V=1, L=3, K_V=1, K_L=1, on_grid=False)
+    assert recovery_profile("sf", V=2, L=3, K_V=1, K_L=1).s == (2, 3, 1)
+    with pytest.raises(ValueError):
+        recovery_profile("xx", V=1, L=3, K_V=1, K_L=1)
 
 
 def test_stack_and_split_are_inverse():
