@@ -12,8 +12,12 @@ the unknown carries block layout (M, U, D); under space-frequency (SF) it is
 delay (x) conj(angle) with layout (U, D, M). The option is also the single
 place that decides how matrices are vectorized (``vectorize`` /
 ``unvectorize``). Forward and adjoint are applied with length-N and length-M
-FFTs; ``columns`` builds exact columns of the matrix from the two factors,
-and a dense materialization is kept as a test oracle for small problems.
+FFTs. Both factor Grams are circulant (entry (q, q') depends only on
+(q - q') mod N, entry (m, m') only on (m - m') mod M), so ``gram`` evaluates
+any restricted Gram (A^H A)[S, S] from two precomputed kernels in O(|S|^2)
+without building a column; least-squares refits solve on it. ``columns``
+builds exact columns of the matrix from the two factors, and a dense
+materialization is kept as a test oracle for small problems.
 """
 
 from __future__ import annotations
@@ -60,6 +64,13 @@ def unvectorize(v: np.ndarray, option, rows: int, cols: int) -> np.ndarray:
     return v.reshape(rows, cols)
 
 
+def unknown_shape(option, M: int, U: int, D: int) -> BlockShape:
+    """Block layout of the unknown: (M, U, D) under FS, (U, D, M) under SF."""
+    if as_option(option) is VectorizationOption.FS:
+        return BlockShape((M, U, D))
+    return BlockShape((U, D, M))
+
+
 def dft_matrix(n: int, m: int) -> np.ndarray:
     """First m columns of the n-point DFT matrix, entries exp(-j2pi*mn/n)."""
     rows = np.arange(n)[:, None]
@@ -96,12 +107,17 @@ class KroneckerSensingOperator:
         d = design
         self._ud = d.U * d.D
         self._conj_base = np.conj(d.base_sequence)
-        if self.option is VectorizationOption.FS:
-            self.shape_in = BlockShape((d.M, d.U, d.D))
-        else:
-            self.shape_in = BlockShape((d.U, d.D, d.M))
+        self.shape_in = unknown_shape(self.option, d.M, d.U, d.D)
         self.in_dim = self.shape_in.total
         self.out_dim = d.Np * d.Mp
+        # Circulant Gram kernels: (T^H T)[q, q'] = tau_kernel[(q - q') mod N]
+        # and (conj(Theta)^H conj(Theta))[m, m'] = angle_kernel[(m - m') mod M].
+        weights = np.zeros(d.N)
+        weights[d.subcarriers] = np.abs(d.base_sequence[d.subcarriers]) ** 2
+        self._tau_kernel = np.fft.ifft(weights) * (d.N / d.Np)
+        mask = np.zeros(d.M)
+        mask[d.antennas] = 1.0
+        self._angle_kernel = np.conj(np.fft.ifft(mask) * (d.M / d.Mp))
 
     # -- matrix-shaped helpers ------------------------------------------------
 
@@ -116,6 +132,15 @@ class KroneckerSensingOperator:
         if v.shape != (self.in_dim,):
             raise DimensionError(f"input length {v.shape} != {self.in_dim}")
         return v
+
+    def _split(self, idx) -> tuple[np.ndarray, np.ndarray]:
+        """Flat indices -> (delay index q in [0, U*D), angle index m in [0, M))."""
+        idx = np.asarray(idx, dtype=np.int64)
+        if self.option is VectorizationOption.FS:
+            m, q = np.divmod(idx, self._ud)
+        else:
+            q, m = np.divmod(idx, self.design.M)
+        return q, m
 
     def _apply_tau(self, X: np.ndarray) -> np.ndarray:
         d = self.design
@@ -180,16 +205,23 @@ class KroneckerSensingOperator:
         column are evaluated, with DFT phases reduced mod N and mod M.
         """
         d = self.design
-        idx = np.asarray(idx, dtype=np.int64)
-        if self.option is VectorizationOption.FS:
-            m, q = np.divmod(idx, self._ud)
-        else:
-            q, m = np.divmod(idx, d.M)
+        q, m = self._split(idx)
         sub = d.subcarriers[:, None]
         delay = d.base_sequence[sub] * np.exp(-2j * np.pi * (sub * q % d.N) / d.N)
         angle = np.exp(2j * np.pi * (d.antennas[:, None] * m % d.M) / d.M)
         cols = delay[:, None, :] * angle[None, :, :] / math.sqrt(d.Np * d.Mp)
         return vectorize(cols, self.option)
+
+    def gram(self, idx) -> np.ndarray:
+        """Restricted Gram (A^H A)[idx][:, idx] as a (len(idx) x len(idx)) matrix.
+
+        A^H A is the Kronecker product of the two circulant factor Grams, so
+        entry (i, j) is one angle-kernel times one delay-kernel lookup.
+        """
+        q, m = self._split(idx)
+        d = self.design
+        return (self._angle_kernel[(m[:, None] - m[None, :]) % d.M]
+                * self._tau_kernel[(q[:, None] - q[None, :]) % d.N])
 
     def densify(self) -> np.ndarray:
         """Explicit (Np*Mp x U*D*M) matrix; test oracle for small problems."""
@@ -233,6 +265,10 @@ class DenseOperator:
 
     def columns(self, idx) -> np.ndarray:
         return self.A[:, idx]
+
+    def gram(self, idx) -> np.ndarray:
+        cols = self.A[:, idx]
+        return cols.conj().T @ cols
 
     def densify(self) -> np.ndarray:
         return self.A

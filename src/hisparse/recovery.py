@@ -8,11 +8,14 @@ thresholding solvers are one gradient-descent loop with unit step:
 followed by hi_threshold on x_temp. HiIHT/HiHTP select under the unknown's
 hierarchical profile; the flat IHT/HTP are the one-level case (a single
 block of length U*D*M with sparsity k = cfg.sparsity()). The IHT variants
-keep x_temp on the selected support, the HTP variants refit it by dense
-least squares on the exact columns A[:, S]. Iteration stops when the
-selected support repeats or after max_iters passes. OMP grows its support
-one correlation pick at a time, k picks at most, with the same
-least-squares refit. Supports are sorted int64 arrays of flat indices.
+keep x_temp on the selected support, the HTP variants refit it by least
+squares on S. Iteration stops when the selected support repeats or after
+max_iters passes. OMP grows its support one correlation pick at a time, k
+picks at most, with the same least-squares refit. Every refit solves the
+|S| x |S| normal equations (A^H A)[S, S] beta = (A^H y)[S] from the
+operator's restricted Gram ``op.gram(S)`` and one A^H y per solve, by
+``lstsq`` so a rank-deficient support still gets the minimum-norm solution.
+Supports are sorted int64 arrays of flat indices.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from .operators import VectorizationOption, as_option
 
 HI_ALGORITHMS = ("HiIHT", "HiHTP")
 FLAT_ALGORITHMS = ("IHT", "HTP", "OMP")
+LS_ALGORITHMS = ("HiHTP", "HTP", "OMP")  # the solvers that refit by least squares
 
 
 class GuaranteeVoidError(ValueError):
@@ -94,12 +98,13 @@ def _check_measurement(y, op) -> np.ndarray:
     return y
 
 
-def _restricted_lstsq(y, op, support: np.ndarray) -> np.ndarray:
+def _restricted_lstsq(aty, op, support: np.ndarray) -> np.ndarray:
     """Coefficients of argmin over vectors supported on ``support`` of ||y - A x||.
 
-    One dense least-squares solve on the exact columns A[:, support].
+    ``aty`` is A^H y. One least-squares solve of the normal equations on the
+    restricted Gram (A^H A)[support, support]; minimum-norm if it is singular.
     """
-    beta, *_ = np.linalg.lstsq(op.columns(support), y, rcond=None)
+    beta, *_ = np.linalg.lstsq(op.gram(support), aty[support], rcond=None)
     return beta
 
 
@@ -107,6 +112,7 @@ def _threshold_loop(y, op, cfg: RecoveryConfig, select_shape, profile, pursuit: 
     shape = op.shape_in
     x = np.zeros(shape.total, dtype=np.complex128)
     trace = [] if x_true is not None else None
+    aty = op.adjoint_values(y) if pursuit else None
     prev_support = None
     iterations = 0
     for i in range(1, cfg.max_iters + 1):
@@ -114,7 +120,7 @@ def _threshold_loop(y, op, cfg: RecoveryConfig, select_shape, profile, pursuit: 
         x_temp = x + op.adjoint_values(y - op.forward(x))
         support = hi_threshold(MultiLevelVector(select_shape, x_temp), profile)
         x = np.zeros(shape.total, dtype=np.complex128)
-        x[support] = _restricted_lstsq(y, op, support) if pursuit else x_temp[support]
+        x[support] = _restricted_lstsq(aty, op, support) if pursuit else x_temp[support]
         if trace is not None:
             trace.append(float(np.linalg.norm(x - x_true)))
         if prev_support is not None and np.array_equal(support, prev_support):
@@ -131,8 +137,12 @@ def _threshold_loop(y, op, cfg: RecoveryConfig, select_shape, profile, pursuit: 
 
 
 def _omp(y, op, cfg: RecoveryConfig, x_true):
-    """Orthogonal matching pursuit: k greedy correlation picks with LS refits."""
+    """Orthogonal matching pursuit: k greedy correlation picks with LS refits.
+
+    The picked columns are kept only to form the residual.
+    """
     shape = op.shape_in
+    aty = op.adjoint_values(y)
     selected: list[int] = []
     cols = np.empty((op.out_dim, 0), dtype=np.complex128)
     beta = np.zeros(0, dtype=np.complex128)
@@ -148,7 +158,7 @@ def _omp(y, op, cfg: RecoveryConfig, x_true):
         corr[selected] = -1.0
         selected.append(int(np.argmax(corr)))
         cols = np.concatenate([cols, op.columns(selected[-1:])], axis=1)
-        beta, *_ = np.linalg.lstsq(cols, y, rcond=None)
+        beta = _restricted_lstsq(aty, op, selected)
         r = y - cols @ beta
         if trace is not None:
             x = np.zeros(shape.total, dtype=np.complex128)
@@ -186,7 +196,7 @@ def solve(y, op, cfg: RecoveryConfig, x_true=None) -> RecoveryResult:
     else:
         select_shape = BlockShape((op.in_dim,))
         profile = SparsityProfile((cfg.sparsity(op.shape_in),))
-    pursuit = cfg.algorithm in ("HiHTP", "HTP")
+    pursuit = cfg.algorithm in LS_ALGORITHMS
     return _threshold_loop(y, op, cfg, select_shape, profile, pursuit, x_true)
 
 

@@ -36,10 +36,11 @@ from .operators import (
     KroneckerSensingOperator,
     VectorizationOption,
     as_option,
+    unknown_shape,
     unvectorize,
     vectorize,
 )
-from .recovery import RecoveryConfig, solve
+from .recovery import LS_ALGORITHMS, RecoveryConfig, solve
 
 PRESETS = {
     "small": {"N": 128, "M": 64, "D": 32},
@@ -102,9 +103,24 @@ class ExperimentConfig:
             raise ValueError("sweep axis must be non-empty")
         if self.scenario == "mismatched-L" and self.Np is None:
             raise ValueError("mismatched-L needs a fixed pilot count Np")
-        if self.scenario == "omp-compare" and self.Mp is None:
-            self.Mp = max(1, self.system.M // 4)
         self._validate()
+
+    def antenna_count(self) -> int:
+        """Observed antennas Mp: the explicit value, else M // 4 for omp-compare, else M.
+
+        Resolved from the current system, so it follows a ``--preset``.
+        """
+        if self.Mp is not None:
+            return self.Mp
+        if self.scenario == "omp-compare":
+            return max(1, self.system.M // 4)
+        return self.system.M
+
+    def _sweep_point(self, sweep_value) -> tuple[int, int | None]:
+        """(pilot count Np, assumed path count or None) of one sweep value."""
+        if self.scenario == "mismatched-L":
+            return int(self.Np), int(sweep_value)
+        return int(sweep_value), None
 
     def _validate(self) -> None:
         """Reject a sweep the system cannot run, before any trial starts."""
@@ -112,19 +128,33 @@ class ExperimentConfig:
         N, M, D, U = self.system.N, self.system.M, self.system.D, self.system.U
         if U * D > N:
             raise ValueError(f"U*D = {U * D} exceeds N = {N}")
-        pilots = [self.Np] if self.scenario == "mismatched-L" else self.sweep
-        for Np in pilots:
-            if not 1 <= int(Np) <= N:
+        Mp = self.antenna_count()
+        if not 1 <= Mp <= M:
+            raise ValueError(f"antenna count Mp = {Mp} outside [1, M = {M}]")
+        points = [self._sweep_point(v) for v in self.sweep]
+        for Np, lhat in points:
+            if not 1 <= Np <= N:
                 raise ValueError(f"pilot count Np = {Np} outside [1, N = {N}]")
-        if self.Mp is not None and not 1 <= self.Mp <= M:
-            raise ValueError(f"antenna count Mp = {self.Mp} outside [1, M = {M}]")
-        for cond in _conditions(self):
-            if not 1 <= cond.V <= U:
-                raise ValueError(f"{cond.label}: active UEs V = {cond.V} outside [1, U = {U}]")
+            if lhat is not None and lhat < 1:
+                raise ValueError(f"assumed path count {lhat} in the sweep must be >= 1")
         if self.scenario == "offgrid-sweep" and self.system.alpha * N > D:
             raise ValueError(
                 f"off-grid delays span alpha*N = {self.system.alpha * N:g} taps, more than D = {D}"
             )
+        for cond in _conditions(self):
+            if not 1 <= cond.V <= U:
+                raise ValueError(f"{cond.label}: active UEs V = {cond.V} outside [1, U = {U}]")
+            for Np, lhat in points:
+                # Building the profile rejects a non-positive sparsity. A refit
+                # support never exceeds the clipped profile's size (the flat
+                # solvers select k = that size).
+                at_point = cond if lhat is None else replace(cond, lhat=lhat)
+                size = _profile(self, at_point).max_support
+                if cond.algorithm in LS_ALGORITHMS and size > Np * Mp:
+                    raise ValueError(
+                        f"{cond.label}: least-squares support of up to {size} columns "
+                        f"exceeds Np*Mp = {Np * Mp} at Np = {Np}"
+                    )
 
     def to_json(self) -> str:
         doc = asdict(self)
@@ -230,10 +260,21 @@ class Condition:
     L2: int | None = None
 
 
+def _profile(config: ExperimentConfig, condition: Condition) -> SparsityProfile:
+    """The condition's recovery profile, clipped to the unknown's layout."""
+    sys_cfg, chan = config.system, config.channel
+    lhat = condition.lhat if condition.lhat is not None else condition.L
+    profile = recovery_profile(
+        condition.option, condition.V, lhat, chan.K_V, chan.K_L,
+        on_grid=condition.on_grid, L1=condition.L1, L2=condition.L2,
+    )
+    return profile.clip(unknown_shape(condition.option, sys_cfg.M, sys_cfg.U, sys_cfg.D))
+
+
 def run_trial(config: ExperimentConfig, condition: Condition, Np: int, trial_index: int) -> float:
     """Per-element channel MSE of one seeded Monte-Carlo trial."""
     sys_cfg, chan = config.system, config.channel
-    Mp = config.Mp if config.Mp is not None else sys_cfg.M
+    Mp = config.antenna_count()
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, trial_index]))
     params = ChannelParams(
         N=sys_cfg.N, M=sys_cfg.M, D=sys_cfg.D, U=sys_cfg.U,
@@ -249,13 +290,7 @@ def run_trial(config: ExperimentConfig, condition: Condition, Np: int, trial_ind
         seed=int(rng.integers(2**63)),
     )
     op = KroneckerSensingOperator(design, condition.option)
-
-    lhat = condition.lhat if condition.lhat is not None else condition.L
-    profile = recovery_profile(
-        condition.option, condition.V, lhat, chan.K_V, chan.K_L,
-        on_grid=condition.on_grid, L1=condition.L1, L2=condition.L2,
-    ).clip(op.shape_in)
-    cfg = RecoveryConfig(algorithm=condition.algorithm, profile=profile)
+    cfg = RecoveryConfig(algorithm=condition.algorithm, profile=_profile(config, condition))
 
     snr_linear = 10.0 ** (config.snr_db / 10.0)
     if condition.on_grid:
@@ -377,10 +412,7 @@ def run_sweep(config: ExperimentConfig, out_dir=None, threads: int = 1):
     conditions = _conditions(config)
     records: list[MseRecord] = []
     for sweep_value in config.sweep:
-        if config.scenario == "mismatched-L":
-            Np, lhat = int(config.Np), int(sweep_value)
-        else:
-            Np, lhat = int(sweep_value), None
+        Np, lhat = config._sweep_point(sweep_value)
         for cond in conditions:
             mean, stderr, seconds = _run_batch(config, cond, Np, lhat, threads)
             records.append(MseRecord(float(sweep_value), cond.label, mean, stderr,

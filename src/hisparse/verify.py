@@ -48,8 +48,9 @@ def _random_design(rng, max_cols=4096):
 
 def suite_operators(trials: int = 50, seed: int = 0) -> bool:
     rng = np.random.default_rng(seed)
+    pick = np.random.default_rng([seed, 1])  # Gram indices; leaves rng's stream as it was
     ok = True
-    worst_fwd = worst_adj = worst_dot = worst_col = worst_row = 0.0
+    worst_fwd = worst_adj = worst_dot = worst_col = worst_row = worst_gram = 0.0
     for _ in range(trials):
         design = _random_design(rng)
         option = "FS" if rng.integers(2) == 0 else "SF"
@@ -64,6 +65,9 @@ def suite_operators(trials: int = 50, seed: int = 0) -> bool:
         dot_gap = abs(np.vdot(y, fwd) - np.vdot(adj, x))
         worst_dot = max(worst_dot, dot_gap / (np.linalg.norm(x) * np.linalg.norm(y)))
         worst_col = max(worst_col, float(np.max(np.abs(np.linalg.norm(A, axis=0) - 1.0))))
+        idx = pick.integers(0, op.in_dim, size=8)
+        gram_ref = A[:, idx].conj().T @ A[:, idx]
+        worst_gram = max(worst_gram, float(np.max(np.abs(op.gram(idx) - gram_ref))))
         # Row-sampled structure of the delay factor.
         At = tau_factor(design)
         F = dft_matrix(design.N, design.U * design.D)
@@ -73,6 +77,7 @@ def suite_operators(trials: int = 50, seed: int = 0) -> bool:
     ok &= _report("fast adjoint matches dense", worst_adj <= 1e-10, f"max rel err {worst_adj:.2e}")
     ok &= _report("adjoint identity", worst_dot <= 1e-10, f"max gap {worst_dot:.2e}")
     ok &= _report("unit column norms", worst_col <= 1e-10, f"max dev {worst_col:.2e}")
+    ok &= _report("Gram matches dense", worst_gram <= 1e-12, f"max abs err {worst_gram:.2e}")
     ok &= _report("delay factor row structure", worst_row <= 1e-12, f"max dev {worst_row:.2e}")
     return ok
 

@@ -58,9 +58,15 @@ def test_out_of_model_config_exits_one_before_any_trial(tmp_path, capsys):
     config_path.write_text(json.dumps(config))
     assert main(["run", "--config", str(config_path), "--out", str(out_dir),
                  "--preset", "small"]) == 1
+    # An assumed path count below 1, and an HTP refit of 3 columns from 2 samples.
+    for bad in ({"scenario": "mismatched-L", "Np": 16, "sweep": [0]},
+                {"scenario": "single-user-sweep", "algorithms": ["HTP"], "Mp": 1, "sweep": [2]}):
+        config_path.write_text(json.dumps(bad))
+        assert main(["run", "--config", str(config_path), "--out", str(out_dir)]) == 1
     assert not out_dir.exists()
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 2 and all(line.startswith("error: bad config: ") for line in err)
+    assert len(err) == 4 and all(line.startswith("error: bad config: ") for line in err)
+    assert "assumed path count 0" in err[2] and "least-squares support of up to 3" in err[3]
 
 
 def test_verify_suites_pass(capsys):

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from hisparse import (
+    BlockShape,
+    DenseOperator,
     DimensionError,
     KroneckerSensingOperator,
     MultiLevelVector,
@@ -46,6 +48,26 @@ def test_basis_vectors_give_dense_columns(option):
         e[k] = 0.0
     idx = [op.in_dim - 1, 0, 5, 13, 5]
     np.testing.assert_allclose(op.columns(idx), A[:, idx], atol=1e-12)
+
+
+@pytest.mark.parametrize("option", ["FS", "SF"])
+def test_gram_matches_columns(option):
+    rng = np.random.default_rng(7 if option == "FS" else 8)
+    for _ in range(12):
+        op = KroneckerSensingOperator(random_design(rng), option)
+        idx = rng.integers(0, op.in_dim, size=6)
+        idx = np.append(idx, idx[2])  # unsorted, with a repeat
+        cols = op.columns(idx)
+        np.testing.assert_allclose(op.gram(idx), cols.conj().T @ cols, atol=1e-12)
+    assert op.gram([]).shape == (0, 0)
+
+
+def test_dense_operator_gram():
+    rng = np.random.default_rng(3)
+    A = rng.standard_normal((5, 12)) + 1j * rng.standard_normal((5, 12))
+    op = DenseOperator(A, BlockShape((2, 3, 2)))
+    idx = [11, 0, 4, 0]
+    np.testing.assert_allclose(op.gram(idx), A[:, idx].conj().T @ A[:, idx], atol=1e-12)
 
 
 @pytest.mark.parametrize("option", ["FS", "SF"])
@@ -137,7 +159,6 @@ def test_dimension_errors():
         op.forward(np.zeros(op.in_dim + 1, dtype=complex))
     with pytest.raises(DimensionError):
         op.adjoint_values(np.zeros(op.out_dim - 1, dtype=complex))
-    from hisparse import BlockShape
     wrong = MultiLevelVector.zeros(BlockShape((2, 4, 4)))
     with pytest.raises(DimensionError):
         op.forward(wrong)  # SF layout fed to an FS operator

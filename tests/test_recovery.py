@@ -16,6 +16,7 @@ from hisparse import (
     min_overhead,
     solve,
 )
+from hisparse.recovery import _restricted_lstsq
 from hisparse.simulate import (
     ChannelConfig,
     Condition,
@@ -84,6 +85,31 @@ def test_restricted_ls_matches_pinv_oracle():
     S = res.support
     oracle = np.linalg.pinv(A[:, S]) @ y
     np.testing.assert_allclose(res.x_hat.values[S], oracle, atol=1e-8)
+
+
+@pytest.mark.parametrize("option", ["FS", "SF"])
+def test_restricted_lstsq_matches_column_lstsq(option):
+    rng = np.random.default_rng(11 if option == "FS" else 12)
+    op = KroneckerSensingOperator(make_design(32, 8, 8, 2, 12, 6, seed=4), option)
+    for _ in range(20):
+        y = rng.standard_normal(op.out_dim) + 1j * rng.standard_normal(op.out_dim)
+        S = rng.permutation(op.in_dim)[: int(rng.integers(1, 13))]
+        assert np.linalg.matrix_rank(op.columns(S)) == S.size
+        expected = np.linalg.lstsq(op.columns(S), y, rcond=None)[0]
+        got = _restricted_lstsq(op.adjoint_values(y), op, S)
+        assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
+
+
+def test_restricted_lstsq_rank_deficient_support_is_minimum_norm():
+    # Six delay columns at one angle but only Np = 4 pilots: rank 6 of 8.
+    rng = np.random.default_rng(13)
+    op = KroneckerSensingOperator(make_design(32, 8, 8, 2, 4, 6, seed=4), "FS")
+    S = np.array([0, 1, 2, 3, 4, 5, 19, 40])
+    assert np.linalg.matrix_rank(op.columns(S)) == 6
+    y = rng.standard_normal(op.out_dim) + 1j * rng.standard_normal(op.out_dim)
+    expected = np.linalg.lstsq(op.columns(S), y, rcond=None)[0]
+    got = _restricted_lstsq(op.adjoint_values(y), op, S)
+    assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
 
 
 def test_htp_consistent_system_zero_residual():

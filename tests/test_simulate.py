@@ -103,6 +103,65 @@ def test_config_rejects_offgrid_delay_spread_beyond_d():
     tiny_config(scenario="offgrid-sweep", system=SystemConfig(N=32, M=8, D=8, U=1))
 
 
+def test_config_rejects_nonpositive_sparsity():
+    with pytest.raises(ValueError, match="assumed path count 0"):
+        tiny_config(scenario="mismatched-L", sweep=[2, 0], Np=16)
+    with pytest.raises(ValueError, match="sparsities must be positive"):
+        tiny_config(channel=ChannelConfig(L=0, V=1))
+
+
+def test_config_rejects_hierarchical_refit_beyond_measurements():
+    # FS off-grid profile (9, 1, 3) clips to (8, 1, 3): 24 columns > 2 * 8.
+    offgrid = dict(scenario="offgrid-sweep", system=SystemConfig(N=32, M=8, D=8, U=1),
+                   channel=ChannelConfig(L=3, V=1), l1_values=[1], l2_values=[1])
+    with pytest.raises(ValueError, match="HiHTP:L1=1,L2=1: least-squares support of up to 24"):
+        tiny_config(algorithms=["HiHTP"], sweep=[2, 8], **offgrid)
+    tiny_config(algorithms=["HiHTP"], sweep=[3, 8], **offgrid)  # 24 == 3 * 8 fits
+    tiny_config(algorithms=["HiIHT"], sweep=[2, 8], **offgrid)  # no refit, no bound
+
+
+def test_config_rejects_flat_refit_beyond_measurements():
+    with pytest.raises(ValueError, match="HTP: least-squares support of up to 2"):
+        tiny_config(algorithms=["HTP"], Mp=1, sweep=[1, 8])
+    tiny_config(algorithms=["HTP"], Mp=1, sweep=[2, 8])
+
+
+def test_config_rejects_omp_refit_beyond_measurements():
+    # omp-compare samples M // 4 = 4 antennas; k = V * L = 5 > 1 * 4.
+    with pytest.raises(ValueError, match="OMP: least-squares support of up to 5"):
+        tiny_config(scenario="omp-compare", algorithms=["OMP"],
+                    channel=ChannelConfig(L=5, V=1), sweep=[8, 1])
+
+
+def test_config_rejects_mismatched_refit_beyond_measurements():
+    # The assumed path count sets the refit size: 3 > Np * Mp = 2.
+    with pytest.raises(ValueError, match="HiHTP: least-squares support of up to 3"):
+        tiny_config(scenario="mismatched-L", algorithms=["HiHTP"], Np=1, Mp=2, sweep=[1, 3])
+
+
+@pytest.mark.parametrize("preset", ["small", "paper"])
+def test_default_scenarios_pass_the_refit_guard(preset):
+    sweep = [5, 10, 20, 40, 80]
+    for scenario in ("single-user-sweep", "multiuser-sweep", "sf-vs-fs",
+                     "mismatched-L", "omp-compare", "offgrid-sweep"):
+        extra = {"Np": 15, "sweep": [1, 2, 3, 4, 5]} if scenario == "mismatched-L" else {}
+        U = 4 if scenario in ("multiuser-sweep", "sf-vs-fs") else 1
+        for algorithms in (None, ["HiHTP", "HTP", "OMP"]):
+            config = ExperimentConfig(**{"scenario": scenario, "system": SystemConfig(U=U),
+                                         "sweep": sweep, "algorithms": algorithms, **extra})
+            config.apply_preset(preset)
+
+
+def test_omp_compare_default_antennas_follow_preset():
+    config = ExperimentConfig.from_json_dict({"scenario": "omp-compare", "sweep": [24]})
+    assert config.antenna_count() == 16
+    config.apply_preset("paper")
+    assert config.antenna_count() == 64
+    explicit = ExperimentConfig(scenario="omp-compare", sweep=[24], Mp=16)
+    explicit.apply_preset("paper")
+    assert explicit.antenna_count() == 16 and explicit.Mp == 16
+
+
 def test_preset_revalidates():
     config = tiny_config(system=SystemConfig(N=1024, M=16, D=16, U=1), sweep=[300])
     with pytest.raises(ValueError, match="pilot count"):
