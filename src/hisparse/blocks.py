@@ -133,15 +133,23 @@ def _structurally_valid(indices: np.ndarray, shape: BlockShape, profile: Sparsit
 def _top_mask(energy: np.ndarray, k: int) -> np.ndarray:
     """Boolean mask keeping the k largest entries along the last axis.
 
-    Ties resolve to the lowest index: stable argsort on the negated values.
+    Ties resolve to the lowest index, as a stable sort would. O(n) per row:
+    ``argmax`` (first maximum) for k = 1; otherwise a partition finds the kth
+    largest value, every entry above it is kept, and the entries equal to it
+    fill the remaining places in index order.
     """
     n = energy.shape[-1]
     if k >= n:
         return np.ones_like(energy, dtype=bool)
-    order = np.argsort(-energy, axis=-1, kind="stable")
-    mask = np.zeros_like(energy, dtype=bool)
-    np.put_along_axis(mask, order[..., :k], True, axis=-1)
-    return mask
+    if k == 1:
+        mask = np.zeros_like(energy, dtype=bool)
+        np.put_along_axis(mask, np.argmax(energy, axis=-1)[..., None], True, axis=-1)
+        return mask
+    kth = np.partition(energy, n - k, axis=-1)[..., n - k, None]
+    above = energy > kth
+    tied = energy == kth
+    room = k - np.count_nonzero(above, axis=-1)[..., None]
+    return above | (tied & (np.cumsum(tied, axis=-1) <= room))
 
 
 def hi_threshold(x: MultiLevelVector, s: SparsityProfile) -> np.ndarray:
@@ -158,8 +166,7 @@ def hi_threshold(x: MultiLevelVector, s: SparsityProfile) -> np.ndarray:
     s.check_compatible(x.shape)
     dims = x.shape.dims
     v = x.blocks()
-    energy = v.real**2 + v.imag**2
-
+    energy = moduli = v.real * v.real + v.imag * v.imag
     masks = []
     for lvl in range(len(dims) - 1, -1, -1):
         m = _top_mask(energy, s.s[lvl])
@@ -172,8 +179,7 @@ def hi_threshold(x: MultiLevelVector, s: SparsityProfile) -> np.ndarray:
     indices = np.flatnonzero(full.reshape(-1))
 
     # Drop exact zeros so the support matches supp(z) of the projected vector.
-    flat_e = (v.real**2 + v.imag**2).reshape(-1)
-    return indices[flat_e[indices] > 0.0]
+    return indices[moduli.reshape(-1)[indices] > 0.0]
 
 
 def project_onto_support(x: MultiLevelVector, indices: np.ndarray) -> MultiLevelVector:

@@ -38,6 +38,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    for flag in ("threads", "trials"):
+        value = getattr(args, flag, None)
+        if value is not None and value < 1:
+            print(f"error: --{flag} must be >= 1, got {value}", file=sys.stderr)
+            return 1
     if args.command == "run":
         try:
             config = ExperimentConfig.from_json(Path(args.config).read_text())
@@ -51,7 +56,11 @@ def main(argv=None) -> int:
         print(f"wrote {csv_path} ({len(records)} rows) and {manifest_path}")
         return 0
     if args.command == "plot":
-        written = emit_plot_data(args.csv, args.out)
+        try:
+            written = emit_plot_data(args.csv, args.out)
+        except (OSError, ValueError) as exc:
+            print(f"error: cannot read results CSV: {exc}", file=sys.stderr)
+            return 1
         print(f"wrote {len(written)} plot files")
         return 0
     if args.command == "verify":

@@ -11,13 +11,17 @@ frequency-space (FS) vectorization the operator is conj(angle) (x) delay and
 the unknown carries block layout (M, U, D); under space-frequency (SF) it is
 delay (x) conj(angle) with layout (U, D, M). The option is also the single
 place that decides how matrices are vectorized (``vectorize`` /
-``unvectorize``). Forward and adjoint are applied with length-N and length-M
-FFTs. Both factor Grams are circulant (entry (q, q') depends only on
-(q - q') mod N, entry (m, m') only on (m - m') mod M), so ``gram`` evaluates
-any restricted Gram (A^H A)[S, S] from two precomputed kernels in O(|S|^2)
-without building a column; least-squares refits solve on it. ``columns``
-builds exact columns of the matrix from the two factors, and a dense
-materialization is kept as a test oracle for small problems.
+``unvectorize``). ``forward`` runs no length-N FFT: it multiplies the
+nonzero delay rows of the unknown by the matching delay-factor columns (built
+as ``columns`` builds them, from a precomputed table of the N DFT phases) and
+then applies length-M FFTs to the Np pilot rows. The adjoint applies length-M FFTs to the Np rows, then one length-N
+inverse FFT per angle along contiguous memory. Both factor Grams are
+circulant (entry (q, q') depends only on (q - q') mod N, entry (m, m') only
+on (m - m') mod M), so ``gram`` evaluates any restricted Gram (A^H A)[S, S]
+from two precomputed kernels in O(|S|^2) without building a column;
+least-squares refits solve on it. ``columns`` builds exact columns of the
+matrix from the two factors, and a dense materialization is kept as a test
+oracle for small problems.
 """
 
 from __future__ import annotations
@@ -95,9 +99,10 @@ class KroneckerSensingOperator:
     """Forward/adjoint linear map between the unknown and the pilot samples.
 
     The unknown is a multilevel vector with layout (M, U, D) under FS or
-    (U, D, M) under SF; the output has length Np*Mp. Both applications run
-    in O(M*N log N + Np*M log M). Instances are immutable after
-    construction and reentrant.
+    (U, D, M) under SF; the output has length Np*Mp. ``forward`` of an input
+    with r nonzero delay rows costs O(Np*r*M + Np*M log M); the adjoint costs
+    O(M*N log N + Np*M log M). Instances are immutable after construction and
+    reentrant.
     """
 
     def __init__(self, design: PilotDesign, option="FS", densify_cap: int = DENSIFY_CAP):
@@ -106,7 +111,8 @@ class KroneckerSensingOperator:
         self.densify_cap = int(densify_cap)
         d = design
         self._ud = d.U * d.D
-        self._conj_base = np.conj(d.base_sequence)
+        self._adjoint_weights = np.conj(d.base_sequence[d.subcarriers]) / math.sqrt(d.Np)
+        self._twiddle = np.exp(-2j * np.pi * np.arange(d.N) / d.N)  # read at n*q mod N
         self.shape_in = unknown_shape(self.option, d.M, d.U, d.D)
         self.in_dim = self.shape_in.total
         self.out_dim = d.Np * d.Mp
@@ -142,21 +148,11 @@ class KroneckerSensingOperator:
             q, m = np.divmod(idx, self.design.M)
         return q, m
 
-    def _apply_tau(self, X: np.ndarray) -> np.ndarray:
+    def _delay_columns(self, q: np.ndarray) -> np.ndarray:
+        """Unnormalized delay-factor columns sqrt(Np) * T[:, q], phases reduced mod N."""
         d = self.design
-        buf = np.zeros((d.N, X.shape[1]), dtype=np.complex128)
-        buf[: self._ud] = X
-        W = np.fft.fft(buf, axis=0)
-        W *= d.base_sequence[:, None]
-        return W[d.subcarriers] / math.sqrt(d.Np)
-
-    def _apply_tau_adj(self, Y: np.ndarray) -> np.ndarray:
-        d = self.design
-        buf = np.zeros((d.N, Y.shape[1]), dtype=np.complex128)
-        buf[d.subcarriers] = Y
-        buf *= self._conj_base[:, None]
-        G = np.fft.ifft(buf, axis=0) * d.N
-        return G[: self._ud] / math.sqrt(d.Np)
+        sub = d.subcarriers[:, None]
+        return d.base_sequence[sub] * self._twiddle[sub * q % d.N]
 
     def _apply_theta_adj_right(self, W: np.ndarray) -> np.ndarray:
         # W (rows x M) -> W * theta^H (rows x Mp)
@@ -174,9 +170,14 @@ class KroneckerSensingOperator:
     # -- public API -------------------------------------------------------------
 
     def measurement_matrix(self, x) -> np.ndarray:
-        """Noiseless observation as an (Np x Mp) matrix."""
+        """Noiseless observation as an (Np x Mp) matrix.
+
+        Only the nonzero delay rows of the unknown enter the delay factor.
+        """
         X = unvectorize(self._values(x), self.option, self._ud, self.design.M)
-        return self._apply_theta_adj_right(self._apply_tau(X))
+        rows = np.flatnonzero(X.any(axis=1))
+        W = self._delay_columns(rows) @ X[rows] / math.sqrt(self.design.Np)
+        return self._apply_theta_adj_right(W)
 
     def forward(self, x) -> np.ndarray:
         """A @ x as a length Np*Mp vector (vectorized per the option)."""
@@ -190,8 +191,17 @@ class KroneckerSensingOperator:
         return unvectorize(v, self.option, self.design.Np, self.design.Mp)
 
     def adjoint_values(self, y) -> np.ndarray:
-        Y = self.observation_matrix(y)
-        return vectorize(self._apply_tau_adj(self._apply_theta_right(Y)), self.option)
+        """A^H @ y as a flat vector of the input length.
+
+        The delay adjoint is one unnormalized length-N inverse FFT per angle,
+        run in place along the contiguous rows of an (M x N) buffer.
+        """
+        d = self.design
+        Z = self._apply_theta_right(self.observation_matrix(y))
+        buf = np.zeros((d.M, d.N), dtype=np.complex128)
+        buf[:, d.subcarriers] = Z.T * self._adjoint_weights
+        np.fft.ifft(buf, axis=1, norm="forward", out=buf)
+        return vectorize(buf[:, : self._ud].T, self.option)
 
     def adjoint(self, y) -> MultiLevelVector:
         """A^H @ y as a multilevel vector with the operator's input layout."""
@@ -206,8 +216,7 @@ class KroneckerSensingOperator:
         """
         d = self.design
         q, m = self._split(idx)
-        sub = d.subcarriers[:, None]
-        delay = d.base_sequence[sub] * np.exp(-2j * np.pi * (sub * q % d.N) / d.N)
+        delay = self._delay_columns(q)
         angle = np.exp(2j * np.pi * (d.antennas[:, None] * m % d.M) / d.M)
         cols = delay[:, None, :] * angle[None, :, :] / math.sqrt(d.Np * d.Mp)
         return vectorize(cols, self.option)

@@ -5,15 +5,16 @@ thresholding solvers are one gradient-descent loop with unit step:
 
     x_temp = x + A^H (y - A x)
 
-followed by hi_threshold on x_temp. HiIHT/HiHTP select under the unknown's
-hierarchical profile; the flat IHT/HTP are the one-level case (a single
-block of length U*D*M with sparsity k = cfg.sparsity()). The IHT variants
-keep x_temp on the selected support, the HTP variants refit it by least
-squares on S. Iteration stops when the selected support repeats or after
+followed by hi_threshold on x_temp. A^H y is computed once per solve; the
+first pass starts from x = 0, so its x_temp is A^H y itself. HiIHT/HiHTP
+select under the unknown's hierarchical profile; the flat IHT/HTP are the
+one-level case (a single block of length U*D*M with sparsity
+k = cfg.sparsity()). The IHT variants keep x_temp on the selected support,
+the HTP variants refit it by least squares on S. Iteration stops when the selected support repeats or after
 max_iters passes. OMP grows its support one correlation pick at a time, k
 picks at most, with the same least-squares refit. Every refit solves the
 |S| x |S| normal equations (A^H A)[S, S] beta = (A^H y)[S] from the
-operator's restricted Gram ``op.gram(S)`` and one A^H y per solve, by
+operator's restricted Gram ``op.gram(S)`` and that A^H y, by
 ``lstsq`` so a rank-deficient support still gets the minimum-norm solution.
 Supports are sorted int64 arrays of flat indices.
 """
@@ -110,14 +111,13 @@ def _restricted_lstsq(aty, op, support: np.ndarray) -> np.ndarray:
 
 def _threshold_loop(y, op, cfg: RecoveryConfig, select_shape, profile, pursuit: bool, x_true):
     shape = op.shape_in
-    x = np.zeros(shape.total, dtype=np.complex128)
     trace = [] if x_true is not None else None
-    aty = op.adjoint_values(y) if pursuit else None
+    aty = op.adjoint_values(y)
     prev_support = None
     iterations = 0
     for i in range(1, cfg.max_iters + 1):
         iterations = i
-        x_temp = x + op.adjoint_values(y - op.forward(x))
+        x_temp = aty if i == 1 else x + op.adjoint_values(y - op.forward(x))
         support = hi_threshold(MultiLevelVector(select_shape, x_temp), profile)
         x = np.zeros(shape.total, dtype=np.complex128)
         x[support] = _restricted_lstsq(aty, op, support) if pursuit else x_temp[support]

@@ -456,11 +456,14 @@ def read_csv(path) -> list[MseRecord]:
         header = next(reader, None)
         if header is not None and tuple(header) != CSV_HEADER:
             raise ValueError(f"unexpected CSV header {header}")
-        return [
-            MseRecord(float(row[0]), row[1], float(row[2]), float(row[3]),
-                      int(row[4]), float(row[5]))
-            for row in reader
-        ]
+        records = []
+        for row in reader:
+            if len(row) != len(CSV_HEADER):
+                raise ValueError(f"CSV line {reader.line_num} has {len(row)} fields, "
+                                 f"expected {len(CSV_HEADER)}")
+            records.append(MseRecord(float(row[0]), row[1], float(row[2]), float(row[3]),
+                                     int(row[4]), float(row[5])))
+        return records
 
 
 def run_manifest(config: ExperimentConfig, csv_name: str) -> str:
@@ -477,9 +480,9 @@ def run_manifest(config: ExperimentConfig, csv_name: str) -> str:
 def emit_plot_data(csv_path, out_dir=None) -> list[Path]:
     """One gnuplot-ready data file per curve plus a log-log script stub."""
     csv_path = Path(csv_path)
+    records = read_csv(csv_path)
     out_dir = Path(out_dir) if out_dir is not None else csv_path.parent
     out_dir.mkdir(parents=True, exist_ok=True)
-    records = read_csv(csv_path)
     curves: dict[str, list[MseRecord]] = {}
     for r in records:
         curves.setdefault(r.algorithm, []).append(r)

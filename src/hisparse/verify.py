@@ -49,8 +49,9 @@ def _random_design(rng, max_cols=4096):
 def suite_operators(trials: int = 50, seed: int = 0) -> bool:
     rng = np.random.default_rng(seed)
     pick = np.random.default_rng([seed, 1])  # Gram indices; leaves rng's stream as it was
+    sparse = np.random.default_rng([seed, 2])  # s-sparse inputs, likewise
     ok = True
-    worst_fwd = worst_adj = worst_dot = worst_col = worst_row = worst_gram = 0.0
+    worst_fwd = worst_sparse = worst_adj = worst_dot = worst_col = worst_row = worst_gram = 0.0
     for _ in range(trials):
         design = _random_design(rng)
         option = "FS" if rng.integers(2) == 0 else "SF"
@@ -60,6 +61,11 @@ def suite_operators(trials: int = 50, seed: int = 0) -> bool:
         y = rng.standard_normal(op.out_dim) + 1j * rng.standard_normal(op.out_dim)
         fwd = op.forward(x)
         worst_fwd = max(worst_fwd, np.linalg.norm(fwd - A @ x) / np.linalg.norm(A @ x))
+        support = sparse.choice(op.in_dim, min(4, op.in_dim), replace=False)
+        x_s = np.zeros(op.in_dim, dtype=complex)
+        x_s[support] = sparse.standard_normal(support.size) + 1j * sparse.standard_normal(support.size)
+        err = np.linalg.norm(op.forward(x_s) - A @ x_s) / np.linalg.norm(A @ x_s)
+        worst_sparse = max(worst_sparse, err)
         adj = op.adjoint_values(y)
         worst_adj = max(worst_adj, np.linalg.norm(adj - A.conj().T @ y) / np.linalg.norm(A.conj().T @ y))
         dot_gap = abs(np.vdot(y, fwd) - np.vdot(adj, x))
@@ -74,6 +80,8 @@ def suite_operators(trials: int = 50, seed: int = 0) -> bool:
         ref = (design.base_sequence[:, None] * F)[design.subcarriers] / math.sqrt(design.Np)
         worst_row = max(worst_row, float(np.max(np.abs(At - ref))))
     ok &= _report("fast forward matches dense", worst_fwd <= 1e-10, f"max rel err {worst_fwd:.2e}")
+    ok &= _report("sparse forward matches dense", worst_sparse <= 1e-10,
+                  f"max rel err {worst_sparse:.2e}")
     ok &= _report("fast adjoint matches dense", worst_adj <= 1e-10, f"max rel err {worst_adj:.2e}")
     ok &= _report("adjoint identity", worst_dot <= 1e-10, f"max gap {worst_dot:.2e}")
     ok &= _report("unit column norms", worst_col <= 1e-10, f"max dev {worst_col:.2e}")

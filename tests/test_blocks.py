@@ -14,6 +14,7 @@ from hisparse import (
     is_hi_sparse,
     project_onto_support,
 )
+from hisparse.blocks import _top_mask
 from hisparse.ripcheck import count_hi_supports
 from conftest import REFERENCE_HIER_SUPPORT, REFERENCE_FLAT_SUPPORT
 
@@ -192,3 +193,24 @@ def test_threshold_properties_on_random_layouts(data):
     assert is_hi_sparse(proj, profile)
     residual = float(np.linalg.norm(values - proj.values))
     assert residual == pytest.approx(best_residual_bruteforce(values, dims, s), abs=1e-12)
+
+
+def stable_top_mask(energy, k):
+    """The k largest entries per row by a full stable sort (test oracle)."""
+    mask = np.zeros_like(energy, dtype=bool)
+    order = np.argsort(-energy, axis=-1, kind="stable")
+    np.put_along_axis(mask, order[..., :k], True, axis=-1)
+    return mask
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.data())
+def test_top_mask_matches_stable_sort(data):
+    dims = tuple(data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=3), label="dims"))
+    # Energies from {0, 1, 2, 3}: most rows hold ties at the kth value.
+    flat = data.draw(st.lists(st.integers(0, 3), min_size=math.prod(dims),
+                              max_size=math.prod(dims)), label="energy")
+    energy = np.asarray(flat, dtype=float).reshape(dims)
+    for k in range(1, dims[-1] + 1):
+        np.testing.assert_array_equal(_top_mask(energy, k), stable_top_mask(energy, k),
+                                      err_msg=f"k={k}")

@@ -83,3 +83,34 @@ def test_verify_failure_exits_two(monkeypatch, capsys):
     monkeypatch.setitem(cli.SUITES, "operators", lambda seed=0, trials=0: False)
     assert main(["verify", "--suite", "operators"]) == 2
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_verify_rejects_nonpositive_trials(capsys):
+    for trials in ("0", "-1"):
+        assert main(["verify", "--suite", "operators", "--trials", trials]) == 1
+    captured = capsys.readouterr()
+    assert "verify:" not in captured.out
+    err = captured.err.splitlines()
+    assert err == [f"error: --trials must be >= 1, got {t}" for t in (0, -1)]
+
+
+def test_run_rejects_nonpositive_threads(tmp_path, capsys):
+    config_path = tmp_path / "config.json"
+    write_config(config_path)
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", str(config_path), "--out", str(out_dir),
+                 "--threads", "0"]) == 1
+    assert not out_dir.exists()
+    assert capsys.readouterr().err.splitlines() == ["error: --threads must be >= 1, got 0"]
+
+
+def test_plot_unreadable_csv_exits_one(tmp_path, capsys):
+    missing = tmp_path / "nowhere" / "missing.csv"
+    assert main(["plot", "--csv", str(missing)]) == 1
+    assert not missing.parent.exists()
+    truncated = tmp_path / "results.csv"
+    truncated.write_text("sweep_value,algorithm,mse_mean,mse_stderr,trials,seconds\n4.0,HiIHT\n")
+    assert main(["plot", "--csv", str(truncated)]) == 1
+    assert not list(tmp_path.glob("*.dat"))
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(line.startswith("error: cannot read results CSV: ") for line in err)

@@ -1,5 +1,6 @@
 import math
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -14,6 +15,7 @@ from hisparse import (
     tau_factor,
     theta_factor,
 )
+from hisparse.operators import vectorize
 
 
 def random_design(rng, max_cols=2048):
@@ -169,3 +171,40 @@ def test_theta_factor_shape():
     th = theta_factor(d)
     assert th.shape == (5, 8)
     np.testing.assert_allclose(np.linalg.norm(th, axis=0), 1.0, atol=1e-12)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.data())
+def test_forward_adjoint_match_dense_on_row_sparse_inputs(data):
+    N = data.draw(st.sampled_from([8, 12, 16, 24, 32]), label="N")
+    D = data.draw(st.integers(1, N // 2), label="D")
+    U = data.draw(st.integers(1, N // D), label="U")
+    M = data.draw(st.sampled_from([2, 3, 4, 6, 8]), label="M")
+    Np = data.draw(st.integers(1, N), label="Np")
+    Mp = data.draw(st.integers(1, M), label="Mp")
+    option = data.draw(st.sampled_from(["FS", "SF"]), label="option")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    base = np.exp(1j * rng.uniform(0, 2 * np.pi, N))
+    op = KroneckerSensingOperator(
+        make_design(N, M, D, U, Np, Mp, base_sequence=base, seed=int(rng.integers(2**31))),
+        option)
+    A = op.densify()
+
+    # Nonzero delay rows of the (U*D x M) unknown: none, one, a few, or all.
+    UD = U * D
+    count = data.draw(st.sampled_from([0, 1, min(3, UD), UD]), label="rows")
+    X = np.zeros((UD, M), dtype=complex)
+    rows = rng.choice(UD, count, replace=False)
+    X[rows] = rng.standard_normal((count, M)) + 1j * rng.standard_normal((count, M))
+    X[rows, rng.integers(0, M, count)] = 0.0  # one zero per chosen row; M >= 2 keeps it nonzero
+    x = vectorize(X, option)
+    y = rng.standard_normal(op.out_dim) + 1j * rng.standard_normal(op.out_dim)
+
+    fwd = op.forward(x)
+    adj = op.adjoint_values(y)
+    assert np.linalg.norm(fwd - A @ x) <= 1e-10 * np.linalg.norm(x)
+    if count == 0:
+        np.testing.assert_array_equal(fwd, 0.0)
+    assert np.linalg.norm(adj - A.conj().T @ y) <= 1e-10 * np.linalg.norm(A.conj().T @ y)
+    gap = abs(np.vdot(y, fwd) - np.vdot(adj, x))
+    assert gap <= 1e-10 * np.linalg.norm(x) * np.linalg.norm(y)

@@ -8,9 +8,11 @@ from hisparse import (
     DenseOperator,
     GuaranteeVoidError,
     KroneckerSensingOperator,
+    MultiLevelVector,
     RecoveryConfig,
     SparsityProfile,
     contraction_constants,
+    hi_threshold,
     is_hi_sparse,
     make_design,
     min_overhead,
@@ -110,6 +112,30 @@ def test_restricted_lstsq_rank_deficient_support_is_minimum_norm():
     expected = np.linalg.lstsq(op.columns(S), y, rcond=None)[0]
     got = _restricted_lstsq(op.adjoint_values(y), op, S)
     assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("algorithm", ["HiIHT", "HiHTP"])
+@pytest.mark.parametrize("option", ["FS", "SF"])
+def test_single_pass_thresholds_the_adjoint(algorithm, option):
+    # One pass from x = 0 selects on A^H y and keeps it (HiIHT) or refits on it (HiHTP).
+    rng = np.random.default_rng(21)
+    op = KroneckerSensingOperator(make_design(32, 8, 8, 2, 12, 5, seed=4), option)
+    y = rng.standard_normal(op.out_dim) + 1j * rng.standard_normal(op.out_dim)
+    profile = SparsityProfile((2, 1, 2) if option == "FS" else (1, 2, 2))
+    res = solve(y, op, RecoveryConfig(algorithm=algorithm, profile=profile, max_iters=1))
+
+    aty = op.adjoint_values(y)
+    support = hi_threshold(MultiLevelVector(op.shape_in, aty), profile)
+    expected = np.zeros(op.in_dim, dtype=complex)
+    assert res.iterations == 1
+    np.testing.assert_array_equal(res.support, support)
+    if algorithm == "HiIHT":
+        expected[support] = aty[support]
+        np.testing.assert_array_equal(res.x_hat.values, expected)
+    else:
+        expected[support] = np.linalg.lstsq(op.columns(support), y, rcond=None)[0]
+        np.testing.assert_allclose(res.x_hat.values, expected, rtol=0, atol=1e-12)
+    assert res.residual_norm == pytest.approx(np.linalg.norm(y - op.forward(expected)), rel=1e-12)
 
 
 def test_htp_consistent_system_zero_residual():
