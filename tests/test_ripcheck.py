@@ -1,5 +1,7 @@
 import itertools
+import math
 
+from hypothesis import assume, given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -11,17 +13,20 @@ from hisparse import (
     kron_hirip_bound,
     make_design,
     rip_constant,
+    ripcheck,
 )
+
+
+def support_deviation(A, support):
+    """max(lambda_max - 1, 1 - lambda_min) of one restricted Gram block, solved alone."""
+    sub = A[:, list(support)]
+    ev = np.linalg.eigvalsh(sub.conj().T @ sub)
+    return max(float(ev[-1] - 1.0), float(1.0 - ev[0]))
 
 
 def pairwise_rip_oracle(A, s):
     """Independent max over all size-s supports via direct eigendecomposition."""
-    best = -1.0
-    for support in itertools.combinations(range(A.shape[1]), s):
-        sub = A[:, list(support)]
-        ev = np.linalg.eigvalsh(sub.conj().T @ sub)
-        best = max(best, float(ev[-1] - 1.0), float(1.0 - ev[0]))
-    return best
+    return max(support_deviation(A, S) for S in itertools.combinations(range(A.shape[1]), s))
 
 
 def normalized_matrix(rng, rows, cols):
@@ -175,3 +180,91 @@ def test_report_json():
     A = np.eye(6)
     text = rip_constant(A, 2).to_json()
     assert '"delta":' in text and '"witness":' in text
+
+
+def test_more_columns_than_rows_gives_at_least_one():
+    # Three unit vectors 60 degrees apart in the plane: a tight frame with
+    # A A^H = 1.5 I, so lambda_max - 1 = 0.5 while the rank-2 Gram of all three
+    # columns has lambda_min = 0.
+    theta = np.arange(3) * np.pi / 3
+    A = np.stack([np.cos(theta), np.sin(theta)])
+    assert rip_constant(A, 2).delta == pytest.approx(0.5, abs=1e-12)
+    assert rip_constant(A, 3).delta == pytest.approx(1.0, abs=1e-12)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.data())
+def test_batched_constants_match_per_support_oracle(data):
+    # Rows 1-9 against supports of 1-27 columns run both the k x k Gram
+    # blocks and the rows x rows A_S A_S^H stand-ins.
+    dims = tuple(data.draw(st.lists(st.integers(2, 3), min_size=3, max_size=3), label="dims"))
+    s = tuple(data.draw(st.integers(1, n), label="s") for n in dims)
+    assume(ripcheck.count_hi_supports(dims, s) <= 300)  # keeps the oracle fast
+    n = math.prod(dims)
+    k_flat = data.draw(st.sampled_from([k for k in range(1, n + 1) if math.comb(n, k) <= 300]),
+                       label="k_flat")
+    rows = data.draw(st.integers(1, 9), label="rows")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    # Uneven column norms let either 1 - lambda_min or lambda_max - 1 decide.
+    A = normalized_matrix(rng, rows, n) * rng.uniform(0.3, 1.3, n)
+
+    cases = (
+        (hirip_constant(A, BlockShape(dims), SparsityProfile(s)),
+         list(ripcheck.iter_hi_supports(dims, s))),
+        (rip_constant(A, k_flat), list(itertools.combinations(range(n), k_flat))),
+    )
+    for report, supports in cases:
+        assert report.supports_checked == len(supports)
+        assert report.delta == pytest.approx(
+            max(support_deviation(A, S) for S in supports), abs=1e-12)
+        assert report.witness in supports
+        assert support_deviation(A, report.witness) == pytest.approx(report.delta, abs=1e-10)
+
+
+def chunked(monkeypatch, length, k, rows):
+    """Make every batched eigensolve take ``length`` supports of size k."""
+    monkeypatch.setattr(ripcheck, "_CHUNK_ENTRIES", length * k * min(k, rows))
+
+
+# On 4 rows: both supports fit the rows, then both exceed them.
+@pytest.mark.parametrize("k, s", [(3, (1, 4)), (6, (3, 3))])
+def test_chunk_boundaries_keep_delta_and_witness(monkeypatch, k, s):
+    A = normalized_matrix(np.random.default_rng(9), 4, 12)
+    shape, profile = BlockShape((3, 4)), SparsityProfile(s)
+    default = (rip_constant(A, k), hirip_constant(A, shape, profile))
+    for length in (1, 3):
+        chunked(monkeypatch, length, k, 4)
+        flat = rip_constant(A, k)
+        chunked(monkeypatch, length, profile.max_support, 4)
+        hi = hirip_constant(A, shape, profile)
+        for got, want in zip((flat, hi), default):
+            assert (got.delta, got.witness) == (want.delta, want.witness)
+
+
+@pytest.mark.parametrize("k", [2, 5])  # k <= rows and k > rows
+@pytest.mark.parametrize("length", [None, 1, 3])
+def test_exact_ties_pick_first_support(monkeypatch, k, length):
+    A = np.ones((3, 6)) / math.sqrt(3)  # identical columns: every support ties
+    if length is not None:
+        chunked(monkeypatch, length, k, 3)
+    report = rip_constant(A, k)
+    assert report.witness == tuple(range(k))
+    assert report.delta == pytest.approx(max(k - 1.0, 1.0), abs=1e-12)
+    shape, profile = BlockShape((2, 3)), SparsityProfile((2, k // 2))
+    first = next(ripcheck.iter_hi_supports(shape.dims, profile.s))
+    if length is not None:
+        chunked(monkeypatch, length, profile.max_support, 3)
+    assert hirip_constant(A, shape, profile).witness == first
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "1-D"])
+def test_bad_matrices_are_refused(bad):
+    A = np.eye(4)
+    if bad == "1-D":
+        A = np.ones(4)
+    else:
+        A[1, 2] = float(bad)
+    with pytest.raises(ValueError):
+        rip_constant(A, 2)
+    with pytest.raises(ValueError):
+        hirip_constant(A, BlockShape((2, 2)), SparsityProfile((1, 1)))
