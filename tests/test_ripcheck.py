@@ -257,11 +257,27 @@ def test_exact_ties_pick_first_support(monkeypatch, k, length):
     assert hirip_constant(A, shape, profile).witness == first
 
 
-@pytest.mark.parametrize("bad", ["nan", "inf", "1-D"])
+@pytest.mark.parametrize("k", [2, 5])  # k <= rows and k > rows
+def test_eigensolve_uses_smaller_side(monkeypatch, k):
+    sides = []
+    solve = np.linalg.eigvalsh
+
+    def recording(blocks):
+        sides.append(blocks.shape[1:])
+        return solve(blocks)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    rip_constant(normalized_matrix(np.random.default_rng(4), 3, 7), k)
+    assert sides and set(sides) == {(min(k, 3), min(k, 3))}
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "1-D", "no rows"])
 def test_bad_matrices_are_refused(bad):
     A = np.eye(4)
     if bad == "1-D":
         A = np.ones(4)
+    elif bad == "no rows":
+        A = np.zeros((0, 4))
     else:
         A[1, 2] = float(bad)
     with pytest.raises(ValueError):
