@@ -382,3 +382,71 @@ def test_sf_option_trial_runs():
     cond = Condition(label="HiIHT", algorithm="HiIHT", option="SF", V=2, L=2)
     mse = run_trial(config, cond, 16, 0)
     assert np.isfinite(mse)
+
+
+def _pinned(label, alg, V, option="FS", L=4, on_grid=True, L1=None, L2=None):
+    return (label, alg, option, V, L, on_grid, L1, L2)
+
+
+_EXPLICIT_AXES = dict(option="SF", algorithms=["HiHTP", "OMP"], l_values=[2, 5],
+                      v_values=[3, 1], l1_values=[2, 1], l2_values=[3])
+
+_PINNED_CONDITIONS = {
+    ("single-user-sweep", "defaults"): [
+        _pinned("HiIHT", "HiIHT", 2), _pinned("IHT", "IHT", 2),
+    ],
+    ("single-user-sweep", "explicit"): [
+        _pinned(f"{alg}:L={L}", alg, 2, "SF", L) for alg in ("HiHTP", "OMP") for L in (2, 5)
+    ],
+    ("multiuser-sweep", "defaults"): [
+        _pinned("HiIHT:V=1", "HiIHT", 1), _pinned("HiIHT:V=2", "HiIHT", 2),
+        _pinned("HiIHT:V=4", "HiIHT", 4),
+    ],
+    ("multiuser-sweep", "explicit"): [
+        _pinned("HiHTP:V=3", "HiHTP", 3, "SF"), _pinned("HiHTP:V=1", "HiHTP", 1, "SF"),
+        _pinned("OMP:V=3", "OMP", 3, "SF"), _pinned("OMP:V=1", "OMP", 1, "SF"),
+    ],
+    ("sf-vs-fs", "defaults"): [
+        _pinned("HiIHT-FS:V=1", "HiIHT", 1, "FS"), _pinned("HiIHT-FS:V=4", "HiIHT", 4, "FS"),
+        _pinned("HiIHT-SF:V=1", "HiIHT", 1, "SF"), _pinned("HiIHT-SF:V=4", "HiIHT", 4, "SF"),
+    ],
+    ("sf-vs-fs", "explicit"): [
+        _pinned(f"{alg}-{opt}:V={v}", alg, v, opt)
+        for alg in ("HiHTP", "OMP") for opt in ("FS", "SF") for v in (3, 1)
+    ],
+    ("mismatched-L", "defaults"): [_pinned("HiIHT", "HiIHT", 2)],
+    ("mismatched-L", "explicit"): [
+        _pinned("HiHTP", "HiHTP", 2, "SF"), _pinned("OMP", "OMP", 2, "SF"),
+    ],
+    ("omp-compare", "defaults"): [
+        _pinned("HiHTP", "HiHTP", 2), _pinned("HiIHT", "HiIHT", 2), _pinned("OMP", "OMP", 2),
+    ],
+    ("omp-compare", "explicit"): [
+        _pinned("HiHTP", "HiHTP", 2, "SF"), _pinned("OMP", "OMP", 2, "SF"),
+    ],
+    ("offgrid-sweep", "defaults"): [
+        _pinned(f"HiIHT:L1={l1},L2={l2}", "HiIHT", 2, on_grid=False, L1=l1, L2=l2)
+        for l1 in (1, 2, 4) for l2 in (1, 2, 4)
+    ],
+    ("offgrid-sweep", "explicit"): [
+        _pinned(f"{alg}:L1={l1},L2=3", alg, 2, "SF", on_grid=False, L1=l1, L2=3)
+        for alg in ("HiHTP", "OMP") for l1 in (2, 1)
+    ],
+}
+
+
+@pytest.mark.parametrize("scenario, axes", sorted(_PINNED_CONDITIONS))
+def test_conditions_are_pinned(scenario, axes):
+    # Every scenario's curves, in order, with its default axes and with every
+    # axis given (axes a scenario does not sweep are ignored).
+    from hisparse.simulate import _conditions
+
+    config = ExperimentConfig(
+        scenario=scenario, system=SystemConfig(U=4), channel=ChannelConfig(L=4, V=2),
+        sweep=[64], Np=64 if scenario == "mismatched-L" else None,
+        **(_EXPLICIT_AXES if axes == "explicit" else {}),
+    )
+    conditions = _conditions(config)
+    assert [(c.label, c.algorithm, c.option, c.V, c.L, c.on_grid, c.L1, c.L2)
+            for c in conditions] == _PINNED_CONDITIONS[scenario, axes]
+    assert all(c.lhat is None for c in conditions)
