@@ -9,7 +9,6 @@ from .blocks import (
     SparsityProfile,
     hi_threshold,
     is_hi_sparse,
-    project_onto_support,
 )
 from .channel import (
     ChannelParams,
@@ -24,10 +23,9 @@ from .channel import (
     sparse_approx,
     superpose_transfer,
     synthesize_transfer,
-    synthesize_transfer_offgrid,
     transfer_from_delay_angular,
 )
-from .design import PilotDesign, full_signature, make_design, signature
+from .design import PilotDesign, make_design, signature
 from .operators import (
     DenseOperator,
     KroneckerSensingOperator,

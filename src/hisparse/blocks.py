@@ -90,16 +90,9 @@ class MultiLevelVector:
             )
         object.__setattr__(self, "values", v)
 
-    @classmethod
-    def zeros(cls, shape: BlockShape) -> "MultiLevelVector":
-        return cls(shape, np.zeros(shape.total, dtype=np.complex128))
-
     def blocks(self) -> np.ndarray:
         """View of the values as an ndarray of shape ``shape.dims``."""
         return self.values.reshape(self.shape.dims)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.values))
 
 
 def _structurally_valid(indices: np.ndarray, shape: BlockShape, profile: SparsityProfile) -> bool:
@@ -180,13 +173,6 @@ def hi_threshold(x: MultiLevelVector, s: SparsityProfile) -> np.ndarray:
 
     # Drop exact zeros so the support matches supp(z) of the projected vector.
     return indices[moduli.reshape(-1)[indices] > 0.0]
-
-
-def project_onto_support(x: MultiLevelVector, indices: np.ndarray) -> MultiLevelVector:
-    """Copy of x restricted to the flat indices, zero elsewhere."""
-    out = np.zeros_like(x.values)
-    out[indices] = x.values[indices]
-    return MultiLevelVector(x.shape, out)
 
 
 def is_hi_sparse(x: MultiLevelVector, s: SparsityProfile) -> bool:

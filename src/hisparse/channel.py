@@ -14,7 +14,6 @@ approximation below exploits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-import json
 import math
 
 import numpy as np
@@ -71,43 +70,6 @@ class ChannelRealization:
         active = sum(1 for p in self.paths if p)
         if active != self.params.V:
             raise ValueError(f"{active} active UEs, expected V={self.params.V}")
-
-    @property
-    def active_ues(self) -> list[int]:
-        return [u for u, p in enumerate(self.paths) if p]
-
-    def to_json(self) -> str:
-        doc = {
-            "params": {
-                "N": self.params.N, "M": self.params.M, "D": self.params.D,
-                "U": self.params.U, "V": self.params.V, "L": self.params.L,
-                "K_V": self.params.K_V, "K_L": self.params.K_L,
-                "alpha": self.params.alpha,
-            },
-            "on_grid": self.on_grid,
-            "paths": [
-                [
-                    {"tau_norm": p.tau_norm, "theta": p.theta,
-                     "re": p.gain.real, "im": p.gain.imag}
-                    for p in ue
-                ]
-                for ue in self.paths
-            ],
-        }
-        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls, text: str) -> "ChannelRealization":
-        doc = json.loads(text)
-        params = ChannelParams(**doc["params"])
-        paths = [
-            [
-                ChannelPath(p["tau_norm"], p["theta"], complex(p["re"], p["im"]))
-                for p in ue
-            ]
-            for ue in doc["paths"]
-        ]
-        return cls(params, paths, bool(doc["on_grid"]))
 
 
 def _gains(L: int, rng: np.random.Generator) -> np.ndarray:
@@ -231,7 +193,7 @@ def synthesize_transfer(realization: ChannelRealization, N=None, M=None, D=None)
     p = realization.params
     N, M, D = N or p.N, M or p.M, D or p.D
     if not realization.on_grid:
-        raise ValueError("realization is off-grid; use synthesize_transfer_offgrid")
+        raise ValueError("realization is off-grid; use superpose_transfer")
     out = []
     for ue_paths in realization.paths:
         if not ue_paths:
@@ -249,17 +211,6 @@ def transfer_from_delay_angular(X: np.ndarray, N: int, M: int) -> np.ndarray:
     buf[:D] = X
     W = np.fft.fft(buf, axis=0)
     return np.fft.ifft(W, axis=1) * M
-
-
-def synthesize_transfer_offgrid(realization: ChannelRealization, N=None, M=None) -> list[np.ndarray]:
-    """Per-UE transfer matrices for arbitrary (possibly off-grid) parameters."""
-    p = realization.params
-    N, M = N or p.N, M or p.M
-    return [
-        superpose_transfer(ue_paths, N, M) if ue_paths
-        else np.zeros((N, M), dtype=np.complex128)
-        for ue_paths in realization.paths
-    ]
 
 
 def delay_angular_offgrid(H: np.ndarray) -> np.ndarray:

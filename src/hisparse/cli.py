@@ -38,10 +38,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    for flag in ("threads", "trials"):
+    for flag, low in (("threads", 1), ("trials", 1), ("seed", 0)):
         value = getattr(args, flag, None)
-        if value is not None and value < 1:
-            print(f"error: --{flag} must be >= 1, got {value}", file=sys.stderr)
+        if value is not None and value < low:
+            print(f"error: --{flag} must be >= {low}, got {value}", file=sys.stderr)
             return 1
     if args.command == "run":
         try:
@@ -51,8 +51,12 @@ def main(argv=None) -> int:
         except (OSError, json.JSONDecodeError, TypeError, ValueError) as exc:
             print(f"error: bad config: {exc}", file=sys.stderr)
             return 1
-        records, csv_path, manifest_path = run_sweep(config, out_dir=args.out,
-                                                     threads=args.threads)
+        try:
+            records, csv_path, manifest_path = run_sweep(config, out_dir=args.out,
+                                                         threads=args.threads)
+        except OSError as exc:
+            print(f"error: cannot write results: {exc}", file=sys.stderr)
+            return 1
         print(f"wrote {csv_path} ({len(records)} rows) and {manifest_path}")
         return 0
     if args.command == "plot":

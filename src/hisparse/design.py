@@ -10,7 +10,6 @@ makes the stacked delay-domain factor a row-sampled partial Fourier matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-import json
 
 import numpy as np
 
@@ -54,43 +53,6 @@ class PilotDesign:
         object.__setattr__(self, "antennas", np.sort(ant))
         object.__setattr__(self, "base_sequence", c)
 
-    def to_json(self) -> str:
-        """Byte-stable JSON document (base sequence as interleaved re/im)."""
-        c = np.empty(2 * self.N)
-        c[0::2] = self.base_sequence.real
-        c[1::2] = self.base_sequence.imag
-        doc = {
-            "N": self.N,
-            "M": self.M,
-            "D": self.D,
-            "U": self.U,
-            "Np": self.Np,
-            "Mp": self.Mp,
-            "subcarriers": [int(i) for i in self.subcarriers],
-            "antennas": [int(i) for i in self.antennas],
-            "base_sequence": [float(v) for v in c],
-            "seed": int(self.seed),
-        }
-        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls, text: str) -> "PilotDesign":
-        doc = json.loads(text)
-        c = np.asarray(doc["base_sequence"], dtype=np.float64)
-        base = c[0::2] + 1j * c[1::2]
-        return cls(
-            N=int(doc["N"]),
-            M=int(doc["M"]),
-            D=int(doc["D"]),
-            U=int(doc["U"]),
-            Np=int(doc["Np"]),
-            Mp=int(doc["Mp"]),
-            subcarriers=np.asarray(doc["subcarriers"], dtype=np.int64),
-            antennas=np.asarray(doc["antennas"], dtype=np.int64),
-            base_sequence=base,
-            seed=int(doc["seed"]),
-        )
-
 
 def _sample_sorted(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
     """k distinct indices from [n] via a partial Fisher-Yates shuffle, sorted."""
@@ -119,15 +81,9 @@ def make_design(N, M, D, U, Np, Mp, base_sequence=None, seed=0) -> PilotDesign:
     )
 
 
-def full_signature(design: PilotDesign, u: int) -> np.ndarray:
-    """Length-N signature of UE u before subcarrier sampling."""
+def signature(design: PilotDesign, u: int) -> np.ndarray:
+    """Length-Np signature of UE u: the phase-ramped base sequence on the pilot subcarriers."""
     if not 0 <= u < design.U:
         raise ValueError(f"UE index {u} out of range [0, {design.U})")
-    n = np.arange(design.N)
-    ramp = np.exp(-2j * np.pi * u * design.D * n / design.N)
-    return design.base_sequence * ramp
-
-
-def signature(design: PilotDesign, u: int) -> np.ndarray:
-    """Length-Np signature of UE u on the pilot subcarriers."""
-    return full_signature(design, u)[design.subcarriers]
+    n = design.subcarriers
+    return design.base_sequence[n] * np.exp(-2j * np.pi * u * design.D * n / design.N)

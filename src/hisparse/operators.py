@@ -105,10 +105,9 @@ class KroneckerSensingOperator:
     reentrant.
     """
 
-    def __init__(self, design: PilotDesign, option="FS", densify_cap: int = DENSIFY_CAP):
+    def __init__(self, design: PilotDesign, option="FS"):
         self.design = design
         self.option = as_option(option)
-        self.densify_cap = int(densify_cap)
         d = design
         self._ud = d.U * d.D
         self._adjoint_weights = np.conj(d.base_sequence[d.subcarriers]) / math.sqrt(d.Np)
@@ -203,10 +202,6 @@ class KroneckerSensingOperator:
         np.fft.ifft(buf, axis=1, norm="forward", out=buf)
         return vectorize(buf[:, : self._ud].T, self.option)
 
-    def adjoint(self, y) -> MultiLevelVector:
-        """A^H @ y as a multilevel vector with the operator's input layout."""
-        return MultiLevelVector(self.shape_in, self.adjoint_values(y))
-
     def columns(self, idx) -> np.ndarray:
         """Exact columns A[:, idx] as an (Np*Mp x len(idx)) matrix.
 
@@ -234,10 +229,9 @@ class KroneckerSensingOperator:
 
     def densify(self) -> np.ndarray:
         """Explicit (Np*Mp x U*D*M) matrix; test oracle for small problems."""
-        if self.in_dim > self.densify_cap:
+        if self.in_dim > DENSIFY_CAP:
             raise ValueError(
-                f"dense materialization of {self.in_dim} columns exceeds cap "
-                f"{self.densify_cap}"
+                f"dense materialization of {self.in_dim} columns exceeds cap {DENSIFY_CAP}"
             )
         At = tau_factor(self.design)
         Ath = theta_factor(self.design)
@@ -268,9 +262,6 @@ class DenseOperator:
 
     def adjoint_values(self, y) -> np.ndarray:
         return self.A.conj().T @ np.asarray(y, dtype=np.complex128)
-
-    def adjoint(self, y) -> MultiLevelVector:
-        return MultiLevelVector(self.shape_in, self.adjoint_values(y))
 
     def columns(self, idx) -> np.ndarray:
         return self.A[:, idx]

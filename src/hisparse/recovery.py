@@ -38,6 +38,8 @@ from .operators import VectorizationOption, as_option
 HI_ALGORITHMS = ("HiIHT", "HiHTP")
 FLAT_ALGORITHMS = ("IHT", "HTP", "OMP")
 LS_ALGORITHMS = ("HiHTP", "HTP", "OMP")  # the solvers that refit by least squares
+# OMP stops once its residual is this small relative to max(1, ||y||).
+LS_TOLERANCE = 1e-10
 
 
 class GuaranteeVoidError(ValueError):
@@ -49,7 +51,6 @@ class RecoveryConfig:
     algorithm: str = "HiIHT"
     profile: SparsityProfile | None = None
     max_iters: int = 10
-    ls_tolerance: float = 1e-10
     flat_k: int | None = None
 
     def __post_init__(self):
@@ -78,16 +79,6 @@ class RecoveryResult:
     iterations: int
     residual_norm: float
     error_trace: list[float] | None = None
-
-    def to_json_dict(self) -> dict:
-        doc = {
-            "support": [int(i) for i in self.support],
-            "iterations": self.iterations,
-            "residual_norm": self.residual_norm,
-        }
-        if self.error_trace is not None:
-            doc["error_trace"] = [float(e) for e in self.error_trace]
-        return doc
 
 
 def _check_measurement(y, op) -> np.ndarray:
@@ -151,7 +142,7 @@ def _omp(y, op, cfg: RecoveryConfig, x_true):
     ynorm = float(np.linalg.norm(y))
     iterations = 0
     for _ in range(cfg.sparsity(shape)):
-        if float(np.linalg.norm(r)) <= cfg.ls_tolerance * max(1.0, ynorm):
+        if float(np.linalg.norm(r)) <= LS_TOLERANCE * max(1.0, ynorm):
             break
         iterations += 1
         corr = np.abs(op.adjoint_values(r))

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import itertools
-import json
 import math
 
 import numpy as np
@@ -46,18 +45,6 @@ class RipReport:
     delta: float
     witness: tuple[int, ...]
     supports_checked: int
-
-    def to_json(self) -> str:
-        doc = {
-            "rows": self.rows,
-            "cols": self.cols,
-            "sparsity": list(self.sparsity) if isinstance(self.sparsity, tuple) else self.sparsity,
-            "block_dims": list(self.block_dims) if self.block_dims else None,
-            "delta": self.delta,
-            "witness": list(self.witness),
-            "supports_checked": self.supports_checked,
-        }
-        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
 def _as_matrix(A) -> np.ndarray:

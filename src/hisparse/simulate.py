@@ -13,6 +13,7 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict, field, replace
 import csv
+import itertools
 import json
 import math
 import time
@@ -47,14 +48,20 @@ PRESETS = {
     "paper": {"N": 1024, "M": 256, "D": 256},
 }
 
-SCENARIOS = (
-    "single-user-sweep",
-    "multiuser-sweep",
-    "sf-vs-fs",
-    "mismatched-L",
-    "omp-compare",
-    "offgrid-sweep",
-)
+# Per scenario: default algorithms, curve label, and the Condition fields its
+# curves sweep as {field: (config list, default values)}. A None default
+# sweeps the channel's own value; while that is one value, curves are
+# labelled by algorithm alone.
+_SCENARIO_TABLE = {
+    "single-user-sweep": (["HiIHT", "IHT"], "{alg}:L={L}", {"L": ("l_values", None)}),
+    "multiuser-sweep": (["HiIHT"], "{alg}:V={V}", {"V": ("v_values", [1, 2, 4])}),
+    "sf-vs-fs": (["HiIHT"], "{alg}-{option}:V={V}",
+                 {"option": (None, ["FS", "SF"]), "V": ("v_values", [1, 4])}),
+    "mismatched-L": (["HiIHT"], "{alg}", {}),
+    "omp-compare": (["HiHTP", "HiIHT", "OMP"], "{alg}", {}),
+    "offgrid-sweep": (["HiIHT"], "{alg}:L1={L1},L2={L2}",
+                      {"L1": ("l1_values", [1, 2, 4]), "L2": ("l2_values", [1, 2, 4])}),
+}
 
 CSV_HEADER = ("sweep_value", "algorithm", "mse_mean", "mse_stderr", "trials", "seconds")
 
@@ -95,7 +102,7 @@ class ExperimentConfig:
     l2_values: list | None = None
 
     def __post_init__(self):
-        if self.scenario not in SCENARIOS:
+        if self.scenario not in _SCENARIO_TABLE:
             raise ValueError(f"unknown scenario {self.scenario!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
@@ -125,6 +132,10 @@ class ExperimentConfig:
     def _validate(self) -> None:
         """Reject a sweep the system cannot run, before any trial starts."""
         as_option(self.option)  # ValueError unless FS or SF
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        if not (-300.0 <= self.snr_db <= 300.0 or self.snr_db == math.inf):
+            raise ValueError(f"snr_db = {self.snr_db} outside [-300, 300] (Infinity: no noise)")
         N, M, D, U = self.system.N, self.system.M, self.system.D, self.system.U
         if U * D > N:
             raise ValueError(f"U*D = {U * D} exceeds N = {N}")
@@ -137,9 +148,9 @@ class ExperimentConfig:
                 raise ValueError(f"pilot count Np = {Np} outside [1, N = {N}]")
             if lhat is not None and lhat < 1:
                 raise ValueError(f"assumed path count {lhat} in the sweep must be >= 1")
-        if self.scenario == "offgrid-sweep" and self.system.alpha * N > D:
+        if self.scenario == "offgrid-sweep" and not 0.0 <= self.system.alpha * N <= D:
             raise ValueError(
-                f"off-grid delays span alpha*N = {self.system.alpha * N:g} taps, more than D = {D}"
+                f"off-grid delays span alpha*N = {self.system.alpha * N:g} taps, outside [0, D = {D}]"
             )
         for cond in _conditions(self):
             if not 1 <= cond.V <= U:
@@ -228,14 +239,12 @@ def _noise(rng, Np, Mp, snr_linear) -> np.ndarray:
     return scale * (rng.standard_normal((Np, Mp)) + 1j * rng.standard_normal((Np, Mp)))
 
 
-def observed_matrix(realization, design, rng, snr_db, transfers=None) -> np.ndarray:
-    """Normalized pilot observation assembled from per-UE transfer matrices."""
+def observed_matrix(transfers, design, rng, snr_db) -> np.ndarray:
+    """Normalized pilot observation assembled from per-UE transfer matrices.
+
+    ``transfers`` holds one N x M matrix per UE, or None for an inactive UE.
+    """
     snr_linear = 10.0 ** (snr_db / 10.0)
-    if transfers is None:
-        transfers = [
-            superpose_transfer(paths, design.N, design.M) if paths else None
-            for paths in realization.paths
-        ]
     Y = np.zeros((design.Np, design.Mp), dtype=np.complex128)
     for u, H in enumerate(transfers):
         if H is None:
@@ -306,7 +315,7 @@ def run_trial(config: ExperimentConfig, condition: Condition, Np: int, trial_ind
         superpose_transfer(paths, sys_cfg.N, sys_cfg.M) if paths else None
         for paths in realization.paths
     ]
-    Y = observed_matrix(realization, design, rng, config.snr_db, transfers=transfers)
+    Y = observed_matrix(transfers, design, rng, config.snr_db)
     y = vectorize(Y, condition.option)
     result = solve(y, op, cfg)
     estimates = split_estimate(result.x_hat.values, condition.option, sys_cfg.U, sys_cfg.D, sys_cfg.M)
@@ -330,61 +339,21 @@ def naive_mse_trial(system: SystemConfig, L: int, snr_db: float, trial_index: in
 
 
 def _conditions(config: ExperimentConfig) -> list[Condition]:
-    chan = config.channel
-    scenario = config.scenario
-    if scenario == "single-user-sweep":
-        algorithms = config.algorithms or ["HiIHT", "IHT"]
-        l_values = config.l_values or [chan.L]
-        return [
-            Condition(
-                label=f"{alg}:L={L}" if len(l_values) > 1 else alg,
-                algorithm=alg, option=config.option, V=chan.V, L=L,
-            )
-            for alg in algorithms
-            for L in l_values
-        ]
-    if scenario == "multiuser-sweep":
-        algorithms = config.algorithms or ["HiIHT"]
-        v_values = config.v_values or [1, 2, 4]
-        return [
-            Condition(label=f"{alg}:V={v}", algorithm=alg, option=config.option, V=v, L=chan.L)
-            for alg in algorithms
-            for v in v_values
-        ]
-    if scenario == "sf-vs-fs":
-        algorithms = config.algorithms or ["HiIHT"]
-        v_values = config.v_values or [1, 4]
-        return [
-            Condition(label=f"{alg}-{opt}:V={v}", algorithm=alg, option=opt, V=v, L=chan.L)
-            for alg in algorithms
-            for opt in ("FS", "SF")
-            for v in v_values
-        ]
-    if scenario == "mismatched-L":
-        algorithms = config.algorithms or ["HiIHT"]
-        return [
-            Condition(label=alg, algorithm=alg, option=config.option, V=chan.V, L=chan.L)
-            for alg in algorithms
-        ]
-    if scenario == "omp-compare":
-        algorithms = config.algorithms or ["HiHTP", "HiIHT", "OMP"]
-        return [
-            Condition(label=alg, algorithm=alg, option=config.option, V=chan.V, L=chan.L)
-            for alg in algorithms
-        ]
-    # offgrid-sweep
-    algorithms = config.algorithms or ["HiIHT"]
-    l1s = config.l1_values or [1, 2, 4]
-    l2s = config.l2_values or [1, 2, 4]
-    return [
-        Condition(
-            label=f"{alg}:L1={l1},L2={l2}", algorithm=alg, option=config.option,
-            V=chan.V, L=chan.L, on_grid=False, L1=l1, L2=l2,
-        )
-        for alg in algorithms
-        for l1 in l1s
-        for l2 in l2s
-    ]
+    """The sweep's curves: each algorithm at each point of the scenario's axes, in order."""
+    algorithms, label, axes = _SCENARIO_TABLE[config.scenario]
+    base = {"option": config.option, "V": config.channel.V, "L": config.channel.L,
+            "on_grid": config.scenario != "offgrid-sweep"}
+    grids = [(key and getattr(config, key)) or default or [base[name]]
+             for name, (key, default) in axes.items()]
+    if any(default is None and len(grid) == 1 for (_, default), grid in zip(axes.values(), grids)):
+        label = "{alg}"
+    conditions = []
+    for alg in config.algorithms or algorithms:
+        for point in itertools.product(*grids):
+            fields = dict(base, **dict(zip(axes, point)))
+            conditions.append(Condition(label=label.format(alg=alg, **fields), algorithm=alg,
+                                        **fields))
+    return conditions
 
 
 def _run_batch(config, condition, Np, lhat, threads) -> tuple[float, float, float]:
@@ -407,9 +376,12 @@ def run_sweep(config: ExperimentConfig, out_dir=None, threads: int = 1):
     """Run all sweep points and conditions; optionally write CSV + manifest.
 
     Returns (records, csv_path, manifest_path); the paths are None when no
-    output directory is given.
+    output directory is given. The directory is created before the first trial.
     """
     conditions = _conditions(config)
+    if out_dir is not None:
+        out_dir = Path(out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
     records: list[MseRecord] = []
     for sweep_value in config.sweep:
         Np, lhat = config._sweep_point(sweep_value)
@@ -430,8 +402,6 @@ def run_sweep(config: ExperimentConfig, out_dir=None, threads: int = 1):
                                          best.trials, 0.0))
     csv_path = manifest_path = None
     if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
         csv_path = out_dir / "results.csv"
         manifest_path = out_dir / "manifest.json"
         write_csv(records, csv_path)

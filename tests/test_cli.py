@@ -1,5 +1,9 @@
 import json
+import math
 
+import pytest
+
+import hisparse.simulate
 from hisparse.cli import main
 
 
@@ -114,3 +118,43 @@ def test_plot_unreadable_csv_exits_one(tmp_path, capsys):
     assert not list(tmp_path.glob("*.dat"))
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 2 and all(line.startswith("error: cannot read results CSV: ") for line in err)
+
+
+@pytest.mark.parametrize("bad, message", [
+    ({"seed": -1}, "seed must be a non-negative integer, got -1"),
+    ({"seed": 1.5}, "seed must be a non-negative integer, got 1.5"),
+    ({"snr_db": math.nan}, "snr_db = nan outside [-300, 300]"),
+    ({"scenario": "offgrid-sweep", "system": {"alpha": -0.1}}, "alpha*N = -12.8 taps"),
+], ids=["negative-seed", "fractional-seed", "nan-snr", "negative-alpha"])
+def test_run_config_out_of_model_exits_one_before_any_trial(tmp_path, capsys, bad, message):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"scenario": "single-user-sweep", "sweep": [8],
+                                       "trials": 1, **bad}))
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", str(config_path), "--out", str(out_dir)]) == 1
+    assert not out_dir.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: bad config: ") and message in err[0]
+
+
+def test_verify_rejects_negative_seed(capsys):
+    assert main(["verify", "--suite", "operators", "--seed", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert "verify:" not in captured.out
+    assert captured.err.splitlines() == ["error: --seed must be >= 0, got -1"]
+
+
+def test_run_into_existing_file_fails_before_any_trial(tmp_path, capsys, monkeypatch):
+    config_path = tmp_path / "config.json"
+    write_config(config_path)
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory")
+
+    def no_trials(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(hisparse.simulate, "run_trial", no_trials)
+    assert main(["run", "--config", str(config_path), "--out", str(taken)]) == 1
+    assert taken.read_text() == "not a directory"
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: cannot write results: ")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hisparse import PilotDesign, full_signature, make_design, signature
+from hisparse import make_design, signature
 
 
 def test_same_seed_same_sets():
@@ -58,7 +58,7 @@ def test_signature_alternating_ramp():
 def test_signature_direct_formula():
     # Independent evaluation of the ramp at N=8, D=2, u=3 on {0, 2, 5}.
     d = make_design(8, 2, 2, 4, 8, 2, seed=0)
-    sig = full_signature(d, 3)[[0, 2, 5]]
+    sig = signature(d, 3)[[0, 2, 5]]
     expected = np.exp(-2j * np.pi * 3 * 2 * np.array([0, 2, 5]) / 8)
     np.testing.assert_allclose(sig, expected, atol=1e-15)
     np.testing.assert_allclose(expected, [1, -1, 1j], atol=1e-15)
@@ -74,16 +74,14 @@ def test_signatures_have_unit_modulus():
         signature(d, 4)
 
 
-def test_json_roundtrip_and_byte_stability():
+def test_design_is_deterministic_in_its_seed():
+    # A design is rebuilt from its seed: every field comes back identical.
     rng = np.random.default_rng(8)
     base = np.exp(1j * rng.uniform(0, 2 * np.pi, 24))
     d = make_design(24, 6, 6, 2, 9, 4, base_sequence=base, seed=77)
-    text = d.to_json()
     again = make_design(24, 6, 6, 2, 9, 4, base_sequence=base, seed=77)
-    assert again.to_json() == text
-
-    restored = PilotDesign.from_json(text)
-    assert restored.to_json() == text
-    np.testing.assert_array_equal(restored.subcarriers, d.subcarriers)
-    np.testing.assert_array_equal(restored.antennas, d.antennas)
-    np.testing.assert_allclose(restored.base_sequence, d.base_sequence)
+    assert (again.N, again.M, again.D, again.U, again.Np, again.Mp, again.seed) == (
+        24, 6, 6, 2, 9, 4, 77)
+    np.testing.assert_array_equal(again.subcarriers, d.subcarriers)
+    np.testing.assert_array_equal(again.antennas, d.antennas)
+    np.testing.assert_array_equal(again.base_sequence, d.base_sequence)

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
+import hisparse.operators
 from hisparse import (
     BlockShape,
     DenseOperator,
@@ -99,10 +100,9 @@ def test_adjoint_identity_hundred_pairs_per_config():
             assert gap <= 1e-10 * np.linalg.norm(x) * np.linalg.norm(y)
 
 
-def test_adjoint_returns_multilevel_vector():
+def test_adjoint_values_fill_the_input_layout():
     op = KroneckerSensingOperator(make_design(16, 4, 4, 2, 8, 3, seed=1), "SF")
-    out = op.adjoint(np.ones(op.out_dim, dtype=complex))
-    assert isinstance(out, MultiLevelVector)
+    out = MultiLevelVector(op.shape_in, op.adjoint_values(np.ones(op.out_dim, dtype=complex)))
     assert out.shape.dims == (2, 4, 4)
 
 
@@ -148,10 +148,11 @@ def test_fs_sf_related_by_permutations():
     np.testing.assert_allclose(A_sf @ x_fs[col_perm], y_fs[row_perm], atol=1e-12)
 
 
-def test_densify_cap():
+def test_densify_cap(monkeypatch):
     d = make_design(64, 8, 32, 2, 16, 4, seed=0)
-    op = KroneckerSensingOperator(d, "FS", densify_cap=256)
-    with pytest.raises(ValueError):
+    op = KroneckerSensingOperator(d, "FS")
+    monkeypatch.setattr(hisparse.operators, "DENSIFY_CAP", 256)
+    with pytest.raises(ValueError, match="exceeds cap 256"):
         op.densify()
 
 
@@ -161,7 +162,7 @@ def test_dimension_errors():
         op.forward(np.zeros(op.in_dim + 1, dtype=complex))
     with pytest.raises(DimensionError):
         op.adjoint_values(np.zeros(op.out_dim - 1, dtype=complex))
-    wrong = MultiLevelVector.zeros(BlockShape((2, 4, 4)))
+    wrong = MultiLevelVector(BlockShape((2, 4, 4)), np.zeros(32))
     with pytest.raises(DimensionError):
         op.forward(wrong)  # SF layout fed to an FS operator
 

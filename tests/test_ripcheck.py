@@ -176,12 +176,6 @@ def test_enumeration_caps():
         rip_constant(np.eye(100), 70)  # Gram block above the eigensolve cap
 
 
-def test_report_json():
-    A = np.eye(6)
-    text = rip_constant(A, 2).to_json()
-    assert '"delta":' in text and '"witness":' in text
-
-
 def test_more_columns_than_rows_gives_at_least_one():
     # Three unit vectors 60 degrees apart in the plane: a tight frame with
     # A A^H = 1.5 I, so lambda_max - 1 = 0.5 while the rank-2 Gram of all three

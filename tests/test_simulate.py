@@ -241,8 +241,7 @@ def test_observation_routes_agree_on_grid():
     design = make_design(64, 16, 16, 2, 12, 7, seed=8)
     op = KroneckerSensingOperator(design, "FS")
     from hisparse.simulate import observed_matrix
-    Y = observed_matrix(r, design, rng, snr_db=math.inf,
-                        transfers=synthesize_transfer(r))
+    Y = observed_matrix(synthesize_transfer(r), design, rng, snr_db=math.inf)
     y_direct = op.forward(stack_delay_angular(r, "FS"))
     np.testing.assert_allclose(Y.flatten(order="F"), y_direct, atol=1e-10)
 
