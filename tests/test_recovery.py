@@ -241,6 +241,16 @@ def test_config_rejects_nonpositive_flat_k():
             RecoveryConfig(algorithm=alg)
 
 
+def test_result_json_dict():
+    # The fields a saved result carries: support, residual and error trace.
+    op, x, y = single_path_setup()
+    cfg = RecoveryConfig(algorithm="HiIHT", profile=SparsityProfile((1, 1, 1)))
+    res = solve(y, op, cfg, x_true=x)
+    assert res.support.tolist() == [7]
+    assert res.error_trace is not None
+    assert np.isfinite(res.residual_norm)
+
+
 def test_contraction_constants_values():
     cc = contraction_constants(0.0, "HiIHT")
     assert cc.kappa == 0.0 and cc.tau == pytest.approx(2.18)
