@@ -126,18 +126,13 @@ def _structurally_valid(indices: np.ndarray, shape: BlockShape, profile: Sparsit
 def _top_mask(energy: np.ndarray, k: int) -> np.ndarray:
     """Boolean mask keeping the k largest entries along the last axis.
 
-    Ties resolve to the lowest index, as a stable sort would. O(n) per row:
-    ``argmax`` (first maximum) for k = 1; otherwise a partition finds the kth
-    largest value, every entry above it is kept, and the entries equal to it
-    fill the remaining places in index order.
+    Ties resolve to the lowest index, as a stable sort would. O(n) per row: a
+    partition finds the kth largest value, every entry above it is kept, and
+    the entries equal to it fill the remaining places in index order.
     """
     n = energy.shape[-1]
     if k >= n:
         return np.ones_like(energy, dtype=bool)
-    if k == 1:
-        mask = np.zeros_like(energy, dtype=bool)
-        np.put_along_axis(mask, np.argmax(energy, axis=-1)[..., None], True, axis=-1)
-        return mask
     kth = np.partition(energy, n - k, axis=-1)[..., n - k, None]
     above = energy > kth
     tied = energy == kth
@@ -154,7 +149,8 @@ def hi_threshold(x: MultiLevelVector, s: SparsityProfile) -> np.ndarray:
     entries, then at each coarser level keep the per-block child blocks of
     largest retained Euclidean norm, up to and including the root (which
     keeps s1 of the N1 outer blocks). Comparisons use squared moduli; ties
-    go to the lowest flat index.
+    go to the lowest flat index. A level of sparsity 1 keeps each block's
+    first maximum (``argmax``) and passes that one energy up by a gather.
     """
     s.check_compatible(x.shape)
     dims = x.shape.dims
@@ -162,9 +158,15 @@ def hi_threshold(x: MultiLevelVector, s: SparsityProfile) -> np.ndarray:
     energy = moduli = v.real * v.real + v.imag * v.imag
     masks = []
     for lvl in range(len(dims) - 1, -1, -1):
-        m = _top_mask(energy, s.s[lvl])
+        if s.s[lvl] == 1:
+            best = np.argmax(energy, axis=-1)[..., None]
+            m = np.zeros_like(energy, dtype=bool)
+            np.put_along_axis(m, best, True, axis=-1)
+            energy = np.take_along_axis(energy, best, axis=-1)[..., 0]
+        else:
+            m = _top_mask(energy, s.s[lvl])
+            energy = np.where(m, energy, 0.0).sum(axis=-1)
         masks.append(m)
-        energy = np.where(m, energy, 0.0).sum(axis=-1)
 
     full = masks[0]
     for m in masks[1:]:

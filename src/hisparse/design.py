@@ -55,12 +55,16 @@ class PilotDesign:
 
 
 def _sample_sorted(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
-    """k distinct indices from [n] via a partial Fisher-Yates shuffle, sorted."""
-    idx = np.arange(n, dtype=np.int64)
-    for i in range(k):
-        j = int(rng.integers(i, n))
+    """k distinct indices from [n] via a partial Fisher-Yates shuffle, sorted.
+
+    Step i swaps position i with a uniform draw j from [i, n). All k draws come
+    from one ``rng.integers`` call with per-step lower bounds, which consumes
+    the generator exactly as k scalar calls would.
+    """
+    idx = list(range(n))
+    for i, j in enumerate(rng.integers(np.arange(k), n).tolist()):
         idx[i], idx[j] = idx[j], idx[i]
-    return np.sort(idx[:k])
+    return np.sort(np.array(idx[:k], dtype=np.int64))
 
 
 def make_design(N, M, D, U, Np, Mp, base_sequence=None, seed=0) -> PilotDesign:

@@ -11,7 +11,7 @@ frequency-space (FS) vectorization the operator is conj(angle) (x) delay and
 the unknown carries block layout (M, U, D); under space-frequency (SF) it is
 delay (x) conj(angle) with layout (U, D, M). The option is also the single
 place that decides how matrices are vectorized (``vectorize`` /
-``unvectorize``). ``forward`` runs no length-N FFT: it multiplies the
+``unvectorize``, and ``flat_index`` for single entries). ``forward`` runs no length-N FFT: it multiplies the
 nonzero delay rows of the unknown by the matching delay-factor columns (built
 as ``columns`` builds them, from a precomputed table of the N DFT phases) and
 then applies length-M FFTs to the Np pilot rows. The adjoint applies length-M FFTs to the Np rows, then one length-N
@@ -66,6 +66,14 @@ def unvectorize(v: np.ndarray, option, rows: int, cols: int) -> np.ndarray:
     if as_option(option) is VectorizationOption.FS:
         return v.reshape(cols, rows).T
     return v.reshape(rows, cols)
+
+
+def flat_index(option, row, col, rows: int, cols: int) -> np.ndarray:
+    """Position of entry (row, col) of a (rows x cols) matrix in its ``vectorize``d vector."""
+    row, col = np.asarray(row, dtype=np.int64), np.asarray(col, dtype=np.int64)
+    if as_option(option) is VectorizationOption.FS:
+        return col * rows + row
+    return row * cols + col
 
 
 def unknown_shape(option, M: int, U: int, D: int) -> BlockShape:

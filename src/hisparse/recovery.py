@@ -6,7 +6,12 @@ thresholding solvers are one gradient-descent loop with unit step:
     x_temp = x + A^H (y - A x)
 
 followed by hi_threshold on x_temp. A^H y is computed once per solve; the
-first pass starts from x = 0, so its x_temp is A^H y itself. HiIHT/HiHTP
+first pass starts from x = 0, so its x_temp is A^H y itself. The iterate x
+is one buffer per solve, updated in place: a later pass adds x to the fresh
+A^H (y - A x) on x's support only, zeroes that support in x and writes the
+new one. x is zero off its support and IEEE addition commutes, so x_temp is
+the textbook sum bit for bit, apart from the sign of a zero component off
+that support (0.0 + -0.0 is +0.0). HiIHT/HiHTP
 select under the unknown's hierarchical profile; the flat IHT/HTP are the
 one-level case (a single block of length U*D*M with sparsity
 k = cfg.sparsity()). The IHT variants keep x_temp on the selected support,
@@ -104,13 +109,19 @@ def _threshold_loop(y, op, cfg: RecoveryConfig, select_shape, profile, pursuit: 
     shape = op.shape_in
     trace = [] if x_true is not None else None
     aty = op.adjoint_values(y)
+    x = np.zeros(shape.total, dtype=np.complex128)
     prev_support = None
     iterations = 0
     for i in range(1, cfg.max_iters + 1):
         iterations = i
-        x_temp = aty if i == 1 else x + op.adjoint_values(y - op.forward(x))
+        if prev_support is None:
+            x_temp = aty
+        else:
+            # x + A^H (y - A x), adding x only on its support.
+            x_temp = op.adjoint_values(y - op.forward(x))
+            x_temp[prev_support] += x[prev_support]
+            x[prev_support] = 0.0
         support = hi_threshold(MultiLevelVector(select_shape, x_temp), profile)
-        x = np.zeros(shape.total, dtype=np.complex128)
         x[support] = _restricted_lstsq(aty, op, support) if pursuit else x_temp[support]
         if trace is not None:
             trace.append(float(np.linalg.norm(x - x_true)))

@@ -29,6 +29,7 @@ from .channel import (
     delay_angular_matrix,
     gen_offgrid,
     gen_ongrid,
+    grid_indices,
     superpose_transfer,
     transfer_from_delay_angular,
 )
@@ -37,11 +38,12 @@ from .operators import (
     KroneckerSensingOperator,
     VectorizationOption,
     as_option,
+    flat_index,
     unknown_shape,
     unvectorize,
     vectorize,
 )
-from .recovery import LS_ALGORITHMS, RecoveryConfig, solve
+from .recovery import FLAT_ALGORITHMS, HI_ALGORITHMS, LS_ALGORITHMS, RecoveryConfig, solve
 
 PRESETS = {
     "small": {"N": 128, "M": 64, "D": 32},
@@ -64,6 +66,10 @@ _SCENARIO_TABLE = {
 }
 
 CSV_HEADER = ("sweep_value", "algorithm", "mse_mean", "mse_stderr", "trials", "seconds")
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass
@@ -104,8 +110,6 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.scenario not in _SCENARIO_TABLE:
             raise ValueError(f"unknown scenario {self.scenario!r}")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
         if not self.sweep:
             raise ValueError("sweep axis must be non-empty")
         if self.scenario == "mismatched-L" and self.Np is None:
@@ -126,14 +130,25 @@ class ExperimentConfig:
     def _sweep_point(self, sweep_value) -> tuple[int, int | None]:
         """(pilot count Np, assumed path count or None) of one sweep value."""
         if self.scenario == "mismatched-L":
-            return int(self.Np), int(sweep_value)
-        return int(sweep_value), None
+            return self.Np, sweep_value
+        return sweep_value, None
 
     def _validate(self) -> None:
         """Reject a sweep the system cannot run, before any trial starts."""
         as_option(self.option)  # ValueError unless FS or SF
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+        if not _is_integer(self.seed) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        counts = [("trials", self.trials), ("Np", self.Np), ("Mp", self.Mp)]
+        counts += [("sweep", v) for v in self.sweep]
+        counts += [(key, v) for key in ("l_values", "v_values", "l1_values", "l2_values")
+                   for v in getattr(self, key) or []]
+        counts += [(f"system.{key}", v) for key, v in asdict(self.system).items() if key != "alpha"]
+        counts += [(f"channel.{key}", v) for key, v in asdict(self.channel).items()]
+        for name, value in counts:
+            if value is not None and not _is_integer(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if self.trials < 1:
+            raise ValueError("trials must be >= 1")
         if not (-300.0 <= self.snr_db <= 300.0 or self.snr_db == math.inf):
             raise ValueError(f"snr_db = {self.snr_db} outside [-300, 300] (Infinity: no noise)")
         N, M, D, U = self.system.N, self.system.M, self.system.D, self.system.U
@@ -153,6 +168,8 @@ class ExperimentConfig:
                 f"off-grid delays span alpha*N = {self.system.alpha * N:g} taps, outside [0, D = {D}]"
             )
         for cond in _conditions(self):
+            if cond.algorithm not in HI_ALGORITHMS + FLAT_ALGORITHMS:
+                raise ValueError(f"{cond.label}: unknown algorithm {cond.algorithm!r}")
             if not 1 <= cond.V <= U:
                 raise ValueError(f"{cond.label}: active UEs V = {cond.V} outside [1, U = {U}]")
             for Np, lhat in points:
@@ -226,6 +243,29 @@ def stack_delay_angular(realization: ChannelRealization, option: str) -> np.ndar
         if paths:
             Xbar[u * p.D : (u + 1) * p.D] = delay_angular_matrix(paths, p.N, p.M, p.D)
     return vectorize(Xbar, option)
+
+
+def sparse_delay_angular(realization: ChannelRealization, option: str) -> tuple[np.ndarray, np.ndarray]:
+    """Nonzeros of ``stack_delay_angular`` without the dense vector.
+
+    Returns (sorted flat indices, gains) in the option's layout; paths that
+    share a grid point are summed in path order, as the dense matrix sums them.
+    """
+    p = realization.params
+    rows, cols, gains = [], [], []
+    for u, paths in enumerate(realization.paths):
+        for path in paths:
+            k, l = grid_indices(path, p.N, p.M)
+            if k >= p.D:
+                raise ValueError(f"delay tap {k} outside [0, {p.D})")
+            rows.append(u * p.D + k)
+            cols.append(l)
+            gains.append(path.gain)
+    flat = flat_index(option, rows, cols, p.U * p.D, p.M)
+    idx, inverse = np.unique(flat, return_inverse=True)
+    values = np.zeros(idx.size, dtype=np.complex128)
+    np.add.at(values, inverse, np.array(gains, dtype=np.complex128))
+    return idx, values
 
 
 def split_estimate(x_hat: np.ndarray, option: str, U: int, D: int, M: int) -> list[np.ndarray]:
@@ -303,13 +343,17 @@ def run_trial(config: ExperimentConfig, condition: Condition, Np: int, trial_ind
 
     snr_linear = 10.0 ** (config.snr_db / 10.0)
     if condition.on_grid:
-        x_true = stack_delay_angular(realization, condition.option)
+        idx, gains = sparse_delay_angular(realization, condition.option)
         z = _noise(rng, design.Np, design.Mp, snr_linear) / math.sqrt(design.Np * design.Mp)
-        y = op.forward(x_true) + vectorize(z, condition.option)
+        y = op.columns(idx) @ gains + vectorize(z, condition.option)
         result = solve(y, op, cfg)
         # Parseval: per-element MSE over all UEs equals the squared distance
-        # of the stacked delay-angular vectors.
-        return float(np.linalg.norm(result.x_hat.values - x_true) ** 2)
+        # of the stacked delay-angular vectors. Both vanish off the union of
+        # the estimate's support and the true one, so only that union is summed.
+        union = np.union1d(result.support, idx)
+        err = result.x_hat.values[union]
+        err[np.searchsorted(union, idx)] -= gains
+        return float(np.linalg.norm(err) ** 2)
 
     transfers = [
         superpose_transfer(paths, sys_cfg.N, sys_cfg.M) if paths else None

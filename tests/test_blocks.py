@@ -167,7 +167,7 @@ def test_is_hi_sparse_cases():
     assert not is_hi_sparse(MultiLevelVector(shape, bad), profile)
 
 
-@settings(derandomize=True, max_examples=200, deadline=None)
+@settings(derandomize=True, max_examples=300, deadline=None)
 @given(st.data())
 def test_threshold_properties_on_random_layouts(data):
     dims = tuple(data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=3), label="dims"))

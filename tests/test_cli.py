@@ -125,7 +125,17 @@ def test_plot_unreadable_csv_exits_one(tmp_path, capsys):
     ({"seed": 1.5}, "seed must be a non-negative integer, got 1.5"),
     ({"snr_db": math.nan}, "snr_db = nan outside [-300, 300]"),
     ({"scenario": "offgrid-sweep", "system": {"alpha": -0.1}}, "alpha*N = -12.8 taps"),
-], ids=["negative-seed", "fractional-seed", "nan-snr", "negative-alpha"])
+    ({"trials": 2.5}, "trials must be an integer, got 2.5"),
+    ({"sweep": [16.5]}, "sweep must be an integer, got 16.5"),
+    ({"scenario": "multiuser-sweep", "system": {"U": 4}, "v_values": [1.5]},
+     "v_values must be an integer, got 1.5"),
+    ({"l_values": [2.5]}, "l_values must be an integer, got 2.5"),
+    ({"scenario": "omp-compare", "Mp": 8.5}, "Mp must be an integer, got 8.5"),
+    ({"trials": True}, "trials must be an integer, got True"),
+    ({"system": {"U": 4}, "algorithms": ["FOO"]}, "FOO: unknown algorithm 'FOO'"),
+], ids=["negative-seed", "fractional-seed", "nan-snr", "negative-alpha", "fractional-trials",
+        "fractional-sweep", "fractional-v", "fractional-l", "fractional-mp", "boolean-trials",
+        "unknown-algorithm"])
 def test_run_config_out_of_model_exits_one_before_any_trial(tmp_path, capsys, bad, message):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({"scenario": "single-user-sweep", "sweep": [8],

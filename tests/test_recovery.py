@@ -138,6 +138,67 @@ def test_single_pass_thresholds_the_adjoint(algorithm, option):
     assert res.residual_norm == pytest.approx(np.linalg.norm(y - op.forward(expected)), rel=1e-12)
 
 
+def textbook_threshold_loop(y, op, select_shape, profile, pursuit, max_iters):
+    """x_temp = x + A^H (y - A x) from a fresh zero iterate every pass (test oracle)."""
+    aty = op.adjoint_values(y)
+    x = np.zeros(op.in_dim, dtype=complex)
+    prev = None
+    for i in range(1, max_iters + 1):
+        x_temp = x + op.adjoint_values(y - op.forward(x))
+        support = hi_threshold(MultiLevelVector(select_shape, x_temp), profile)
+        x = np.zeros(op.in_dim, dtype=complex)
+        x[support] = _restricted_lstsq(aty, op, support) if pursuit else x_temp[support]
+        if prev is not None and np.array_equal(support, prev):
+            break
+        prev = support
+    return x, support, i
+
+
+@pytest.mark.parametrize("option", ["FS", "SF"])
+@pytest.mark.parametrize("algorithm", ["HiIHT", "HiHTP", "IHT", "HTP"])
+def test_in_place_loop_matches_textbook_loop(algorithm, option):
+    # Same supports, iteration counts and estimate bytes, converged or capped.
+    rng = np.random.default_rng(31)
+    op = KroneckerSensingOperator(make_design(64, 8, 16, 2, 10, 5, seed=9), option)
+    profile = SparsityProfile((3, 1, 2) if option == "FS" else (2, 2, 2))
+    if algorithm in ("HiIHT", "HiHTP"):
+        select_shape, select_profile, cfg_kw = op.shape_in, profile, {"profile": profile}
+    else:
+        select_shape, select_profile = BlockShape((op.in_dim,)), SparsityProfile((6,))
+        cfg_kw = {"flat_k": 6}
+    capped = 0
+    for trial in range(8):
+        x = np.zeros(op.in_dim, dtype=complex)
+        x[rng.permutation(op.in_dim)[:4]] = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        noise = rng.standard_normal(op.out_dim) + 1j * rng.standard_normal(op.out_dim)
+        y = op.forward(x) + (0.05 if trial % 2 else 0.5) * noise
+        for max_iters in (2, 10):
+            res = solve(y, op, RecoveryConfig(algorithm=algorithm, max_iters=max_iters, **cfg_kw))
+            x_ref, support, iterations = textbook_threshold_loop(
+                y, op, select_shape, select_profile, algorithm in ("HiHTP", "HTP"), max_iters)
+            np.testing.assert_array_equal(res.support, support)
+            assert res.iterations == iterations
+            assert res.x_hat.values.tobytes() == x_ref.tobytes()
+            capped += iterations == max_iters
+    assert capped > 0
+
+
+@pytest.mark.parametrize("option", ["FS", "SF"])
+@pytest.mark.parametrize("algorithm", ["HiIHT", "HiHTP", "IHT", "HTP", "OMP"])
+def test_estimate_vanishes_off_support(algorithm, option):
+    # The on-grid trial score sums only over the support; it relies on this.
+    rng = np.random.default_rng(32)
+    op = KroneckerSensingOperator(make_design(64, 8, 16, 2, 10, 5, seed=3), option)
+    profile = SparsityProfile((3, 1, 2) if option == "FS" else (2, 2, 2))
+    cfg = (RecoveryConfig(algorithm=algorithm, profile=profile) if algorithm.startswith("Hi")
+           else RecoveryConfig(algorithm=algorithm, flat_k=6))
+    for _ in range(5):
+        y = rng.standard_normal(op.out_dim) + 1j * rng.standard_normal(op.out_dim)
+        res = solve(y, op, cfg)
+        assert res.support.size > 0
+        assert not np.delete(res.x_hat.values, res.support).any()
+
+
 def test_htp_consistent_system_zero_residual():
     rng = np.random.default_rng(6)
     d = make_design(32, 4, 8, 1, 12, 4, seed=3)

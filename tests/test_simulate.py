@@ -24,10 +24,12 @@ from hisparse.simulate import (
     recovery_profile,
     run_sweep,
     run_trial,
+    sparse_delay_angular,
     split_estimate,
     stack_delay_angular,
     write_csv,
 )
+import hisparse.simulate as simulate
 
 
 def tiny_config(**overrides):
@@ -198,6 +200,62 @@ def test_stack_and_split_are_inverse():
             expected = (delay_angular_matrix(r.paths[u], 32, 8, 8)
                         if r.paths[u] else np.zeros((8, 8)))
             np.testing.assert_allclose(mats[u], expected, atol=1e-14)
+
+
+@pytest.mark.parametrize("option", ["FS", "SF"])
+@pytest.mark.parametrize("U, V", [(4, 2), (3, 3), (1, 1)])
+def test_sparse_truth_densifies_to_dense_oracle(option, U, V):
+    rng = np.random.default_rng(17)
+    params = ChannelParams(N=64, M=8, D=16, U=U, V=V, L=4, K_V=2, K_L=2)
+    for _ in range(20):
+        r = gen_ongrid(params, rng, option)
+        idx, gains = sparse_delay_angular(r, option)
+        assert idx.dtype == np.int64 and np.all(np.diff(idx) > 0)
+        x = np.zeros(U * 16 * 8, dtype=complex)
+        x[idx] = gains
+        assert x.tobytes() == stack_delay_angular(r, option).tobytes()
+
+
+def test_sparse_truth_sums_paths_on_one_grid_point():
+    # A hand-built realization may repeat a grid point; the dense matrix sums it.
+    from hisparse import ChannelPath, ChannelRealization
+
+    params = ChannelParams(N=32, M=8, D=8, U=2, V=1, L=3)
+    paths = [ChannelPath(3 / 32, 5 / 8, 0.5 - 1j), ChannelPath(1 / 32, 0.0, 2.0),
+             ChannelPath(3 / 32, 5 / 8, 0.25 + 0.125j)]
+    r = ChannelRealization(params, [[], paths], on_grid=True)
+    for option in ("FS", "SF"):
+        idx, gains = sparse_delay_angular(r, option)
+        assert idx.size == 2
+        x = np.zeros(2 * 8 * 8, dtype=complex)
+        x[idx] = gains
+        assert x.tobytes() == stack_delay_angular(r, option).tobytes()
+
+
+@pytest.mark.parametrize("option", ["FS", "SF"])
+@pytest.mark.parametrize("algorithm", ["HiIHT", "HiHTP", "IHT", "HTP", "OMP"])
+def test_ongrid_score_matches_dense_oracle(monkeypatch, algorithm, option):
+    # The union-support score equals ||x_hat - stack_delay_angular(...)||^2.
+    seen = {}
+
+    def spy(name):
+        inner = getattr(simulate, name)
+
+        def wrapped(*args, **kwargs):
+            seen[name] = inner(*args, **kwargs)
+            return seen[name]
+        monkeypatch.setattr(simulate, name, wrapped)
+
+    spy("gen_ongrid")
+    spy("solve")
+    config = tiny_config(system=SystemConfig(N=64, M=16, D=16, U=3),
+                         channel=ChannelConfig(L=2, V=2), sweep=[6], option=option)
+    cond = Condition(label=algorithm, algorithm=algorithm, option=option, V=2, L=2)
+    for t in range(6):
+        mse = run_trial(config, cond, 6, t)
+        x_true = stack_delay_angular(seen["gen_ongrid"], option)
+        dense = float(np.linalg.norm(seen["solve"].x_hat.values - x_true) ** 2)
+        assert mse == pytest.approx(dense, rel=1e-12, abs=0.0)
 
 
 def test_trial_is_deterministic():
