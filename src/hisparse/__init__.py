@@ -2,14 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .blocks import (
-    BlockShape,
-    DimensionError,
-    MultiLevelVector,
-    SparsityProfile,
-    hi_threshold,
-    is_hi_sparse,
-)
+from .blocks import BlockShape, DimensionError, SparsityProfile, hi_threshold, is_hi_sparse
 from .channel import (
     ChannelParams,
     ChannelPath,

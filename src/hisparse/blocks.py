@@ -1,10 +1,12 @@
 """Multilevel block vectors, hierarchical supports, and hierarchical thresholding.
 
-A multilevel block vector in C^(N1*N2*...*Nl) is stored flat in level-1-major
-order: flat index = ((i1*N2 + i2)*N3 + i3)... . A sparsity profile
-(s1, ..., sl) constrains the support recursively: at most s1 of the N1 outer
-blocks are populated, each populated block holding at most s2 of its N2
-sub-blocks, and so on down to s_l elements per innermost block.
+A multilevel block vector in C^(N1*N2*...*Nl) is a plain ndarray of shape
+(N1, ..., Nl). Its flat index is the C-order index, which is level-1-major:
+((i1*N2 + i2)*N3 + i3)... . A flat vector becomes one by ``reshape(dims)``,
+a view with no copy. A sparsity profile (s1, ..., sl) constrains the support
+recursively: at most s1 of the N1 outer blocks are populated, each populated
+block holding at most s2 of its N2 sub-blocks, and so on down to s_l elements
+per innermost block.
 """
 
 from __future__ import annotations
@@ -60,39 +62,19 @@ class SparsityProfile:
     def max_support(self) -> int:
         return math.prod(self.s)
 
-    def check_compatible(self, shape: BlockShape) -> None:
-        if self.levels != shape.levels:
+    def check_compatible(self, dims: tuple[int, ...]) -> None:
+        if self.levels != len(dims):
             raise DimensionError(
-                f"profile has {self.levels} levels, shape has {shape.levels}"
+                f"profile has {self.levels} levels, block dims {dims} have {len(dims)}"
             )
-        if any(si > ni for si, ni in zip(self.s, shape.dims)):
-            raise DimensionError(f"profile {self.s} exceeds block dims {shape.dims}")
+        if any(si > ni for si, ni in zip(self.s, dims)):
+            raise DimensionError(f"profile {self.s} exceeds block dims {dims}")
 
     def clip(self, shape: BlockShape) -> "SparsityProfile":
         """Profile with each level capped at the corresponding block dim."""
         if self.levels != shape.levels:
             raise DimensionError("cannot clip profile against mismatched shape")
         return SparsityProfile(tuple(min(si, ni) for si, ni in zip(self.s, shape.dims)))
-
-
-@dataclass(frozen=True)
-class MultiLevelVector:
-    """Complex vector with an attached multilevel block layout."""
-
-    shape: BlockShape
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.complex128)
-        if v.ndim != 1 or v.shape[0] != self.shape.total:
-            raise DimensionError(
-                f"values length {v.shape} does not match shape total {self.shape.total}"
-            )
-        object.__setattr__(self, "values", v)
-
-    def blocks(self) -> np.ndarray:
-        """View of the values as an ndarray of shape ``shape.dims``."""
-        return self.values.reshape(self.shape.dims)
 
 
 def _structurally_valid(indices: np.ndarray, shape: BlockShape, profile: SparsityProfile) -> bool:
@@ -140,10 +122,11 @@ def _top_mask(energy: np.ndarray, k: int) -> np.ndarray:
     return above | (tied & (np.cumsum(tied, axis=-1) <= room))
 
 
-def hi_threshold(x: MultiLevelVector, s: SparsityProfile) -> np.ndarray:
+def hi_threshold(x: np.ndarray, s: SparsityProfile) -> np.ndarray:
     """Support of the best s-hierarchically-sparse approximation of x.
 
-    Returns the sorted flat indices (int64) of the support.
+    x has the block dims as its shape. Returns the sorted flat (C-order)
+    indices (int64) of the support.
 
     Bottom-up selection: per innermost block keep the s_l largest-modulus
     entries, then at each coarser level keep the per-block child blocks of
@@ -153,11 +136,9 @@ def hi_threshold(x: MultiLevelVector, s: SparsityProfile) -> np.ndarray:
     first maximum (``argmax``) and passes that one energy up by a gather.
     """
     s.check_compatible(x.shape)
-    dims = x.shape.dims
-    v = x.blocks()
-    energy = moduli = v.real * v.real + v.imag * v.imag
+    energy = moduli = x.real * x.real + x.imag * x.imag
     masks = []
-    for lvl in range(len(dims) - 1, -1, -1):
+    for lvl in range(x.ndim - 1, -1, -1):
         if s.s[lvl] == 1:
             best = np.argmax(energy, axis=-1)[..., None]
             m = np.zeros_like(energy, dtype=bool)
@@ -177,8 +158,11 @@ def hi_threshold(x: MultiLevelVector, s: SparsityProfile) -> np.ndarray:
     return indices[moduli.reshape(-1)[indices] > 0.0]
 
 
-def is_hi_sparse(x: MultiLevelVector, s: SparsityProfile) -> bool:
-    """True iff supp(x) satisfies the recursive per-level constraints of s."""
+def is_hi_sparse(x: np.ndarray, s: SparsityProfile) -> bool:
+    """True iff supp(x) satisfies the recursive per-level constraints of s.
+
+    x has the block dims as its shape.
+    """
     s.check_compatible(x.shape)
-    indices = np.flatnonzero(x.values)
-    return _structurally_valid(indices.astype(np.int64), x.shape, s)
+    indices = np.flatnonzero(x)
+    return _structurally_valid(indices.astype(np.int64), BlockShape(x.shape), s)

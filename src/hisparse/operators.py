@@ -6,22 +6,27 @@ of two partial-Fourier factors:
   * delay factor   : (1/sqrt(Np)) * P_sub * diag(c) * F[N, U*D]
   * angle factor   : (1/sqrt(Mp)) * P_ant * F[M, M]
 
-with F the unnormalized DFT matrix [F]_{n,m} = exp(-j*2*pi*m*n/N). Under the
-frequency-space (FS) vectorization the operator is conj(angle) (x) delay and
-the unknown carries block layout (M, U, D); under space-frequency (SF) it is
-delay (x) conj(angle) with layout (U, D, M). The option is also the single
-place that decides how matrices are vectorized (``vectorize`` /
-``unvectorize``, and ``flat_index`` for single entries). ``forward`` runs no length-N FFT: it multiplies the
-nonzero delay rows of the unknown by the matching delay-factor columns (built
-as ``columns`` builds them, from a precomputed table of the N DFT phases) and
-then applies length-M FFTs to the Np pilot rows. The adjoint applies length-M FFTs to the Np rows, then one length-N
-inverse FFT per angle along contiguous memory. Both factor Grams are
-circulant (entry (q, q') depends only on (q - q') mod N, entry (m, m') only
-on (m - m') mod M), so ``gram`` evaluates any restricted Gram (A^H A)[S, S]
-from two precomputed kernels in O(|S|^2) without building a column;
-least-squares refits solve on it. ``columns`` builds exact columns of the
-matrix from the two factors, and a dense materialization is kept as a test
-oracle for small problems.
+with F the unnormalized DFT matrix [F]_{n,m} = exp(-j*2*pi*m*n/N). The
+unknown is one flat complex array: the (U*D x M) delay-angular matrix
+vectorized per the option. Under the frequency-space (FS) vectorization the
+operator is conj(angle) (x) delay and the flat index factors as block layout
+(M, U, D); under space-frequency (SF) it is delay (x) conj(angle) with layout
+(U, D, M). ``shape_in`` holds that layout, and reshaping the flat array to
+``shape_in.dims`` gives the multilevel block vector that thresholding takes.
+The option is also the single place that decides how matrices are vectorized
+(``vectorize`` / ``unvectorize``, and ``flat_index`` for single entries).
+
+``forward`` runs no length-N FFT: it multiplies the nonzero delay rows of the
+unknown by the matching delay-factor columns (built as ``columns`` builds
+them, from a precomputed table of the N DFT phases) and then applies length-M
+FFTs to the Np pilot rows. ``adjoint_values`` applies length-M FFTs to the Np
+rows, then one length-N inverse FFT per angle along contiguous memory. Both
+factor Grams are circulant (entry (q, q') depends only on (q - q') mod N,
+entry (m, m') only on (m - m') mod M), so ``gram`` evaluates any restricted
+Gram (A^H A)[S, S] from two precomputed kernels in O(|S|^2) without building
+a column; least-squares refits solve on it. ``columns`` builds exact columns
+of the matrix from the two factors, and a dense materialization is kept as a
+test oracle for small problems.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ import math
 
 import numpy as np
 
-from .blocks import BlockShape, DimensionError, MultiLevelVector
+from .blocks import BlockShape, DimensionError
 from .design import PilotDesign
 
 DENSIFY_CAP = 4096
@@ -106,11 +111,10 @@ def theta_factor(design: PilotDesign) -> np.ndarray:
 class KroneckerSensingOperator:
     """Forward/adjoint linear map between the unknown and the pilot samples.
 
-    The unknown is a multilevel vector with layout (M, U, D) under FS or
-    (U, D, M) under SF; the output has length Np*Mp. ``forward`` of an input
-    with r nonzero delay rows costs O(Np*r*M + Np*M log M); the adjoint costs
-    O(M*N log N + Np*M log M). Instances are immutable after construction and
-    reentrant.
+    The unknown is a flat array of length ``in_dim`` in layout ``shape_in``;
+    the output has length Np*Mp. ``forward`` of an input with r nonzero delay
+    rows costs O(Np*r*M + Np*M log M); the adjoint costs O(M*N log N +
+    Np*M log M). Instances are immutable after construction and reentrant.
     """
 
     def __init__(self, design: PilotDesign, option="FS"):
@@ -132,15 +136,7 @@ class KroneckerSensingOperator:
         mask[d.antennas] = 1.0
         self._angle_kernel = np.conj(np.fft.ifft(mask) * (d.M / d.Mp))
 
-    # -- matrix-shaped helpers ------------------------------------------------
-
     def _values(self, x) -> np.ndarray:
-        if isinstance(x, MultiLevelVector):
-            if x.shape != self.shape_in:
-                raise DimensionError(
-                    f"input layout {x.shape.dims} does not match {self.shape_in.dims}"
-                )
-            return x.values
         v = np.asarray(x, dtype=np.complex128)
         if v.shape != (self.in_dim,):
             raise DimensionError(f"input length {v.shape} != {self.in_dim}")
@@ -161,50 +157,35 @@ class KroneckerSensingOperator:
         sub = d.subcarriers[:, None]
         return d.base_sequence[sub] * self._twiddle[sub * q % d.N]
 
-    def _apply_theta_adj_right(self, W: np.ndarray) -> np.ndarray:
-        # W (rows x M) -> W * theta^H (rows x Mp)
-        d = self.design
-        V = np.fft.ifft(W, axis=1) * d.M
-        return V[:, d.antennas] / math.sqrt(d.Mp)
-
-    def _apply_theta_right(self, Y: np.ndarray) -> np.ndarray:
-        # Y (rows x Mp) -> Y * theta (rows x M)
-        d = self.design
-        buf = np.zeros((Y.shape[0], d.M), dtype=np.complex128)
-        buf[:, d.antennas] = Y
-        return np.fft.fft(buf, axis=1) / math.sqrt(d.Mp)
-
-    # -- public API -------------------------------------------------------------
-
-    def measurement_matrix(self, x) -> np.ndarray:
-        """Noiseless observation as an (Np x Mp) matrix.
-
-        Only the nonzero delay rows of the unknown enter the delay factor.
-        """
-        X = unvectorize(self._values(x), self.option, self._ud, self.design.M)
-        rows = np.flatnonzero(X.any(axis=1))
-        W = self._delay_columns(rows) @ X[rows] / math.sqrt(self.design.Np)
-        return self._apply_theta_adj_right(W)
-
     def forward(self, x) -> np.ndarray:
-        """A @ x as a length Np*Mp vector (vectorized per the option)."""
-        return vectorize(self.measurement_matrix(x), self.option)
+        """A @ x as a length Np*Mp vector (vectorized per the option).
 
-    def observation_matrix(self, y) -> np.ndarray:
-        """Inverse of the option's vectorization: length Np*Mp -> (Np x Mp)."""
-        v = np.asarray(y, dtype=np.complex128)
-        if v.shape != (self.out_dim,):
-            raise DimensionError(f"measurement length {v.shape} != {self.out_dim}")
-        return unvectorize(v, self.option, self.design.Np, self.design.Mp)
+        Only the nonzero delay rows of the unknown enter the delay factor;
+        the (Np x M) product is then mapped through the angle factor by
+        length-M inverse FFTs read at the observed antennas.
+        """
+        d = self.design
+        X = unvectorize(self._values(x), self.option, self._ud, d.M)
+        rows = np.flatnonzero(X.any(axis=1))
+        W = self._delay_columns(rows) @ X[rows] / math.sqrt(d.Np)
+        V = np.fft.ifft(W, axis=1) * d.M
+        return vectorize(V[:, d.antennas] / math.sqrt(d.Mp), self.option)
 
     def adjoint_values(self, y) -> np.ndarray:
         """A^H @ y as a flat vector of the input length.
 
-        The delay adjoint is one unnormalized length-N inverse FFT per angle,
-        run in place along the contiguous rows of an (M x N) buffer.
+        The angle adjoint is one length-M FFT per pilot row of the (Np x Mp)
+        observation, zero-padded to M antennas. The delay adjoint is one
+        unnormalized length-N inverse FFT per angle, run in place along the
+        contiguous rows of an (M x N) buffer.
         """
         d = self.design
-        Z = self._apply_theta_right(self.observation_matrix(y))
+        v = np.asarray(y, dtype=np.complex128)
+        if v.shape != (self.out_dim,):
+            raise DimensionError(f"measurement length {v.shape} != {self.out_dim}")
+        padded = np.zeros((d.Np, d.M), dtype=np.complex128)
+        padded[:, d.antennas] = unvectorize(v, self.option, d.Np, d.Mp)
+        Z = np.fft.fft(padded, axis=1) / math.sqrt(d.Mp)
         buf = np.zeros((d.M, d.N), dtype=np.complex128)
         buf[:, d.subcarriers] = Z.T * self._adjoint_weights
         np.fft.ifft(buf, axis=1, norm="forward", out=buf)
@@ -260,13 +241,8 @@ class DenseOperator:
         self.in_dim = shape_in.total
         self.out_dim = A.shape[0]
 
-    def _values(self, x) -> np.ndarray:
-        if isinstance(x, MultiLevelVector):
-            return x.values
-        return np.asarray(x, dtype=np.complex128)
-
     def forward(self, x) -> np.ndarray:
-        return self.A @ self._values(x)
+        return self.A @ np.asarray(x, dtype=np.complex128)
 
     def adjoint_values(self, y) -> np.ndarray:
         return self.A.conj().T @ np.asarray(y, dtype=np.complex128)

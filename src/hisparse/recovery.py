@@ -5,11 +5,11 @@ thresholding solvers are one gradient-descent loop with unit step:
 
     x_temp = x + A^H (y - A x)
 
-followed by hi_threshold on x_temp. A^H y is computed once per solve; the
-first pass starts from x = 0, so its x_temp is A^H y itself. The iterate x
-is one buffer per solve, updated in place: a later pass adds x to the fresh
-A^H (y - A x) on x's support only, zeroes that support in x and writes the
-new one. x is zero off its support and IEEE addition commutes, so x_temp is
+followed by hi_threshold on x_temp reshaped to its block dims (a view, no
+copy). A^H y is computed once per solve; the first pass starts from x = 0,
+so its x_temp is A^H y itself. The iterate x is one buffer per solve,
+updated in place: a later pass adds x to the fresh A^H (y - A x) on x's
+support only, zeroes that support in x and writes the new one. x is zero off its support and IEEE addition commutes, so x_temp is
 the textbook sum bit for bit, apart from the sign of a zero component off
 that support (0.0 + -0.0 is +0.0). HiIHT/HiHTP
 select under the unknown's hierarchical profile; the flat IHT/HTP are the
@@ -21,7 +21,9 @@ picks at most, with the same least-squares refit. Every refit solves the
 |S| x |S| normal equations (A^H A)[S, S] beta = (A^H y)[S] from the
 operator's restricted Gram ``op.gram(S)`` and that A^H y, by
 ``lstsq`` so a rank-deficient support still gets the minimum-norm solution.
-Supports are sorted int64 arrays of flat indices.
+Supports are sorted int64 arrays of flat indices, and the estimate
+``RecoveryResult.x_hat`` is the flat vector of length op.in_dim in layout
+op.shape_in.
 """
 
 from __future__ import annotations
@@ -31,13 +33,7 @@ import math
 
 import numpy as np
 
-from .blocks import (
-    BlockShape,
-    DimensionError,
-    MultiLevelVector,
-    SparsityProfile,
-    hi_threshold,
-)
+from .blocks import BlockShape, DimensionError, SparsityProfile, hi_threshold
 from .operators import VectorizationOption, as_option
 
 HI_ALGORITHMS = ("HiIHT", "HiHTP")
@@ -79,7 +75,7 @@ class RecoveryConfig:
 
 @dataclass
 class RecoveryResult:
-    x_hat: MultiLevelVector
+    x_hat: np.ndarray
     support: np.ndarray
     iterations: int
     residual_norm: float
@@ -105,11 +101,10 @@ def _restricted_lstsq(aty, op, support: np.ndarray) -> np.ndarray:
     return beta
 
 
-def _threshold_loop(y, op, cfg: RecoveryConfig, select_shape, profile, pursuit: bool, x_true):
-    shape = op.shape_in
+def _threshold_loop(y, op, cfg: RecoveryConfig, dims, profile, pursuit: bool, x_true):
     trace = [] if x_true is not None else None
     aty = op.adjoint_values(y)
-    x = np.zeros(shape.total, dtype=np.complex128)
+    x = np.zeros(op.in_dim, dtype=np.complex128)
     prev_support = None
     iterations = 0
     for i in range(1, cfg.max_iters + 1):
@@ -121,7 +116,7 @@ def _threshold_loop(y, op, cfg: RecoveryConfig, select_shape, profile, pursuit: 
             x_temp = op.adjoint_values(y - op.forward(x))
             x_temp[prev_support] += x[prev_support]
             x[prev_support] = 0.0
-        support = hi_threshold(MultiLevelVector(select_shape, x_temp), profile)
+        support = hi_threshold(x_temp.reshape(dims), profile)
         x[support] = _restricted_lstsq(aty, op, support) if pursuit else x_temp[support]
         if trace is not None:
             trace.append(float(np.linalg.norm(x - x_true)))
@@ -130,7 +125,7 @@ def _threshold_loop(y, op, cfg: RecoveryConfig, select_shape, profile, pursuit: 
         prev_support = support
     residual = float(np.linalg.norm(y - op.forward(x)))
     return RecoveryResult(
-        x_hat=MultiLevelVector(shape, x),
+        x_hat=x,
         support=support,
         iterations=iterations,
         residual_norm=residual,
@@ -143,7 +138,6 @@ def _omp(y, op, cfg: RecoveryConfig, x_true):
 
     The picked columns are kept only to form the residual.
     """
-    shape = op.shape_in
     aty = op.adjoint_values(y)
     selected: list[int] = []
     cols = np.empty((op.out_dim, 0), dtype=np.complex128)
@@ -152,7 +146,7 @@ def _omp(y, op, cfg: RecoveryConfig, x_true):
     trace = [] if x_true is not None else None
     ynorm = float(np.linalg.norm(y))
     iterations = 0
-    for _ in range(cfg.sparsity(shape)):
+    for _ in range(cfg.sparsity(op.shape_in)):
         if float(np.linalg.norm(r)) <= LS_TOLERANCE * max(1.0, ynorm):
             break
         iterations += 1
@@ -163,16 +157,16 @@ def _omp(y, op, cfg: RecoveryConfig, x_true):
         beta = _restricted_lstsq(aty, op, selected)
         r = y - cols @ beta
         if trace is not None:
-            x = np.zeros(shape.total, dtype=np.complex128)
+            x = np.zeros(op.in_dim, dtype=np.complex128)
             x[selected] = beta
             trace.append(float(np.linalg.norm(x - x_true)))
-    x = np.zeros(shape.total, dtype=np.complex128)
+    x = np.zeros(op.in_dim, dtype=np.complex128)
     if selected:
         x[selected] = beta
     support = np.sort(np.asarray(selected, dtype=np.int64))
     support = support[np.abs(x[support]) > 0.0]
     return RecoveryResult(
-        x_hat=MultiLevelVector(shape, x),
+        x_hat=x,
         support=support,
         iterations=iterations,
         residual_norm=float(np.linalg.norm(r)),
@@ -194,12 +188,11 @@ def solve(y, op, cfg: RecoveryConfig, x_true=None) -> RecoveryResult:
     if cfg.algorithm == "OMP":
         return _omp(y, op, cfg, x_true)
     if cfg.algorithm in HI_ALGORITHMS:
-        select_shape, profile = op.shape_in, cfg.profile.clip(op.shape_in)
+        dims, profile = op.shape_in.dims, cfg.profile.clip(op.shape_in)
     else:
-        select_shape = BlockShape((op.in_dim,))
-        profile = SparsityProfile((cfg.sparsity(op.shape_in),))
+        dims, profile = (op.in_dim,), SparsityProfile((cfg.sparsity(op.shape_in),))
     pursuit = cfg.algorithm in LS_ALGORITHMS
-    return _threshold_loop(y, op, cfg, select_shape, profile, pursuit, x_true)
+    return _threshold_loop(y, op, cfg, dims, profile, pursuit, x_true)
 
 
 @dataclass(frozen=True)

@@ -351,7 +351,7 @@ def run_trial(config: ExperimentConfig, condition: Condition, Np: int, trial_ind
         # of the stacked delay-angular vectors. Both vanish off the union of
         # the estimate's support and the true one, so only that union is summed.
         union = np.union1d(result.support, idx)
-        err = result.x_hat.values[union]
+        err = result.x_hat[union]
         err[np.searchsorted(union, idx)] -= gains
         return float(np.linalg.norm(err) ** 2)
 
@@ -362,7 +362,7 @@ def run_trial(config: ExperimentConfig, condition: Condition, Np: int, trial_ind
     Y = observed_matrix(transfers, design, rng, config.snr_db)
     y = vectorize(Y, condition.option)
     result = solve(y, op, cfg)
-    estimates = split_estimate(result.x_hat.values, condition.option, sys_cfg.U, sys_cfg.D, sys_cfg.M)
+    estimates = split_estimate(result.x_hat, condition.option, sys_cfg.U, sys_cfg.D, sys_cfg.M)
     err = 0.0
     for u in range(sys_cfg.U):
         H_hat = transfer_from_delay_angular(estimates[u], sys_cfg.N, sys_cfg.M)

@@ -8,7 +8,6 @@ import pytest
 from hisparse import (
     BlockShape,
     DimensionError,
-    MultiLevelVector,
     SparsityProfile,
     hi_threshold,
     is_hi_sparse,
@@ -56,22 +55,25 @@ def test_shape_and_profile_validation():
     with pytest.raises(DimensionError):
         SparsityProfile(())
     with pytest.raises(DimensionError):
-        SparsityProfile((3,)).check_compatible(BlockShape((2,)))
+        SparsityProfile((3,)).check_compatible((2,))
     with pytest.raises(DimensionError):
-        SparsityProfile((1, 1)).check_compatible(BlockShape((4,)))
+        SparsityProfile((1, 1)).check_compatible((4,))
+    # A flat vector not reshaped to its block dims has too few levels.
+    flat = np.zeros(30, dtype=complex)
     with pytest.raises(DimensionError):
-        MultiLevelVector(BlockShape((4,)), np.zeros(5, dtype=complex))
+        hi_threshold(flat, SparsityProfile((1, 2, 2)))
+    with pytest.raises(DimensionError):
+        is_hi_sparse(flat, SparsityProfile((1, 2, 2)))
 
 
 def test_reference_vector_hierarchical_support(reference_vector):
-    x = MultiLevelVector(BlockShape((2, 3, 5)), reference_vector)
+    x = reference_vector.reshape(2, 3, 5)
     support = hi_threshold(x, SparsityProfile((1, 2, 2)))
     assert set(support.tolist()) == REFERENCE_HIER_SUPPORT
 
 
 def test_reference_vector_flat_support(reference_vector):
-    x = MultiLevelVector(BlockShape((30,)), reference_vector)
-    support = hi_threshold(x, SparsityProfile((4,)))
+    support = hi_threshold(reference_vector, SparsityProfile((4,)))
     assert set(support.tolist()) == REFERENCE_FLAT_SUPPORT
 
 
@@ -88,8 +90,7 @@ def test_threshold_is_optimal_vs_bruteforce(dims, s):
     shape, profile = BlockShape(dims), SparsityProfile(s)
     for _ in range(25):
         values = rng.standard_normal(shape.total) + 1j * rng.standard_normal(shape.total)
-        x = MultiLevelVector(shape, values)
-        proj = project(values, hi_threshold(x, profile))
+        proj = project(values, hi_threshold(values.reshape(dims), profile))
         residual = float(np.linalg.norm(values - proj))
         assert residual <= best_residual_bruteforce(values, dims, s) + 1e-12
 
@@ -98,52 +99,48 @@ def test_threshold_idempotent():
     rng = np.random.default_rng(7)
     shape, profile = BlockShape((3, 4, 2)), SparsityProfile((2, 2, 1))
     for _ in range(10):
-        x = MultiLevelVector(shape, rng.standard_normal(24) + 1j * rng.standard_normal(24))
-        first = project(x.values, hi_threshold(x, profile))
-        second = project(first, hi_threshold(MultiLevelVector(shape, first), profile))
+        values = rng.standard_normal(24) + 1j * rng.standard_normal(24)
+        first = project(values, hi_threshold(values.reshape(shape.dims), profile))
+        second = project(first, hi_threshold(first.reshape(shape.dims), profile))
         np.testing.assert_array_equal(first, second)
 
 
 def test_single_level_reduces_to_top_k():
     rng = np.random.default_rng(11)
     values = rng.standard_normal(40) + 1j * rng.standard_normal(40)
-    x = MultiLevelVector(BlockShape((40,)), values)
-    support = hi_threshold(x, SparsityProfile((6,)))
+    support = hi_threshold(values, SparsityProfile((6,)))
     expected = set(np.argsort(np.abs(values))[-6:])
     assert set(support.tolist()) == expected
     # Flat best-k semantics: equal moduli go to the lowest index, and with
     # k >= n every nonzero is kept while exact zeros are dropped.
     tied = np.array([1, -1, 1j, 2, -1j, 0.5, 1], dtype=complex)
     for k, expected in ((3, [0, 1, 3]), (4, [0, 1, 2, 3])):
-        support = hi_threshold(MultiLevelVector(BlockShape((7,)), tied), SparsityProfile((k,)))
+        support = hi_threshold(tied, SparsityProfile((k,)))
         np.testing.assert_array_equal(support, expected)
     sparse = np.array([0, 1, 0, 2j, 0.5, 0], dtype=complex)
-    support = hi_threshold(MultiLevelVector(BlockShape((6,)), sparse), SparsityProfile((6,)))
+    support = hi_threshold(sparse, SparsityProfile((6,)))
     np.testing.assert_array_equal(support, [1, 3, 4])
 
 
 def test_threshold_zero_vector():
-    shape = BlockShape((2, 3, 5))
-    x = MultiLevelVector(shape, np.zeros(shape.total))
-    support = hi_threshold(x, SparsityProfile((1, 2, 2)))
+    support = hi_threshold(np.zeros((2, 3, 5), dtype=complex), SparsityProfile((1, 2, 2)))
     assert len(support) == 0
 
 
 def test_threshold_ties_go_to_lowest_index():
     values = np.array([1.0, 1.0, 1.0, 1.0], dtype=complex)
-    x = MultiLevelVector(BlockShape((2, 2)), values)
-    support = hi_threshold(x, SparsityProfile((1, 1)))
+    support = hi_threshold(values.reshape(2, 2), SparsityProfile((1, 1)))
     assert support.tolist() == [0]
 
 
 def test_threshold_profile_mismatch():
-    x = MultiLevelVector(BlockShape((2, 3)), np.zeros(6))
+    x = np.zeros((2, 3), dtype=complex)
     with pytest.raises(DimensionError):
         hi_threshold(x, SparsityProfile((1, 2, 2)))
 
 
 def test_reference_projection_matches_bruteforce(reference_vector):
-    x = MultiLevelVector(BlockShape((2, 3, 5)), reference_vector)
+    x = reference_vector.reshape(2, 3, 5)
     proj = project(reference_vector, hi_threshold(x, SparsityProfile((1, 2, 2))))
     residual = float(np.linalg.norm(reference_vector - proj))
     best = best_residual_bruteforce(reference_vector, (2, 3, 5), (1, 2, 2))
@@ -151,20 +148,20 @@ def test_reference_projection_matches_bruteforce(reference_vector):
 
 
 def test_is_hi_sparse_cases():
-    shape = BlockShape((2, 3, 5))
+    dims = (2, 3, 5)
     profile = SparsityProfile((1, 2, 2))
-    assert is_hi_sparse(MultiLevelVector(shape, np.zeros(shape.total)), profile)
+    assert is_hi_sparse(np.zeros(dims, dtype=complex), profile)
 
     rng = np.random.default_rng(3)
-    x = MultiLevelVector(shape, rng.standard_normal(30) + 0j)
-    projected = project(x.values, hi_threshold(x, profile))
-    assert is_hi_sparse(MultiLevelVector(shape, projected), profile)
+    values = rng.standard_normal(30) + 0j
+    projected = project(values, hi_threshold(values.reshape(dims), profile))
+    assert is_hi_sparse(projected.reshape(dims), profile)
 
     # Two populated outer blocks violate s1 = 1.
     bad = np.zeros(30, dtype=complex)
     bad[0] = 1.0
     bad[15] = 1.0
-    assert not is_hi_sparse(MultiLevelVector(shape, bad), profile)
+    assert not is_hi_sparse(bad.reshape(dims), profile)
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -179,16 +176,15 @@ def test_threshold_properties_on_random_layouts(data):
     parts = st.lists(part, min_size=2 * n, max_size=2 * n)
     raw = np.asarray(data.draw(parts, label="values"), dtype=float)
     values = raw[:n] + 1j * raw[n:]
-    x = MultiLevelVector(BlockShape(dims), values)
     profile = SparsityProfile(s)
 
-    support = hi_threshold(x, profile)
+    support = hi_threshold(values.reshape(dims), profile)
     assert support.dtype == np.int64
     assert np.all(np.diff(support) > 0)
     assert support.size == 0 or (support[0] >= 0 and support[-1] < n)
     proj = project(values, support)
     np.testing.assert_array_equal(np.flatnonzero(proj), support)
-    assert is_hi_sparse(MultiLevelVector(BlockShape(dims), proj), profile)
+    assert is_hi_sparse(proj.reshape(dims), profile)
     residual = float(np.linalg.norm(values - proj))
     assert residual == pytest.approx(best_residual_bruteforce(values, dims, s), abs=1e-12)
 

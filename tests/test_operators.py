@@ -10,7 +10,6 @@ from hisparse import (
     DenseOperator,
     DimensionError,
     KroneckerSensingOperator,
-    MultiLevelVector,
     dft_matrix,
     make_design,
     tau_factor,
@@ -102,8 +101,8 @@ def test_adjoint_identity_hundred_pairs_per_config():
 
 def test_adjoint_values_fill_the_input_layout():
     op = KroneckerSensingOperator(make_design(16, 4, 4, 2, 8, 3, seed=1), "SF")
-    out = MultiLevelVector(op.shape_in, op.adjoint_values(np.ones(op.out_dim, dtype=complex)))
-    assert out.shape.dims == (2, 4, 4)
+    out = op.adjoint_values(np.ones(op.out_dim, dtype=complex)).reshape(op.shape_in.dims)
+    assert out.shape == (2, 4, 4)
 
 
 def test_unit_column_norms():
@@ -162,9 +161,6 @@ def test_dimension_errors():
         op.forward(np.zeros(op.in_dim + 1, dtype=complex))
     with pytest.raises(DimensionError):
         op.adjoint_values(np.zeros(op.out_dim - 1, dtype=complex))
-    wrong = MultiLevelVector(BlockShape((2, 4, 4)), np.zeros(32))
-    with pytest.raises(DimensionError):
-        op.forward(wrong)  # SF layout fed to an FS operator
 
 
 def test_theta_factor_shape():

@@ -8,7 +8,6 @@ from hisparse import (
     DenseOperator,
     GuaranteeVoidError,
     KroneckerSensingOperator,
-    MultiLevelVector,
     RecoveryConfig,
     SparsityProfile,
     contraction_constants,
@@ -40,7 +39,7 @@ def test_hi_iht_single_path_exact():
     op, x, y = single_path_setup()
     cfg = RecoveryConfig(algorithm="HiIHT", profile=SparsityProfile((1, 1, 1)))
     res = solve(y, op, cfg)
-    np.testing.assert_allclose(res.x_hat.values, x, atol=1e-12)
+    np.testing.assert_allclose(res.x_hat, x, atol=1e-12)
     np.testing.assert_array_equal(res.support, [7])
     assert res.iterations <= 2
 
@@ -49,14 +48,14 @@ def test_hi_htp_single_path_exact():
     op, x, y = single_path_setup()
     cfg = RecoveryConfig(algorithm="HiHTP", profile=SparsityProfile((1, 1, 1)))
     res = solve(y, op, cfg)
-    np.testing.assert_allclose(res.x_hat.values, x, atol=1e-12)
+    np.testing.assert_allclose(res.x_hat, x, atol=1e-12)
     assert res.residual_norm <= 1e-12
 
 
 def test_omp_single_path_exact():
     op, x, y = single_path_setup()
     res = solve(y, op, RecoveryConfig(algorithm="OMP", flat_k=1))
-    np.testing.assert_allclose(res.x_hat.values, x, atol=1e-12)
+    np.testing.assert_allclose(res.x_hat, x, atol=1e-12)
     assert res.iterations == 1
 
 
@@ -70,9 +69,9 @@ def test_zero_measurement_gives_zero_estimate():
         RecoveryConfig(algorithm="HTP", flat_k=4),
     ):
         res = solve(y, op, cfg)
-        assert not res.x_hat.values.any()
+        assert not res.x_hat.any()
     res = solve(y, op, RecoveryConfig(algorithm="OMP", flat_k=3))
-    assert not res.x_hat.values.any()
+    assert not res.x_hat.any()
     assert res.support.size == 0
 
 
@@ -86,7 +85,7 @@ def test_restricted_ls_matches_pinv_oracle():
     res = solve(y, op, cfg)
     S = res.support
     oracle = np.linalg.pinv(A[:, S]) @ y
-    np.testing.assert_allclose(res.x_hat.values[S], oracle, atol=1e-8)
+    np.testing.assert_allclose(res.x_hat[S], oracle, atol=1e-8)
 
 
 @pytest.mark.parametrize("option", ["FS", "SF"])
@@ -125,16 +124,16 @@ def test_single_pass_thresholds_the_adjoint(algorithm, option):
     res = solve(y, op, RecoveryConfig(algorithm=algorithm, profile=profile, max_iters=1))
 
     aty = op.adjoint_values(y)
-    support = hi_threshold(MultiLevelVector(op.shape_in, aty), profile)
+    support = hi_threshold(aty.reshape(op.shape_in.dims), profile)
     expected = np.zeros(op.in_dim, dtype=complex)
     assert res.iterations == 1
     np.testing.assert_array_equal(res.support, support)
     if algorithm == "HiIHT":
         expected[support] = aty[support]
-        np.testing.assert_array_equal(res.x_hat.values, expected)
+        np.testing.assert_array_equal(res.x_hat, expected)
     else:
         expected[support] = np.linalg.lstsq(op.columns(support), y, rcond=None)[0]
-        np.testing.assert_allclose(res.x_hat.values, expected, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(res.x_hat, expected, rtol=0, atol=1e-12)
     assert res.residual_norm == pytest.approx(np.linalg.norm(y - op.forward(expected)), rel=1e-12)
 
 
@@ -145,7 +144,7 @@ def textbook_threshold_loop(y, op, select_shape, profile, pursuit, max_iters):
     prev = None
     for i in range(1, max_iters + 1):
         x_temp = x + op.adjoint_values(y - op.forward(x))
-        support = hi_threshold(MultiLevelVector(select_shape, x_temp), profile)
+        support = hi_threshold(x_temp.reshape(select_shape.dims), profile)
         x = np.zeros(op.in_dim, dtype=complex)
         x[support] = _restricted_lstsq(aty, op, support) if pursuit else x_temp[support]
         if prev is not None and np.array_equal(support, prev):
@@ -178,7 +177,7 @@ def test_in_place_loop_matches_textbook_loop(algorithm, option):
                 y, op, select_shape, select_profile, algorithm in ("HiHTP", "HTP"), max_iters)
             np.testing.assert_array_equal(res.support, support)
             assert res.iterations == iterations
-            assert res.x_hat.values.tobytes() == x_ref.tobytes()
+            assert res.x_hat.tobytes() == x_ref.tobytes()
             capped += iterations == max_iters
     assert capped > 0
 
@@ -196,7 +195,7 @@ def test_estimate_vanishes_off_support(algorithm, option):
         y = rng.standard_normal(op.out_dim) + 1j * rng.standard_normal(op.out_dim)
         res = solve(y, op, cfg)
         assert res.support.size > 0
-        assert not np.delete(res.x_hat.values, res.support).any()
+        assert not np.delete(res.x_hat, res.support).any()
 
 
 def test_htp_consistent_system_zero_residual():
@@ -220,7 +219,7 @@ def test_flat_solvers_reduce_to_hierarchical_on_one_level():
     hi = solve(y, op, RecoveryConfig(algorithm="HiIHT", profile=SparsityProfile((4,))))
     flat = solve(y, op, RecoveryConfig(algorithm="IHT", flat_k=4))
     np.testing.assert_array_equal(hi.support, flat.support)
-    np.testing.assert_allclose(hi.x_hat.values, flat.x_hat.values, atol=1e-14)
+    np.testing.assert_allclose(hi.x_hat, flat.x_hat, atol=1e-14)
 
 
 def test_results_are_deterministic():
@@ -232,7 +231,7 @@ def test_results_are_deterministic():
     a, b = solve(y, op, cfg), solve(y, op, cfg)
     np.testing.assert_array_equal(a.support, b.support)
     assert a.iterations == b.iterations
-    assert np.array_equal(a.x_hat.values, b.x_hat.values)
+    assert np.array_equal(a.x_hat, b.x_hat)
 
 
 def test_outputs_are_hierarchically_sparse():
@@ -244,7 +243,7 @@ def test_outputs_are_hierarchically_sparse():
         y = rng.standard_normal(op.out_dim) + 1j * rng.standard_normal(op.out_dim)
         for alg in ("HiIHT", "HiHTP"):
             res = solve(y, op, RecoveryConfig(algorithm=alg, profile=profile))
-            assert is_hi_sparse(res.x_hat, profile)
+            assert is_hi_sparse(res.x_hat.reshape(op.shape_in.dims), profile)
 
 
 def test_htp_residual_non_increasing_on_repeated_support():

@@ -254,7 +254,7 @@ def test_ongrid_score_matches_dense_oracle(monkeypatch, algorithm, option):
     for t in range(6):
         mse = run_trial(config, cond, 6, t)
         x_true = stack_delay_angular(seen["gen_ongrid"], option)
-        dense = float(np.linalg.norm(seen["solve"].x_hat.values - x_true) ** 2)
+        dense = float(np.linalg.norm(seen["solve"].x_hat - x_true) ** 2)
         assert mse == pytest.approx(dense, rel=1e-12, abs=0.0)
 
 
