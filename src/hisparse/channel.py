@@ -111,6 +111,20 @@ def _constrained_pairs(outer_n, inner_n, L, K_outer_per_ue, rng, shared_counts, 
     return pairs
 
 
+def ongrid_draw_can_fail(M: int, D: int, V: int, L: int, K_V: int, K_L: int, option) -> bool:
+    """True when some ``gen_ongrid`` draw runs out of grid points; all counts >= 1.
+
+    SF: a UE's L paths fit on D delays of min(K_L, M) paths each. FS: a UE
+    needs floor((L-1)/min(K_L, D)) + 1 angles. The V-1 UEs drawn before it
+    use at most min(L, M) angles each, so once V-1 >= K_V they can bring up
+    to floor((V-1)*min(L, M)/K_V) angles to their limit of K_V UEs.
+    """
+    if as_option(option) is VectorizationOption.SF:
+        return L > D * min(K_L, M)
+    full = (V - 1) * min(L, M) // K_V if V - 1 >= K_V else 0
+    return (L - 1) // min(K_L, D) + full >= M
+
+
 def gen_ongrid(params: ChannelParams, rng: np.random.Generator, option="FS") -> ChannelRealization:
     """Random on-grid realization respecting the option's hierarchy.
 
@@ -188,10 +202,9 @@ def superpose_transfer(paths, N: int, M: int) -> np.ndarray:
     return H
 
 
-def synthesize_transfer(realization: ChannelRealization, N=None, M=None, D=None) -> list[np.ndarray]:
+def synthesize_transfer(realization: ChannelRealization) -> list[np.ndarray]:
     """Per-UE transfer matrices of an on-grid realization via FFT synthesis."""
-    p = realization.params
-    N, M, D = N or p.N, M or p.M, D or p.D
+    N, M, D = realization.params.N, realization.params.M, realization.params.D
     if not realization.on_grid:
         raise ValueError("realization is off-grid; use superpose_transfer")
     out = []

@@ -9,21 +9,21 @@ followed by hi_threshold on x_temp reshaped to its block dims (a view, no
 copy). A^H y is computed once per solve; the first pass starts from x = 0,
 so its x_temp is A^H y itself. The iterate x is one buffer per solve,
 updated in place: a later pass adds x to the fresh A^H (y - A x) on x's
-support only, zeroes that support in x and writes the new one. x is zero off its support and IEEE addition commutes, so x_temp is
-the textbook sum bit for bit, apart from the sign of a zero component off
-that support (0.0 + -0.0 is +0.0). HiIHT/HiHTP
-select under the unknown's hierarchical profile; the flat IHT/HTP are the
-one-level case (a single block of length U*D*M with sparsity
-k = cfg.sparsity()). The IHT variants keep x_temp on the selected support,
-the HTP variants refit it by least squares on S. Iteration stops when the selected support repeats or after
-max_iters passes. OMP grows its support one correlation pick at a time, k
-picks at most, with the same least-squares refit. Every refit solves the
-|S| x |S| normal equations (A^H A)[S, S] beta = (A^H y)[S] from the
-operator's restricted Gram ``op.gram(S)`` and that A^H y, by
-``lstsq`` so a rank-deficient support still gets the minimum-norm solution.
-Supports are sorted int64 arrays of flat indices, and the estimate
-``RecoveryResult.x_hat`` is the flat vector of length op.in_dim in layout
-op.shape_in.
+support only, zeroes that support in x and writes the new one. x is zero off
+its support and IEEE addition commutes, so x_temp is the textbook sum bit
+for bit, apart from the sign of a zero component off that support
+(0.0 + -0.0 is +0.0). HiIHT/HiHTP select under the unknown's hierarchical
+profile; the flat IHT/HTP are the one-level case (a single block of length
+U*D*M with sparsity k = cfg.sparsity()). The IHT variants keep x_temp on the
+selected support, the HTP variants refit it by least squares on S. Iteration
+stops when the selected support repeats or after max_iters passes. OMP grows
+its support one correlation pick at a time, k picks at most, with the same
+least-squares refit. Every refit solves the |S| x |S| normal equations
+(A^H A)[S, S] beta = (A^H y)[S] from the operator's restricted Gram
+``op.gram(S)`` and that A^H y, by ``lstsq`` so a rank-deficient support
+still gets the minimum-norm solution. Supports are sorted int64 arrays of
+flat indices, and the estimate ``RecoveryResult.x_hat`` is the flat vector
+of length op.in_dim in layout op.shape_in.
 """
 
 from __future__ import annotations

@@ -30,6 +30,7 @@ from .channel import (
     gen_offgrid,
     gen_ongrid,
     grid_indices,
+    ongrid_draw_can_fail,
     superpose_transfer,
     transfer_from_delay_angular,
 )
@@ -70,6 +71,10 @@ CSV_HEADER = ("sweep_value", "algorithm", "mse_mean", "mse_stderr", "trials", "s
 
 def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return _is_integer(value) or isinstance(value, (float, np.floating))
 
 
 @dataclass
@@ -149,9 +154,15 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        for name, value in (("snr_db", self.snr_db), ("system.alpha", self.system.alpha)):
+            if not _is_real(value):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+        if self.algorithms is not None and not self.algorithms:
+            raise ValueError("algorithms must be a non-empty list when given")
         if not (-300.0 <= self.snr_db <= 300.0 or self.snr_db == math.inf):
             raise ValueError(f"snr_db = {self.snr_db} outside [-300, 300] (Infinity: no noise)")
         N, M, D, U = self.system.N, self.system.M, self.system.D, self.system.U
+        K_V, K_L = self.channel.K_V, self.channel.K_L
         if U * D > N:
             raise ValueError(f"U*D = {U * D} exceeds N = {N}")
         Mp = self.antenna_count()
@@ -183,6 +194,15 @@ class ExperimentConfig:
                         f"{cond.label}: least-squares support of up to {size} columns "
                         f"exceeds Np*Mp = {Np * Mp} at Np = {Np}"
                     )
+            if not 1 <= cond.L <= D * M:
+                raise ValueError(
+                    f"{cond.label}: path count L = {cond.L} outside [1, D*M = {D * M}]"
+                )
+            if cond.on_grid and ongrid_draw_can_fail(M, D, cond.V, cond.L, K_V, K_L, cond.option):
+                raise ValueError(
+                    f"{cond.label}: the on-grid draw of L = {cond.L} paths can run out of grid "
+                    f"points (M = {M}, D = {D}, V = {cond.V}, K_V = {K_V}, K_L = {K_L})"
+                )
 
     def to_json(self) -> str:
         doc = asdict(self)

@@ -20,7 +20,7 @@ from .channel import (
     superpose_transfer,
 )
 from .design import make_design
-from .operators import KroneckerSensingOperator, dft_matrix, tau_factor
+from .operators import KroneckerSensingOperator, tau_factor
 from .recovery import contraction_constants, min_overhead
 from .ripcheck import extension_rip_check, hirip_constant, kron_hirip_bound, rip_constant
 
@@ -74,11 +74,10 @@ def suite_operators(trials: int = 50, seed: int = 0) -> bool:
         idx = pick.integers(0, op.in_dim, size=8)
         gram_ref = A[:, idx].conj().T @ A[:, idx]
         worst_gram = max(worst_gram, float(np.max(np.abs(op.gram(idx) - gram_ref))))
-        # Row-sampled structure of the delay factor.
-        At = tau_factor(design)
-        F = dft_matrix(design.N, design.U * design.D)
-        ref = (design.base_sequence[:, None] * F)[design.subcarriers] / math.sqrt(design.Np)
-        worst_row = max(worst_row, float(np.max(np.abs(At - ref))))
+        # The delay-factor phase table that forward and columns read, against
+        # the dense row-sampled factor.
+        table = op._delay_columns(np.arange(design.U * design.D)) / math.sqrt(design.Np)
+        worst_row = max(worst_row, float(np.max(np.abs(table - tau_factor(design)))))
     ok &= _report("fast forward matches dense", worst_fwd <= 1e-10, f"max rel err {worst_fwd:.2e}")
     ok &= _report("sparse forward matches dense", worst_sparse <= 1e-10,
                   f"max rel err {worst_sparse:.2e}")

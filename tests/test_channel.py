@@ -1,6 +1,8 @@
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
+from hisparse.channel import ongrid_draw_can_fail
 from hisparse import (
     ChannelParams,
     ChannelPath,
@@ -72,6 +74,35 @@ def test_unsatisfiable_constraints():
     params = ChannelParams(N=16, M=2, D=4, U=1, V=1, L=3)  # 3 distinct angles from 2
     with pytest.raises(ValueError):
         gen_ongrid(params, rng, "FS")
+
+
+def _draw_fails(params, option, seeds) -> bool:
+    for seed in seeds:
+        try:
+            gen_ongrid(params, np.random.default_rng(seed), option)
+        except ValueError:
+            return True
+    return False
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.data())
+def test_ongrid_draw_can_fail_matches_draws(data):
+    M = data.draw(st.integers(1, 4), label="M")
+    D = data.draw(st.integers(1, 3), label="D")
+    U = data.draw(st.integers(1, 3), label="U")
+    V = data.draw(st.integers(1, U), label="V")
+    L = data.draw(st.integers(1, min(7, D * M)), label="L")
+    K_V = data.draw(st.integers(1, 3), label="K_V")
+    K_L = data.draw(st.integers(1, 3), label="K_L")
+    option = data.draw(st.sampled_from(["FS", "SF"]), label="option")
+    params = ChannelParams(N=16, M=M, D=D, U=U, V=V, L=L, K_V=K_V, K_L=K_L)
+    if not ongrid_draw_can_fail(M, D, V, L, K_V, K_L, option):
+        assert not _draw_fails(params, option, range(5))
+    elif K_V == K_L == 1:
+        # Every path takes its own angle (FS, not shared between UEs) or its
+        # own delay (SF), so every draw fails.
+        assert _draw_fails(params, option, [0])
 
 
 def test_single_path_transfer_closed_form():

@@ -133,9 +133,23 @@ def test_plot_unreadable_csv_exits_one(tmp_path, capsys):
     ({"scenario": "omp-compare", "Mp": 8.5}, "Mp must be an integer, got 8.5"),
     ({"trials": True}, "trials must be an integer, got True"),
     ({"system": {"U": 4}, "algorithms": ["FOO"]}, "FOO: unknown algorithm 'FOO'"),
+    ({"channel": {"L": 65}}, "HiIHT: the on-grid draw of L = 65 paths can run out of grid points"),
+    ({"scenario": "multiuser-sweep", "system": {"U": 4}, "v_values": [4], "channel": {"L": 20}},
+     "HiIHT:V=4: the on-grid draw of L = 20 paths can run out of grid points"),
+    ({"scenario": "sf-vs-fs", "system": {"U": 4}, "channel": {"L": 70}},
+     "HiIHT-FS:V=1: the on-grid draw of L = 70 paths can run out of grid points"),
+    ({"scenario": "mismatched-L", "Np": 8, "channel": {"L": 0}},
+     "HiIHT: path count L = 0 outside [1, D*M = 2048]"),
+    ({"snr_db": True}, "snr_db must be a number, got True"),
+    ({"system": {"alpha": "x"}}, "system.alpha must be a number, got 'x'"),
+    ({"scenario": "offgrid-sweep", "system": {"alpha": "x"}},
+     "system.alpha must be a number, got 'x'"),
+    ({"algorithms": []}, "algorithms must be a non-empty list when given"),
 ], ids=["negative-seed", "fractional-seed", "nan-snr", "negative-alpha", "fractional-trials",
         "fractional-sweep", "fractional-v", "fractional-l", "fractional-mp", "boolean-trials",
-        "unknown-algorithm"])
+        "unknown-algorithm", "ongrid-l-exceeds-angles", "ongrid-users-exceed-angles",
+        "ongrid-sf-vs-fs", "zero-path-count", "boolean-snr", "string-alpha",
+        "string-alpha-offgrid", "empty-algorithms"])
 def test_run_config_out_of_model_exits_one_before_any_trial(tmp_path, capsys, bad, message):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({"scenario": "single-user-sweep", "sweep": [8],
