@@ -12,13 +12,16 @@ updated in place: a later pass adds x to the fresh A^H (y - A x) on x's
 support only, zeroes that support in x and writes the new one. x is zero off
 its support and IEEE addition commutes, so x_temp is the textbook sum bit
 for bit, apart from the sign of a zero component off that support
-(0.0 + -0.0 is +0.0). HiIHT/HiHTP select under the unknown's hierarchical
-profile; the flat IHT/HTP are the one-level case (a single block of length
-U*D*M with sparsity k = cfg.sparsity()). The IHT variants keep x_temp on the
-selected support, the HTP variants refit it by least squares on S. Iteration
-stops when the selected support repeats or after max_iters passes. OMP grows
-its support one correlation pick at a time, k picks at most, with the same
-least-squares refit. Every refit solves the |S| x |S| normal equations
+(0.0 + -0.0 is +0.0). Every solver takes one hierarchical profile,
+cfg.profile, clipped to the unknown's layout. HiIHT/HiHTP select under it;
+the flat IHT/HTP are the one-level case (a single block of length U*D*M with
+sparsity k = the clipped profile's size, its max_support). The IHT variants
+keep x_temp on the selected support, the HTP variants refit it by least
+squares on S. Iteration stops when the selected support repeats or after
+max_iters passes; a run capped at max_iters = i replays the first i passes of
+a longer one, so capped reruns expose the iterates. OMP grows its support one
+correlation pick at a time, k picks at most, with the same least-squares
+refit. Every refit solves the |S| x |S| normal equations
 (A^H A)[S, S] beta = (A^H y)[S] from the operator's restricted Gram
 ``op.gram(S)`` and that A^H y, by ``lstsq`` so a rank-deficient support
 still gets the minimum-norm solution. Supports are sorted int64 arrays of
@@ -33,7 +36,7 @@ import math
 
 import numpy as np
 
-from .blocks import BlockShape, DimensionError, SparsityProfile, hi_threshold
+from .blocks import DimensionError, SparsityProfile, hi_threshold
 from .operators import VectorizationOption, as_option
 
 HI_ALGORITHMS = ("HiIHT", "HiHTP")
@@ -52,25 +55,14 @@ class RecoveryConfig:
     algorithm: str = "HiIHT"
     profile: SparsityProfile | None = None
     max_iters: int = 10
-    flat_k: int | None = None
 
     def __post_init__(self):
         if self.algorithm not in HI_ALGORITHMS + FLAT_ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.flat_k is not None and self.flat_k < 1:
-            raise ValueError("flat_k must be >= 1")
-        if self.algorithm in HI_ALGORITHMS and self.profile is None:
+        if self.profile is None:
             raise ValueError(f"{self.algorithm} needs a profile")
-        if self.profile is None and self.flat_k is None:
-            raise ValueError(f"{self.algorithm} needs a profile or flat_k")
-
-    def sparsity(self, shape: BlockShape) -> int:
-        """Flat selection size: explicit flat_k, else the profile product."""
-        if self.flat_k is not None:
-            return min(self.flat_k, shape.total)
-        return min(self.profile.clip(shape).max_support, shape.total)
 
 
 @dataclass
@@ -79,7 +71,6 @@ class RecoveryResult:
     support: np.ndarray
     iterations: int
     residual_norm: float
-    error_trace: list[float] | None = None
 
 
 def _check_measurement(y, op) -> np.ndarray:
@@ -101,13 +92,12 @@ def _restricted_lstsq(aty, op, support: np.ndarray) -> np.ndarray:
     return beta
 
 
-def _threshold_loop(y, op, cfg: RecoveryConfig, dims, profile, pursuit: bool, x_true):
-    trace = [] if x_true is not None else None
+def _threshold_loop(y, op, max_iters: int, dims, profile, pursuit: bool):
     aty = op.adjoint_values(y)
     x = np.zeros(op.in_dim, dtype=np.complex128)
     prev_support = None
     iterations = 0
-    for i in range(1, cfg.max_iters + 1):
+    for i in range(1, max_iters + 1):
         iterations = i
         if prev_support is None:
             x_temp = aty
@@ -118,8 +108,6 @@ def _threshold_loop(y, op, cfg: RecoveryConfig, dims, profile, pursuit: bool, x_
             x[prev_support] = 0.0
         support = hi_threshold(x_temp.reshape(dims), profile)
         x[support] = _restricted_lstsq(aty, op, support) if pursuit else x_temp[support]
-        if trace is not None:
-            trace.append(float(np.linalg.norm(x - x_true)))
         if prev_support is not None and np.array_equal(support, prev_support):
             break
         prev_support = support
@@ -129,11 +117,10 @@ def _threshold_loop(y, op, cfg: RecoveryConfig, dims, profile, pursuit: bool, x_
         support=support,
         iterations=iterations,
         residual_norm=residual,
-        error_trace=trace,
     )
 
 
-def _omp(y, op, cfg: RecoveryConfig, x_true):
+def _omp(y, op, k: int):
     """Orthogonal matching pursuit: k greedy correlation picks with LS refits.
 
     The picked columns are kept only to form the residual.
@@ -143,10 +130,9 @@ def _omp(y, op, cfg: RecoveryConfig, x_true):
     cols = np.empty((op.out_dim, 0), dtype=np.complex128)
     beta = np.zeros(0, dtype=np.complex128)
     r = y.copy()
-    trace = [] if x_true is not None else None
     ynorm = float(np.linalg.norm(y))
     iterations = 0
-    for _ in range(cfg.sparsity(op.shape_in)):
+    for _ in range(k):
         if float(np.linalg.norm(r)) <= LS_TOLERANCE * max(1.0, ynorm):
             break
         iterations += 1
@@ -156,10 +142,6 @@ def _omp(y, op, cfg: RecoveryConfig, x_true):
         cols = np.concatenate([cols, op.columns(selected[-1:])], axis=1)
         beta = _restricted_lstsq(aty, op, selected)
         r = y - cols @ beta
-        if trace is not None:
-            x = np.zeros(op.in_dim, dtype=np.complex128)
-            x[selected] = beta
-            trace.append(float(np.linalg.norm(x - x_true)))
     x = np.zeros(op.in_dim, dtype=np.complex128)
     if selected:
         x[selected] = beta
@@ -170,29 +152,29 @@ def _omp(y, op, cfg: RecoveryConfig, x_true):
         support=support,
         iterations=iterations,
         residual_norm=float(np.linalg.norm(r)),
-        error_trace=trace,
     )
 
 
-def solve(y, op, cfg: RecoveryConfig, x_true=None) -> RecoveryResult:
+def solve(y, op, cfg: RecoveryConfig) -> RecoveryResult:
     """Recover the unknown from y with the solver named by cfg.algorithm.
 
     Args:
         y: measurement vector of length op.out_dim.
         op: forward/adjoint operator (fast or dense).
-        cfg: solver configuration. HiIHT/HiHTP select under cfg.profile
-            (clipped to op.shape_in); IHT/HTP/OMP use k = cfg.sparsity().
-        x_true: optional ground truth; records a per-iteration error trace.
+        cfg: solver configuration. cfg.profile is clipped to op.shape_in;
+            HiIHT/HiHTP select under the clipped profile, IHT/HTP select and
+            OMP picks k = its max_support entries.
     """
     y = _check_measurement(y, op)
+    profile = cfg.profile.clip(op.shape_in)
     if cfg.algorithm == "OMP":
-        return _omp(y, op, cfg, x_true)
+        return _omp(y, op, profile.max_support)
     if cfg.algorithm in HI_ALGORITHMS:
-        dims, profile = op.shape_in.dims, cfg.profile.clip(op.shape_in)
+        dims = op.shape_in.dims
     else:
-        dims, profile = (op.in_dim,), SparsityProfile((cfg.sparsity(op.shape_in),))
+        dims, profile = (op.in_dim,), SparsityProfile((profile.max_support,))
     pursuit = cfg.algorithm in LS_ALGORITHMS
-    return _threshold_loop(y, op, cfg, dims, profile, pursuit, x_true)
+    return _threshold_loop(y, op, cfg.max_iters, dims, profile, pursuit)
 
 
 @dataclass(frozen=True)

@@ -38,10 +38,6 @@ _CHUNK_ENTRIES = 2**14
 
 @dataclass(frozen=True)
 class RipReport:
-    rows: int
-    cols: int
-    sparsity: tuple[int, ...] | int
-    block_dims: tuple[int, ...] | None
     delta: float
     witness: tuple[int, ...]
     supports_checked: int
@@ -131,11 +127,10 @@ def rip_constant(A: np.ndarray, s: int, cap: int = ENUM_CAP) -> RipReport:
     The one-level case of ``hirip_constant``: one block of all columns.
     """
     A = _as_matrix(A)
-    rows, cols = A.shape
+    cols = A.shape[1]
     if not 1 <= s <= cols:
         raise ValueError(f"sparsity {s} outside [1, {cols}]")
-    delta, witness, count = _enumerate(A, BlockShape((cols,)), SparsityProfile((s,)), cap)
-    return RipReport(rows, cols, int(s), None, delta, witness, count)
+    return RipReport(*_enumerate(A, BlockShape((cols,)), SparsityProfile((s,)), cap))
 
 
 def hirip_constant(
@@ -143,9 +138,7 @@ def hirip_constant(
 ) -> RipReport:
     """Exact hierarchical restricted-isometry constant over structured supports."""
     A = _as_matrix(A)
-    s = s.clip(shape)
-    delta, witness, count = _enumerate(A, shape, s, cap)
-    return RipReport(A.shape[0], A.shape[1], s.s, shape.dims, delta, witness, count)
+    return RipReport(*_enumerate(A, shape, s.clip(shape), cap))
 
 
 def kron_hirip_bound(A1, A2, s: SparsityProfile, grouping: str, cap: int = ENUM_CAP) -> float:

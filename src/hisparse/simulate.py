@@ -237,14 +237,15 @@ class MseRecord:
     seconds: float
 
 
-def recovery_profile(option, V, L, K_V, K_L, on_grid=True, L1=None, L2=None) -> SparsityProfile:
+def recovery_profile(option, V, L, K_V, K_L, L1=None, L2=None) -> SparsityProfile:
     """Hierarchical profile of the unknown for the given vectorization.
 
-    Off-grid recovery inflates the path budget by the per-path leakage
+    With no truncation levels the channel is on-grid. Off-grid recovery (L1
+    and L2 both given) inflates the path budget by the per-path leakage
     footprint (2*L1+1 delay taps by 2*L2+1 angle bins).
     """
     fs = as_option(option) is VectorizationOption.FS
-    if on_grid:
+    if L1 is None and L2 is None:
         if fs:
             return SparsityProfile((V * L, K_V, K_L))
         return SparsityProfile((V, L, K_L))
@@ -324,9 +325,12 @@ class Condition:
     V: int = 1
     L: int = 3
     lhat: int | None = None      # assumed path count; None means L
-    on_grid: bool = True
-    L1: int | None = None
+    L1: int | None = None        # off-grid truncation levels; None for an on-grid channel
     L2: int | None = None
+
+    @property
+    def on_grid(self) -> bool:
+        return self.L1 is None
 
 
 def _profile(config: ExperimentConfig, condition: Condition) -> SparsityProfile:
@@ -335,7 +339,7 @@ def _profile(config: ExperimentConfig, condition: Condition) -> SparsityProfile:
     lhat = condition.lhat if condition.lhat is not None else condition.L
     profile = recovery_profile(
         condition.option, condition.V, lhat, chan.K_V, chan.K_L,
-        on_grid=condition.on_grid, L1=condition.L1, L2=condition.L2,
+        L1=condition.L1, L2=condition.L2,
     )
     return profile.clip(unknown_shape(condition.option, sys_cfg.M, sys_cfg.U, sys_cfg.D))
 
@@ -405,8 +409,7 @@ def naive_mse_trial(system: SystemConfig, L: int, snr_db: float, trial_index: in
 def _conditions(config: ExperimentConfig) -> list[Condition]:
     """The sweep's curves: each algorithm at each point of the scenario's axes, in order."""
     algorithms, label, axes = _SCENARIO_TABLE[config.scenario]
-    base = {"option": config.option, "V": config.channel.V, "L": config.channel.L,
-            "on_grid": config.scenario != "offgrid-sweep"}
+    base = {"option": config.option, "V": config.channel.V, "L": config.channel.L}
     grids = [(key and getattr(config, key)) or default or [base[name]]
              for name, (key, default) in axes.items()]
     if any(default is None and len(grid) == 1 for (_, default), grid in zip(axes.values(), grids)):

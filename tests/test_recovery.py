@@ -54,7 +54,7 @@ def test_hi_htp_single_path_exact():
 
 def test_omp_single_path_exact():
     op, x, y = single_path_setup()
-    res = solve(y, op, RecoveryConfig(algorithm="OMP", flat_k=1))
+    res = solve(y, op, RecoveryConfig(algorithm="OMP", profile=SparsityProfile((1, 1, 1))))
     np.testing.assert_allclose(res.x_hat, x, atol=1e-12)
     assert res.iterations == 1
 
@@ -64,13 +64,13 @@ def test_zero_measurement_gives_zero_estimate():
     y = np.zeros(op.out_dim, dtype=complex)
     for cfg in (
         RecoveryConfig(algorithm="HiIHT", profile=SparsityProfile((2, 1, 2))),
-        RecoveryConfig(algorithm="IHT", flat_k=4),
+        RecoveryConfig(algorithm="IHT", profile=SparsityProfile((2, 1, 2))),
         RecoveryConfig(algorithm="HiHTP", profile=SparsityProfile((2, 1, 2))),
-        RecoveryConfig(algorithm="HTP", flat_k=4),
+        RecoveryConfig(algorithm="HTP", profile=SparsityProfile((2, 1, 2))),
     ):
         res = solve(y, op, cfg)
         assert not res.x_hat.any()
-    res = solve(y, op, RecoveryConfig(algorithm="OMP", flat_k=3))
+    res = solve(y, op, RecoveryConfig(algorithm="OMP", profile=SparsityProfile((3, 1, 1))))
     assert not res.x_hat.any()
     assert res.support.size == 0
 
@@ -161,18 +161,21 @@ def test_in_place_loop_matches_textbook_loop(algorithm, option):
     op = KroneckerSensingOperator(make_design(64, 8, 16, 2, 10, 5, seed=9), option)
     profile = SparsityProfile((3, 1, 2) if option == "FS" else (2, 2, 2))
     if algorithm in ("HiIHT", "HiHTP"):
-        select_shape, select_profile, cfg_kw = op.shape_in, profile, {"profile": profile}
+        select_shape, select_profile = op.shape_in, profile
     else:
-        select_shape, select_profile = BlockShape((op.in_dim,)), SparsityProfile((6,))
-        cfg_kw = {"flat_k": 6}
+        # The flat solvers select k = the clipped profile's size: 6 (FS), 8 (SF).
+        k = profile.clip(op.shape_in).max_support
+        select_shape, select_profile = BlockShape((op.in_dim,)), SparsityProfile((k,))
     capped = 0
     for trial in range(8):
         x = np.zeros(op.in_dim, dtype=complex)
         x[rng.permutation(op.in_dim)[:4]] = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         noise = rng.standard_normal(op.out_dim) + 1j * rng.standard_normal(op.out_dim)
         y = op.forward(x) + (0.05 if trial % 2 else 0.5) * noise
-        for max_iters in (2, 10):
-            res = solve(y, op, RecoveryConfig(algorithm=algorithm, max_iters=max_iters, **cfg_kw))
+        # A run capped at i passes replays the first i passes of a longer one.
+        for max_iters in (1, 2, 3, 10):
+            res = solve(y, op, RecoveryConfig(algorithm=algorithm, profile=profile,
+                                              max_iters=max_iters))
             x_ref, support, iterations = textbook_threshold_loop(
                 y, op, select_shape, select_profile, algorithm in ("HiHTP", "HTP"), max_iters)
             np.testing.assert_array_equal(res.support, support)
@@ -189,8 +192,7 @@ def test_estimate_vanishes_off_support(algorithm, option):
     rng = np.random.default_rng(32)
     op = KroneckerSensingOperator(make_design(64, 8, 16, 2, 10, 5, seed=3), option)
     profile = SparsityProfile((3, 1, 2) if option == "FS" else (2, 2, 2))
-    cfg = (RecoveryConfig(algorithm=algorithm, profile=profile) if algorithm.startswith("Hi")
-           else RecoveryConfig(algorithm=algorithm, flat_k=6))
+    cfg = RecoveryConfig(algorithm=algorithm, profile=profile)
     for _ in range(5):
         y = rng.standard_normal(op.out_dim) + 1j * rng.standard_normal(op.out_dim)
         res = solve(y, op, cfg)
@@ -217,7 +219,7 @@ def test_flat_solvers_reduce_to_hierarchical_on_one_level():
     op = DenseOperator(A, BlockShape((20,)))
     y = rng.standard_normal(12) + 1j * rng.standard_normal(12)
     hi = solve(y, op, RecoveryConfig(algorithm="HiIHT", profile=SparsityProfile((4,))))
-    flat = solve(y, op, RecoveryConfig(algorithm="IHT", flat_k=4))
+    flat = solve(y, op, RecoveryConfig(algorithm="IHT", profile=SparsityProfile((4,))))
     np.testing.assert_array_equal(hi.support, flat.support)
     np.testing.assert_allclose(hi.x_hat, flat.x_hat, atol=1e-14)
 
@@ -265,16 +267,6 @@ def test_htp_residual_non_increasing_on_repeated_support():
             assert cur.residual_norm <= prev.residual_norm + 1e-10
 
 
-def test_error_trace_records_each_iteration():
-    op, x, y = single_path_setup()
-    cfg = RecoveryConfig(algorithm="HiIHT", profile=SparsityProfile((1, 1, 1)))
-    res = solve(y, op, cfg, x_true=x)
-    np.testing.assert_array_equal(res.support, [7])
-    assert res.error_trace is not None
-    assert len(res.error_trace) == res.iterations
-    assert res.error_trace[-1] <= 1e-12
-
-
 def test_measurement_validation():
     op, _, y = single_path_setup()
     cfg = RecoveryConfig(algorithm="HiIHT", profile=SparsityProfile((1, 1, 1)))
@@ -286,28 +278,19 @@ def test_measurement_validation():
         solve(bad, op, cfg)
 
 
-def test_config_rejects_nonpositive_flat_k():
-    for k in (0, -1):
-        with pytest.raises(ValueError, match="flat_k"):
-            RecoveryConfig(algorithm="IHT", flat_k=k)
+def test_config_without_profile_is_rejected():
     # A config the solver cannot size is rejected before any solve.
-    for alg in ("HiIHT", "HiHTP"):
-        with pytest.raises(ValueError, match="needs a profile"):
-            RecoveryConfig(algorithm=alg)
-        with pytest.raises(ValueError, match="needs a profile"):
-            RecoveryConfig(algorithm=alg, flat_k=4)
-    for alg in ("IHT", "HTP", "OMP"):
-        with pytest.raises(ValueError, match="needs a profile or flat_k"):
+    for alg in ("HiIHT", "HiHTP", "IHT", "HTP", "OMP"):
+        with pytest.raises(ValueError, match=f"{alg} needs a profile"):
             RecoveryConfig(algorithm=alg)
 
 
 def test_result_json_dict():
-    # The fields a saved result carries: support, residual and error trace.
+    # The fields a saved result carries: support and residual.
     op, x, y = single_path_setup()
     cfg = RecoveryConfig(algorithm="HiIHT", profile=SparsityProfile((1, 1, 1)))
-    res = solve(y, op, cfg, x_true=x)
+    res = solve(y, op, cfg)
     assert res.support.tolist() == [7]
-    assert res.error_trace is not None
     assert np.isfinite(res.residual_norm)
 
 

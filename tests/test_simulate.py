@@ -179,10 +179,10 @@ def test_preset_override():
 def test_recovery_profile_shapes():
     assert recovery_profile("FS", V=2, L=3, K_V=1, K_L=1).s == (6, 1, 1)
     assert recovery_profile("SF", V=2, L=3, K_V=1, K_L=1).s == (2, 3, 1)
-    assert recovery_profile("FS", V=1, L=3, K_V=1, K_L=1,
-                            on_grid=False, L1=1, L2=2).s == (15, 1, 3)
-    with pytest.raises(ValueError):
-        recovery_profile("FS", V=1, L=3, K_V=1, K_L=1, on_grid=False)
+    assert recovery_profile("FS", V=1, L=3, K_V=1, K_L=1, L1=1, L2=2).s == (15, 1, 3)
+    for levels in ({"L1": 1}, {"L2": 2}):
+        with pytest.raises(ValueError, match="needs L1 and L2"):
+            recovery_profile("FS", V=1, L=3, K_V=1, K_L=1, **levels)
     assert recovery_profile("sf", V=2, L=3, K_V=1, K_L=1).s == (2, 3, 1)
     with pytest.raises(ValueError):
         recovery_profile("xx", V=1, L=3, K_V=1, K_L=1)
