@@ -140,6 +140,12 @@ class ExperimentConfig:
 
     def _validate(self) -> None:
         """Reject a sweep the system cannot run, before any trial starts."""
+        for name in ("sweep", "algorithms", "l_values", "v_values", "l1_values", "l2_values"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, list):
+                raise ValueError(f"{name} must be a list, got {value!r}")
+            if value == []:
+                raise ValueError(f"{name} must be a non-empty list when given")
         as_option(self.option)  # ValueError unless FS or SF
         if not _is_integer(self.seed) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
@@ -157,8 +163,6 @@ class ExperimentConfig:
         for name, value in (("snr_db", self.snr_db), ("system.alpha", self.system.alpha)):
             if not _is_real(value):
                 raise ValueError(f"{name} must be a number, got {value!r}")
-        if self.algorithms is not None and not self.algorithms:
-            raise ValueError("algorithms must be a non-empty list when given")
         if not (-300.0 <= self.snr_db <= 300.0 or self.snr_db == math.inf):
             raise ValueError(f"snr_db = {self.snr_db} outside [-300, 300] (Infinity: no noise)")
         N, M, D, U = self.system.N, self.system.M, self.system.D, self.system.U

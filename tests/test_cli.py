@@ -145,11 +145,28 @@ def test_plot_unreadable_csv_exits_one(tmp_path, capsys):
     ({"scenario": "offgrid-sweep", "system": {"alpha": "x"}},
      "system.alpha must be a number, got 'x'"),
     ({"algorithms": []}, "algorithms must be a non-empty list when given"),
+    ({"algorithms": "HiIHT"}, "algorithms must be a list, got 'HiIHT'"),
+    ({"sweep": "8"}, "sweep must be a list, got '8'"),
+    ({"sweep": 8}, "sweep must be a list, got 8"),
+    ({"l_values": 3}, "l_values must be a list, got 3"),
+    ({"scenario": "multiuser-sweep", "system": {"U": 4}, "v_values": 2},
+     "v_values must be a list, got 2"),
+    ({"scenario": "offgrid-sweep", "l1_values": "1"}, "l1_values must be a list, got '1'"),
+    ({"scenario": "offgrid-sweep", "l2_values": {"L2": 1}},
+     "l2_values must be a list, got {'L2': 1}"),
+    ({"l_values": []}, "l_values must be a non-empty list when given"),
+    ({"scenario": "multiuser-sweep", "system": {"U": 4}, "v_values": []},
+     "v_values must be a non-empty list when given"),
+    ({"scenario": "offgrid-sweep", "l1_values": []}, "l1_values must be a non-empty list when given"),
+    ({"scenario": "offgrid-sweep", "l2_values": []}, "l2_values must be a non-empty list when given"),
 ], ids=["negative-seed", "fractional-seed", "nan-snr", "negative-alpha", "fractional-trials",
         "fractional-sweep", "fractional-v", "fractional-l", "fractional-mp", "boolean-trials",
         "unknown-algorithm", "ongrid-l-exceeds-angles", "ongrid-users-exceed-angles",
         "ongrid-sf-vs-fs", "zero-path-count", "boolean-snr", "string-alpha",
-        "string-alpha-offgrid", "empty-algorithms"])
+        "string-alpha-offgrid", "empty-algorithms", "string-algorithms", "string-sweep",
+        "integer-sweep", "integer-l-values", "integer-v-values", "string-l1-values",
+        "object-l2-values", "empty-l-values", "empty-v-values", "empty-l1-values",
+        "empty-l2-values"])
 def test_run_config_out_of_model_exits_one_before_any_trial(tmp_path, capsys, bad, message):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({"scenario": "single-user-sweep", "sweep": [8],
