@@ -77,34 +77,6 @@ class SparsityProfile:
         return SparsityProfile(tuple(min(si, ni) for si, ni in zip(self.s, shape.dims)))
 
 
-def _structurally_valid(indices: np.ndarray, shape: BlockShape, profile: SparsityProfile) -> bool:
-    """Check the recursive per-level block-count constraints on a flat index set."""
-    if indices.size == 0:
-        return True
-    # Multi-index columns for all support entries.
-    multi = np.empty((indices.size, shape.levels), dtype=np.int64)
-    rem = indices.copy()
-    for lvl in range(shape.levels - 1, -1, -1):
-        n = shape.dims[lvl]
-        multi[:, lvl] = rem % n
-        rem //= n
-    # At level k the number of distinct child indices within any fixed prefix
-    # must not exceed s_k.
-    for lvl in range(shape.levels):
-        prefix = multi[:, : lvl + 1]
-        distinct = np.unique(prefix, axis=0)
-        if lvl == 0:
-            counts = {(): distinct.shape[0]}
-        else:
-            counts = {}
-            for row in distinct:
-                key = tuple(row[:-1])
-                counts[key] = counts.get(key, 0) + 1
-        if any(c > profile.s[lvl] for c in counts.values()):
-            return False
-    return True
-
-
 def _top_mask(energy: np.ndarray, k: int) -> np.ndarray:
     """Boolean mask keeping the k largest entries along the last axis.
 
@@ -161,8 +133,14 @@ def hi_threshold(x: np.ndarray, s: SparsityProfile) -> np.ndarray:
 def is_hi_sparse(x: np.ndarray, s: SparsityProfile) -> bool:
     """True iff supp(x) satisfies the recursive per-level constraints of s.
 
-    x has the block dims as its shape.
+    x has the block dims as its shape. Innermost level first, no block may
+    hold more populated children than that level's sparsity; a block counts
+    as populated at the next level up when any entry in it is nonzero.
     """
     s.check_compatible(x.shape)
-    indices = np.flatnonzero(x)
-    return _structurally_valid(indices.astype(np.int64), BlockShape(x.shape), s)
+    used = x != 0
+    for lvl in range(x.ndim - 1, -1, -1):
+        if (used.sum(axis=-1) > s.s[lvl]).any():
+            return False
+        used = used.any(axis=-1)
+    return True

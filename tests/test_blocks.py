@@ -188,6 +188,15 @@ def test_threshold_properties_on_random_layouts(data):
     residual = float(np.linalg.norm(values - proj))
     assert residual == pytest.approx(best_residual_bruteforce(values, dims, s), abs=1e-12)
 
+    # is_hi_sparse agrees with "supp(x) lies inside some maximal support".
+    supports = [set(sup) for sup in brute_force_supports(dims, s)]
+    grown = proj.copy()
+    if support.size < n:
+        grown[data.draw(st.sampled_from(np.flatnonzero(proj == 0).tolist()), label="grow")] = 1.0
+    for x in (values, proj, grown):
+        inside = any(set(np.flatnonzero(x).tolist()) <= sup for sup in supports)
+        assert is_hi_sparse(x.reshape(dims), profile) == inside
+
 
 def stable_top_mask(energy, k):
     """The k largest entries per row by a full stable sort (test oracle)."""
