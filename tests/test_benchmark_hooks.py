@@ -4,6 +4,7 @@ The harness finds these by name at run time, so deleting or renaming one
 breaks the benchmark without failing any other test here.
 """
 
+import inspect
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ import hisparse.operators
 import hisparse.recovery
 import hisparse.ripcheck
 import hisparse.simulate
+from hisparse.blocks import SparsityProfile
 from hisparse.simulate import Condition, ExperimentConfig, SystemConfig
 
 HOOKS = [
@@ -56,3 +58,18 @@ def test_run_trial_keeps_the_benchmark_call_shape():
     condition = Condition(label="HiIHT", algorithm="HiIHT", option="FS", V=1, L=3)
     mse = hisparse.simulate.run_trial(config, condition, 8, 0)
     assert isinstance(mse, float) and math.isfinite(mse)
+
+
+def test_solve_and_report_keep_the_attributes_the_tracer_reads():
+    # The tracer reads solve's third argument as args[2] or kwargs["cfg"], then
+    # cfg.max_iters and result.iterations; ripcheck spans read supports_checked.
+    solve = hisparse.simulate.solve
+    assert list(inspect.signature(solve).parameters)[2] == "cfg"
+    op = hisparse.operators.KroneckerSensingOperator(
+        hisparse.simulate.make_design(16, 4, 4, 1, 16, 4, seed=1), "FS")
+    cfg = hisparse.recovery.RecoveryConfig(algorithm="HiIHT",
+                                           profile=SparsityProfile((1, 1, 1)))
+    result = solve(np.ones(op.out_dim, dtype=complex), op, cfg=cfg)
+    assert isinstance(cfg.max_iters, int) and isinstance(result.iterations, int)
+    report = hisparse.ripcheck.rip_constant(np.eye(3), 2)
+    assert isinstance(report.supports_checked, int)
