@@ -181,7 +181,7 @@ def test_in_place_loop_matches_textbook_loop(algorithm, option):
             np.testing.assert_array_equal(res.support, support)
             assert res.iterations == iterations
             assert res.x_hat.tobytes() == x_ref.tobytes()
-            capped += iterations == max_iters
+            capped += iterations == max_iters > 1  # a one-pass run is always capped
     assert capped > 0
 
 

@@ -253,8 +253,8 @@ def test_ongrid_score_matches_dense_oracle(monkeypatch, algorithm, option):
     cond = Condition(label=algorithm, algorithm=algorithm, option=option, V=2, L=2)
     for t in range(6):
         mse = run_trial(config, cond, 6, t)
-        x_true = stack_delay_angular(seen["gen_ongrid"], option)
-        dense = float(np.linalg.norm(seen["solve"].x_hat - x_true) ** 2)
+        x_truth = stack_delay_angular(seen["gen_ongrid"], option)
+        dense = float(np.linalg.norm(seen["solve"].x_hat - x_truth) ** 2)
         assert mse == pytest.approx(dense, rel=1e-12, abs=0.0)
 
 
@@ -278,10 +278,10 @@ def test_mse_dual_route_agreement():
     rng = np.random.default_rng(3)
     params = ChannelParams(N=32, M=8, D=8, U=2, V=2, L=2)
     r = gen_ongrid(params, rng, "FS")
-    x_true = stack_delay_angular(r, "FS")
-    x_hat = x_true + 0.1 * (rng.standard_normal(x_true.size)
-                            + 1j * rng.standard_normal(x_true.size))
-    direct = float(np.linalg.norm(x_hat - x_true) ** 2)
+    x_truth = stack_delay_angular(r, "FS")
+    x_hat = x_truth + 0.1 * (rng.standard_normal(x_truth.size)
+                             + 1j * rng.standard_normal(x_truth.size))
+    direct = float(np.linalg.norm(x_hat - x_truth) ** 2)
     H_true = synthesize_transfer(r)
     h_err = 0.0
     for u, est in enumerate(split_estimate(x_hat, "FS", 2, 8, 8)):
