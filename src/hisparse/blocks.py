@@ -7,14 +7,21 @@ a view with no copy. A sparsity profile (s1, ..., sl) constrains the support
 recursively: at most s1 of the N1 outer blocks are populated, each populated
 block holding at most s2 of its N2 sub-blocks, and so on down to s_l elements
 per innermost block.
+
+``work_buffer`` hands out per-thread scratch arrays, so the per-pass arrays
+of a large solve are allocated once per thread and not mapped afresh on
+every call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 import math
+import threading
 
 import numpy as np
+
+_work = threading.local()
 
 
 class DimensionError(ValueError):
@@ -77,6 +84,25 @@ class SparsityProfile:
         return SparsityProfile(tuple(min(si, ni) for si, ni in zip(self.s, shape.dims)))
 
 
+def work_buffer(name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+    """This thread's scratch array for ``name``, of the given shape and dtype.
+
+    The array is made by ``np.empty`` on the thread's first request for
+    ``name``, and again whenever the shape or dtype differs from the last
+    request; otherwise the same array comes back. Its contents are undefined
+    on return: a caller overwrites it fully before reading it and never
+    returns it or keeps it past the call that asked for it, so the next
+    request for ``name`` on this thread may clobber it. The arrays live as long
+    as their thread: a worker pool's buffers go with its threads, the main
+    thread's stay.
+    """
+    buf = getattr(_work, name, None)
+    if buf is None or buf.shape != shape or buf.dtype != dtype:
+        buf = np.empty(shape, dtype)
+        setattr(_work, name, buf)
+    return buf
+
+
 def _top_mask(energy: np.ndarray, k: int) -> np.ndarray:
     """Boolean mask keeping the k largest entries along the last axis.
 
@@ -106,9 +132,13 @@ def hi_threshold(x: np.ndarray, s: SparsityProfile) -> np.ndarray:
     keeps s1 of the N1 outer blocks). Comparisons use squared moduli; ties
     go to the lowest flat index. A level of sparsity 1 keeps each block's
     first maximum (``argmax``) and passes that one energy up by a gather.
+    The squared moduli are formed in two of this thread's work buffers.
     """
     s.check_compatible(x.shape)
-    energy = moduli = x.real * x.real + x.imag * x.imag
+    moduli = work_buffer("hi_threshold.moduli", x.shape, np.float64)
+    np.multiply(x.real, x.real, out=moduli)
+    moduli += np.multiply(x.imag, x.imag, out=work_buffer("hi_threshold.imag", x.shape, np.float64))
+    energy = moduli
     masks = []
     for lvl in range(x.ndim - 1, -1, -1):
         if s.s[lvl] == 1:

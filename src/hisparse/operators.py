@@ -16,17 +16,23 @@ operator is conj(angle) (x) delay and the flat index factors as block layout
 The option is also the single place that decides how matrices are vectorized
 (``vectorize`` / ``unvectorize``, and ``flat_index`` for single entries).
 
-``forward`` runs no length-N FFT: it multiplies the nonzero delay rows of the
-unknown by the matching delay-factor columns (built as ``columns`` builds
-them, from a precomputed table of the N DFT phases) and then applies length-M
-FFTs to the Np pilot rows. ``adjoint_values`` applies length-M FFTs to the Np
-rows, then one length-N inverse FFT per angle along contiguous memory. Both
-factor Grams are circulant (entry (q, q') depends only on (q - q') mod N,
-entry (m, m') only on (m - m') mod M), so ``gram`` evaluates any restricted
-Gram (A^H A)[S, S] from two precomputed kernels in O(|S|^2) without building
-a column; least-squares refits solve on it. ``columns`` builds exact columns
-of the matrix from the two factors, and a dense materialization is kept as a
-test oracle for small problems.
+``forward`` takes the unknown by its support: sorted distinct flat indices
+and their values. It runs no length-N FFT and never reads the rest of the
+unknown: it scatters the values into an (r x M) block of the r occupied delay
+rows, multiplies that block by the matching delay-factor columns (built as
+``columns`` builds them, from a precomputed table of the N DFT phases) and
+then applies length-M FFTs to the Np pilot rows. A dense vector x enters as
+``forward(np.flatnonzero(x), x[np.flatnonzero(x)])``. ``adjoint_values``
+applies length-M FFTs to the Np rows, then one length-N inverse FFT per angle
+along the contiguous rows of an (M x N) buffer; it writes its result into a
+caller's ``out`` array when given one. Under FS with U*D = N that buffer is
+``out`` itself, otherwise a per-thread work buffer whose first U*D columns
+are copied into ``out``. Both factor Grams are circulant (entry (q, q')
+depends only on (q - q') mod N, entry (m, m') only on (m - m') mod M), so
+``gram`` evaluates any restricted Gram (A^H A)[S, S] from two precomputed
+kernels in O(|S|^2) without building a column; least-squares refits solve on
+it. ``columns`` builds exact columns of the matrix from the two factors, and a
+dense materialization is kept as a test oracle for small problems.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ import math
 
 import numpy as np
 
-from .blocks import BlockShape, DimensionError
+from .blocks import BlockShape, DimensionError, work_buffer
 from .design import PilotDesign
 
 DENSIFY_CAP = 4096
@@ -108,13 +114,32 @@ def theta_factor(design: PilotDesign) -> np.ndarray:
     return F[design.antennas] / math.sqrt(design.Mp)
 
 
+def _support(idx, values, in_dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Check a support argument of ``forward``: DimensionError unless ``idx``
+    is a 1-D strictly increasing index array in [0, in_dim) and ``values``
+    has one entry per index."""
+    idx = np.asarray(idx, dtype=np.int64)
+    values = np.asarray(values, dtype=np.complex128)
+    if idx.ndim != 1 or values.shape != idx.shape:
+        raise DimensionError(
+            f"support needs a 1-D index array and one value per index, "
+            f"got shapes {idx.shape} and {values.shape}")
+    if idx.size and (idx[0] < 0 or idx[-1] >= in_dim or np.count_nonzero(idx[1:] <= idx[:-1])):
+        raise DimensionError(f"support indices must be strictly increasing in [0, {in_dim})")
+    return idx, values
+
+
 class KroneckerSensingOperator:
     """Forward/adjoint linear map between the unknown and the pilot samples.
 
     The unknown is a flat array of length ``in_dim`` in layout ``shape_in``;
-    the output has length Np*Mp. ``forward`` of an input with r nonzero delay
-    rows costs O(Np*r*M + Np*M log M); the adjoint costs O(M*N log N +
-    Np*M log M). Instances are immutable after construction and reentrant.
+    the output has length Np*Mp. ``forward(idx, values)`` of a support whose
+    entries occupy r delay rows costs O(U*D + |S| log r + Np*r*M +
+    Np*M log M), independent of ``in_dim``. ``adjoint_values(y, out)`` costs O(M*N log N +
+    Np*M log M); under FS with U*D = N its FFT runs in ``out``, otherwise in
+    a per-thread (M x N) work buffer and one copy into ``out``. Instances are
+    immutable after construction and reentrant: concurrent calls from
+    different threads share no scratch memory.
     """
 
     def __init__(self, design: PilotDesign, option="FS"):
@@ -136,12 +161,6 @@ class KroneckerSensingOperator:
         mask[d.antennas] = 1.0
         self._angle_kernel = np.conj(np.fft.ifft(mask) * (d.M / d.Mp))
 
-    def _values(self, x) -> np.ndarray:
-        v = np.asarray(x, dtype=np.complex128)
-        if v.shape != (self.in_dim,):
-            raise DimensionError(f"input length {v.shape} != {self.in_dim}")
-        return v
-
     def _split(self, idx) -> tuple[np.ndarray, np.ndarray]:
         """Flat indices -> (delay index q in [0, U*D), angle index m in [0, M))."""
         idx = np.asarray(idx, dtype=np.int64)
@@ -157,39 +176,67 @@ class KroneckerSensingOperator:
         sub = d.subcarriers[:, None]
         return d.base_sequence[sub] * self._twiddle[sub * q % d.N]
 
-    def forward(self, x) -> np.ndarray:
-        """A @ x as a length Np*Mp vector (vectorized per the option).
+    def forward(self, idx, values) -> np.ndarray:
+        """A @ x for the x that holds ``values`` at the flat indices ``idx``.
 
-        Only the nonzero delay rows of the unknown enter the delay factor;
-        the (Np x M) product is then mapped through the angle factor by
-        length-M inverse FFTs read at the observed antennas.
+        ``idx`` must be strictly increasing in [0, in_dim). The occupied delay
+        rows are marked in a mask of length U*D, each entry's slot is the rank
+        of its row among them (a binary search in the sorted rows), and the
+        values are scattered into an (r x M) block of those rows. Only the
+        support is read. The block enters the delay factor, and the
+        (Np x M) product is then mapped through the angle factor by length-M
+        inverse FFTs read at the observed antennas. Returns a length Np*Mp
+        vector (vectorized per the option).
         """
         d = self.design
-        X = unvectorize(self._values(x), self.option, self._ud, d.M)
-        rows = np.flatnonzero(X.any(axis=1))
-        W = self._delay_columns(rows) @ X[rows] / math.sqrt(d.Np)
+        idx, values = _support(idx, values, self.in_dim)
+        q, m = self._split(idx)
+        occupied = np.zeros(self._ud, dtype=bool)
+        occupied[q] = True
+        rows = np.flatnonzero(occupied)
+        block = np.zeros((rows.size, d.M), dtype=np.complex128)
+        block[np.searchsorted(rows, q), m] = values
+        W = self._delay_columns(rows) @ block / math.sqrt(d.Np)
         V = np.fft.ifft(W, axis=1) * d.M
         return vectorize(V[:, d.antennas] / math.sqrt(d.Mp), self.option)
 
-    def adjoint_values(self, y) -> np.ndarray:
-        """A^H @ y as a flat vector of the input length.
+    def adjoint_values(self, y, out=None) -> np.ndarray:
+        """A^H @ y as a flat vector of the input length, written into ``out``.
 
-        The angle adjoint is one length-M FFT per pilot row of the (Np x Mp)
-        observation, zero-padded to M antennas. The delay adjoint is one
-        unnormalized length-N inverse FFT per angle, run in place along the
-        contiguous rows of an (M x N) buffer.
+        ``out`` is an optional destination: a C-contiguous complex128 array
+        of length ``in_dim``, allocated when None; the result is the same in
+        every bit either way. The angle adjoint is one length-M FFT per pilot
+        row of the (Np x Mp) observation, zero-padded to M antennas. The delay
+        adjoint is one unnormalized length-N inverse FFT per angle, run in
+        place along the contiguous rows of an (M x N) buffer. Under FS with
+        U*D = N that buffer is ``out`` viewed as (M x N); otherwise it is this
+        thread's work buffer, and its first U*D columns are copied into
+        ``out``.
         """
         d = self.design
         v = np.asarray(y, dtype=np.complex128)
         if v.shape != (self.out_dim,):
             raise DimensionError(f"measurement length {v.shape} != {self.out_dim}")
+        if out is None:
+            out = np.empty(self.in_dim, dtype=np.complex128)
+        elif (out.shape != (self.in_dim,) or out.dtype != np.complex128
+              or not out.flags.c_contiguous):
+            raise DimensionError(
+                f"out must be a C-contiguous complex128 array of length {self.in_dim}")
         padded = np.zeros((d.Np, d.M), dtype=np.complex128)
         padded[:, d.antennas] = unvectorize(v, self.option, d.Np, d.Mp)
         Z = np.fft.fft(padded, axis=1) / math.sqrt(d.Mp)
-        buf = np.zeros((d.M, d.N), dtype=np.complex128)
+        direct = self.option is VectorizationOption.FS and self._ud == d.N
+        if direct:
+            buf = out.reshape(d.M, d.N)
+        else:
+            buf = work_buffer("adjoint_values", (d.M, d.N), np.complex128)
+        buf.fill(0.0)
         buf[:, d.subcarriers] = Z.T * self._adjoint_weights
         np.fft.ifft(buf, axis=1, norm="forward", out=buf)
-        return vectorize(buf[:, : self._ud].T, self.option)
+        if not direct:
+            unvectorize(out, self.option, self._ud, d.M)[...] = buf[:, : self._ud].T
+        return out
 
     def columns(self, idx) -> np.ndarray:
         """Exact columns A[:, idx] as an (Np*Mp x len(idx)) matrix.
@@ -241,11 +288,16 @@ class DenseOperator:
         self.in_dim = shape_in.total
         self.out_dim = A.shape[0]
 
-    def forward(self, x) -> np.ndarray:
-        return self.A @ np.asarray(x, dtype=np.complex128)
+    def forward(self, idx, values) -> np.ndarray:
+        idx, values = _support(idx, values, self.in_dim)
+        return self.A[:, idx] @ values
 
-    def adjoint_values(self, y) -> np.ndarray:
-        return self.A.conj().T @ np.asarray(y, dtype=np.complex128)
+    def adjoint_values(self, y, out=None) -> np.ndarray:
+        adj = self.A.conj().T @ np.asarray(y, dtype=np.complex128)
+        if out is None:
+            return adj
+        out[...] = adj
+        return out
 
     def columns(self, idx) -> np.ndarray:
         return self.A[:, idx]

@@ -12,8 +12,13 @@ updated in place: a later pass adds x to the fresh A^H (y - A x) on x's
 support only, zeroes that support in x and writes the new one. x is zero off
 its support and IEEE addition commutes, so x_temp is the textbook sum bit
 for bit, apart from the sign of a zero component off that support
-(0.0 + -0.0 is +0.0). Every solver takes one hierarchical profile,
-cfg.profile, clipped to the unknown's layout. HiIHT/HiHTP select under it;
+(0.0 + -0.0 is +0.0). A x is ``op.forward(S, x[S])`` on x's support S, so
+no pass reads the rest of x. A^H y and x_temp live in two of this thread's
+work buffers (``blocks.work_buffer``), written by ``adjoint_values(...,
+out=)``; they are never returned or kept in a result, so only x, allocated
+per solve, leaves the loop, and solves on different threads share nothing.
+Every solver takes one hierarchical profile, cfg.profile, clipped to the
+unknown's layout. HiIHT/HiHTP select under it;
 the flat IHT/HTP are the one-level case (a single block of length U*D*M with
 sparsity k = the clipped profile's size, its max_support). The IHT variants
 keep x_temp on the selected support, the HTP variants refit it by least
@@ -36,7 +41,7 @@ import math
 
 import numpy as np
 
-from .blocks import DimensionError, SparsityProfile, hi_threshold
+from .blocks import DimensionError, SparsityProfile, hi_threshold, work_buffer
 from .operators import VectorizationOption, as_option
 
 HI_ALGORITHMS = ("HiIHT", "HiHTP")
@@ -93,7 +98,8 @@ def _restricted_lstsq(aty, op, support: np.ndarray) -> np.ndarray:
 
 
 def _threshold_loop(y, op, max_iters: int, dims, profile, pursuit: bool):
-    aty = op.adjoint_values(y)
+    aty = op.adjoint_values(y, out=work_buffer("aty", (op.in_dim,), np.complex128))
+    scratch = work_buffer("x_temp", (op.in_dim,), np.complex128)
     x = np.zeros(op.in_dim, dtype=np.complex128)
     prev_support = None
     iterations = 0
@@ -103,7 +109,7 @@ def _threshold_loop(y, op, max_iters: int, dims, profile, pursuit: bool):
             x_temp = aty
         else:
             # x + A^H (y - A x), adding x only on its support.
-            x_temp = op.adjoint_values(y - op.forward(x))
+            x_temp = op.adjoint_values(y - op.forward(prev_support, x[prev_support]), out=scratch)
             x_temp[prev_support] += x[prev_support]
             x[prev_support] = 0.0
         support = hi_threshold(x_temp.reshape(dims), profile)
@@ -111,7 +117,7 @@ def _threshold_loop(y, op, max_iters: int, dims, profile, pursuit: bool):
         if prev_support is not None and np.array_equal(support, prev_support):
             break
         prev_support = support
-    residual = float(np.linalg.norm(y - op.forward(x)))
+    residual = float(np.linalg.norm(y - op.forward(support, x[support])))
     return RecoveryResult(
         x_hat=x,
         support=support,

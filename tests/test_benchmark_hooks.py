@@ -4,6 +4,8 @@ The harness finds these by name at run time, so deleting or renaming one
 breaks the benchmark without failing any other test here.
 """
 
+from collections import Counter
+import functools
 import inspect
 import math
 
@@ -16,7 +18,7 @@ import hisparse.recovery
 import hisparse.ripcheck
 import hisparse.simulate
 from hisparse.blocks import SparsityProfile
-from hisparse.simulate import Condition, ExperimentConfig, SystemConfig
+from hisparse.simulate import ChannelConfig, Condition, ExperimentConfig, SystemConfig
 
 HOOKS = [
     (hisparse.simulate, name) for name in (
@@ -73,3 +75,49 @@ def test_solve_and_report_keep_the_attributes_the_tracer_reads():
     assert isinstance(cfg.max_iters, int) and isinstance(result.iterations, int)
     report = hisparse.ripcheck.rip_constant(np.eye(3), 2)
     assert isinstance(report.supports_checked, int)
+
+
+# The call sites perfbench's traced run counts to check that a workload reaches
+# each layer it claims to, and skips the ones it claims to skip.
+COUNTED = [
+    (hisparse.operators.KroneckerSensingOperator, "forward"),
+    (hisparse.operators.KroneckerSensingOperator, "adjoint_values"),
+    (hisparse.recovery, "hi_threshold"),
+    (np.linalg, "lstsq"),
+]
+
+
+def counted_trial(monkeypatch, config, condition, Np):
+    """Run one trial with a counter patched onto each COUNTED site."""
+    calls = Counter()
+
+    def counter(name, fn):
+        @functools.wraps(fn)
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for owner, name in COUNTED:
+        monkeypatch.setattr(owner, name, counter(name, getattr(owner, name)))
+    mse = hisparse.simulate.run_trial(config, condition, Np, 0)
+    monkeypatch.undo()
+    assert math.isfinite(mse)
+    return calls
+
+
+def test_trials_reach_the_layers_the_benchmark_counts(monkeypatch):
+    # A solver loop that routes A x or A^H r around the operator's methods, or
+    # selects without hi_threshold, would leave a counter at 0 here.
+    ongrid = ExperimentConfig(scenario="mismatched-L", system=SystemConfig(N=64, M=16, D=16, U=4),
+                              channel=ChannelConfig(L=3, V=2), sweep=[12], Np=12, trials=1, seed=3)
+    calls = counted_trial(monkeypatch, ongrid,
+                          Condition(label="HiIHT", algorithm="HiIHT", option="FS", V=2, L=3), 12)
+    assert min(calls[name] for name in ("forward", "adjoint_values", "hi_threshold")) >= 1
+    assert calls["lstsq"] == 0  # HiIHT keeps x_temp on the support, it never refits
+
+    offgrid = ExperimentConfig(scenario="offgrid-sweep", system=SystemConfig(N=64, M=16, D=16, U=1),
+                               channel=ChannelConfig(L=3, V=1), sweep=[32], trials=1, seed=3)
+    calls = counted_trial(monkeypatch, offgrid, Condition(label="HiHTP", algorithm="HiHTP", option="FS",
+                                                          V=1, L=3, L1=1, L2=1), 32)
+    assert min(calls[name] for name in ("forward", "adjoint_values", "hi_threshold", "lstsq")) >= 1

@@ -1,5 +1,6 @@
 import itertools
 import math
+import threading
 
 from hypothesis import assume, given, settings, strategies as st
 import numpy as np
@@ -12,7 +13,7 @@ from hisparse import (
     hi_threshold,
     is_hi_sparse,
 )
-from hisparse.blocks import _top_mask
+from hisparse.blocks import _top_mask, work_buffer
 from hisparse.ripcheck import count_hi_supports
 from conftest import REFERENCE_HIER_SUPPORT, REFERENCE_FLAT_SUPPORT
 
@@ -120,6 +121,22 @@ def test_single_level_reduces_to_top_k():
     sparse = np.array([0, 1, 0, 2j, 0.5, 0], dtype=complex)
     support = hi_threshold(sparse, SparsityProfile((6,)))
     np.testing.assert_array_equal(support, [1, 3, 4])
+
+
+def test_work_buffer_is_kept_per_thread_name_shape_and_dtype():
+    a = work_buffer("test.a", (3, 4), np.float64)
+    assert a.shape == (3, 4) and a.dtype == np.float64
+    assert work_buffer("test.a", (3, 4), np.float64) is a
+    assert work_buffer("test.b", (3, 4), np.float64) is not a
+    b = work_buffer("test.a", (12,), np.float64)   # a new shape replaces the array
+    assert b is not a and work_buffer("test.a", (12,), np.float64) is b
+    c = work_buffer("test.a", (12,), np.complex128)  # so does a new dtype
+    assert c is not b and c.dtype == np.complex128
+    other = []
+    thread = threading.Thread(target=lambda: other.append(work_buffer("test.a", (12,), np.complex128)))
+    thread.start()
+    thread.join()
+    assert other[0] is not c and not np.shares_memory(other[0], c)
 
 
 def test_threshold_zero_vector():

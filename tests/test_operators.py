@@ -15,7 +15,7 @@ from hisparse import (
     tau_factor,
     theta_factor,
 )
-from hisparse.operators import vectorize
+from hisparse.operators import unvectorize, vectorize
 
 
 def random_design(rng, max_cols=2048):
@@ -32,9 +32,20 @@ def random_design(rng, max_cols=2048):
     return make_design(N, M, D, U, Np, Mp, base_sequence=base, seed=int(rng.integers(2**31)))
 
 
+def row_scan_forward(op, x):
+    """A @ x by scanning all of a dense x for its occupied delay rows (test oracle)."""
+    d = op.design
+    X = unvectorize(x, op.option, d.U * d.D, d.M)
+    rows = np.flatnonzero(X.any(axis=1))
+    W = op._delay_columns(rows) @ X[rows] / math.sqrt(d.Np)
+    V = np.fft.ifft(W, axis=1) * d.M
+    return vectorize(V[:, d.antennas] / math.sqrt(d.Mp), op.option)
+
+
 def test_forward_of_zero_is_zero():
     op = KroneckerSensingOperator(make_design(16, 4, 4, 2, 8, 3, seed=0), "FS")
-    np.testing.assert_array_equal(op.forward(np.zeros(op.in_dim, complex)), 0.0)
+    np.testing.assert_array_equal(op.forward([], []), 0.0)
+    np.testing.assert_array_equal(op.forward(np.arange(op.in_dim), np.zeros(op.in_dim)), 0.0)
     np.testing.assert_array_equal(op.adjoint_values(np.zeros(op.out_dim, complex)), 0.0)
 
 
@@ -43,11 +54,8 @@ def test_basis_vectors_give_dense_columns(option):
     d = make_design(16, 4, 4, 2, 7, 3, seed=3)
     op = KroneckerSensingOperator(d, option)
     A = op.densify()
-    e = np.zeros(op.in_dim, dtype=complex)
     for k in (0, 5, op.in_dim - 1):
-        e[k] = 1.0
-        np.testing.assert_allclose(op.forward(e), A[:, k], atol=1e-12)
-        e[k] = 0.0
+        np.testing.assert_allclose(op.forward([k], [1.0]), A[:, k], atol=1e-12)
     idx = [op.in_dim - 1, 0, 5, 13, 5]
     np.testing.assert_allclose(op.columns(idx), A[:, idx], atol=1e-12)
 
@@ -80,7 +88,7 @@ def test_fast_matches_dense_and_adjoint_identity(option):
         A = op.densify()
         x = rng.standard_normal(op.in_dim) + 1j * rng.standard_normal(op.in_dim)
         y = rng.standard_normal(op.out_dim) + 1j * rng.standard_normal(op.out_dim)
-        fwd = op.forward(x)
+        fwd = op.forward(np.arange(op.in_dim), x)
         adj = op.adjoint_values(y)
         assert np.linalg.norm(fwd - A @ x) <= 1e-10 * np.linalg.norm(A @ x)
         assert np.linalg.norm(adj - A.conj().T @ y) <= 1e-10 * np.linalg.norm(A.conj().T @ y)
@@ -95,7 +103,8 @@ def test_adjoint_identity_hundred_pairs_per_config():
         for _ in range(100):
             x = rng.standard_normal(op.in_dim) + 1j * rng.standard_normal(op.in_dim)
             y = rng.standard_normal(op.out_dim) + 1j * rng.standard_normal(op.out_dim)
-            gap = abs(np.vdot(y, op.forward(x)) - np.vdot(op.adjoint_values(y), x))
+            gap = abs(np.vdot(y, op.forward(np.arange(op.in_dim), x))
+                      - np.vdot(op.adjoint_values(y), x))
             assert gap <= 1e-10 * np.linalg.norm(x) * np.linalg.norm(y)
 
 
@@ -155,12 +164,62 @@ def test_densify_cap(monkeypatch):
         op.densify()
 
 
-def test_dimension_errors():
+def test_dimension_errors(monkeypatch):
     op = KroneckerSensingOperator(make_design(16, 4, 4, 2, 8, 3, seed=0), "FS")
-    with pytest.raises(DimensionError):
-        op.forward(np.zeros(op.in_dim + 1, dtype=complex))
+
+    def no_compute(*args, **kwargs):
+        raise AssertionError("computed before the input check")
+
+    # Every bad input is refused before the operator touches it.
+    monkeypatch.setattr(op, "_split", no_compute)
+    monkeypatch.setattr(np.fft, "fft", no_compute)
+    bad_supports = [
+        ([op.in_dim], [1.0]),            # past the end
+        ([-1, 3], [1.0, 1.0]),           # negative
+        ([3, 2], [1.0, 1.0]),            # decreasing
+        ([2, 2], [1.0, 1.0]),            # duplicate
+        ([1, 2], [1.0]),                 # fewer values than indices
+        ([1], [1.0, 2.0]),               # more values than indices
+        ([[1, 2]], [[1.0, 1.0]]),        # 2-D
+    ]
+    for idx, values in bad_supports:
+        with pytest.raises(DimensionError):
+            op.forward(idx, values)
     with pytest.raises(DimensionError):
         op.adjoint_values(np.zeros(op.out_dim - 1, dtype=complex))
+    y = np.zeros(op.out_dim, dtype=complex)
+    bad_outs = [
+        np.empty(op.in_dim + 1, dtype=complex),       # wrong length
+        np.empty(op.in_dim, dtype=np.complex64),      # wrong dtype
+        np.empty(op.in_dim, dtype=float),             # wrong dtype
+        np.empty(2 * op.in_dim, dtype=complex)[::2],  # not C-contiguous
+        np.empty((op.in_dim, 1), dtype=complex),      # not flat
+    ]
+    for out in bad_outs:
+        with pytest.raises(DimensionError):
+            op.adjoint_values(y, out=out)
+
+
+@pytest.mark.parametrize("option, N, D, U", [
+    ("FS", 32, 8, 4),   # U*D = N: the FFT runs in out itself
+    ("FS", 32, 8, 2),   # U*D < N: a work buffer, then a copy
+    ("SF", 32, 8, 4),
+    ("SF", 32, 8, 2),
+])
+def test_adjoint_into_out_matches_allocated(option, N, D, U):
+    op = KroneckerSensingOperator(make_design(N, 8, D, U, 12, 5, seed=2), option)
+    rng = np.random.default_rng(4)
+    y = rng.standard_normal(op.out_dim) + 1j * rng.standard_normal(op.out_dim)
+    expected = op.adjoint_values(y)
+    out = np.full(op.in_dim, np.nan + 1j * np.nan)
+    assert op.adjoint_values(y, out=out) is out
+    assert out.tobytes() == expected.tobytes()
+    # A second call into the same out overwrites it in full.
+    y2 = rng.standard_normal(op.out_dim) + 1j * rng.standard_normal(op.out_dim)
+    assert op.adjoint_values(y2, out=out).tobytes() == op.adjoint_values(y2).tobytes()
+    # The allocated result does not share memory with out or with a later call.
+    assert not np.shares_memory(expected, out)
+    assert not np.shares_memory(expected, op.adjoint_values(y))
 
 
 def test_theta_factor_shape():
@@ -197,9 +256,12 @@ def test_forward_adjoint_match_dense_on_row_sparse_inputs(data):
     x = vectorize(X, option)
     y = rng.standard_normal(op.out_dim) + 1j * rng.standard_normal(op.out_dim)
 
-    fwd = op.forward(x)
+    idx = np.flatnonzero(x)
+    fwd = op.forward(idx, x[idx])
     adj = op.adjoint_values(y)
     assert np.linalg.norm(fwd - A @ x) <= 1e-10 * np.linalg.norm(x)
+    # The same rows enter the same product as a scan of the dense x finds.
+    assert fwd.tobytes() == row_scan_forward(op, x).tobytes()
     if count == 0:
         np.testing.assert_array_equal(fwd, 0.0)
     assert np.linalg.norm(adj - A.conj().T @ y) <= 1e-10 * np.linalg.norm(A.conj().T @ y)

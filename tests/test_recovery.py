@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -27,12 +28,18 @@ from hisparse.simulate import (
 )
 
 
+def dense_forward(op, x):
+    """A @ x for a dense x, through the support-driven forward."""
+    nz = np.flatnonzero(x)
+    return op.forward(nz, x[nz])
+
+
 def single_path_setup(seed=1):
     d = make_design(16, 4, 4, 1, 16, 4, seed=seed)
     op = KroneckerSensingOperator(d, "FS")
     x = np.zeros(op.in_dim, dtype=complex)
     x[7] = 1.5 - 0.5j
-    return op, x, op.forward(x)
+    return op, x, dense_forward(op, x)
 
 
 def test_hi_iht_single_path_exact():
@@ -134,7 +141,7 @@ def test_single_pass_thresholds_the_adjoint(algorithm, option):
     else:
         expected[support] = np.linalg.lstsq(op.columns(support), y, rcond=None)[0]
         np.testing.assert_allclose(res.x_hat, expected, rtol=0, atol=1e-12)
-    assert res.residual_norm == pytest.approx(np.linalg.norm(y - op.forward(expected)), rel=1e-12)
+    assert res.residual_norm == pytest.approx(np.linalg.norm(y - dense_forward(op, expected)), rel=1e-12)
 
 
 def textbook_threshold_loop(y, op, select_shape, profile, pursuit, max_iters):
@@ -143,7 +150,7 @@ def textbook_threshold_loop(y, op, select_shape, profile, pursuit, max_iters):
     x = np.zeros(op.in_dim, dtype=complex)
     prev = None
     for i in range(1, max_iters + 1):
-        x_temp = x + op.adjoint_values(y - op.forward(x))
+        x_temp = x + op.adjoint_values(y - dense_forward(op, x))
         support = hi_threshold(x_temp.reshape(select_shape.dims), profile)
         x = np.zeros(op.in_dim, dtype=complex)
         x[support] = _restricted_lstsq(aty, op, support) if pursuit else x_temp[support]
@@ -171,7 +178,7 @@ def test_in_place_loop_matches_textbook_loop(algorithm, option):
         x = np.zeros(op.in_dim, dtype=complex)
         x[rng.permutation(op.in_dim)[:4]] = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         noise = rng.standard_normal(op.out_dim) + 1j * rng.standard_normal(op.out_dim)
-        y = op.forward(x) + (0.05 if trial % 2 else 0.5) * noise
+        y = dense_forward(op, x) + (0.05 if trial % 2 else 0.5) * noise
         # A run capped at i passes replays the first i passes of a longer one.
         for max_iters in (1, 2, 3, 10):
             res = solve(y, op, RecoveryConfig(algorithm=algorithm, profile=profile,
@@ -206,7 +213,7 @@ def test_htp_consistent_system_zero_residual():
     op = KroneckerSensingOperator(d, "FS")
     x = np.zeros(op.in_dim, dtype=complex)
     x[[3, 17]] = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    y = op.forward(x)
+    y = dense_forward(op, x)
     cfg = RecoveryConfig(algorithm="HiHTP", profile=SparsityProfile((2, 1, 1)))
     res = solve(y, op, cfg)
     assert res.residual_norm <= 1e-10
@@ -236,6 +243,51 @@ def test_results_are_deterministic():
     assert np.array_equal(a.x_hat, b.x_hat)
 
 
+def fingerprint(res):
+    return res.x_hat.tobytes(), res.support.tobytes(), res.iterations, res.residual_norm
+
+
+@pytest.mark.parametrize("option, N, D, U", [
+    ("FS", 64, 16, 4),   # U*D = N: the adjoint's FFT runs in the loop's own buffer
+    ("FS", 64, 16, 2),   # U*D < N: the FFT runs in the operator's work buffer
+    ("SF", 64, 16, 4),
+])
+@pytest.mark.parametrize("algorithm", ["HiIHT", "HiHTP", "IHT"])
+def test_solves_are_reentrant(algorithm, option, N, D, U):
+    # The loop's per-thread buffers never leak into a result: repeated solves
+    # in one thread and concurrent solves on two threads give the first
+    # solve's bytes, and a result is untouched by later solves.
+    rng = np.random.default_rng(41)
+    op = KroneckerSensingOperator(make_design(N, 8, D, U, 12, 5, seed=9), option)
+    profile = SparsityProfile((3, 1, 2) if option == "FS" else (2, 2, 2))
+    cfg = RecoveryConfig(algorithm=algorithm, profile=profile)
+    ys = [rng.standard_normal(op.out_dim) + 1j * rng.standard_normal(op.out_dim)
+          for _ in range(3)]
+    first = [solve(y, op, cfg) for y in ys]
+    expected = [fingerprint(res) for res in first]
+    assert len(set(expected)) == len(ys)
+
+    for _ in range(2):
+        assert [fingerprint(solve(y, op, cfg)) for y in ys] == expected
+    assert [fingerprint(res) for res in first] == expected
+
+    start = threading.Barrier(2)
+    got = {}
+
+    def worker(offset):
+        start.wait()
+        got[offset] = [fingerprint(solve(ys[(offset + k) % len(ys)], op, cfg)) for k in range(12)]
+
+    threads = [threading.Thread(target=worker, args=(offset,)) for offset in (0, 1)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    for offset in (0, 1):
+        assert got[offset] == [expected[(offset + k) % len(ys)] for k in range(12)]
+    assert [fingerprint(res) for res in first] == expected
+
+
 def test_outputs_are_hierarchically_sparse():
     rng = np.random.default_rng(9)
     d = make_design(64, 8, 16, 2, 10, 5, seed=5)
@@ -254,7 +306,7 @@ def test_htp_residual_non_increasing_on_repeated_support():
     op = KroneckerSensingOperator(d, "FS")
     x = np.zeros(op.in_dim, dtype=complex)
     x[[2, 9, 20]] = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    y = op.forward(x) + 0.05 * (rng.standard_normal(op.out_dim) + 1j * rng.standard_normal(op.out_dim))
+    y = dense_forward(op, x) + 0.05 * (rng.standard_normal(op.out_dim) + 1j * rng.standard_normal(op.out_dim))
     # Capped reruns replay identical loop prefixes, exposing the iterates.
     iterates = [
         solve(y, op, RecoveryConfig(algorithm="HiHTP",
