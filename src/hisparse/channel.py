@@ -13,6 +13,7 @@ approximation below exploits.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 import math
 
@@ -83,31 +84,36 @@ def _constrained_pairs(outer_n, inner_n, L, K_outer_per_ue, rng, shared_counts, 
 
     ``outer`` is the constrained axis: at most K_outer_per_ue paths of this UE
     may share an outer value, and (when shared_counts is given) at most
-    K_shared distinct UEs may use any outer value overall.
+    K_shared distinct UEs may use any outer value overall. ``shared_counts``
+    is then a length-outer_n array counting the UEs that use each outer
+    value; this UE's values are added to it. Each path takes a uniform pick
+    among the allowed outer values, then among that value's free inner
+    values, both in ascending order.
     """
-    used: dict[int, set[int]] = {}
+    cap = min(K_outer_per_ue, inner_n)
+    # Outer values this UE may still take. shared_counts changes only after
+    # the UE's draw, so a value under K_shared UEs now stays so throughout.
+    if shared_counts is None:
+        open_outer = np.ones(outer_n, dtype=bool)
+    else:
+        open_outer = shared_counts < K_shared
+    taken: dict[int, list[int]] = {}  # outer -> its taken inner values, ascending
     pairs = []
     for _ in range(L):
-        allowed = [
-            o for o in range(outer_n)
-            if len(used.get(o, ())) < min(K_outer_per_ue, inner_n)
-            and (
-                shared_counts is None
-                or o in used
-                or shared_counts.get(o, 0) < K_shared
-            )
-        ]
-        if not allowed:
+        allowed = np.flatnonzero(open_outer)
+        if not allowed.size:
             raise ValueError("hierarchical channel constraints are unsatisfiable")
-        o = allowed[int(rng.integers(len(allowed)))]
-        taken = used.setdefault(o, set())
-        free = [i for i in range(inner_n) if i not in taken]
-        i = free[int(rng.integers(len(free)))]
-        taken.add(i)
+        o = int(allowed[int(rng.integers(allowed.size))])
+        used = taken.setdefault(o, [])
+        i = int(rng.integers(inner_n - len(used)))
+        for t in used:  # the i-th free inner value: step over each taken one at or below it
+            if t <= i:
+                i += 1
+        bisect.insort(used, i)
+        open_outer[o] = len(used) < cap
         pairs.append((o, i))
     if shared_counts is not None:
-        for o in used:
-            shared_counts[o] = shared_counts.get(o, 0) + 1
+        shared_counts[list(taken)] += 1
     return pairs
 
 
@@ -137,7 +143,7 @@ def gen_ongrid(params: ChannelParams, rng: np.random.Generator, option="FS") -> 
     fs = as_option(option) is VectorizationOption.FS
     active = sorted(int(i) for i in rng.permutation(p.U)[: p.V])
     paths: list[list[ChannelPath]] = [[] for _ in range(p.U)]
-    angle_counts: dict[int, int] = {}
+    angle_counts = np.zeros(p.M, dtype=np.int64)  # active UEs per angle
     for u in active:
         if fs:
             pairs = _constrained_pairs(

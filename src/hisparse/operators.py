@@ -23,11 +23,15 @@ rows, multiplies that block by the matching delay-factor columns (built as
 ``columns`` builds them, from a precomputed table of the N DFT phases) and
 then applies length-M FFTs to the Np pilot rows. A dense vector x enters as
 ``forward(np.flatnonzero(x), x[np.flatnonzero(x)])``. ``adjoint_values``
-applies length-M FFTs to the Np rows, then one length-N inverse FFT per angle
-along the contiguous rows of an (M x N) buffer; it writes its result into a
-caller's ``out`` array when given one. Under FS with U*D = N that buffer is
-``out`` itself, otherwise a per-thread work buffer whose first U*D columns
-are copied into ``out``. Both factor Grams are circulant (entry (q, q')
+applies length-M FFTs to the Np rows and writes its result into a caller's
+``out`` array when given one. Its delay adjoint takes one of two routes,
+fixed at construction by the design's sizes alone. With sparse pilots
+(Np*U*D <= PRODUCT_CROSSOVER * N*log2(N)) it is one matrix product of the
+(Np x M) angle output with the conjugated delay-factor table (Np x U*D),
+written straight into ``out``. Otherwise it is one length-N inverse FFT per
+angle along the contiguous rows of an (M x N) buffer: ``out`` itself under
+FS with U*D = N, else a per-thread work buffer whose first U*D columns are
+copied into ``out``. Both factor Grams are circulant (entry (q, q')
 depends only on (q - q') mod N, entry (m, m') only on (m - m') mod M), so
 ``gram`` evaluates any restricted Gram (A^H A)[S, S] from two precomputed
 kernels in O(|S|^2) without building a column; least-squares refits solve on
@@ -46,6 +50,11 @@ from .blocks import BlockShape, DimensionError, work_buffer
 from .design import PilotDesign
 
 DENSIFY_CAP = 4096
+# The adjoint's delay step is one matrix product, not M length-N FFTs, when
+# Np*U*D <= PRODUCT_CROSSOVER * N*log2(N). Per call the two routes cost about
+# the same between ratios 2 and 5 (x86 VM, one BLAS thread); at ratio 13 the
+# product took 1.8x the FFT's time.
+PRODUCT_CROSSOVER = 2.0
 
 
 class VectorizationOption(str, enum.Enum):
@@ -135,9 +144,13 @@ class KroneckerSensingOperator:
     The unknown is a flat array of length ``in_dim`` in layout ``shape_in``;
     the output has length Np*Mp. ``forward(idx, values)`` of a support whose
     entries occupy r delay rows costs O(U*D + |S| log r + Np*r*M +
-    Np*M log M), independent of ``in_dim``. ``adjoint_values(y, out)`` costs O(M*N log N +
-    Np*M log M); under FS with U*D = N its FFT runs in ``out``, otherwise in
-    a per-thread (M x N) work buffer and one copy into ``out``. Instances are
+    Np*M log M), independent of ``in_dim``. ``adjoint_values(y, out)`` costs
+    O(Np*M log M) plus its delay adjoint: O(Np*U*D*M) on the product route,
+    taken when Np*U*D <= PRODUCT_CROSSOVER * N*log2(N), with no scratch
+    memory; O(M*N log N) on the FFT route otherwise, whose FFT runs in
+    ``out`` under FS with U*D = N and else in a per-thread (M x N) work
+    buffer and one copy into ``out``. The product route keeps an (Np x U*D)
+    table, ``_adjoint_table`` (None on the FFT route). Instances are
     immutable after construction and reentrant: concurrent calls from
     different threads share no scratch memory.
     """
@@ -149,6 +162,11 @@ class KroneckerSensingOperator:
         self._ud = d.U * d.D
         self._adjoint_weights = np.conj(d.base_sequence[d.subcarriers]) / math.sqrt(d.Np)
         self._twiddle = np.exp(-2j * np.pi * np.arange(d.N) / d.N)  # read at n*q mod N
+        # conj(T) for the product route of the delay adjoint; see PRODUCT_CROSSOVER.
+        if d.Np * self._ud <= PRODUCT_CROSSOVER * d.N * math.log2(d.N):
+            self._adjoint_table = np.conj(self._delay_columns(np.arange(self._ud))) / math.sqrt(d.Np)
+        else:
+            self._adjoint_table = None
         self.shape_in = unknown_shape(self.option, d.M, d.U, d.D)
         self.in_dim = self.shape_in.total
         self.out_dim = d.Np * d.Mp
@@ -206,10 +224,13 @@ class KroneckerSensingOperator:
         ``out`` is an optional destination: a C-contiguous complex128 array
         of length ``in_dim``, allocated when None; the result is the same in
         every bit either way. The angle adjoint is one length-M FFT per pilot
-        row of the (Np x Mp) observation, zero-padded to M antennas. The delay
-        adjoint is one unnormalized length-N inverse FFT per angle, run in
-        place along the contiguous rows of an (M x N) buffer. Under FS with
-        U*D = N that buffer is ``out`` viewed as (M x N); otherwise it is this
+        row of the (Np x Mp) observation, zero-padded to M antennas. On the
+        product route the delay adjoint is that (Np x M) result times the
+        table conj(T) (Np x U*D), a matrix product written into ``out``
+        viewed as (M x U*D) under FS or (U*D x M) under SF. On the FFT route
+        it is one unnormalized length-N inverse FFT per angle, run in place
+        along the contiguous rows of an (M x N) buffer. Under FS with U*D = N
+        that buffer is ``out`` viewed as (M x N); otherwise it is this
         thread's work buffer, and its first U*D columns are copied into
         ``out``.
         """
@@ -226,6 +247,13 @@ class KroneckerSensingOperator:
         padded = np.zeros((d.Np, d.M), dtype=np.complex128)
         padded[:, d.antennas] = unvectorize(v, self.option, d.Np, d.Mp)
         Z = np.fft.fft(padded, axis=1) / math.sqrt(d.Mp)
+        table = self._adjoint_table
+        if table is not None:
+            if self.option is VectorizationOption.FS:
+                np.matmul(Z.T, table, out=out.reshape(d.M, self._ud))
+            else:
+                np.matmul(table.T, Z, out=out.reshape(self._ud, d.M))
+            return out
         direct = self.option is VectorizationOption.FS and self._ud == d.N
         if direct:
             buf = out.reshape(d.M, d.N)

@@ -373,7 +373,7 @@ def run_trial(config: ExperimentConfig, condition: Condition, Np: int, trial_ind
     if condition.on_grid:
         idx, gains = sparse_delay_angular(realization, condition.option)
         z = _noise(rng, design.Np, design.Mp, snr_linear) / math.sqrt(design.Np * design.Mp)
-        y = op.columns(idx) @ gains + vectorize(z, condition.option)
+        y = op.forward(idx, gains) + vectorize(z, condition.option)
         result = solve(y, op, cfg)
         # Parseval: per-element MSE over all UEs equals the squared distance
         # of the stacked delay-angular vectors. Both vanish off the union of

@@ -1,8 +1,10 @@
+import itertools
+
 from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
-from hisparse.channel import ongrid_draw_can_fail
+from hisparse.channel import _constrained_pairs, ongrid_draw_can_fail
 from hisparse import (
     ChannelParams,
     ChannelPath,
@@ -74,6 +76,62 @@ def test_unsatisfiable_constraints():
     params = ChannelParams(N=16, M=2, D=4, U=1, V=1, L=3)  # 3 distinct angles from 2
     with pytest.raises(ValueError):
         gen_ongrid(params, rng, "FS")
+
+
+def scan_constrained_pairs(outer_n, inner_n, L, K_outer_per_ue, rng, shared_counts, K_shared):
+    """``_constrained_pairs`` by a scan over every outer value per path (test oracle).
+
+    ``shared_counts`` is a dict {outer value: UEs using it}.
+    """
+    used: dict[int, set[int]] = {}
+    pairs = []
+    for _ in range(L):
+        allowed = [
+            o for o in range(outer_n)
+            if len(used.get(o, ())) < min(K_outer_per_ue, inner_n)
+            and (
+                shared_counts is None
+                or o in used
+                or shared_counts.get(o, 0) < K_shared
+            )
+        ]
+        if not allowed:
+            raise ValueError("hierarchical channel constraints are unsatisfiable")
+        o = allowed[int(rng.integers(len(allowed)))]
+        taken = used.setdefault(o, set())
+        free = [i for i in range(inner_n) if i not in taken]
+        i = free[int(rng.integers(len(free)))]
+        taken.add(i)
+        pairs.append((o, i))
+    if shared_counts is not None:
+        for o in used:
+            shared_counts[o] = shared_counts.get(o, 0) + 1
+    return pairs
+
+
+def test_constrained_pairs_match_scan_oracle():
+    # The same rng calls with the same bounds: the same pairs, shared counts,
+    # generator state and "unsatisfiable" errors, UE after UE.
+    outcomes = set()
+    for outer_n, inner_n, L, K, ues, K_shared, shared, seed in itertools.product(
+            (1, 2, 3, 6), (1, 2, 4), (1, 2, 3, 7), (1, 2, 3), (1, 3), (1, 2), (False, True), (0, 1)):
+        fast_rng, scan_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        fast_counts = np.zeros(outer_n, dtype=np.int64) if shared else None
+        scan_counts = {} if shared else None
+        for _ in range(ues):
+            try:
+                expected = scan_constrained_pairs(outer_n, inner_n, L, K, scan_rng, scan_counts, K_shared)
+            except ValueError:
+                with pytest.raises(ValueError, match="unsatisfiable"):
+                    _constrained_pairs(outer_n, inner_n, L, K, fast_rng, fast_counts, K_shared)
+                outcomes.add("fails")
+                break
+            assert _constrained_pairs(outer_n, inner_n, L, K, fast_rng, fast_counts, K_shared) == expected
+            assert fast_rng.bit_generator.state == scan_rng.bit_generator.state
+            if shared:
+                assert {o: int(c) for o, c in enumerate(fast_counts) if c} == scan_counts
+            outcomes.add("draws")
+    assert outcomes == {"draws", "fails"}
 
 
 def _draw_fails(params, option, seeds) -> bool:

@@ -200,17 +200,28 @@ def test_dimension_errors(monkeypatch):
             op.adjoint_values(y, out=out)
 
 
-@pytest.mark.parametrize("option, N, D, U", [
-    ("FS", 32, 8, 4),   # U*D = N: the FFT runs in out itself
-    ("FS", 32, 8, 2),   # U*D < N: a work buffer, then a copy
-    ("SF", 32, 8, 4),
-    ("SF", 32, 8, 2),
+@pytest.mark.parametrize("option, N, D, U, route", [
+    # Np = 12: the product route runs when 12*U*D <= 2*N*log2(N).
+    pytest.param("FS", 32, 8, 4, "fft", id="FS-32-8-4"),        # U*D = N: FFT in out itself
+    pytest.param("FS", 16, 6, 2, "fft", id="FS-16-6-2"),        # U*D < N: FFT in a work buffer
+    pytest.param("FS", 128, 32, 4, "product", id="FS-128-32-4"),  # U*D = N
+    pytest.param("FS", 32, 8, 2, "product", id="FS-32-8-2"),    # U*D < N
+    pytest.param("SF", 32, 8, 4, "fft", id="SF-32-8-4"),        # FFT in a work buffer
+    pytest.param("SF", 16, 6, 2, "fft", id="SF-16-6-2"),
+    pytest.param("SF", 128, 32, 4, "product", id="SF-128-32-4"),
+    pytest.param("SF", 32, 8, 2, "product", id="SF-32-8-2"),
 ])
-def test_adjoint_into_out_matches_allocated(option, N, D, U):
+def test_adjoint_into_out_matches_allocated(option, N, D, U, route):
     op = KroneckerSensingOperator(make_design(N, 8, D, U, 12, 5, seed=2), option)
+    assert (op._adjoint_table is not None) == (route == "product")
     rng = np.random.default_rng(4)
     y = rng.standard_normal(op.out_dim) + 1j * rng.standard_normal(op.out_dim)
     expected = op.adjoint_values(y)
+    A = op.densify()
+    assert np.linalg.norm(expected - A.conj().T @ y) <= 1e-10 * np.linalg.norm(A.conj().T @ y)
+    x = rng.standard_normal(op.in_dim) + 1j * rng.standard_normal(op.in_dim)
+    gap = abs(np.vdot(y, op.forward(np.arange(op.in_dim), x)) - np.vdot(expected, x))
+    assert gap <= 1e-10 * np.linalg.norm(x) * np.linalg.norm(y)
     out = np.full(op.in_dim, np.nan + 1j * np.nan)
     assert op.adjoint_values(y, out=out) is out
     assert out.tobytes() == expected.tobytes()

@@ -248,9 +248,16 @@ def fingerprint(res):
 
 
 @pytest.mark.parametrize("option, N, D, U", [
-    ("FS", 64, 16, 4),   # U*D = N: the adjoint's FFT runs in the loop's own buffer
-    ("FS", 64, 16, 2),   # U*D < N: the FFT runs in the operator's work buffer
+    # Np = 12. Product adjoint (12*U*D <= 2*N*log2(N)): it writes the loop's
+    # own buffer, under FS and SF alike.
+    ("FS", 64, 16, 4),
+    ("FS", 64, 16, 2),
     ("SF", 64, 16, 4),
+    # FFT adjoint: under FS with U*D = N it runs in the loop's own buffer,
+    # otherwise in the operator's work buffer.
+    ("FS", 16, 4, 4),
+    ("FS", 16, 6, 2),
+    ("SF", 16, 4, 4),
 ])
 @pytest.mark.parametrize("algorithm", ["HiIHT", "HiHTP", "IHT"])
 def test_solves_are_reentrant(algorithm, option, N, D, U):
@@ -259,6 +266,7 @@ def test_solves_are_reentrant(algorithm, option, N, D, U):
     # solve's bytes, and a result is untouched by later solves.
     rng = np.random.default_rng(41)
     op = KroneckerSensingOperator(make_design(N, 8, D, U, 12, 5, seed=9), option)
+    assert (op._adjoint_table is not None) == (N == 64)
     profile = SparsityProfile((3, 1, 2) if option == "FS" else (2, 2, 2))
     cfg = RecoveryConfig(algorithm=algorithm, profile=profile)
     ys = [rng.standard_normal(op.out_dim) + 1j * rng.standard_normal(op.out_dim)
