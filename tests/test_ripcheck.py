@@ -278,3 +278,147 @@ def test_bad_matrices_are_refused(bad):
         rip_constant(A, 2)
     with pytest.raises(ValueError):
         hirip_constant(A, BlockShape((2, 2)), SparsityProfile((1, 1)))
+
+
+def unpruned_scan(A, supports, k):
+    """The scan before Gershgorin pruning: every support's block is eigensolved."""
+    rows = A.shape[0]
+    smaller_side = k > rows
+    if not smaller_side:
+        G = A.conj().T @ A
+    chunk = max(1, ripcheck._CHUNK_ENTRIES // (k * min(k, rows)))
+    row = np.dtype((np.int64, (k,)))
+    best = -1.0
+    witness: tuple[int, ...] = ()
+    while len(idx := np.fromiter(itertools.islice(supports, chunk), dtype=row)):
+        if smaller_side:
+            cols = A.T[idx]
+            ev = np.linalg.eigvalsh(cols.transpose(0, 2, 1) @ cols.conj())
+            dev = np.maximum(ev[:, -1] - 1.0, 1.0)
+        else:
+            ev = np.linalg.eigvalsh(G[idx[:, :, None], idx[:, None, :]])
+            dev = np.maximum(ev[:, -1] - 1.0, 1.0 - ev[:, 0])
+        j = int(np.argmax(dev))
+        if dev[j] > best:
+            best = float(dev[j])
+            witness = tuple(idx[j].tolist())
+    return best, witness
+
+
+def sorting_iter_hi_supports(dims, s, base=0):
+    """The support generator before it dropped its per-support ``sorted``."""
+    n, k = dims[0], s[0]
+    if len(dims) == 1:
+        yield from itertools.combinations(range(base, base + n), k)
+        return
+    stride = math.prod(dims[1:])
+    for blocks in itertools.combinations(range(n), k):
+        subs = [list(sorting_iter_hi_supports(dims[1:], s[1:], base + b * stride))
+                for b in blocks]
+        for choice in itertools.product(*subs):
+            yield tuple(sorted(itertools.chain.from_iterable(choice)))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.data())
+def test_hi_supports_come_sorted_in_the_old_order(data):
+    dims = tuple(data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=3), label="dims"))
+    s = tuple(data.draw(st.integers(1, n), label="s") for n in dims)
+    assume(ripcheck.count_hi_supports(dims, s) <= 2000)
+    supports = list(ripcheck.iter_hi_supports(dims, s))
+    assert supports == list(sorting_iter_hi_supports(dims, s))
+    assert all(a < b for S in supports for a, b in zip(S, S[1:]))
+
+
+def assert_matches_unpruned(monkeypatch, A, shape, profile, k, length):
+    """Both constants of ``A`` equal the unpruned oracle's in every bit.
+
+    ``length`` None keeps the default chunks; otherwise every batched
+    eigensolve, pruned and oracle alike, takes ``length`` supports.
+    """
+    A = np.asarray(A, dtype=np.complex128)  # as the constants see it
+    rows, n = A.shape
+    cases = (
+        (lambda: hirip_constant(A, shape, profile),
+         lambda: ripcheck.iter_hi_supports(shape.dims, profile.s), profile.max_support),
+        (lambda: rip_constant(A, k), lambda: itertools.combinations(range(n), k), k),
+    )
+    for constant, supports, size in cases:
+        with monkeypatch.context() as patch:
+            if length is not None:
+                chunked(patch, length, size, rows)
+            report = constant()
+            want = (*unpruned_scan(A, supports(), size), sum(1 for _ in supports()))
+        assert (report.delta, report.witness, report.supports_checked) == want
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.data())
+def test_pruned_scan_matches_unpruned_oracle(data):
+    # Rows 1-9 against supports of 1-27 columns run both the k x k Gram
+    # blocks and the rows x rows A_S A_S^H stand-ins.
+    dims = tuple(data.draw(st.lists(st.integers(2, 3), min_size=1, max_size=3), label="dims"))
+    s = tuple(data.draw(st.integers(1, n), label="s") for n in dims)
+    assume(ripcheck.count_hi_supports(dims, s) <= 2000)
+    n = math.prod(dims)
+    k_flat = data.draw(st.sampled_from([k for k in range(1, n + 1) if math.comb(n, k) <= 2000]),
+                       label="k_flat")
+    rows = data.draw(st.integers(1, 9), label="rows")
+    length = data.draw(st.sampled_from([None, 1, 3]), label="length")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    # Uneven column norms let either 1 - lambda_min or lambda_max - 1 decide.
+    A = normalized_matrix(rng, rows, n) * rng.uniform(0.3, 1.3, n)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert_matches_unpruned(monkeypatch, A, BlockShape(dims), SparsityProfile(s), k_flat,
+                                length)
+
+
+def degenerate_matrix(kind):
+    rng = np.random.default_rng(10)
+    if kind == "identical":  # every support ties
+        return np.ones((3, 6)) / math.sqrt(3)
+    if kind == "orthonormal":  # every deviation is 0
+        return np.linalg.qr(rng.standard_normal((6, 6)))[0]
+    A = normalized_matrix(rng, 3, 6)
+    if kind == "zero column":
+        A[:, 2] = 0.0
+    else:  # duplicated column pair
+        A[:, 4] = A[:, 1]
+    return A
+
+
+@pytest.mark.parametrize("kind", ["identical", "orthonormal", "zero column", "duplicated pair"])
+@pytest.mark.parametrize("k", [2, 5])  # k <= rows, and k > rows on three rows
+@pytest.mark.parametrize("length", [None, 1, 3])
+def test_pruned_scan_matches_oracle_on_degenerate_columns(monkeypatch, kind, k, length):
+    assert_matches_unpruned(monkeypatch, degenerate_matrix(kind), BlockShape((2, 3)),
+                            SparsityProfile((2, k // 2)), k, length)
+
+
+# The benchmark's hirip-enum layouts: three levels of 2-3 blocks.
+HIRIP_LADDER = (
+    ((2, 3, 3), (2, 2, 1)),
+    ((3, 3, 2), (3, 1, 1)),
+    ((3, 2, 2), (2, 1, 2)),
+    ((2, 2, 3), (1, 2, 2)),
+)
+
+
+@pytest.mark.parametrize("dims, s", HIRIP_LADDER)
+def test_pruning_eigensolves_few_supports(monkeypatch, dims, s):
+    solved = []
+    solve = np.linalg.eigvalsh
+
+    def recording(blocks):
+        solved.append(len(blocks))
+        return solve(blocks)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    rng = np.random.default_rng(11)
+    shape, profile = BlockShape(dims), SparsityProfile(s)
+    checked = 0
+    for rows in range(4, 10):
+        A = normalized_matrix(rng, rows, shape.total)
+        checked += hirip_constant(A, shape, profile).supports_checked
+        checked += rip_constant(A, profile.max_support).supports_checked
+    assert sum(solved) < 0.25 * checked
