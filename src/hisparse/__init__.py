@@ -7,7 +7,6 @@ from .channel import (
     ChannelParams,
     ChannelPath,
     ChannelRealization,
-    delay_angular_matrix,
     delay_angular_offgrid,
     dirichlet_sparse,
     dirichlet_vector,
@@ -15,12 +14,10 @@ from .channel import (
     gen_ongrid,
     sparse_approx,
     superpose_transfer,
-    synthesize_transfer,
     transfer_from_delay_angular,
 )
 from .design import PilotDesign, make_design, signature
 from .operators import (
-    DenseOperator,
     KroneckerSensingOperator,
     VectorizationOption,
     dft_matrix,
@@ -51,10 +48,8 @@ from .simulate import (
     MseRecord,
     SystemConfig,
     emit_plot_data,
-    naive_mse_trial,
     recovery_profile,
     run_sweep,
     run_trial,
     split_estimate,
-    stack_delay_angular,
 )

@@ -28,6 +28,11 @@ class DimensionError(ValueError):
     """Shape/profile incompatibility between multilevel objects."""
 
 
+def _is_integer(value) -> bool:
+    """True for a Python or numpy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class BlockShape:
     """Nested block layout (N1, ..., Nl), l >= 1."""
@@ -35,10 +40,10 @@ class BlockShape:
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
-        if len(dims) < 1 or any(d < 1 for d in dims):
-            raise DimensionError(f"block dims must be positive, got {dims}")
-        object.__setattr__(self, "dims", dims)
+        dims = tuple(self.dims)
+        if not dims or not all(_is_integer(d) and d >= 1 for d in dims):
+            raise DimensionError(f"block dims must be positive integers, got {dims}")
+        object.__setattr__(self, "dims", tuple(int(d) for d in dims))
 
     @property
     def levels(self) -> int:
@@ -56,10 +61,10 @@ class SparsityProfile:
     s: tuple[int, ...]
 
     def __post_init__(self):
-        s = tuple(int(v) for v in self.s)
-        if len(s) < 1 or any(v < 1 for v in s):
-            raise DimensionError(f"sparsities must be positive, got {s}")
-        object.__setattr__(self, "s", s)
+        s = tuple(self.s)
+        if not s or not all(_is_integer(v) and v >= 1 for v in s):
+            raise DimensionError(f"sparsities must be positive integers, got {s}")
+        object.__setattr__(self, "s", tuple(int(v) for v in s))
 
     @property
     def levels(self) -> int:

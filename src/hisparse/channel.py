@@ -63,7 +63,6 @@ class ChannelRealization:
 
     params: ChannelParams
     paths: list[list[ChannelPath]]
-    on_grid: bool
 
     def __post_init__(self):
         if len(self.paths) != self.params.U:
@@ -156,7 +155,7 @@ def gen_ongrid(params: ChannelParams, rng: np.random.Generator, option="FS") -> 
         paths[u] = [
             ChannelPath(k / p.N, l / p.M, complex(g)) for (k, l), g in zip(kl, gains)
         ]
-    return ChannelRealization(p, paths, on_grid=True)
+    return ChannelRealization(p, paths)
 
 
 def gen_offgrid(params: ChannelParams, rng: np.random.Generator) -> ChannelRealization:
@@ -172,7 +171,7 @@ def gen_offgrid(params: ChannelParams, rng: np.random.Generator) -> ChannelReali
             ChannelPath(float(t), float(th), complex(g))
             for t, th, g in zip(taus, thetas, gains)
         ]
-    return ChannelRealization(p, paths, on_grid=False)
+    return ChannelRealization(p, paths)
 
 
 def grid_indices(path: ChannelPath, N: int, M: int) -> tuple[int, int]:
@@ -185,17 +184,6 @@ def grid_indices(path: ChannelPath, N: int, M: int) -> tuple[int, int]:
     return ki, li % M
 
 
-def delay_angular_matrix(paths, N: int, M: int, D: int) -> np.ndarray:
-    """Sparse D x M delay-angular matrix of one UE's on-grid paths."""
-    X = np.zeros((D, M), dtype=np.complex128)
-    for p in paths:
-        k, l = grid_indices(p, N, M)
-        if k >= D:
-            raise ValueError(f"delay tap {k} outside [0, {D})")
-        X[k, l] += p.gain
-    return X
-
-
 def superpose_transfer(paths, N: int, M: int) -> np.ndarray:
     """N x M transfer matrix by direct superposition of path steering vectors."""
     H = np.zeros((N, M), dtype=np.complex128)
@@ -206,21 +194,6 @@ def superpose_transfer(paths, N: int, M: int) -> np.ndarray:
         a = np.exp(-2j * np.pi * m * p.theta)
         H += p.gain * np.outer(b, np.conj(a))
     return H
-
-
-def synthesize_transfer(realization: ChannelRealization) -> list[np.ndarray]:
-    """Per-UE transfer matrices of an on-grid realization via FFT synthesis."""
-    N, M, D = realization.params.N, realization.params.M, realization.params.D
-    if not realization.on_grid:
-        raise ValueError("realization is off-grid; use superpose_transfer")
-    out = []
-    for ue_paths in realization.paths:
-        if not ue_paths:
-            out.append(np.zeros((N, M), dtype=np.complex128))
-            continue
-        X = delay_angular_matrix(ue_paths, N, M, D)
-        out.append(transfer_from_delay_angular(X, N, M))
-    return out
 
 
 def transfer_from_delay_angular(X: np.ndarray, N: int, M: int) -> np.ndarray:

@@ -302,37 +302,3 @@ class KroneckerSensingOperator:
         if self.option is VectorizationOption.FS:
             return np.kron(np.conj(Ath), At)
         return np.kron(At, np.conj(Ath))
-
-
-class DenseOperator:
-    """Adapter exposing a dense matrix through the fast-operator interface."""
-
-    def __init__(self, A: np.ndarray, shape_in: BlockShape):
-        A = np.asarray(A, dtype=np.complex128)
-        if A.ndim != 2 or A.shape[1] != shape_in.total:
-            raise DimensionError("matrix width must equal the block layout total")
-        self.A = A
-        self.shape_in = shape_in
-        self.in_dim = shape_in.total
-        self.out_dim = A.shape[0]
-
-    def forward(self, idx, values) -> np.ndarray:
-        idx, values = _support(idx, values, self.in_dim)
-        return self.A[:, idx] @ values
-
-    def adjoint_values(self, y, out=None) -> np.ndarray:
-        adj = self.A.conj().T @ np.asarray(y, dtype=np.complex128)
-        if out is None:
-            return adj
-        out[...] = adj
-        return out
-
-    def columns(self, idx) -> np.ndarray:
-        return self.A[:, idx]
-
-    def gram(self, idx) -> np.ndarray:
-        cols = self.A[:, idx]
-        return cols.conj().T @ cols
-
-    def densify(self) -> np.ndarray:
-        return self.A

@@ -41,7 +41,7 @@ import math
 
 import numpy as np
 
-from .blocks import DimensionError, SparsityProfile, hi_threshold, work_buffer
+from .blocks import DimensionError, SparsityProfile, _is_integer, hi_threshold, work_buffer
 from .operators import VectorizationOption, as_option
 
 HI_ALGORITHMS = ("HiIHT", "HiHTP")
@@ -64,8 +64,8 @@ class RecoveryConfig:
     def __post_init__(self):
         if self.algorithm not in HI_ALGORITHMS + FLAT_ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        if not _is_integer(self.max_iters) or self.max_iters < 1:
+            raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
         if self.profile is None:
             raise ValueError(f"{self.algorithm} needs a profile")
 
@@ -166,7 +166,10 @@ def solve(y, op, cfg: RecoveryConfig) -> RecoveryResult:
 
     Args:
         y: measurement vector of length op.out_dim.
-        op: forward/adjoint operator (fast or dense).
+        op: the sensing operator. solve reads its ``shape_in`` (a
+            BlockShape), ``in_dim``, ``out_dim``, ``forward(idx, values)``,
+            ``adjoint_values(y, out=None)``, ``gram(idx)`` and, for OMP,
+            ``columns(idx)``.
         cfg: solver configuration. cfg.profile is clipped to op.shape_in;
             HiIHT/HiHTP select under the clipped profile, IHT/HTP select and
             OMP picks k = its max_support entries.

@@ -140,11 +140,11 @@ def iter_hi_supports(dims: tuple[int, ...], s: tuple[int, ...], base: int = 0):
             yield tuple(itertools.chain.from_iterable(choice))
 
 
-def _enumerate(A: np.ndarray, shape: BlockShape, s: SparsityProfile, cap: int):
+def _enumerate(A: np.ndarray, shape: BlockShape, s: SparsityProfile):
     """(delta, witness, supports checked) over every maximal s-hierarchical support.
 
-    ``s`` must already fit ``shape``. Oversized instances are refused before
-    any eigensolve.
+    ``s`` must already fit ``shape``. Instances over ``EIG_BLOCK_CAP`` or
+    ``ENUM_CAP`` (read at call time) are refused before any eigensolve.
     """
     if A.shape[1] != shape.total:
         raise ValueError(f"matrix width {A.shape[1]} != block layout total {shape.total}")
@@ -153,13 +153,13 @@ def _enumerate(A: np.ndarray, shape: BlockShape, s: SparsityProfile, cap: int):
             f"Gram block size {s.max_support} exceeds eigensolve cap {EIG_BLOCK_CAP}"
         )
     count = count_hi_supports(shape.dims, s.s)
-    if count > cap:
-        raise ValueError(f"{count} supports exceed enumeration cap {cap}")
+    if count > ENUM_CAP:
+        raise ValueError(f"{count} supports exceed enumeration cap {ENUM_CAP}")
     delta, witness = _scan(A, iter_hi_supports(shape.dims, s.s), s.max_support)
     return delta, witness, count
 
 
-def rip_constant(A: np.ndarray, s: int, cap: int = ENUM_CAP) -> RipReport:
+def rip_constant(A: np.ndarray, s: int) -> RipReport:
     """Exact flat restricted-isometry constant delta_s by full enumeration.
 
     The one-level case of ``hirip_constant``: one block of all columns.
@@ -168,18 +168,16 @@ def rip_constant(A: np.ndarray, s: int, cap: int = ENUM_CAP) -> RipReport:
     cols = A.shape[1]
     if not 1 <= s <= cols:
         raise ValueError(f"sparsity {s} outside [1, {cols}]")
-    return RipReport(*_enumerate(A, BlockShape((cols,)), SparsityProfile((s,)), cap))
+    return RipReport(*_enumerate(A, BlockShape((cols,)), SparsityProfile((s,))))
 
 
-def hirip_constant(
-    A: np.ndarray, shape: BlockShape, s: SparsityProfile, cap: int = ENUM_CAP
-) -> RipReport:
+def hirip_constant(A: np.ndarray, shape: BlockShape, s: SparsityProfile) -> RipReport:
     """Exact hierarchical restricted-isometry constant over structured supports."""
     A = _as_matrix(A)
-    return RipReport(*_enumerate(A, shape, s.clip(shape), cap))
+    return RipReport(*_enumerate(A, shape, s.clip(shape)))
 
 
-def kron_hirip_bound(A1, A2, s: SparsityProfile, grouping: str, cap: int = ENUM_CAP) -> float:
+def kron_hirip_bound(A1, A2, s: SparsityProfile, grouping: str) -> float:
     """Upper bound on the 3-level constant of kron(A1, A2) from factor constants.
 
     grouping "outer-first": A1 covers the outer level, A2 the two inner
@@ -191,11 +189,11 @@ def kron_hirip_bound(A1, A2, s: SparsityProfile, grouping: str, cap: int = ENUM_
         raise ValueError("bound is stated for 3-level profiles")
     s1, s2, s3 = s.s
     if grouping == "outer-first":
-        d1 = rip_constant(np.asarray(A1), s1, cap).delta
-        d2 = rip_constant(np.asarray(A2), s2 * s3, cap).delta
+        d1 = rip_constant(A1, s1).delta
+        d2 = rip_constant(A2, s2 * s3).delta
     elif grouping == "inner-merged":
-        d1 = rip_constant(np.asarray(A1), s1 * s2, cap).delta
-        d2 = rip_constant(np.asarray(A2), s3, cap).delta
+        d1 = rip_constant(A1, s1 * s2).delta
+        d2 = rip_constant(A2, s3).delta
     else:
         raise ValueError(f"unknown grouping {grouping!r}")
     return (1.0 + d1) * (1.0 + d2) - 1.0
@@ -208,7 +206,7 @@ class ExtensionCheck:
     holds: bool
 
 
-def extension_rip_check(design: PilotDesign, s: int, cap: int = ENUM_CAP) -> ExtensionCheck:
+def extension_rip_check(design: PilotDesign, s: int) -> ExtensionCheck:
     """delta_s of the delay factor vs. its zero-padded full-width extension.
 
     The restricted factor uses the first U*D Fourier columns, the extension
@@ -217,6 +215,6 @@ def extension_rip_check(design: PilotDesign, s: int, cap: int = ENUM_CAP) -> Ext
     restricted = tau_factor(design)
     full = design.base_sequence[:, None] * dft_matrix(design.N, design.N)
     extended = full[design.subcarriers] / math.sqrt(design.Np)
-    d_r = rip_constant(restricted, s, cap).delta
-    d_e = rip_constant(extended, s, cap).delta
+    d_r = rip_constant(restricted, s).delta
+    d_e = rip_constant(extended, s).delta
     return ExtensionCheck(d_r, d_e, holds=bool(d_r <= d_e + 1e-12))

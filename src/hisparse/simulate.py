@@ -22,11 +22,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .blocks import SparsityProfile
+from .blocks import SparsityProfile, _is_integer
 from .channel import (
     ChannelParams,
     ChannelRealization,
-    delay_angular_matrix,
     gen_offgrid,
     gen_ongrid,
     grid_indices,
@@ -67,10 +66,6 @@ _SCENARIO_TABLE = {
 }
 
 CSV_HEADER = ("sweep_value", "algorithm", "mse_mean", "mse_stderr", "trials", "seconds")
-
-
-def _is_integer(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _is_real(value) -> bool:
@@ -260,21 +255,12 @@ def recovery_profile(option, V, L, K_V, K_L, L1=None, L2=None) -> SparsityProfil
     return SparsityProfile((V, L * (2 * L1 + 1), K_L * (2 * L2 + 1)))
 
 
-def stack_delay_angular(realization: ChannelRealization, option: str) -> np.ndarray:
-    """True unknown vector (on-grid) under the option's vectorization."""
-    p = realization.params
-    Xbar = np.zeros((p.U * p.D, p.M), dtype=np.complex128)
-    for u, paths in enumerate(realization.paths):
-        if paths:
-            Xbar[u * p.D : (u + 1) * p.D] = delay_angular_matrix(paths, p.N, p.M, p.D)
-    return vectorize(Xbar, option)
-
-
 def sparse_delay_angular(realization: ChannelRealization, option: str) -> tuple[np.ndarray, np.ndarray]:
-    """Nonzeros of ``stack_delay_angular`` without the dense vector.
+    """Nonzeros of the stacked on-grid (U*D x M) delay-angular unknown.
 
     Returns (sorted flat indices, gains) in the option's layout; paths that
-    share a grid point are summed in path order, as the dense matrix sums them.
+    share a grid point are summed in path order. An off-grid path is refused
+    by ``grid_indices``, a delay tap at or beyond D here.
     """
     p = realization.params
     rows, cols, gains = [], [], []
@@ -397,17 +383,6 @@ def run_trial(config: ExperimentConfig, condition: Condition, Np: int, trial_ind
         H_true = transfers[u] if transfers[u] is not None else 0.0
         err += float(np.linalg.norm(H_hat - H_true) ** 2)
     return err / (sys_cfg.N * sys_cfg.M)
-
-
-def naive_mse_trial(system: SystemConfig, L: int, snr_db: float, trial_index: int, seed: int = 0) -> float:
-    """Per-element MSE of the raw full-sampling observation used as estimate."""
-    rng = np.random.default_rng(np.random.SeedSequence([seed, trial_index]))
-    params = ChannelParams(N=system.N, M=system.M, D=system.D, U=1, V=1, L=L, alpha=system.alpha)
-    realization = gen_ongrid(params, rng, "FS")
-    H = superpose_transfer(realization.paths[0], system.N, system.M)
-    snr_linear = 10.0 ** (snr_db / 10.0)
-    Y = H + _noise(rng, system.N, system.M, snr_linear)
-    return float(np.linalg.norm(Y - H) ** 2) / (system.N * system.M)
 
 
 def _conditions(config: ExperimentConfig) -> list[Condition]:

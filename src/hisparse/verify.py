@@ -20,7 +20,7 @@ from .channel import (
     superpose_transfer,
 )
 from .design import make_design
-from .operators import KroneckerSensingOperator, tau_factor
+from .operators import DENSIFY_CAP, KroneckerSensingOperator, tau_factor
 from .recovery import contraction_constants, min_overhead
 from .ripcheck import extension_rip_check, hirip_constant, kron_hirip_bound, rip_constant
 
@@ -31,13 +31,13 @@ def _report(name: str, ok: bool, detail: str = "") -> bool:
     return ok
 
 
-def _random_design(rng, max_cols=4096):
+def _random_design(rng):
     while True:
         N = int(rng.choice([8, 12, 16, 24, 32]))
         D = int(rng.integers(1, max(2, N // 2) + 1))
         U = int(rng.integers(1, N // D + 1))
         M = int(rng.choice([2, 3, 4, 6, 8]))
-        if U * D * M <= max_cols:
+        if U * D * M <= DENSIFY_CAP:
             break
     Np = int(rng.integers(1, N + 1))
     Mp = int(rng.integers(1, M + 1))

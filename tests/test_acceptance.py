@@ -17,11 +17,11 @@ from hisparse.simulate import (
     Condition,
     ExperimentConfig,
     SystemConfig,
-    naive_mse_trial,
     run_trial,
 )
 from hisparse.verify import suite_hirip, suite_operators
 from conftest import REFERENCE_VALUES, REFERENCE_HIER_SUPPORT, REFERENCE_FLAT_SUPPORT
+from oracles import DenseOperator, naive_mse_trial, stack_delay_angular
 
 SMALL = SystemConfig(N=128, M=64, D=32, U=1)
 SMALL_MU = SystemConfig(N=128, M=64, D=32, U=4)
@@ -94,7 +94,7 @@ def test_criterion_03_noiseless_exact_recovery():
         realization = hs.gen_ongrid(params, rng, "FS")
         design = hs.make_design(128, 64, 32, 1, 8, 64, seed=int(rng.integers(2**63)))
         op = hs.KroneckerSensingOperator(design, "FS")
-        x = hs.stack_delay_angular(realization, "FS")
+        x = stack_delay_angular(realization, "FS")
         nz = np.flatnonzero(x)
         y = op.forward(nz, x[nz])
         cfg = hs.RecoveryConfig(algorithm="HiIHT", profile=hs.SparsityProfile((3, 1, 1)))
@@ -242,7 +242,7 @@ def test_criterion_11_empirical_contraction():
             continue
         certified += 1
         constants = hs.contraction_constants(report.delta, "HiIHT")
-        op = hs.DenseOperator(A, shape)
+        op = DenseOperator(A, shape)
         for _ in range(3):
             x = np.zeros(n, dtype=complex)
             x[int(rng.integers(n))] = rng.standard_normal() + 1j * rng.standard_normal()

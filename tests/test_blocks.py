@@ -9,9 +9,11 @@ import pytest
 from hisparse import (
     BlockShape,
     DimensionError,
+    RecoveryConfig,
     SparsityProfile,
     hi_threshold,
     is_hi_sparse,
+    rip_constant,
 )
 from hisparse.blocks import _top_mask, work_buffer
 from hisparse.ripcheck import count_hi_supports
@@ -48,6 +50,25 @@ def best_residual_bruteforce(values, dims, s):
         z[list(support)] = values[list(support)]
         best = min(best, float(np.linalg.norm(values - z)))
     return best
+
+
+@pytest.mark.parametrize("build", [
+    lambda: SparsityProfile((1.5, 2.9)),
+    lambda: BlockShape((2.7, 3)),
+    lambda: SparsityProfile(("2",)),
+    lambda: SparsityProfile((True,)),
+    lambda: BlockShape((np.float64(4.0),)),
+    lambda: rip_constant(np.eye(4), 2.5),
+    lambda: RecoveryConfig(profile=SparsityProfile((1,)), max_iters=2.5),
+    lambda: RecoveryConfig(profile=SparsityProfile((1,)), max_iters=True),
+], ids=["float-profile", "float-shape", "str-profile", "bool-profile", "numpy-float-shape",
+        "float-rip-sparsity", "float-max-iters", "bool-max-iters"])
+def test_sizes_must_be_integers(build):
+    # Python and numpy integers only: no silent truncation, no bool.
+    with pytest.raises(ValueError, match="integer"):
+        build()
+    assert SparsityProfile((np.int64(2),)).s == (2,)
+    assert BlockShape((np.int32(3), 4)).dims == (3, 4)
 
 
 def test_shape_and_profile_validation():

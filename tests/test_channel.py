@@ -9,18 +9,17 @@ from hisparse import (
     ChannelParams,
     ChannelPath,
     ChannelRealization,
-    delay_angular_matrix,
     delay_angular_offgrid,
     dirichlet_sparse,
     dirichlet_vector,
     gen_offgrid,
     gen_ongrid,
     sparse_approx,
-    stack_delay_angular,
     superpose_transfer,
-    synthesize_transfer,
     transfer_from_delay_angular,
 )
+from hisparse.channel import grid_indices
+from oracles import delay_angular_matrix, stack_delay_angular, synthesize_transfer
 
 
 def test_single_user_single_path():
@@ -185,7 +184,7 @@ def test_fft_synthesis_matches_superposition():
 
 def test_zero_paths_zero_transfer():
     params = ChannelParams(N=16, M=4, D=4, U=2, V=1, L=2)
-    r = ChannelRealization(params, [[], [ChannelPath(0.0, 0.0, 1.0)]], on_grid=True)
+    r = ChannelRealization(params, [[], [ChannelPath(0.0, 0.0, 1.0)]])
     H = synthesize_transfer(r)
     assert np.linalg.norm(H[0]) == 0.0
 
@@ -327,8 +326,9 @@ def test_offgrid_generation_ranges():
     rng = np.random.default_rng(12)
     params = ChannelParams(N=32, M=8, D=8, U=2, V=1, L=5)
     r = gen_offgrid(params, rng)
-    assert not r.on_grid
     (paths,) = filter(None, r.paths)
     for p in paths:
         assert 0.0 <= p.tau_norm < 0.25
         assert 0.0 <= p.theta < 1.0
+        with pytest.raises(ValueError, match="not on the grid"):
+            grid_indices(p, 32, 8)

@@ -7,7 +7,6 @@ import pytest
 import hisparse.operators
 from hisparse import (
     BlockShape,
-    DenseOperator,
     DimensionError,
     KroneckerSensingOperator,
     dft_matrix,
@@ -16,6 +15,7 @@ from hisparse import (
     theta_factor,
 )
 from hisparse.operators import unvectorize, vectorize
+from oracles import DenseOperator
 
 
 def random_design(rng, max_cols=2048):

@@ -6,7 +6,6 @@ import pytest
 
 from hisparse import (
     BlockShape,
-    DenseOperator,
     GuaranteeVoidError,
     KroneckerSensingOperator,
     RecoveryConfig,
@@ -26,6 +25,7 @@ from hisparse.simulate import (
     SystemConfig,
     run_trial,
 )
+from oracles import DenseOperator
 
 
 def dense_forward(op, x):

@@ -166,14 +166,17 @@ def test_extension_check_unit_sparsity_zero():
     assert chk.delta_extended <= 1e-12
 
 
-def test_enumeration_caps():
-    A = np.eye(40)
-    with pytest.raises(ValueError):
-        rip_constant(A, 10, cap=1000)
+def test_enumeration_caps(monkeypatch):
     with pytest.raises(ValueError):
         hirip_constant(np.eye(64), BlockShape((8, 8)), SparsityProfile((4, 4)))
     with pytest.raises(ValueError):
         rip_constant(np.eye(100), 70)  # Gram block above the eigensolve cap
+    # C(12, 4) = 495 supports: within the default cap, and over a cap of 494
+    # set after import, since the cap is read at call time.
+    assert rip_constant(np.eye(12), 4).supports_checked == 495
+    monkeypatch.setattr(ripcheck, "ENUM_CAP", 494)
+    with pytest.raises(ValueError, match="495 supports exceed enumeration cap 494"):
+        rip_constant(np.eye(12), 4)
 
 
 def test_more_columns_than_rows_gives_at_least_one():

@@ -11,7 +11,6 @@ from hisparse import (
     make_design,
     KroneckerSensingOperator,
     transfer_from_delay_angular,
-    synthesize_transfer,
 )
 from hisparse.simulate import (
     ChannelConfig,
@@ -19,17 +18,21 @@ from hisparse.simulate import (
     ExperimentConfig,
     SystemConfig,
     emit_plot_data,
-    naive_mse_trial,
     read_csv,
     recovery_profile,
     run_sweep,
     run_trial,
     sparse_delay_angular,
     split_estimate,
-    stack_delay_angular,
     write_csv,
 )
 import hisparse.simulate as simulate
+from oracles import (
+    delay_angular_matrix,
+    naive_mse_trial,
+    stack_delay_angular,
+    synthesize_transfer,
+)
 
 
 def tiny_config(**overrides):
@@ -195,7 +198,6 @@ def test_stack_and_split_are_inverse():
     for option in ("FS", "SF"):
         x = stack_delay_angular(r, option)
         mats = split_estimate(x, option, 2, 8, 8)
-        from hisparse import delay_angular_matrix
         for u in range(2):
             expected = (delay_angular_matrix(r.paths[u], 32, 8, 8)
                         if r.paths[u] else np.zeros((8, 8)))
@@ -223,13 +225,26 @@ def test_sparse_truth_sums_paths_on_one_grid_point():
     params = ChannelParams(N=32, M=8, D=8, U=2, V=1, L=3)
     paths = [ChannelPath(3 / 32, 5 / 8, 0.5 - 1j), ChannelPath(1 / 32, 0.0, 2.0),
              ChannelPath(3 / 32, 5 / 8, 0.25 + 0.125j)]
-    r = ChannelRealization(params, [[], paths], on_grid=True)
+    r = ChannelRealization(params, [[], paths])
     for option in ("FS", "SF"):
         idx, gains = sparse_delay_angular(r, option)
         assert idx.size == 2
         x = np.zeros(2 * 8 * 8, dtype=complex)
         x[idx] = gains
         assert x.tobytes() == stack_delay_angular(r, option).tobytes()
+
+
+@pytest.mark.parametrize("tau, match", [(0.5 / 32, "not on the grid"), (8 / 32, "delay tap 8")],
+                         ids=["half-tap", "tap-D"])
+def test_sparse_truth_refuses_paths_off_the_delay_grid(tau, match):
+    # The on-grid truth takes only paths on the (1/N, 1/M) grid with a delay tap below D.
+    from hisparse import ChannelPath, ChannelRealization
+
+    params = ChannelParams(N=32, M=8, D=8, U=1, V=1, L=1)
+    r = ChannelRealization(params, [[ChannelPath(tau, 3 / 8, 1.0)]])
+    for option in ("FS", "SF"):
+        with pytest.raises(ValueError, match=match):
+            sparse_delay_angular(r, option)
 
 
 @pytest.mark.parametrize("option", ["FS", "SF"])
