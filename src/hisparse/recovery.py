@@ -66,8 +66,8 @@ class RecoveryConfig:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if not _is_integer(self.max_iters) or self.max_iters < 1:
             raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
-        if self.profile is None:
-            raise ValueError(f"{self.algorithm} needs a profile")
+        if not isinstance(self.profile, SparsityProfile):
+            raise ValueError(f"{self.algorithm} needs a profile (SparsityProfile), got {self.profile!r}")
 
 
 @dataclass

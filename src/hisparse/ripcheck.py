@@ -1,19 +1,17 @@
 """Exact restricted-isometry constants on small matrices by brute force.
 
-Constants are computed by enumerating supports and taking extreme
-eigenvalues of the corresponding Gram blocks. The flat constant delta_s is
-the one-level case of the hierarchical one: ``rip_constant`` and
-``hirip_constant`` share one enumeration with the same input checks and
-caps. This is exponential by nature, so oversized instances are refused
-instead of approximated.
+Constants are the largest deviation from 1 of the extreme eigenvalues of the
+supports' Gram blocks. The flat delta_s (``rip_constant``) is the one-level
+case of ``hirip_constant``, with the same enumeration, input checks and caps.
+This is exponential by nature: oversized instances are refused, not approximated.
 
-Each call forms one Gram ``G = A^H A`` and streams the supports in chunks;
-the restricted blocks ``G[S, S]`` of a chunk are gathered into one stack and
-go through a single batched ``eigvalsh``. When the support size k exceeds
-the row count, the rows x rows matrices ``A_S A_S^H`` stand in for the
-k x k blocks: they share the nonzero spectrum, and the Gram's smallest
-eigenvalue is exactly 0. The witness is the first maximiser in enumeration
-order.
+Each call forms one Gram ``G = A^H A`` and unranks the supports' numbers in
+chunks of int64 index rows (``_unranker``), so memory is bounded by the chunk
+and no Python runs per support. A chunk's blocks ``G[S, S]`` go as one stack
+through one batched ``eigvalsh``. When the support size k exceeds the row
+count, the rows x rows ``A_S A_S^H`` stand in for the k x k blocks: they share
+the nonzero spectrum, and the Gram's smallest eigenvalue is exactly 0. The
+witness is the first maximiser in (lexicographic) enumeration order.
 
 Only supports that can still set delta are eigensolved. From the chunk's
 stack each block H gets a Gershgorin bound on its deviation,
@@ -29,7 +27,6 @@ counts every enumerated support, skipped or solved.
 from __future__ import annotations
 
 from dataclasses import dataclass
-import itertools
 import math
 
 import numpy as np
@@ -76,21 +73,21 @@ def _deviation(H: np.ndarray, smaller_side: bool) -> np.ndarray:
     return np.maximum(ev[:, -1] - 1.0, 1.0 if smaller_side else 1.0 - ev[:, 0])
 
 
-def _scan(A: np.ndarray, supports, k: int):
-    """(delta, witness) over an iterator of sorted k-column supports of ``A``.
+def _scan(A: np.ndarray, supports, count: int, k: int):
+    """(delta, witness) over the k-column supports numbered 0 .. count - 1.
 
-    Eigensolves only the supports whose Gershgorin bound can still reach the
-    running maximum (see the module docstring).
+    ``supports`` maps numbers to sorted index rows. Eigensolves only the supports
+    whose Gershgorin bound can still reach the running maximum (see above).
     """
     rows = A.shape[0]
     smaller_side = k > rows
     if not smaller_side:
         G = A.conj().T @ A
     chunk = max(1, _CHUNK_ENTRIES // (k * min(k, rows)))
-    row = np.dtype((np.int64, (k,)))
     best = -1.0
     witness: tuple[int, ...] = ()
-    while len(idx := np.fromiter(itertools.islice(supports, chunk), dtype=row)):
+    for start in range(0, count, chunk):
+        idx = supports(np.arange(start, min(start + chunk, count)))
         if smaller_side:
             cols = A.T[idx]
             H = cols.transpose(0, 2, 1) @ cols.conj()
@@ -116,28 +113,39 @@ def _scan(A: np.ndarray, supports, k: int):
 
 def count_hi_supports(dims: tuple[int, ...], s: tuple[int, ...]) -> int:
     """Number of maximal hierarchical supports for the given layout."""
+    SparsityProfile(s).check_compatible(dims)
     count = 1
     for n, k in zip(reversed(dims), reversed(s)):
         count = math.comb(n, k) * count**k
     return count
 
 
-def iter_hi_supports(dims: tuple[int, ...], s: tuple[int, ...], base: int = 0):
-    """Yield maximal hierarchical supports as sorted index tuples, lexicographic.
+def _unranker(dims: tuple[int, ...], s: tuple[int, ...]):
+    """Function from support numbers to sorted index rows, in lexicographic order.
 
-    For one level this is ``itertools.combinations`` of the block's indices.
-    The blocks are chosen in increasing order and each sub-support lies in its
-    own block's index range, so the chained tuple is already sorted.
+    t is (outer rank, child numbers) in mixed radix, the last child fastest; a
+    k-of-n rank r is the combinadic of C(n, k) - 1 - r, one searchsorted a place.
     """
-    n, k = dims[0], s[0]
-    if len(dims) == 1:
-        yield from itertools.combinations(range(base, base + n), k)
-        return
-    stride = math.prod(dims[1:])
-    for blocks in itertools.combinations(range(n), k):
-        subs = [list(iter_hi_supports(dims[1:], s[1:], base + b * stride)) for b in blocks]
-        for choice in itertools.product(*subs):
-            yield tuple(itertools.chain.from_iterable(choice))
+    # Place m only reaches d < n - k + m, where C(d, m) <= C(n, k). So every number,
+    # rank and table entry is at most the count <= ENUM_CAP: int64 cannot overflow.
+    n, k, total = dims[0], s[0], math.comb(dims[0], s[0])
+    tables = [np.array([math.comb(d, m) for d in range(n - k + m)]) for m in range(k, 0, -1)]
+    children = _unranker(dims[1:], s[1:]) if len(dims) > 1 else None
+    inner = count_hi_supports(dims[1:], s[1:]) if children else 1
+
+    def supports(t: np.ndarray) -> np.ndarray:
+        left = total - 1 - t // inner**k  # C(n, k) - 1 - outer rank
+        blocks = np.empty((len(t), k), np.int64)
+        for j, table in enumerate(tables):  # place m = k - j: largest d with C(d, m) <= left
+            d = table.searchsorted(left, side="right") - 1
+            blocks[:, j], left = n - 1 - d, left - table[d]
+        if children is None:
+            return blocks
+        sub = children((t[:, None] // inner ** np.arange(k - 1, -1, -1) % inner).ravel())
+        sub = sub.reshape(len(t), k, -1) + math.prod(dims[1:]) * blocks[:, :, None]
+        return sub.reshape(len(t), -1)
+
+    return supports
 
 
 def _enumerate(A: np.ndarray, shape: BlockShape, s: SparsityProfile):
@@ -149,14 +157,11 @@ def _enumerate(A: np.ndarray, shape: BlockShape, s: SparsityProfile):
     if A.shape[1] != shape.total:
         raise ValueError(f"matrix width {A.shape[1]} != block layout total {shape.total}")
     if s.max_support > EIG_BLOCK_CAP:
-        raise ValueError(
-            f"Gram block size {s.max_support} exceeds eigensolve cap {EIG_BLOCK_CAP}"
-        )
+        raise ValueError(f"Gram block size {s.max_support} exceeds eigensolve cap {EIG_BLOCK_CAP}")
     count = count_hi_supports(shape.dims, s.s)
     if count > ENUM_CAP:
         raise ValueError(f"{count} supports exceed enumeration cap {ENUM_CAP}")
-    delta, witness = _scan(A, iter_hi_supports(shape.dims, s.s), s.max_support)
-    return delta, witness, count
+    return (*_scan(A, _unranker(shape.dims, s.s), count, s.max_support), count)
 
 
 def rip_constant(A: np.ndarray, s: int) -> RipReport:
@@ -188,15 +193,10 @@ def kron_hirip_bound(A1, A2, s: SparsityProfile, grouping: str) -> float:
     if s.levels != 3:
         raise ValueError("bound is stated for 3-level profiles")
     s1, s2, s3 = s.s
-    if grouping == "outer-first":
-        d1 = rip_constant(A1, s1).delta
-        d2 = rip_constant(A2, s2 * s3).delta
-    elif grouping == "inner-merged":
-        d1 = rip_constant(A1, s1 * s2).delta
-        d2 = rip_constant(A2, s3).delta
-    else:
+    sizes = {"outer-first": (s1, s2 * s3), "inner-merged": (s1 * s2, s3)}.get(grouping)
+    if sizes is None:
         raise ValueError(f"unknown grouping {grouping!r}")
-    return (1.0 + d1) * (1.0 + d2) - 1.0
+    return (1.0 + rip_constant(A1, sizes[0]).delta) * (1.0 + rip_constant(A2, sizes[1]).delta) - 1.0
 
 
 @dataclass(frozen=True)

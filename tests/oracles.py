@@ -11,12 +11,18 @@ None of these is on a route that the CLI, the sweep harness or the
   * ``synthesize_transfer``: FFT synthesis of the on-grid transfer matrices,
     against ``superpose_transfer``;
   * ``naive_mse_trial``: the raw full-sampling observation as its own
-    estimate, whose MSE calibrates the noise scale at 1/SNR.
+    estimate, whose MSE calibrates the noise scale at 1/SNR;
+  * ``iter_hi_supports``: the maximal hierarchical supports as tuples, one
+    at a time in enumeration order, against the index rows that
+    ``ripcheck`` unranks.
 
 Test modules import them with ``from oracles import ...``.
 """
 
 from __future__ import annotations
+
+import itertools
+import math
 
 import numpy as np
 
@@ -110,3 +116,21 @@ def naive_mse_trial(system: SystemConfig, L: int, snr_db: float, trial_index: in
     snr_linear = 10.0 ** (snr_db / 10.0)
     Y = H + _noise(rng, system.N, system.M, snr_linear)
     return float(np.linalg.norm(Y - H) ** 2) / (system.N * system.M)
+
+
+def iter_hi_supports(dims: tuple[int, ...], s: tuple[int, ...], base: int = 0):
+    """Yield maximal hierarchical supports as sorted index tuples, lexicographic.
+
+    For one level this is ``itertools.combinations`` of the block's indices.
+    The blocks are chosen in increasing order and each sub-support lies in its
+    own block's index range, so the chained tuple is already sorted.
+    """
+    n, k = dims[0], s[0]
+    if len(dims) == 1:
+        yield from itertools.combinations(range(base, base + n), k)
+        return
+    stride = math.prod(dims[1:])
+    for blocks in itertools.combinations(range(n), k):
+        subs = [list(iter_hi_supports(dims[1:], s[1:], base + b * stride)) for b in blocks]
+        for choice in itertools.product(*subs):
+            yield tuple(itertools.chain.from_iterable(choice))

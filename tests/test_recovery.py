@@ -339,10 +339,12 @@ def test_measurement_validation():
 
 
 def test_config_without_profile_is_rejected():
-    # A config the solver cannot size is rejected before any solve.
+    # A config the solver cannot size is rejected before any solve. A bare
+    # tuple used to pass here and die in solve on profile.clip.
     for alg in ("HiIHT", "HiHTP", "IHT", "HTP", "OMP"):
-        with pytest.raises(ValueError, match=f"{alg} needs a profile"):
-            RecoveryConfig(algorithm=alg)
+        for profile in (None, (2, 1, 1), [2], 3):
+            with pytest.raises(ValueError, match=f"{alg} needs a profile"):
+                RecoveryConfig(algorithm=alg, profile=profile)
 
 
 def test_result_json_dict():

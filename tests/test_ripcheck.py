@@ -15,6 +15,8 @@ from hisparse import (
     rip_constant,
     ripcheck,
 )
+from hisparse.blocks import DimensionError
+from oracles import iter_hi_supports
 
 
 def support_deviation(A, support):
@@ -207,7 +209,7 @@ def test_batched_constants_match_per_support_oracle(data):
 
     cases = (
         (hirip_constant(A, BlockShape(dims), SparsityProfile(s)),
-         list(ripcheck.iter_hi_supports(dims, s))),
+         list(iter_hi_supports(dims, s))),
         (rip_constant(A, k_flat), list(itertools.combinations(range(n), k_flat))),
     )
     for report, supports in cases:
@@ -238,6 +240,20 @@ def test_chunk_boundaries_keep_delta_and_witness(monkeypatch, k, s):
             assert (got.delta, got.witness) == (want.delta, want.witness)
 
 
+# Three levels: 12 child supports per chosen outer block, so each outer
+# combination spans 144 supports and lengths 1, 5 and 7 cut inside it.
+@pytest.mark.parametrize("rows", [4, 3])  # k = 4 fits the rows, then exceeds them
+def test_chunk_boundaries_on_three_levels(monkeypatch, rows):
+    A = normalized_matrix(np.random.default_rng(12), rows, 18)
+    shape, profile = BlockShape((3, 3, 2)), SparsityProfile((2, 2, 1))
+    default = (rip_constant(A, 4), hirip_constant(A, shape, profile))
+    assert default[1].supports_checked == 432
+    for length in (1, 5, 7):
+        chunked(monkeypatch, length, 4, rows)
+        for got, want in zip((rip_constant(A, 4), hirip_constant(A, shape, profile)), default):
+            assert (got.delta, got.witness) == (want.delta, want.witness)
+
+
 @pytest.mark.parametrize("k", [2, 5])  # k <= rows and k > rows
 @pytest.mark.parametrize("length", [None, 1, 3])
 def test_exact_ties_pick_first_support(monkeypatch, k, length):
@@ -248,7 +264,7 @@ def test_exact_ties_pick_first_support(monkeypatch, k, length):
     assert report.witness == tuple(range(k))
     assert report.delta == pytest.approx(max(k - 1.0, 1.0), abs=1e-12)
     shape, profile = BlockShape((2, 3)), SparsityProfile((2, k // 2))
-    first = next(ripcheck.iter_hi_supports(shape.dims, profile.s))
+    first = next(iter_hi_supports(shape.dims, profile.s))
     if length is not None:
         chunked(monkeypatch, length, profile.max_support, 3)
     assert hirip_constant(A, shape, profile).witness == first
@@ -328,9 +344,52 @@ def test_hi_supports_come_sorted_in_the_old_order(data):
     dims = tuple(data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=3), label="dims"))
     s = tuple(data.draw(st.integers(1, n), label="s") for n in dims)
     assume(ripcheck.count_hi_supports(dims, s) <= 2000)
-    supports = list(ripcheck.iter_hi_supports(dims, s))
+    supports = list(iter_hi_supports(dims, s))
     assert supports == list(sorting_iter_hi_supports(dims, s))
     assert all(a < b for S in supports for a, b in zip(S, S[1:]))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.data())
+def test_unranked_rows_match_the_generator(data):
+    dims = tuple(data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=3), label="dims"))
+    s = tuple(data.draw(st.integers(1, n), label="s") for n in dims)
+    count = ripcheck.count_hi_supports(dims, s)
+    assume(count <= 2000)
+    supports = list(iter_hi_supports(dims, s))
+    assert len(supports) == count
+    # Supports per outer combination: the window around the first outer
+    # boundary splits a child product whenever that product exceeds one.
+    product = count // math.comb(dims[0], s[0])
+    windows = [(0, count), (max(0, product - 1), min(count, product + 1))]
+    for _ in range(3):
+        start = data.draw(st.integers(0, count - 1), label="start")
+        windows.append((start, data.draw(st.integers(start + 1, count), label="stop")))
+    unrank = ripcheck._unranker(dims, s)
+    for start, stop in windows:
+        rows = unrank(np.arange(start, stop))
+        assert rows.dtype == np.int64 and rows.shape == (stop - start, math.prod(s))
+        assert [tuple(r) for r in rows.tolist()] == supports[start:stop]
+
+
+# Counts near ENUM_CAP: (2, 5, 5) with (2, 2, 2) has exactly 1,000,000.
+@pytest.mark.parametrize("dims, s", [((43,), (5,)), ((4, 28), (2, 2)), ((2, 5, 5), (2, 2, 2))])
+def test_unranking_reaches_both_ends_near_the_cap(dims, s):
+    count = ripcheck.count_hi_supports(dims, s)
+    assert 0.8 * ripcheck.ENUM_CAP < count <= ripcheck.ENUM_CAP
+    first = next(iter_hi_supports(dims, s))
+    # Reflecting i -> N - 1 - i reverses every level's block order, so it maps
+    # the first support in enumeration order to the last.
+    last = tuple(sorted(math.prod(dims) - 1 - i for i in first))
+    rows = ripcheck._unranker(dims, s)(np.array([0, count - 1]))
+    assert [tuple(r) for r in rows.tolist()] == [first, last]
+
+
+def test_count_refuses_profiles_that_do_not_fit():
+    assert ripcheck.count_hi_supports((2, 3), (1, 2)) == 6
+    for s in [(1,), (1, 1, 1), (3, 1), (1, 4)]:
+        with pytest.raises(DimensionError):
+            ripcheck.count_hi_supports((2, 3), s)
 
 
 def assert_matches_unpruned(monkeypatch, A, shape, profile, k, length):
@@ -343,7 +402,7 @@ def assert_matches_unpruned(monkeypatch, A, shape, profile, k, length):
     rows, n = A.shape
     cases = (
         (lambda: hirip_constant(A, shape, profile),
-         lambda: ripcheck.iter_hi_supports(shape.dims, profile.s), profile.max_support),
+         lambda: iter_hi_supports(shape.dims, profile.s), profile.max_support),
         (lambda: rip_constant(A, k), lambda: itertools.combinations(range(n), k), k),
     )
     for constant, supports, size in cases:
