@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .blocks import BlockShape, DimensionError, SparsityProfile, hi_threshold, is_hi_sparse
+from .blocks import BlockShape, DimensionError, SparsityProfile, hi_threshold
 from .channel import (
     ChannelParams,
     ChannelPath,
@@ -51,5 +51,4 @@ from .simulate import (
     recovery_profile,
     run_sweep,
     run_trial,
-    split_estimate,
 )

@@ -164,18 +164,3 @@ def hi_threshold(x: np.ndarray, s: SparsityProfile) -> np.ndarray:
     # Drop exact zeros so the support matches supp(z) of the projected vector.
     return indices[moduli.reshape(-1)[indices] > 0.0]
 
-
-def is_hi_sparse(x: np.ndarray, s: SparsityProfile) -> bool:
-    """True iff supp(x) satisfies the recursive per-level constraints of s.
-
-    x has the block dims as its shape. Innermost level first, no block may
-    hold more populated children than that level's sparsity; a block counts
-    as populated at the next level up when any entry in it is nonzero.
-    """
-    s.check_compatible(x.shape)
-    used = x != 0
-    for lvl in range(x.ndim - 1, -1, -1):
-        if (used.sum(axis=-1) > s.s[lvl]).any():
-            return False
-        used = used.any(axis=-1)
-    return True

@@ -197,12 +197,11 @@ def superpose_transfer(paths, N: int, M: int) -> np.ndarray:
 
 
 def transfer_from_delay_angular(X: np.ndarray, N: int, M: int) -> np.ndarray:
-    """H = F[N,D] @ X @ F[M,M]^H computed with FFTs along both axes."""
-    D = X.shape[0]
-    buf = np.zeros((N, X.shape[1]), dtype=np.complex128)
-    buf[:D] = X
-    W = np.fft.fft(buf, axis=0)
-    return np.fft.ifft(W, axis=1) * M
+    """H = F[N,D] @ X @ F[M,M]^H by FFTs over the last two axes.
+
+    X is one D x M matrix or a (..., D, M) stack, mapped slice by slice.
+    """
+    return np.fft.ifft(np.fft.fft(X, n=N, axis=-2), axis=-1) * M
 
 
 def delay_angular_offgrid(H: np.ndarray) -> np.ndarray:

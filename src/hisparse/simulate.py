@@ -13,9 +13,11 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict, field, replace
 import csv
+import functools
 import itertools
 import json
 import math
+import operator
 import time
 from pathlib import Path
 
@@ -64,6 +66,10 @@ _SCENARIO_TABLE = {
     "offgrid-sweep": (["HiIHT"], "{alg}:L1={L1},L2={L2}",
                       {"L1": ("l1_values", [1, 2, 4]), "L2": ("l2_values", [1, 2, 4])}),
 }
+
+# The list fields that some scenario's axes read, in table order.
+_AXIS_KEYS = tuple(dict.fromkeys(key for _, _, axes in _SCENARIO_TABLE.values()
+                                 for key, _ in axes.values() if key))
 
 CSV_HEADER = ("sweep_value", "algorithm", "mse_mean", "mse_stderr", "trials", "seconds")
 
@@ -135,7 +141,7 @@ class ExperimentConfig:
 
     def _validate(self) -> None:
         """Reject a sweep the system cannot run, before any trial starts."""
-        for name in ("sweep", "algorithms", "l_values", "v_values", "l1_values", "l2_values"):
+        for name in ("sweep", "algorithms") + _AXIS_KEYS:
             value = getattr(self, name)
             if value is not None and not isinstance(value, list):
                 raise ValueError(f"{name} must be a list, got {value!r}")
@@ -146,8 +152,7 @@ class ExperimentConfig:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         counts = [("trials", self.trials), ("Np", self.Np), ("Mp", self.Mp)]
         counts += [("sweep", v) for v in self.sweep]
-        counts += [(key, v) for key in ("l_values", "v_values", "l1_values", "l2_values")
-                   for v in getattr(self, key) or []]
+        counts += [(key, v) for key in _AXIS_KEYS for v in getattr(self, key) or []]
         counts += [(f"system.{key}", v) for key, v in asdict(self.system).items() if key != "alpha"]
         counts += [(f"channel.{key}", v) for key, v in asdict(self.channel).items()]
         for name, value in counts:
@@ -158,6 +163,15 @@ class ExperimentConfig:
         for name, value in (("snr_db", self.snr_db), ("system.alpha", self.system.alpha)):
             if not _is_real(value):
                 raise ValueError(f"{name} must be a number, got {value!r}")
+        # A field the scenario does not read, or sweeps itself, must keep its default.
+        axes = _SCENARIO_TABLE[self.scenario][2]
+        read = {key for key, _ in axes.values()}
+        for name, default, unread in [(key, None, key not in read) for key in _AXIS_KEYS] + [
+                ("Np", None, self.scenario != "mismatched-L"), ("option", "FS", "option" in axes),
+                ("system.alpha", SystemConfig.alpha, "L1" not in axes)]:
+            value = operator.attrgetter(name)(self)
+            if unread and value != default:
+                raise ValueError(f"{self.scenario} does not read {name}, got {value!r}")
         if not (-300.0 <= self.snr_db <= 300.0 or self.snr_db == math.inf):
             raise ValueError(f"snr_db = {self.snr_db} outside [-300, 300] (Infinity: no noise)")
         N, M, D, U = self.system.N, self.system.M, self.system.D, self.system.U
@@ -279,29 +293,20 @@ def sparse_delay_angular(realization: ChannelRealization, option: str) -> tuple[
     return idx, values
 
 
-def split_estimate(x_hat: np.ndarray, option: str, U: int, D: int, M: int) -> list[np.ndarray]:
-    """Per-UE D x M delay-angular estimates from a solver output vector."""
-    Xbar = unvectorize(x_hat, option, U * D, M)
-    return [Xbar[u * D : (u + 1) * D] for u in range(U)]
-
-
 def _noise(rng, Np, Mp, snr_linear) -> np.ndarray:
     scale = math.sqrt(1.0 / (2.0 * snr_linear))
     return scale * (rng.standard_normal((Np, Mp)) + 1j * rng.standard_normal((Np, Mp)))
 
 
-def observed_matrix(transfers, design, rng, snr_db) -> np.ndarray:
-    """Normalized pilot observation assembled from per-UE transfer matrices.
+def observed_matrix(H, design, rng, snr_db) -> np.ndarray:
+    """Normalized pilot observation from the (U, N, M) stack of transfer matrices.
 
-    ``transfers`` holds one N x M matrix per UE, or None for an inactive UE.
+    An inactive UE's slice is all zeros and adds nothing.
     """
-    snr_linear = 10.0 ** (snr_db / 10.0)
     Y = np.zeros((design.Np, design.Mp), dtype=np.complex128)
-    for u, H in enumerate(transfers):
-        if H is None:
-            continue
-        Y += signature(design, u)[:, None] * H[np.ix_(design.subcarriers, design.antennas)]
-    Y += _noise(rng, design.Np, design.Mp, snr_linear)
+    for u, H_u in enumerate(H):
+        Y += signature(design, u)[:, None] * H_u[np.ix_(design.subcarriers, design.antennas)]
+    Y += _noise(rng, design.Np, design.Mp, 10.0 ** (snr_db / 10.0))
     return Y / math.sqrt(design.Np * design.Mp)
 
 
@@ -369,20 +374,15 @@ def run_trial(config: ExperimentConfig, condition: Condition, Np: int, trial_ind
         err[np.searchsorted(union, idx)] -= gains
         return float(np.linalg.norm(err) ** 2)
 
-    transfers = [
-        superpose_transfer(paths, sys_cfg.N, sys_cfg.M) if paths else None
-        for paths in realization.paths
-    ]
-    Y = observed_matrix(transfers, design, rng, config.snr_db)
-    y = vectorize(Y, condition.option)
-    result = solve(y, op, cfg)
-    estimates = split_estimate(result.x_hat, condition.option, sys_cfg.U, sys_cfg.D, sys_cfg.M)
-    err = 0.0
-    for u in range(sys_cfg.U):
-        H_hat = transfer_from_delay_angular(estimates[u], sys_cfg.N, sys_cfg.M)
-        H_true = transfers[u] if transfers[u] is not None else 0.0
-        err += float(np.linalg.norm(H_hat - H_true) ** 2)
-    return err / (sys_cfg.N * sys_cfg.M)
+    N, M, D, U = sys_cfg.N, sys_cfg.M, sys_cfg.D, sys_cfg.U
+    H = np.stack([superpose_transfer(paths, N, M) for paths in realization.paths])
+    Y = observed_matrix(H, design, rng, config.snr_db)
+    result = solve(vectorize(Y, condition.option), op, cfg)
+    X_hat = unvectorize(result.x_hat, condition.option, U * D, M).reshape(U, D, M)
+    H_hat = transfer_from_delay_angular(X_hat, N, M)
+    # Summed per UE, in UE order, without a U x N x M difference array.
+    err = sum(float(np.linalg.norm(H_hat[u] - H[u]) ** 2) for u in range(U))
+    return err / (N * M)
 
 
 def _conditions(config: ExperimentConfig) -> list[Condition]:
@@ -402,54 +402,44 @@ def _conditions(config: ExperimentConfig) -> list[Condition]:
     return conditions
 
 
-def _run_batch(config, condition, Np, lhat, threads) -> tuple[float, float, float]:
-    cond = condition if lhat is None else replace(condition, lhat=lhat)
-    start = time.perf_counter()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            values = list(pool.map(
-                lambda t: run_trial(config, cond, Np, t), range(config.trials)
-            ))
-    else:
-        values = [run_trial(config, cond, Np, t) for t in range(config.trials)]
-    seconds = time.perf_counter() - start
-    values = np.asarray(values)
-    stderr = float(values.std(ddof=1) / math.sqrt(len(values))) if len(values) > 1 else 0.0
-    return float(values.mean()), stderr, seconds
-
-
 def run_sweep(config: ExperimentConfig, out_dir=None, threads: int = 1):
     """Run all sweep points and conditions; optionally write CSV + manifest.
 
-    Returns (records, csv_path, manifest_path); the paths are None when no
-    output directory is given. The directory is created before the first trial.
+    All trials run on one pool of ``threads`` workers, opened once, before the
+    output directory; a record's ``seconds`` is its batch's wall time. A trial
+    that raises cancels those not yet started. Returns (records, csv_path,
+    manifest_path); the paths are None when no output directory is given.
     """
     conditions = _conditions(config)
-    if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-    records: list[MseRecord] = []
-    for sweep_value in config.sweep:
-        Np, lhat = config._sweep_point(sweep_value)
-        for cond in conditions:
-            mean, stderr, seconds = _run_batch(config, cond, Np, lhat, threads)
-            records.append(MseRecord(float(sweep_value), cond.label, mean, stderr,
-                                     config.trials, seconds))
-        if config.scenario == "offgrid-sweep":
-            here = [r for r in records if r.sweep_value == float(sweep_value)]
-            by_alg: dict[str, MseRecord] = {}
-            for r in here:
-                alg = r.algorithm.split(":")[0]
-                if alg not in by_alg or r.mse_mean < by_alg[alg].mse_mean:
-                    by_alg[alg] = r
-            for alg, best in by_alg.items():
-                records.append(MseRecord(best.sweep_value, f"{alg}:best(L1,L2)",
-                                         best.mse_mean, best.mse_stderr,
-                                         best.trials, 0.0))
+    pool = ThreadPoolExecutor(max_workers=threads)
+    try:
+        if out_dir is not None:
+            out_dir = Path(out_dir)
+            out_dir.mkdir(parents=True, exist_ok=True)
+        records: list[MseRecord] = []
+        for sweep_value in config.sweep:
+            Np, lhat = config._sweep_point(sweep_value)
+            best: dict[str, MseRecord] = {}  # per algorithm, its first lowest-mean off-grid record
+            for cond in conditions:
+                at_point = cond if lhat is None else replace(cond, lhat=lhat)
+                start = time.perf_counter()
+                values = np.asarray(list(pool.map(
+                    functools.partial(run_trial, config, at_point, Np), range(config.trials))))
+                seconds = time.perf_counter() - start
+                stderr = float(values.std(ddof=1) / math.sqrt(len(values))) if len(values) > 1 else 0.0
+                record = MseRecord(float(sweep_value), cond.label, float(values.mean()), stderr,
+                                   config.trials, seconds)
+                records.append(record)
+                if not cond.on_grid and (cond.algorithm not in best
+                                         or record.mse_mean < best[cond.algorithm].mse_mean):
+                    best[cond.algorithm] = record
+            records += [replace(r, algorithm=f"{alg}:best(L1,L2)", seconds=0.0)
+                        for alg, r in best.items()]
+    finally:
+        pool.shutdown(cancel_futures=True)
     csv_path = manifest_path = None
     if out_dir is not None:
-        csv_path = out_dir / "results.csv"
-        manifest_path = out_dir / "manifest.json"
+        csv_path, manifest_path = out_dir / "results.csv", out_dir / "manifest.json"
         write_csv(records, csv_path)
         manifest_path.write_text(run_manifest(config, csv_path.name))
     return records, csv_path, manifest_path

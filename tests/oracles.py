@@ -14,7 +14,12 @@ None of these is on a route that the CLI, the sweep harness or the
     estimate, whose MSE calibrates the noise scale at 1/SNR;
   * ``iter_hi_supports``: the maximal hierarchical supports as tuples, one
     at a time in enumeration order, against the index rows that
-    ``ripcheck`` unranks.
+    ``ripcheck`` unranks;
+  * ``is_hi_sparse``: a per-level count of populated blocks, against the
+    supports that ``hi_threshold`` selects;
+  * ``split_estimate`` / ``offgrid_trial_oracle``: the off-grid trial with
+    one transfer matrix per active UE (None for an inactive one), one
+    synthesis and one norm per UE, against ``run_trial``'s (U, N, M) stack.
 
 Test modules import them with ``from oracles import ...``.
 """
@@ -26,17 +31,20 @@ import math
 
 import numpy as np
 
-from hisparse.blocks import BlockShape, DimensionError
+from hisparse.blocks import BlockShape, DimensionError, SparsityProfile
 from hisparse.channel import (
     ChannelParams,
     ChannelRealization,
+    gen_offgrid,
     gen_ongrid,
     grid_indices,
     superpose_transfer,
     transfer_from_delay_angular,
 )
-from hisparse.operators import _support, vectorize
-from hisparse.simulate import SystemConfig, _noise
+from hisparse.design import make_design, signature
+from hisparse.operators import KroneckerSensingOperator, _support, unvectorize, vectorize
+from hisparse.recovery import RecoveryConfig, solve
+from hisparse.simulate import Condition, ExperimentConfig, SystemConfig, _noise, _profile
 
 
 class DenseOperator:
@@ -134,3 +142,64 @@ def iter_hi_supports(dims: tuple[int, ...], s: tuple[int, ...], base: int = 0):
         subs = [list(iter_hi_supports(dims[1:], s[1:], base + b * stride)) for b in blocks]
         for choice in itertools.product(*subs):
             yield tuple(itertools.chain.from_iterable(choice))
+
+
+def is_hi_sparse(x: np.ndarray, s: SparsityProfile) -> bool:
+    """True iff supp(x) satisfies the recursive per-level constraints of s.
+
+    x has the block dims as its shape. Innermost level first, no block may
+    hold more populated children than that level's sparsity; a block counts
+    as populated at the next level up when any entry in it is nonzero.
+    """
+    s.check_compatible(x.shape)
+    used = x != 0
+    for lvl in range(x.ndim - 1, -1, -1):
+        if (used.sum(axis=-1) > s.s[lvl]).any():
+            return False
+        used = used.any(axis=-1)
+    return True
+
+
+def split_estimate(x_hat: np.ndarray, option: str, U: int, D: int, M: int) -> list[np.ndarray]:
+    """Per-UE D x M delay-angular estimates from a solver output vector."""
+    Xbar = unvectorize(x_hat, option, U * D, M)
+    return [Xbar[u * D : (u + 1) * D] for u in range(U)]
+
+
+def offgrid_trial_oracle(config: ExperimentConfig, condition: Condition, Np: int,
+                         trial_index: int) -> float:
+    """Per-element MSE of one off-grid trial, UE by UE.
+
+    Same draws as ``run_trial``; an inactive UE has no transfer matrix and
+    adds nothing to the observation, and each UE's estimate is synthesized
+    from a zero-padded N x M copy and scored on its own.
+    """
+    sys_cfg, chan = config.system, config.channel
+    N, M = sys_cfg.N, sys_cfg.M
+    rng = np.random.default_rng(np.random.SeedSequence([config.seed, trial_index]))
+    params = ChannelParams(N=N, M=M, D=sys_cfg.D, U=sys_cfg.U, V=condition.V, L=condition.L,
+                           K_V=chan.K_V, K_L=chan.K_L, alpha=sys_cfg.alpha)
+    realization = gen_offgrid(params, rng)
+    design = make_design(N, M, sys_cfg.D, sys_cfg.U, Np, config.antenna_count(),
+                         seed=int(rng.integers(2**63)))
+    op = KroneckerSensingOperator(design, condition.option)
+    cfg = RecoveryConfig(algorithm=condition.algorithm, profile=_profile(config, condition))
+
+    transfers = [superpose_transfer(paths, N, M) if paths else None for paths in realization.paths]
+    Y = np.zeros((design.Np, design.Mp), dtype=np.complex128)
+    for u, H in enumerate(transfers):
+        if H is None:
+            continue
+        Y += signature(design, u)[:, None] * H[np.ix_(design.subcarriers, design.antennas)]
+    Y += _noise(rng, design.Np, design.Mp, 10.0 ** (config.snr_db / 10.0))
+    Y = Y / math.sqrt(design.Np * design.Mp)
+    result = solve(vectorize(Y, condition.option), op, cfg)
+    estimates = split_estimate(result.x_hat, condition.option, sys_cfg.U, sys_cfg.D, M)
+    err = 0.0
+    for u in range(sys_cfg.U):
+        buf = np.zeros((N, M), dtype=np.complex128)  # F[N,D] @ X @ F[M,M]^H on a padded copy
+        buf[: sys_cfg.D] = estimates[u]
+        H_hat = np.fft.ifft(np.fft.fft(buf, axis=0), axis=1) * M
+        H_true = transfers[u] if transfers[u] is not None else 0.0
+        err += float(np.linalg.norm(H_hat - H_true) ** 2)
+    return err / (N * M)

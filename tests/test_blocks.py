@@ -12,12 +12,12 @@ from hisparse import (
     RecoveryConfig,
     SparsityProfile,
     hi_threshold,
-    is_hi_sparse,
     rip_constant,
 )
 from hisparse.blocks import _top_mask, work_buffer
 from hisparse.ripcheck import count_hi_supports
 from conftest import REFERENCE_HIER_SUPPORT, REFERENCE_FLAT_SUPPORT
+from oracles import is_hi_sparse
 
 
 def brute_force_supports(dims, s):

@@ -159,6 +159,19 @@ def test_plot_unreadable_csv_exits_one(tmp_path, capsys):
      "v_values must be a non-empty list when given"),
     ({"scenario": "offgrid-sweep", "l1_values": []}, "l1_values must be a non-empty list when given"),
     ({"scenario": "offgrid-sweep", "l2_values": []}, "l2_values must be a non-empty list when given"),
+    ({"Np": 40, "system": {"N": 32}}, "single-user-sweep does not read Np, got 40"),
+    ({"scenario": "omp-compare", "Np": 8}, "omp-compare does not read Np, got 8"),
+    ({"l1_values": [100]}, "single-user-sweep does not read l1_values, got [100]"),
+    ({"scenario": "multiuser-sweep", "system": {"U": 4}, "l_values": [2]},
+     "multiuser-sweep does not read l_values, got [2]"),
+    ({"scenario": "mismatched-L", "Np": 8, "v_values": [1]},
+     "mismatched-L does not read v_values, got [1]"),
+    ({"scenario": "offgrid-sweep", "l_values": [2]}, "offgrid-sweep does not read l_values, got [2]"),
+    ({"system": {"alpha": math.nan}}, "single-user-sweep does not read system.alpha, got nan"),
+    ({"scenario": "omp-compare", "system": {"alpha": 0.1}},
+     "omp-compare does not read system.alpha, got 0.1"),
+    ({"scenario": "sf-vs-fs", "system": {"U": 4}, "option": "SF"},
+     "sf-vs-fs does not read option, got 'SF'"),
 ], ids=["negative-seed", "fractional-seed", "nan-snr", "negative-alpha", "fractional-trials",
         "fractional-sweep", "fractional-v", "fractional-l", "fractional-mp", "boolean-trials",
         "unknown-algorithm", "ongrid-l-exceeds-angles", "ongrid-users-exceed-angles",
@@ -166,7 +179,9 @@ def test_plot_unreadable_csv_exits_one(tmp_path, capsys):
         "string-alpha-offgrid", "empty-algorithms", "string-algorithms", "string-sweep",
         "integer-sweep", "integer-l-values", "integer-v-values", "string-l1-values",
         "object-l2-values", "empty-l-values", "empty-v-values", "empty-l1-values",
-        "empty-l2-values"])
+        "empty-l2-values", "unread-np", "unread-np-omp", "unread-l1-values",
+        "unread-l-values", "unread-v-values", "unread-l-values-offgrid", "unread-nan-alpha",
+        "unread-alpha", "unread-option-sf-vs-fs"])
 def test_run_config_out_of_model_exits_one_before_any_trial(tmp_path, capsys, bad, message):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({"scenario": "single-user-sweep", "sweep": [8],

@@ -12,7 +12,6 @@ from hisparse import (
     SparsityProfile,
     contraction_constants,
     hi_threshold,
-    is_hi_sparse,
     make_design,
     min_overhead,
     solve,
@@ -25,7 +24,7 @@ from hisparse.simulate import (
     SystemConfig,
     run_trial,
 )
-from oracles import DenseOperator
+from oracles import DenseOperator, is_hi_sparse
 
 
 def dense_forward(op, x):

@@ -1,5 +1,7 @@
 import json
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -23,13 +25,14 @@ from hisparse.simulate import (
     run_sweep,
     run_trial,
     sparse_delay_angular,
-    split_estimate,
     write_csv,
 )
 import hisparse.simulate as simulate
 from oracles import (
     delay_angular_matrix,
     naive_mse_trial,
+    offgrid_trial_oracle,
+    split_estimate,
     stack_delay_angular,
     synthesize_transfer,
 )
@@ -305,6 +308,39 @@ def test_mse_dual_route_agreement():
     assert direct == pytest.approx(h_err / (32 * 8), rel=1e-10)
 
 
+@pytest.mark.parametrize("option", ["FS", "SF"])
+@pytest.mark.parametrize("U, V", [(1, 1), (2, 1), (2, 2), (4, 2)])
+def test_offgrid_trial_matches_per_ue_oracle(option, U, V):
+    # The (U, N, M) stack, with zeros for inactive UEs, keeps every bit of the
+    # per-UE route: None for an inactive UE, one synthesis and norm per UE.
+    config = ExperimentConfig(scenario="offgrid-sweep", system=SystemConfig(N=64, M=16, D=16, U=U),
+                              channel=ChannelConfig(L=2, V=V), sweep=[16], trials=3, seed=5,
+                              option=option, l1_values=[1], l2_values=[1])
+    for alg in ("HiIHT", "HiHTP", "IHT", "HTP"):
+        cond = Condition(label=alg, algorithm=alg, option=option, V=V, L=2, L1=1, L2=1)
+        for t in range(3):
+            assert run_trial(config, cond, 16, t).hex() == offgrid_trial_oracle(config, cond, 16, t).hex()
+
+
+@pytest.mark.parametrize("option", ["FS", "SF"])
+def test_stacked_synthesis_matches_per_slice(option):
+    # A (U, D, M) stack, as run_trial unvectorizes it, maps slice by slice in
+    # every bit, and each slice equals an FFT of the zero-padded N x M buffer.
+    rng = np.random.default_rng(11)
+    U, D, N, M = 3, 8, 32, 8
+    x = rng.standard_normal(U * D * M) + 1j * rng.standard_normal(U * D * M)
+    X = simulate.unvectorize(x, option, U * D, M).reshape(U, D, M)
+    stacked = transfer_from_delay_angular(X, N, M)
+    assert stacked.shape == (U, N, M)
+    for u in range(U):
+        single = transfer_from_delay_angular(X[u], N, M)
+        buf = np.zeros((N, M), dtype=np.complex128)
+        buf[:D] = X[u]
+        padded = np.fft.ifft(np.fft.fft(buf, axis=0), axis=1) * M
+        bits = [np.ascontiguousarray(H).view(np.uint64) for H in (stacked[u], single, padded)]
+        assert np.array_equal(bits[0], bits[1]) and np.array_equal(bits[1], bits[2])
+
+
 def test_observation_routes_agree_on_grid():
     # Assembling the pilot matrix from per-UE transfer matrices must match
     # the fast operator applied to the stacked unknown (noiseless).
@@ -314,7 +350,7 @@ def test_observation_routes_agree_on_grid():
     design = make_design(64, 16, 16, 2, 12, 7, seed=8)
     op = KroneckerSensingOperator(design, "FS")
     from hisparse.simulate import observed_matrix
-    Y = observed_matrix(synthesize_transfer(r), design, rng, snr_db=math.inf)
+    Y = observed_matrix(np.stack(synthesize_transfer(r)), design, rng, snr_db=math.inf)
     x = stack_delay_angular(r, "FS")
     nz = np.flatnonzero(x)
     y_direct = op.forward(nz, x[nz])
@@ -373,12 +409,50 @@ def test_manifest_reproduces_rows(tmp_path):
         assert a.mse_stderr == b.mse_stderr
 
 
-def test_threaded_run_matches_serial(tmp_path):
-    config = tiny_config()
-    serial, _, _ = run_sweep(config)
-    threaded, _, _ = run_sweep(config, threads=4)
-    for a, b in zip(serial, threaded):
-        assert a.mse_mean == b.mse_mean
+def test_records_do_not_depend_on_thread_count():
+    # Two sweep points x two algorithms x two L1, plus the best(L1,L2) rows.
+    config = ExperimentConfig(
+        scenario="offgrid-sweep", system=SystemConfig(N=32, M=8, D=8, U=1),
+        channel=ChannelConfig(L=1, V=1), sweep=[8, 16], trials=3, seed=3,
+        algorithms=["HiIHT", "IHT"], l1_values=[1, 2], l2_values=[1])
+    runs = [run_sweep(config, threads=threads)[0] for threads in (1, 2, 4)]
+    assert len(runs[0]) == 2 * (2 * 2 + 2)
+    assert sum(r.algorithm.endswith(":best(L1,L2)") for r in runs[0]) == 4
+    for records in runs:
+        assert len(records) == len(runs[0])
+        assert ([(r.sweep_value, r.algorithm, r.mse_mean, r.mse_stderr, r.trials) for r in records]
+                == [(r.sweep_value, r.algorithm, r.mse_mean, r.mse_stderr, r.trials)
+                    for r in runs[0]])
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_failing_trial_stops_the_sweep(monkeypatch, threads):
+    # The exception reaches the caller, the trials not yet started are
+    # cancelled, and no pool worker outlives run_sweep.
+    started = []
+
+    def failing_trial(config, condition, Np, trial_index):
+        started.append(trial_index)
+        time.sleep(0.01)
+        if trial_index == 1:
+            raise RuntimeError("trial 1 failed")
+        return 0.0
+
+    def pool_workers():
+        return {t for t in threading.enumerate() if t.name.startswith("ThreadPoolExecutor")}
+
+    before = pool_workers()
+    monkeypatch.setattr(simulate, "run_trial", failing_trial)
+    with pytest.raises(RuntimeError, match="trial 1 failed"):
+        run_sweep(tiny_config(trials=50), threads=threads)
+    assert 2 <= len(started) < 50
+    assert pool_workers() <= before
+
+
+def test_zero_threads_is_refused_before_the_output_directory(tmp_path):
+    with pytest.raises(ValueError):
+        run_sweep(tiny_config(), out_dir=tmp_path / "out", threads=0)
+    assert not (tmp_path / "out").exists()
 
 
 def test_mismatched_scenario_sweeps_assumed_paths():
@@ -462,8 +536,16 @@ def _pinned(label, alg, V, option="FS", L=4, on_grid=True, L1=None, L2=None):
     return (label, alg, option, V, L, on_grid, L1, L2)
 
 
-_EXPLICIT_AXES = dict(option="SF", algorithms=["HiHTP", "OMP"], l_values=[2, 5],
-                      v_values=[3, 1], l1_values=[2, 1], l2_values=[3])
+# Every field each scenario reads, given; sf-vs-fs sweeps option itself.
+_EXPLICIT_BASE = dict(option="SF", algorithms=["HiHTP", "OMP"])
+_EXPLICIT_AXES = {
+    "single-user-sweep": dict(l_values=[2, 5]),
+    "multiuser-sweep": dict(v_values=[3, 1]),
+    "sf-vs-fs": dict(option="FS", v_values=[3, 1]),
+    "mismatched-L": {},
+    "omp-compare": {},
+    "offgrid-sweep": dict(l1_values=[2, 1], l2_values=[3]),
+}
 
 _PINNED_CONDITIONS = {
     ("single-user-sweep", "defaults"): [
@@ -512,15 +594,43 @@ _PINNED_CONDITIONS = {
 @pytest.mark.parametrize("scenario, axes", sorted(_PINNED_CONDITIONS))
 def test_conditions_are_pinned(scenario, axes):
     # Every scenario's curves, in order, with its default axes and with every
-    # axis given (axes a scenario does not sweep are ignored).
+    # field it reads given.
     from hisparse.simulate import _conditions
 
     config = ExperimentConfig(
         scenario=scenario, system=SystemConfig(U=4), channel=ChannelConfig(L=4, V=2),
         sweep=[64], Np=64 if scenario == "mismatched-L" else None,
-        **(_EXPLICIT_AXES if axes == "explicit" else {}),
+        **(dict(_EXPLICIT_BASE, **_EXPLICIT_AXES[scenario]) if axes == "explicit" else {}),
     )
     conditions = _conditions(config)
     assert [(c.label, c.algorithm, c.option, c.V, c.L, c.on_grid, c.L1, c.L2)
             for c in conditions] == _PINNED_CONDITIONS[scenario, axes]
     assert all(c.lhat is None for c in conditions)
+
+
+_UNREAD_VALUES = {"l_values": [2], "v_values": [1], "l1_values": [1], "l2_values": [1],
+                  "Np": 8, "option": "SF", "system.alpha": 0.125}
+
+
+@pytest.mark.parametrize("scenario", sorted(_EXPLICIT_AXES))
+def test_fields_a_scenario_does_not_read_are_refused(scenario):
+    # Exactly the fields outside the scenario's explicit set (and option under
+    # sf-vs-fs, which sweeps it) are refused when they leave their defaults.
+    reads = set(dict(_EXPLICIT_BASE, **_EXPLICIT_AXES[scenario]))
+    reads |= {"Np"} if scenario == "mismatched-L" else set()
+    reads |= {"system.alpha"} if scenario == "offgrid-sweep" else set()
+    reads -= {"option"} if scenario == "sf-vs-fs" else set()
+    base = dict(scenario=scenario, system=SystemConfig(U=4), channel=ChannelConfig(L=4, V=2),
+                sweep=[64], Np=64 if scenario == "mismatched-L" else None)
+    for name, value in _UNREAD_VALUES.items():
+        if name == "system.alpha":
+            fields = dict(base, system=SystemConfig(U=4, alpha=value))
+        else:
+            fields = dict(base, **{name: value})
+        if name in reads:
+            ExperimentConfig(**fields)
+        else:
+            with pytest.raises(ValueError, match=f"{scenario} does not read {name}, got"):
+                ExperimentConfig(**fields)
+    # A default value given explicitly is accepted everywhere.
+    ExperimentConfig(**dict(base, option="FS", system=SystemConfig(U=4, alpha=0.25)))
