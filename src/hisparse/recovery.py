@@ -22,9 +22,16 @@ unknown's layout. HiIHT/HiHTP select under it;
 the flat IHT/HTP are the one-level case (a single block of length U*D*M with
 sparsity k = the clipped profile's size, its max_support). The IHT variants
 keep x_temp on the selected support, the HTP variants refit it by least
-squares on S. Iteration stops when the selected support repeats or after
-max_iters passes; a run capped at max_iters = i replays the first i passes of
-a longer one, so capped reruns expose the iterates. OMP grows its support one
+squares on S. Iteration stops when the selected support repeats the previous
+pass's or after max_iters passes; a run capped at max_iters = i replays the
+first i passes of a longer one, so capped reruns expose the iterates. The HTP
+variants also stop at an exact cycle. Their iterate is the refit on its
+support, so from pass 1 on each support is a fixed function of the one before;
+once pass i selects the support of a pass j < i - 1, the run repeats with
+period p = i - j. The loop then stops and returns what pass max_iters would:
+pass j + (max_iters - j) mod p's support and refit values, with iterations =
+max_iters, the same in every bit as the full run. The IHT variants carry
+values from pass to pass, so they run every pass. OMP grows its support one
 correlation pick at a time, k picks at most, with the same least-squares
 refit. Every refit solves the |S| x |S| normal equations
 (A^H A)[S, S] beta = (A^H y)[S] from the operator's restricted Gram
@@ -103,6 +110,7 @@ def _threshold_loop(y, op, max_iters: int, dims, profile, pursuit: bool):
     x = np.zeros(op.in_dim, dtype=np.complex128)
     prev_support = None
     iterations = 0
+    seen, passes = {}, []  # pursuit only: support bytes -> pass; (support, values) per pass
     for i in range(1, max_iters + 1):
         iterations = i
         if prev_support is None:
@@ -113,9 +121,18 @@ def _threshold_loop(y, op, max_iters: int, dims, profile, pursuit: bool):
             x_temp[prev_support] += x[prev_support]
             x[prev_support] = 0.0
         support = hi_threshold(x_temp.reshape(dims), profile)
-        x[support] = _restricted_lstsq(aty, op, support) if pursuit else x_temp[support]
+        x[support] = values = _restricted_lstsq(aty, op, support) if pursuit else x_temp[support]
         if prev_support is not None and np.array_equal(support, prev_support):
             break
+        if pursuit:
+            j = seen.setdefault(support.tobytes(), i)
+            passes.append((support, values))
+            if j < i:  # pass i repeats pass j < i - 1: a cycle of period i - j
+                x[support] = 0.0
+                support, values = passes[j - 1 + (max_iters - j) % (i - j)]
+                x[support] = values
+                iterations = max_iters
+                break
         prev_support = support
     residual = float(np.linalg.norm(y - op.forward(support, x[support])))
     return RecoveryResult(

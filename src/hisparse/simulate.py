@@ -163,12 +163,15 @@ class ExperimentConfig:
         for name, value in (("snr_db", self.snr_db), ("system.alpha", self.system.alpha)):
             if not _is_real(value):
                 raise ValueError(f"{name} must be a number, got {value!r}")
-        # A field the scenario does not read, or sweeps itself, must keep its default.
+        # A field the scenario does not read, or sweeps itself, must keep its
+        # default; so must a channel field that an axis with values replaces.
         axes = _SCENARIO_TABLE[self.scenario][2]
         read = {key for key, _ in axes.values()}
         for name, default, unread in [(key, None, key not in read) for key in _AXIS_KEYS] + [
                 ("Np", None, self.scenario != "mismatched-L"), ("option", "FS", "option" in axes),
-                ("system.alpha", SystemConfig.alpha, "L1" not in axes)]:
+                ("system.alpha", SystemConfig.alpha, "L1" not in axes)] + [
+                (f"channel.{name}", getattr(ChannelConfig, name), bool(key and getattr(self, key) or grid))
+                for name, (key, grid) in axes.items() if hasattr(ChannelConfig, name)]:
             value = operator.attrgetter(name)(self)
             if unread and value != default:
                 raise ValueError(f"{self.scenario} does not read {name}, got {value!r}")

@@ -19,7 +19,9 @@ None of these is on a route that the CLI, the sweep harness or the
     supports that ``hi_threshold`` selects;
   * ``split_estimate`` / ``offgrid_trial_oracle``: the off-grid trial with
     one transfer matrix per active UE (None for an inactive one), one
-    synthesis and one norm per UE, against ``run_trial``'s (U, N, M) stack.
+    synthesis and one norm per UE, against ``run_trial``'s (U, N, M) stack;
+  * ``textbook_threshold_loop``: the thresholding solvers' every pass from a
+    fresh zero iterate, with no cycle exit, against ``solve``'s in-place loop.
 
 Test modules import them with ``from oracles import ...``.
 """
@@ -31,7 +33,7 @@ import math
 
 import numpy as np
 
-from hisparse.blocks import BlockShape, DimensionError, SparsityProfile
+from hisparse.blocks import BlockShape, DimensionError, SparsityProfile, hi_threshold
 from hisparse.channel import (
     ChannelParams,
     ChannelRealization,
@@ -43,7 +45,7 @@ from hisparse.channel import (
 )
 from hisparse.design import make_design, signature
 from hisparse.operators import KroneckerSensingOperator, _support, unvectorize, vectorize
-from hisparse.recovery import RecoveryConfig, solve
+from hisparse.recovery import RecoveryConfig, _restricted_lstsq, solve
 from hisparse.simulate import Condition, ExperimentConfig, SystemConfig, _noise, _profile
 
 
@@ -158,6 +160,28 @@ def is_hi_sparse(x: np.ndarray, s: SparsityProfile) -> bool:
             return False
         used = used.any(axis=-1)
     return True
+
+
+def textbook_threshold_loop(y, op, select_shape, profile, pursuit, max_iters):
+    """x_temp = x + A^H (y - A x) from a fresh zero iterate, every pass run.
+
+    Returns (x, support, iterations, residual_norm). It stops only when the
+    support repeats the previous pass's or after max_iters passes.
+    """
+    aty = op.adjoint_values(y)
+    x = np.zeros(op.in_dim, dtype=complex)
+    prev = None
+    for i in range(1, max_iters + 1):
+        nz = np.flatnonzero(x)
+        x_temp = x + op.adjoint_values(y - op.forward(nz, x[nz]))
+        support = hi_threshold(x_temp.reshape(select_shape.dims), profile)
+        x = np.zeros(op.in_dim, dtype=complex)
+        x[support] = _restricted_lstsq(aty, op, support) if pursuit else x_temp[support]
+        if prev is not None and np.array_equal(support, prev):
+            break
+        prev = support
+    residual = float(np.linalg.norm(y - op.forward(support, x[support])))
+    return x, support, i, residual
 
 
 def split_estimate(x_hat: np.ndarray, option: str, U: int, D: int, M: int) -> list[np.ndarray]:

@@ -39,9 +39,12 @@ def _status(num, ok, detail):
 
 def _mean_mse(system, scenario, algorithm, option, Np, V, L, trials, seed,
               lhat=None, Mp=None, snr_db=10.0, K_V=1, K_L=1):
+    # multiuser-sweep takes V from its axis, and refuses a channel V it would not read.
+    swept_v = scenario == "multiuser-sweep"
     config = ExperimentConfig(
         scenario=scenario, system=system,
-        channel=ChannelConfig(L=L, V=V, K_V=K_V, K_L=K_L),
+        channel=ChannelConfig(L=L, V=1 if swept_v else V, K_V=K_V, K_L=K_L),
+        v_values=[V] if swept_v else None,
         sweep=[Np if scenario != "mismatched-L" else (lhat or L)],
         Np=Np if scenario == "mismatched-L" else None,
         Mp=Mp, trials=trials, seed=seed, snr_db=snr_db,

@@ -121,3 +121,25 @@ def test_trials_reach_the_layers_the_benchmark_counts(monkeypatch):
     calls = counted_trial(monkeypatch, offgrid, Condition(label="HiHTP", algorithm="HiHTP", option="FS",
                                                           V=1, L=3, L1=1, L2=1), 32)
     assert min(calls[name] for name in ("forward", "adjoint_values", "hi_threshold", "lstsq")) >= 1
+
+
+def test_a_cycling_pursuit_solve_reports_its_full_pass_count(monkeypatch):
+    # The tracer's recovery.iterations.mean and max_iters_frac compare
+    # result.iterations with cfg.max_iters. A HiHTP solve whose supports fall
+    # into a cycle stops early, yet reports the pass count of the full run.
+    rng = np.random.default_rng(1)
+    op = hisparse.operators.KroneckerSensingOperator(
+        hisparse.simulate.make_design(32, 8, 8, 2, 12, 6, seed=1), "FS")
+    y = rng.standard_normal(op.out_dim) + 1j * rng.standard_normal(op.out_dim)
+    cfg = hisparse.recovery.RecoveryConfig(algorithm="HiHTP", profile=SparsityProfile((3, 1, 2)))
+    calls = Counter()
+    select = hisparse.recovery.hi_threshold
+
+    def counted(*args):
+        calls["hi_threshold"] += 1
+        return select(*args)
+
+    monkeypatch.setattr(hisparse.recovery, "hi_threshold", counted)
+    result = hisparse.simulate.solve(y, op, cfg)
+    assert calls["hi_threshold"] < cfg.max_iters
+    assert result.iterations == cfg.max_iters

@@ -172,6 +172,13 @@ def test_plot_unreadable_csv_exits_one(tmp_path, capsys):
      "omp-compare does not read system.alpha, got 0.1"),
     ({"scenario": "sf-vs-fs", "system": {"U": 4}, "option": "SF"},
      "sf-vs-fs does not read option, got 'SF'"),
+    ({"scenario": "multiuser-sweep", "system": {"U": 4}, "channel": {"V": 3}},
+     "multiuser-sweep does not read channel.V, got 3"),
+    ({"scenario": "multiuser-sweep", "system": {"U": 4}, "v_values": [2], "channel": {"V": 3}},
+     "multiuser-sweep does not read channel.V, got 3"),
+    ({"scenario": "sf-vs-fs", "system": {"U": 4}, "channel": {"V": 2}},
+     "sf-vs-fs does not read channel.V, got 2"),
+    ({"channel": {"L": 7}, "l_values": [2, 3]}, "single-user-sweep does not read channel.L, got 7"),
 ], ids=["negative-seed", "fractional-seed", "nan-snr", "negative-alpha", "fractional-trials",
         "fractional-sweep", "fractional-v", "fractional-l", "fractional-mp", "boolean-trials",
         "unknown-algorithm", "ongrid-l-exceeds-angles", "ongrid-users-exceed-angles",
@@ -181,7 +188,8 @@ def test_plot_unreadable_csv_exits_one(tmp_path, capsys):
         "object-l2-values", "empty-l-values", "empty-v-values", "empty-l1-values",
         "empty-l2-values", "unread-np", "unread-np-omp", "unread-l1-values",
         "unread-l-values", "unread-v-values", "unread-l-values-offgrid", "unread-nan-alpha",
-        "unread-alpha", "unread-option-sf-vs-fs"])
+        "unread-alpha", "unread-option-sf-vs-fs", "swept-channel-v", "swept-channel-v-values",
+        "swept-channel-v-sf-vs-fs", "swept-channel-l"])
 def test_run_config_out_of_model_exits_one_before_any_trial(tmp_path, capsys, bad, message):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({"scenario": "single-user-sweep", "sweep": [8],

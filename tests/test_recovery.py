@@ -1,9 +1,13 @@
+from collections import Counter
 import math
 import threading
+from unittest import mock
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
+import hisparse.recovery
 from hisparse import (
     BlockShape,
     GuaranteeVoidError,
@@ -16,15 +20,18 @@ from hisparse import (
     min_overhead,
     solve,
 )
+from hisparse.channel import ChannelParams, gen_offgrid, superpose_transfer
+from hisparse.operators import vectorize
 from hisparse.recovery import _restricted_lstsq
 from hisparse.simulate import (
     ChannelConfig,
     Condition,
     ExperimentConfig,
     SystemConfig,
+    observed_matrix,
     run_trial,
 )
-from oracles import DenseOperator, is_hi_sparse
+from oracles import DenseOperator, is_hi_sparse, textbook_threshold_loop
 
 
 def dense_forward(op, x):
@@ -143,22 +150,6 @@ def test_single_pass_thresholds_the_adjoint(algorithm, option):
     assert res.residual_norm == pytest.approx(np.linalg.norm(y - dense_forward(op, expected)), rel=1e-12)
 
 
-def textbook_threshold_loop(y, op, select_shape, profile, pursuit, max_iters):
-    """x_temp = x + A^H (y - A x) from a fresh zero iterate every pass (test oracle)."""
-    aty = op.adjoint_values(y)
-    x = np.zeros(op.in_dim, dtype=complex)
-    prev = None
-    for i in range(1, max_iters + 1):
-        x_temp = x + op.adjoint_values(y - dense_forward(op, x))
-        support = hi_threshold(x_temp.reshape(select_shape.dims), profile)
-        x = np.zeros(op.in_dim, dtype=complex)
-        x[support] = _restricted_lstsq(aty, op, support) if pursuit else x_temp[support]
-        if prev is not None and np.array_equal(support, prev):
-            break
-        prev = support
-    return x, support, i
-
-
 @pytest.mark.parametrize("option", ["FS", "SF"])
 @pytest.mark.parametrize("algorithm", ["HiIHT", "HiHTP", "IHT", "HTP"])
 def test_in_place_loop_matches_textbook_loop(algorithm, option):
@@ -182,13 +173,86 @@ def test_in_place_loop_matches_textbook_loop(algorithm, option):
         for max_iters in (1, 2, 3, 10):
             res = solve(y, op, RecoveryConfig(algorithm=algorithm, profile=profile,
                                               max_iters=max_iters))
-            x_ref, support, iterations = textbook_threshold_loop(
+            x_ref, support, iterations, residual = textbook_threshold_loop(
                 y, op, select_shape, select_profile, algorithm in ("HiHTP", "HTP"), max_iters)
             np.testing.assert_array_equal(res.support, support)
             assert res.iterations == iterations
             assert res.x_hat.tobytes() == x_ref.tobytes()
+            assert res.residual_norm == residual
             capped += iterations == max_iters > 1  # a one-pass run is always capped
     assert capped > 0
+
+
+def offgrid_style_measurement(op, design, rng):
+    """A pilot observation of an off-grid channel (leaky in delay and angle)."""
+    N, M, D, U = design.N, design.M, design.D, design.U
+    realization = gen_offgrid(ChannelParams(N=N, M=M, D=D, U=U, V=U, L=3), rng)
+    H = np.stack([superpose_transfer(paths, N, M) for paths in realization.paths])
+    return vectorize(observed_matrix(H, design, rng, 10.0), op.option)
+
+
+CYCLE_CAP = 10
+
+
+def test_cycle_exit_replays_the_full_run():
+    # HiHTP/HTP stop at the first pass whose support repeats an earlier,
+    # non-adjacent pass's; every capped run max_iters = 1..CYCLE_CAP must still
+    # give the bytes, support, pass count and residual of the textbook loop,
+    # which runs every pass. HiIHT/IHT run every pass as before.
+    seen = Counter()
+
+    @settings(derandomize=True, max_examples=120, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), option=st.sampled_from(["FS", "SF"]),
+           algorithm=st.sampled_from(["HiHTP", "HTP", "HiIHT", "IHT"]),
+           offgrid=st.booleans(), U=st.integers(1, 2),
+           s=st.tuples(*[st.integers(1, 4)] * 3), noise=st.sampled_from([0.05, 0.5, 3.0]))
+    def check(seed, option, algorithm, offgrid, U, s, noise):
+        rng = np.random.default_rng(seed)
+        design = make_design(32, 8, 8, U, int(rng.integers(6, 17)), int(rng.integers(3, 9)),
+                             seed=int(rng.integers(2**63)))
+        op = KroneckerSensingOperator(design, option)
+        if offgrid:
+            y = offgrid_style_measurement(op, design, rng)
+        else:
+            idx = rng.permutation(op.in_dim)[:3]
+            y = op.forward(np.sort(idx), rng.standard_normal(3) + 1j * rng.standard_normal(3))
+            y = y + noise * (rng.standard_normal(op.out_dim) + 1j * rng.standard_normal(op.out_dim))
+        profile = SparsityProfile(s)
+        pursuit = algorithm in ("HiHTP", "HTP")
+        select_shape, select_profile = op.shape_in, profile.clip(op.shape_in)
+        if algorithm in ("IHT", "HTP"):
+            select_shape = BlockShape((op.in_dim,))
+            select_profile = SparsityProfile((select_profile.max_support,))
+        supports, cycle_start = [], None  # S_1, S_2, ... of the full run
+        for max_iters in range(1, CYCLE_CAP + 1):
+            x_ref, support, iterations, residual = textbook_threshold_loop(
+                y, op, select_shape, select_profile, pursuit, max_iters)
+            if iterations == max_iters:
+                supports.append(support.tobytes())
+                if cycle_start is None and supports[-1] in supports[:-2]:
+                    cycle_start, cycle_seen = supports.index(supports[-1]) + 1, max_iters
+            with mock.patch.object(hisparse.recovery, "hi_threshold", wraps=hi_threshold) as counted:
+                res = solve(y, op, RecoveryConfig(algorithm=algorithm, profile=profile,
+                                                  max_iters=max_iters))
+            assert np.array_equal(res.x_hat.view(np.uint64), x_ref.view(np.uint64))
+            np.testing.assert_array_equal(res.support, support)
+            assert res.iterations == iterations
+            assert res.residual_norm == residual
+            # The pursuit loop runs up to the pass that closes the cycle.
+            expected_passes = iterations
+            if pursuit and cycle_start is not None:
+                expected_passes = min(iterations, cycle_seen)
+            assert counted.call_count == expected_passes
+            if counted.call_count < iterations:
+                seen[algorithm] += 1
+                seen["from pass 1"] += cycle_start == 1
+        if not pursuit and cycle_start is not None:
+            seen[algorithm] += 1
+
+    check()
+    # The exit ran for both pursuit solvers, also on a cycle that starts at
+    # pass 1, and HiIHT/IHT supports that cycle were run to the end.
+    assert all(seen[name] > 0 for name in ("HiHTP", "HTP", "from pass 1", "HiIHT", "IHT"))
 
 
 @pytest.mark.parametrize("option", ["FS", "SF"])

@@ -489,7 +489,8 @@ def test_offgrid_scenario_adds_best_curve():
 
 
 def test_emit_plot_data_curve_counts(tmp_path):
-    config = tiny_config(l_values=[1, 2, 3])
+    # l_values replaces channel.L, so the channel keeps its default L.
+    config = tiny_config(channel=ChannelConfig(), l_values=[1, 2, 3])
     _, csv_path, _ = run_sweep(config, out_dir=tmp_path)
     written = emit_plot_data(csv_path, tmp_path / "plots")
     dat_files = [p for p in written if p.suffix == ".dat"]
@@ -591,6 +592,18 @@ _PINNED_CONDITIONS = {
 }
 
 
+def _channel(scenario, axes):
+    """L = 4 and V = 2, apart from a value that the scenario's axes replace.
+
+    That one keeps its default: a scenario refuses a channel value it does
+    not read.
+    """
+    swept = {"multiuser-sweep": "V", "sf-vs-fs": "V"}.get(scenario)
+    if scenario == "single-user-sweep" and axes == "explicit":
+        swept = "L"
+    return ChannelConfig(**{name: value for name, value in (("L", 4), ("V", 2)) if name != swept})
+
+
 @pytest.mark.parametrize("scenario, axes", sorted(_PINNED_CONDITIONS))
 def test_conditions_are_pinned(scenario, axes):
     # Every scenario's curves, in order, with its default axes and with every
@@ -598,7 +611,7 @@ def test_conditions_are_pinned(scenario, axes):
     from hisparse.simulate import _conditions
 
     config = ExperimentConfig(
-        scenario=scenario, system=SystemConfig(U=4), channel=ChannelConfig(L=4, V=2),
+        scenario=scenario, system=SystemConfig(U=4), channel=_channel(scenario, axes),
         sweep=[64], Np=64 if scenario == "mismatched-L" else None,
         **(dict(_EXPLICIT_BASE, **_EXPLICIT_AXES[scenario]) if axes == "explicit" else {}),
     )
@@ -620,7 +633,7 @@ def test_fields_a_scenario_does_not_read_are_refused(scenario):
     reads |= {"Np"} if scenario == "mismatched-L" else set()
     reads |= {"system.alpha"} if scenario == "offgrid-sweep" else set()
     reads -= {"option"} if scenario == "sf-vs-fs" else set()
-    base = dict(scenario=scenario, system=SystemConfig(U=4), channel=ChannelConfig(L=4, V=2),
+    base = dict(scenario=scenario, system=SystemConfig(U=4), channel=_channel(scenario, "explicit"),
                 sweep=[64], Np=64 if scenario == "mismatched-L" else None)
     for name, value in _UNREAD_VALUES.items():
         if name == "system.alpha":
