@@ -6,7 +6,6 @@ from .blocks import BlockShape, DimensionError, SparsityProfile, hi_threshold
 from .channel import (
     ChannelParams,
     ChannelPath,
-    ChannelRealization,
     delay_angular_offgrid,
     dirichlet_sparse,
     dirichlet_vector,

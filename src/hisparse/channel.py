@@ -9,6 +9,9 @@ On-grid paths sit on the (1/N, 1/M) sampling grid and admit an exactly
 L-sparse D x M delay-angular matrix; off-grid paths leak energy over the
 whole N x M grid but concentrate it on a few entries, which the sparse
 approximation below exploits.
+
+A draw (``gen_ongrid``, ``gen_offgrid``) is its U per-UE path lists, empty
+for an inactive UE; its sizes stay with the caller's ``ChannelParams``.
 """
 
 from __future__ import annotations
@@ -55,21 +58,6 @@ class ChannelParams:
             raise ValueError("need 1 <= V <= U")
         if self.L < 1 or self.L > self.D * self.M:
             raise ValueError("path count L out of range")
-
-
-@dataclass
-class ChannelRealization:
-    """Per-UE path lists; inactive UEs carry an empty list."""
-
-    params: ChannelParams
-    paths: list[list[ChannelPath]]
-
-    def __post_init__(self):
-        if len(self.paths) != self.params.U:
-            raise ValueError("need one path list per UE")
-        active = sum(1 for p in self.paths if p)
-        if active != self.params.V:
-            raise ValueError(f"{active} active UEs, expected V={self.params.V}")
 
 
 def _gains(L: int, rng: np.random.Generator) -> np.ndarray:
@@ -130,8 +118,8 @@ def ongrid_draw_can_fail(M: int, D: int, V: int, L: int, K_V: int, K_L: int, opt
     return (L - 1) // min(K_L, D) + full >= M
 
 
-def gen_ongrid(params: ChannelParams, rng: np.random.Generator, option="FS") -> ChannelRealization:
-    """Random on-grid realization respecting the option's hierarchy.
+def gen_ongrid(params: ChannelParams, rng: np.random.Generator, option="FS") -> list[list[ChannelPath]]:
+    """Random on-grid draw respecting the option's hierarchy: U path lists.
 
     FS: any angle is used by at most K_V active UEs, and by at most K_L
     paths per UE. SF: any delay is used by at most K_L paths per UE. Active
@@ -155,11 +143,11 @@ def gen_ongrid(params: ChannelParams, rng: np.random.Generator, option="FS") -> 
         paths[u] = [
             ChannelPath(k / p.N, l / p.M, complex(g)) for (k, l), g in zip(kl, gains)
         ]
-    return ChannelRealization(p, paths)
+    return paths
 
 
-def gen_offgrid(params: ChannelParams, rng: np.random.Generator) -> ChannelRealization:
-    """Random off-grid realization: delays uniform on [0, alpha), angles on [0, 1)."""
+def gen_offgrid(params: ChannelParams, rng: np.random.Generator) -> list[list[ChannelPath]]:
+    """Random off-grid draw, U path lists: delays uniform on [0, alpha), angles on [0, 1)."""
     p = params
     active = sorted(int(i) for i in rng.permutation(p.U)[: p.V])
     paths: list[list[ChannelPath]] = [[] for _ in range(p.U)]
@@ -171,7 +159,7 @@ def gen_offgrid(params: ChannelParams, rng: np.random.Generator) -> ChannelReali
             ChannelPath(float(t), float(th), complex(g))
             for t, th, g in zip(taus, thetas, gains)
         ]
-    return ChannelRealization(p, paths)
+    return paths
 
 
 def grid_indices(path: ChannelPath, N: int, M: int) -> tuple[int, int]:

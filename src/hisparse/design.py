@@ -27,7 +27,6 @@ class PilotDesign:
     subcarriers: np.ndarray
     antennas: np.ndarray
     base_sequence: np.ndarray
-    seed: int
 
     def __post_init__(self):
         if self.U * self.D > self.N:
@@ -61,6 +60,8 @@ def _sample_sorted(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
     from one ``rng.integers`` call with per-step lower bounds, which consumes
     the generator exactly as k scalar calls would.
     """
+    if not 0 <= k <= n:
+        raise ValueError(f"cannot draw {k} distinct indices from [0, {n})")
     idx = list(range(n))
     for i, j in enumerate(rng.integers(np.arange(k), n).tolist()):
         idx[i], idx[j] = idx[j], idx[i]
@@ -81,7 +82,7 @@ def make_design(N, M, D, U, Np, Mp, base_sequence=None, seed=0) -> PilotDesign:
     return PilotDesign(
         N=N, M=M, D=D, U=U, Np=Np, Mp=Mp,
         subcarriers=subcarriers, antennas=antennas,
-        base_sequence=np.asarray(base_sequence, dtype=np.complex128), seed=seed,
+        base_sequence=np.asarray(base_sequence, dtype=np.complex128),
     )
 
 

@@ -22,23 +22,25 @@ unknown's layout. HiIHT/HiHTP select under it;
 the flat IHT/HTP are the one-level case (a single block of length U*D*M with
 sparsity k = the clipped profile's size, its max_support). The IHT variants
 keep x_temp on the selected support, the HTP variants refit it by least
-squares on S. Iteration stops when the selected support repeats the previous
-pass's or after max_iters passes; a run capped at max_iters = i replays the
-first i passes of a longer one, so capped reruns expose the iterates. The HTP
-variants also stop at an exact cycle. Their iterate is the refit on its
-support, so from pass 1 on each support is a fixed function of the one before;
-once pass i selects the support of a pass j < i - 1, the run repeats with
-period p = i - j. The loop then stops and returns what pass max_iters would:
-pass j + (max_iters - j) mod p's support and refit values, with iterations =
-max_iters, the same in every bit as the full run. The IHT variants carry
-values from pass to pass, so they run every pass. OMP grows its support one
-correlation pick at a time, k picks at most, with the same least-squares
-refit. Every refit solves the |S| x |S| normal equations
-(A^H A)[S, S] beta = (A^H y)[S] from the operator's restricted Gram
-``op.gram(S)`` and that A^H y, by ``lstsq`` so a rank-deficient support
-still gets the minimum-norm solution. Supports are sorted int64 arrays of
-flat indices, and the estimate ``RecoveryResult.x_hat`` is the flat vector
-of length op.in_dim in layout op.shape_in.
+squares on S. Every stop is read from one history of the passes (each one's
+support and values, and the latest pass to select each support): iteration
+stops when pass i selects pass i - 1's support or after max_iters passes; a
+run capped at max_iters = i replays the first i passes of a longer one, so
+capped reruns expose the iterates. The HTP variants also stop at an exact
+cycle. Their iterate is the refit on its support, so from pass 1 on each
+support is a fixed function of the one before; once pass i selects the
+support of a pass j < i - 1, the run repeats with period p = i - j. The loop
+then stops and returns what pass max_iters would: pass j + (max_iters - j)
+mod p's support and refit values, with iterations = max_iters, the same in
+every bit as the full run. The IHT variants carry values from pass to pass,
+so they run on past such a repeat. OMP grows its support one correlation
+pick at a time, k picks at most, with the same least-squares refit, and
+reports its pick count as iterations. Every refit solves the |S| x |S|
+normal equations (A^H A)[S, S] beta = (A^H y)[S] from the operator's
+restricted Gram ``op.gram(S)`` and that A^H y, by ``lstsq`` so a
+rank-deficient support still gets the minimum-norm solution. Supports are
+sorted int64 arrays of flat indices, and the estimate ``RecoveryResult.x_hat``
+is the flat vector of length op.in_dim in layout op.shape_in.
 """
 
 from __future__ import annotations
@@ -108,37 +110,33 @@ def _threshold_loop(y, op, max_iters: int, dims, profile, pursuit: bool):
     aty = op.adjoint_values(y, out=work_buffer("aty", (op.in_dim,), np.complex128))
     scratch = work_buffer("x_temp", (op.in_dim,), np.complex128)
     x = np.zeros(op.in_dim, dtype=np.complex128)
-    prev_support = None
-    iterations = 0
-    seen, passes = {}, []  # pursuit only: support bytes -> pass; (support, values) per pass
+    latest, passes = {}, []  # support bytes -> latest pass that selected it; (support, values) per pass
     for i in range(1, max_iters + 1):
-        iterations = i
-        if prev_support is None:
+        if i == 1:
             x_temp = aty
         else:
-            # x + A^H (y - A x), adding x only on its support.
-            x_temp = op.adjoint_values(y - op.forward(prev_support, x[prev_support]), out=scratch)
-            x_temp[prev_support] += x[prev_support]
-            x[prev_support] = 0.0
+            # x + A^H (y - A x), adding x only on the previous pass's support.
+            x_temp = op.adjoint_values(y - op.forward(support, x[support]), out=scratch)
+            x_temp[support] += x[support]
+            x[support] = 0.0
         support = hi_threshold(x_temp.reshape(dims), profile)
         x[support] = values = _restricted_lstsq(aty, op, support) if pursuit else x_temp[support]
-        if prev_support is not None and np.array_equal(support, prev_support):
+        passes.append((support, values))
+        key = support.tobytes()
+        j, latest[key] = latest.get(key), i
+        if j == i - 1:  # the previous pass's support
             break
-        if pursuit:
-            j = seen.setdefault(support.tobytes(), i)
-            passes.append((support, values))
-            if j < i:  # pass i repeats pass j < i - 1: a cycle of period i - j
-                x[support] = 0.0
-                support, values = passes[j - 1 + (max_iters - j) % (i - j)]
-                x[support] = values
-                iterations = max_iters
-                break
-        prev_support = support
+        if pursuit and j is not None:  # pass i repeats pass j < i - 1: a cycle of period i - j
+            x[support] = 0.0
+            support, values = passes[j - 1 + (max_iters - j) % (i - j)]
+            x[support] = values
+            i = max_iters  # the pass whose answer this is
+            break
     residual = float(np.linalg.norm(y - op.forward(support, x[support])))
     return RecoveryResult(
         x_hat=x,
         support=support,
-        iterations=iterations,
+        iterations=i,
         residual_norm=residual,
     )
 
@@ -154,11 +152,9 @@ def _omp(y, op, k: int):
     beta = np.zeros(0, dtype=np.complex128)
     r = y.copy()
     ynorm = float(np.linalg.norm(y))
-    iterations = 0
     for _ in range(k):
         if float(np.linalg.norm(r)) <= LS_TOLERANCE * max(1.0, ynorm):
             break
-        iterations += 1
         corr = np.abs(op.adjoint_values(r))
         corr[selected] = -1.0
         selected.append(int(np.argmax(corr)))
@@ -166,14 +162,13 @@ def _omp(y, op, k: int):
         beta = _restricted_lstsq(aty, op, selected)
         r = y - cols @ beta
     x = np.zeros(op.in_dim, dtype=np.complex128)
-    if selected:
-        x[selected] = beta
+    x[selected] = beta
     support = np.sort(np.asarray(selected, dtype=np.int64))
     support = support[np.abs(x[support]) > 0.0]
     return RecoveryResult(
         x_hat=x,
         support=support,
-        iterations=iterations,
+        iterations=len(selected),
         residual_norm=float(np.linalg.norm(r)),
     )
 

@@ -26,8 +26,8 @@ import numpy as np
 from . import __version__
 from .blocks import SparsityProfile, _is_integer
 from .channel import (
+    DEFAULT_ALPHA,
     ChannelParams,
-    ChannelRealization,
     gen_offgrid,
     gen_ongrid,
     grid_indices,
@@ -84,7 +84,7 @@ class SystemConfig:
     M: int = 64
     D: int = 32
     U: int = 1
-    alpha: float = 0.25
+    alpha: float = DEFAULT_ALPHA
 
 
 @dataclass
@@ -160,6 +160,9 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        for name in ("K_V", "K_L"):  # an SF profile or draw never reads K_V
+            if getattr(self.channel, name) < 1:
+                raise ValueError(f"channel.{name} must be >= 1, got {getattr(self.channel, name)}")
         for name, value in (("snr_db", self.snr_db), ("system.alpha", self.system.alpha)):
             if not _is_real(value):
                 raise ValueError(f"{name} must be a number, got {value!r}")
@@ -236,10 +239,7 @@ class ExperimentConfig:
         return cls.from_json_dict(json.loads(text))
 
     def apply_preset(self, name: str) -> None:
-        preset = PRESETS[name]
-        self.system.N = preset["N"]
-        self.system.M = preset["M"]
-        self.system.D = preset["D"]
+        self.system = replace(self.system, **PRESETS[name])
         self._validate()
 
 
@@ -272,24 +272,24 @@ def recovery_profile(option, V, L, K_V, K_L, L1=None, L2=None) -> SparsityProfil
     return SparsityProfile((V, L * (2 * L1 + 1), K_L * (2 * L2 + 1)))
 
 
-def sparse_delay_angular(realization: ChannelRealization, option: str) -> tuple[np.ndarray, np.ndarray]:
+def sparse_delay_angular(paths, N: int, M: int, D: int, option: str) -> tuple[np.ndarray, np.ndarray]:
     """Nonzeros of the stacked on-grid (U*D x M) delay-angular unknown.
 
-    Returns (sorted flat indices, gains) in the option's layout; paths that
-    share a grid point are summed in path order. An off-grid path is refused
-    by ``grid_indices``, a delay tap at or beyond D here.
+    ``paths`` holds one path list per UE, so U = len(paths). Returns (sorted
+    flat indices, gains) in the option's layout; paths that share a grid
+    point are summed in path order. An off-grid path is refused by
+    ``grid_indices``, a delay tap at or beyond D here.
     """
-    p = realization.params
     rows, cols, gains = [], [], []
-    for u, paths in enumerate(realization.paths):
-        for path in paths:
-            k, l = grid_indices(path, p.N, p.M)
-            if k >= p.D:
-                raise ValueError(f"delay tap {k} outside [0, {p.D})")
-            rows.append(u * p.D + k)
+    for u, ue_paths in enumerate(paths):
+        for path in ue_paths:
+            k, l = grid_indices(path, N, M)
+            if k >= D:
+                raise ValueError(f"delay tap {k} outside [0, {D})")
+            rows.append(u * D + k)
             cols.append(l)
             gains.append(path.gain)
-    flat = flat_index(option, rows, cols, p.U * p.D, p.M)
+    flat = flat_index(option, rows, cols, len(paths) * D, M)
     idx, inverse = np.unique(flat, return_inverse=True)
     values = np.zeros(idx.size, dtype=np.complex128)
     np.add.at(values, inverse, np.array(gains, dtype=np.complex128))
@@ -345,27 +345,24 @@ def _profile(config: ExperimentConfig, condition: Condition) -> SparsityProfile:
 def run_trial(config: ExperimentConfig, condition: Condition, Np: int, trial_index: int) -> float:
     """Per-element channel MSE of one seeded Monte-Carlo trial."""
     sys_cfg, chan = config.system, config.channel
+    N, M, D, U = sys_cfg.N, sys_cfg.M, sys_cfg.D, sys_cfg.U
     Mp = config.antenna_count()
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, trial_index]))
     params = ChannelParams(
-        N=sys_cfg.N, M=sys_cfg.M, D=sys_cfg.D, U=sys_cfg.U,
-        V=condition.V, L=condition.L, K_V=chan.K_V, K_L=chan.K_L,
+        N=N, M=M, D=D, U=U, V=condition.V, L=condition.L, K_V=chan.K_V, K_L=chan.K_L,
         alpha=sys_cfg.alpha,
     )
     if condition.on_grid:
-        realization = gen_ongrid(params, rng, condition.option)
+        paths = gen_ongrid(params, rng, condition.option)
     else:
-        realization = gen_offgrid(params, rng)
-    design = make_design(
-        sys_cfg.N, sys_cfg.M, sys_cfg.D, sys_cfg.U, Np, Mp,
-        seed=int(rng.integers(2**63)),
-    )
+        paths = gen_offgrid(params, rng)
+    design = make_design(N, M, D, U, Np, Mp, seed=int(rng.integers(2**63)))
     op = KroneckerSensingOperator(design, condition.option)
     cfg = RecoveryConfig(algorithm=condition.algorithm, profile=_profile(config, condition))
 
     snr_linear = 10.0 ** (config.snr_db / 10.0)
     if condition.on_grid:
-        idx, gains = sparse_delay_angular(realization, condition.option)
+        idx, gains = sparse_delay_angular(paths, N, M, D, condition.option)
         z = _noise(rng, design.Np, design.Mp, snr_linear) / math.sqrt(design.Np * design.Mp)
         y = op.forward(idx, gains) + vectorize(z, condition.option)
         result = solve(y, op, cfg)
@@ -377,8 +374,7 @@ def run_trial(config: ExperimentConfig, condition: Condition, Np: int, trial_ind
         err[np.searchsorted(union, idx)] -= gains
         return float(np.linalg.norm(err) ** 2)
 
-    N, M, D, U = sys_cfg.N, sys_cfg.M, sys_cfg.D, sys_cfg.U
-    H = np.stack([superpose_transfer(paths, N, M) for paths in realization.paths])
+    H = np.stack([superpose_transfer(ue_paths, N, M) for ue_paths in paths])
     Y = observed_matrix(H, design, rng, config.snr_db)
     result = solve(vectorize(Y, condition.option), op, cfg)
     X_hat = unvectorize(result.x_hat, condition.option, U * D, M).reshape(U, D, M)

@@ -36,7 +36,6 @@ import numpy as np
 from hisparse.blocks import BlockShape, DimensionError, SparsityProfile, hi_threshold
 from hisparse.channel import (
     ChannelParams,
-    ChannelRealization,
     gen_offgrid,
     gen_ongrid,
     grid_indices,
@@ -94,11 +93,11 @@ def delay_angular_matrix(paths, N: int, M: int, D: int) -> np.ndarray:
     return X
 
 
-def synthesize_transfer(realization: ChannelRealization) -> list[np.ndarray]:
-    """Per-UE transfer matrices of an on-grid realization via FFT synthesis."""
-    N, M, D = realization.params.N, realization.params.M, realization.params.D
+def synthesize_transfer(paths, params: ChannelParams) -> list[np.ndarray]:
+    """Per-UE transfer matrices of an on-grid draw via FFT synthesis."""
+    N, M, D = params.N, params.M, params.D
     out = []
-    for ue_paths in realization.paths:
+    for ue_paths in paths:
         if not ue_paths:
             out.append(np.zeros((N, M), dtype=np.complex128))
             continue
@@ -107,13 +106,13 @@ def synthesize_transfer(realization: ChannelRealization) -> list[np.ndarray]:
     return out
 
 
-def stack_delay_angular(realization: ChannelRealization, option: str) -> np.ndarray:
+def stack_delay_angular(paths, params: ChannelParams, option: str) -> np.ndarray:
     """True unknown vector (on-grid) under the option's vectorization."""
-    p = realization.params
+    p = params
     Xbar = np.zeros((p.U * p.D, p.M), dtype=np.complex128)
-    for u, paths in enumerate(realization.paths):
-        if paths:
-            Xbar[u * p.D : (u + 1) * p.D] = delay_angular_matrix(paths, p.N, p.M, p.D)
+    for u, ue_paths in enumerate(paths):
+        if ue_paths:
+            Xbar[u * p.D : (u + 1) * p.D] = delay_angular_matrix(ue_paths, p.N, p.M, p.D)
     return vectorize(Xbar, option)
 
 
@@ -121,8 +120,7 @@ def naive_mse_trial(system: SystemConfig, L: int, snr_db: float, trial_index: in
     """Per-element MSE of the raw full-sampling observation used as estimate."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, trial_index]))
     params = ChannelParams(N=system.N, M=system.M, D=system.D, U=1, V=1, L=L, alpha=system.alpha)
-    realization = gen_ongrid(params, rng, "FS")
-    H = superpose_transfer(realization.paths[0], system.N, system.M)
+    H = superpose_transfer(gen_ongrid(params, rng, "FS")[0], system.N, system.M)
     snr_linear = 10.0 ** (snr_db / 10.0)
     Y = H + _noise(rng, system.N, system.M, snr_linear)
     return float(np.linalg.norm(Y - H) ** 2) / (system.N * system.M)
@@ -203,13 +201,13 @@ def offgrid_trial_oracle(config: ExperimentConfig, condition: Condition, Np: int
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, trial_index]))
     params = ChannelParams(N=N, M=M, D=sys_cfg.D, U=sys_cfg.U, V=condition.V, L=condition.L,
                            K_V=chan.K_V, K_L=chan.K_L, alpha=sys_cfg.alpha)
-    realization = gen_offgrid(params, rng)
+    paths = gen_offgrid(params, rng)
     design = make_design(N, M, sys_cfg.D, sys_cfg.U, Np, config.antenna_count(),
                          seed=int(rng.integers(2**63)))
     op = KroneckerSensingOperator(design, condition.option)
     cfg = RecoveryConfig(algorithm=condition.algorithm, profile=_profile(config, condition))
 
-    transfers = [superpose_transfer(paths, N, M) if paths else None for paths in realization.paths]
+    transfers = [superpose_transfer(ue_paths, N, M) if ue_paths else None for ue_paths in paths]
     Y = np.zeros((design.Np, design.Mp), dtype=np.complex128)
     for u, H in enumerate(transfers):
         if H is None:

@@ -94,10 +94,10 @@ def test_criterion_03_noiseless_exact_recovery():
     for t in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence([42, t]))
         params = hs.ChannelParams(N=128, M=64, D=32, U=1, V=1, L=3)
-        realization = hs.gen_ongrid(params, rng, "FS")
+        paths = hs.gen_ongrid(params, rng, "FS")
         design = hs.make_design(128, 64, 32, 1, 8, 64, seed=int(rng.integers(2**63)))
         op = hs.KroneckerSensingOperator(design, "FS")
-        x = stack_delay_angular(realization, "FS")
+        x = stack_delay_angular(paths, params, "FS")
         nz = np.flatnonzero(x)
         y = op.forward(nz, x[nz])
         cfg = hs.RecoveryConfig(algorithm="HiIHT", profile=hs.SparsityProfile((3, 1, 1)))

@@ -8,7 +8,6 @@ from hisparse.channel import _constrained_pairs, ongrid_draw_can_fail
 from hisparse import (
     ChannelParams,
     ChannelPath,
-    ChannelRealization,
     delay_angular_offgrid,
     dirichlet_sparse,
     dirichlet_vector,
@@ -26,7 +25,7 @@ def test_single_user_single_path():
     rng = np.random.default_rng(0)
     params = ChannelParams(N=32, M=8, D=8, U=1, V=1, L=1)
     r = gen_ongrid(params, rng, "FS")
-    X = delay_angular_matrix(r.paths[0], 32, 8, 8)
+    X = delay_angular_matrix(r[0], 32, 8, 8)
     assert np.count_nonzero(X) == 1
 
 
@@ -35,7 +34,7 @@ def test_ongrid_support_cardinality_is_L():
     params = ChannelParams(N=64, M=16, D=16, U=2, V=2, L=4)
     for _ in range(50):
         r = gen_ongrid(params, rng, "FS")
-        for paths in filter(None, r.paths):
+        for paths in filter(None, r):
             X = delay_angular_matrix(paths, 64, 16, 16)
             assert np.count_nonzero(X) == 4
 
@@ -45,7 +44,7 @@ def test_fs_angles_globally_distinct():
     params = ChannelParams(N=64, M=16, D=16, U=4, V=2, L=3)
     for _ in range(1000):
         r = gen_ongrid(params, rng, "FS")
-        angles = [p.theta for paths in r.paths for p in paths]
+        angles = [p.theta for paths in r for p in paths]
         assert len(set(angles)) == len(angles) == 6
 
 
@@ -54,7 +53,7 @@ def test_sf_delays_distinct_per_ue():
     params = ChannelParams(N=64, M=16, D=16, U=4, V=2, L=3)
     for _ in range(300):
         r = gen_ongrid(params, rng, "SF")
-        for paths in filter(None, r.paths):
+        for paths in filter(None, r):
             taus = [p.tau_norm for p in paths]
             assert len(set(taus)) == 3
 
@@ -65,8 +64,8 @@ def test_active_count_and_power_law():
     total = 0.0
     for _ in range(10_000):
         r = gen_ongrid(params, rng, "FS")
-        assert sum(1 for paths in r.paths if paths) == 2
-        total += np.linalg.norm(stack_delay_angular(r, "FS")) ** 2
+        assert len(r) == 4 and sum(1 for paths in r if paths) == 2
+        total += np.linalg.norm(stack_delay_angular(r, params, "FS")) ** 2
     assert total / 10_000 == pytest.approx(2.0, rel=0.05)
 
 
@@ -176,16 +175,15 @@ def test_fft_synthesis_matches_superposition():
     params = ChannelParams(N=64, M=16, D=16, U=2, V=2, L=3)
     for _ in range(20):
         r = gen_ongrid(params, rng, "FS")
-        fft_route = synthesize_transfer(r)
-        sum_route = [superpose_transfer(paths, 64, 16) for paths in r.paths]
+        fft_route = synthesize_transfer(r, params)
+        sum_route = [superpose_transfer(paths, 64, 16) for paths in r]
         for a, b in zip(fft_route, sum_route):
             assert np.linalg.norm(a - b) <= 1e-10 * max(1.0, np.linalg.norm(b))
 
 
 def test_zero_paths_zero_transfer():
     params = ChannelParams(N=16, M=4, D=4, U=2, V=1, L=2)
-    r = ChannelRealization(params, [[], [ChannelPath(0.0, 0.0, 1.0)]])
-    H = synthesize_transfer(r)
+    H = synthesize_transfer([[], [ChannelPath(0.0, 0.0, 1.0)]], params)
     assert np.linalg.norm(H[0]) == 0.0
 
 
@@ -326,7 +324,8 @@ def test_offgrid_generation_ranges():
     rng = np.random.default_rng(12)
     params = ChannelParams(N=32, M=8, D=8, U=2, V=1, L=5)
     r = gen_offgrid(params, rng)
-    (paths,) = filter(None, r.paths)
+    assert len(r) == 2
+    (paths,) = filter(None, r)
     for p in paths:
         assert 0.0 <= p.tau_norm < 0.25
         assert 0.0 <= p.theta < 1.0

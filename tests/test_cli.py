@@ -179,6 +179,12 @@ def test_plot_unreadable_csv_exits_one(tmp_path, capsys):
     ({"scenario": "sf-vs-fs", "system": {"U": 4}, "channel": {"V": 2}},
      "sf-vs-fs does not read channel.V, got 2"),
     ({"channel": {"L": 7}, "l_values": [2, 3]}, "single-user-sweep does not read channel.L, got 7"),
+    ({"option": "SF", "channel": {"K_V": -7}}, "channel.K_V must be >= 1, got -7"),
+    ({"option": "SF", "channel": {"K_V": 0}}, "channel.K_V must be >= 1, got 0"),
+    ({"scenario": "offgrid-sweep", "option": "SF", "channel": {"K_V": 0}},
+     "channel.K_V must be >= 1, got 0"),
+    ({"channel": {"K_L": 0}}, "channel.K_L must be >= 1, got 0"),
+    ({"scenario": "offgrid-sweep", "channel": {"K_V": -1}}, "channel.K_V must be >= 1, got -1"),
 ], ids=["negative-seed", "fractional-seed", "nan-snr", "negative-alpha", "fractional-trials",
         "fractional-sweep", "fractional-v", "fractional-l", "fractional-mp", "boolean-trials",
         "unknown-algorithm", "ongrid-l-exceeds-angles", "ongrid-users-exceed-angles",
@@ -189,7 +195,8 @@ def test_plot_unreadable_csv_exits_one(tmp_path, capsys):
         "empty-l2-values", "unread-np", "unread-np-omp", "unread-l1-values",
         "unread-l-values", "unread-v-values", "unread-l-values-offgrid", "unread-nan-alpha",
         "unread-alpha", "unread-option-sf-vs-fs", "swept-channel-v", "swept-channel-v-values",
-        "swept-channel-v-sf-vs-fs", "swept-channel-l"])
+        "swept-channel-v-sf-vs-fs", "swept-channel-l", "negative-k-v-sf", "zero-k-v-sf",
+        "zero-k-v-sf-offgrid", "zero-k-l", "negative-k-v-offgrid"])
 def test_run_config_out_of_model_exits_one_before_any_trial(tmp_path, capsys, bad, message):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({"scenario": "single-user-sweep", "sweep": [8],

@@ -186,8 +186,8 @@ def test_in_place_loop_matches_textbook_loop(algorithm, option):
 def offgrid_style_measurement(op, design, rng):
     """A pilot observation of an off-grid channel (leaky in delay and angle)."""
     N, M, D, U = design.N, design.M, design.D, design.U
-    realization = gen_offgrid(ChannelParams(N=N, M=M, D=D, U=U, V=U, L=3), rng)
-    H = np.stack([superpose_transfer(paths, N, M) for paths in realization.paths])
+    paths = gen_offgrid(ChannelParams(N=N, M=M, D=D, U=U, V=U, L=3), rng)
+    H = np.stack([superpose_transfer(ue_paths, N, M) for ue_paths in paths])
     return vectorize(observed_matrix(H, design, rng, 10.0), op.option)
 
 

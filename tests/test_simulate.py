@@ -182,6 +182,18 @@ def test_preset_override():
     assert (config.system.N, config.system.M, config.system.D) == (1024, 256, 256)
 
 
+def test_preset_leaves_the_callers_system_alone():
+    # A preset builds a new system: the caller's object and a sibling config
+    # built on it keep their sizes (and the sibling stays validated at them).
+    system = SystemConfig(U=4)
+    a = ExperimentConfig(scenario="multiuser-sweep", system=system, sweep=[8])
+    b = ExperimentConfig(scenario="multiuser-sweep", system=system, sweep=[8])
+    a.apply_preset("paper")
+    assert (a.system.N, a.system.M, a.system.D, a.system.U) == (1024, 256, 256, 4)
+    for sizes in (system, b.system):
+        assert (sizes.N, sizes.M, sizes.D, sizes.U) == (128, 64, 32, 4)
+
+
 def test_recovery_profile_shapes():
     assert recovery_profile("FS", V=2, L=3, K_V=1, K_L=1).s == (6, 1, 1)
     assert recovery_profile("SF", V=2, L=3, K_V=1, K_L=1).s == (2, 3, 1)
@@ -199,11 +211,11 @@ def test_stack_and_split_are_inverse():
     params = ChannelParams(N=32, M=8, D=8, U=2, V=2, L=2)
     r = gen_ongrid(params, rng, "FS")
     for option in ("FS", "SF"):
-        x = stack_delay_angular(r, option)
+        x = stack_delay_angular(r, params, option)
         mats = split_estimate(x, option, 2, 8, 8)
         for u in range(2):
-            expected = (delay_angular_matrix(r.paths[u], 32, 8, 8)
-                        if r.paths[u] else np.zeros((8, 8)))
+            expected = (delay_angular_matrix(r[u], 32, 8, 8)
+                        if r[u] else np.zeros((8, 8)))
             np.testing.assert_allclose(mats[u], expected, atol=1e-14)
 
 
@@ -214,40 +226,54 @@ def test_sparse_truth_densifies_to_dense_oracle(option, U, V):
     params = ChannelParams(N=64, M=8, D=16, U=U, V=V, L=4, K_V=2, K_L=2)
     for _ in range(20):
         r = gen_ongrid(params, rng, option)
-        idx, gains = sparse_delay_angular(r, option)
+        idx, gains = sparse_delay_angular(r, 64, 8, 16, option)
         assert idx.dtype == np.int64 and np.all(np.diff(idx) > 0)
         x = np.zeros(U * 16 * 8, dtype=complex)
         x[idx] = gains
-        assert x.tobytes() == stack_delay_angular(r, option).tobytes()
+        assert x.tobytes() == stack_delay_angular(r, params, option).tobytes()
 
 
 def test_sparse_truth_sums_paths_on_one_grid_point():
-    # A hand-built realization may repeat a grid point; the dense matrix sums it.
-    from hisparse import ChannelPath, ChannelRealization
+    # A hand-built draw may repeat a grid point; the dense matrix sums it.
+    from hisparse import ChannelPath
 
     params = ChannelParams(N=32, M=8, D=8, U=2, V=1, L=3)
     paths = [ChannelPath(3 / 32, 5 / 8, 0.5 - 1j), ChannelPath(1 / 32, 0.0, 2.0),
              ChannelPath(3 / 32, 5 / 8, 0.25 + 0.125j)]
-    r = ChannelRealization(params, [[], paths])
+    r = [[], paths]
     for option in ("FS", "SF"):
-        idx, gains = sparse_delay_angular(r, option)
+        idx, gains = sparse_delay_angular(r, 32, 8, 8, option)
         assert idx.size == 2
         x = np.zeros(2 * 8 * 8, dtype=complex)
         x[idx] = gains
-        assert x.tobytes() == stack_delay_angular(r, option).tobytes()
+        assert x.tobytes() == stack_delay_angular(r, params, option).tobytes()
+
+
+@pytest.mark.parametrize("option", ["FS", "SF"])
+def test_sparse_truth_takes_the_ue_count_from_the_path_lists(option):
+    # U = len(paths): the last UE's path lands in its own rows of a U*D x M
+    # unknown, never in another UE's rows or, under FS, in the next angle's column.
+    from hisparse import ChannelPath
+
+    for U in (1, 2, 3):
+        idx, gains = sparse_delay_angular([[]] * (U - 1) + [[ChannelPath(3 / 32, 5 / 8, 1.0)]],
+                                          32, 8, 8, option)
+        x = np.zeros(U * 8 * 8, dtype=complex)
+        x[idx] = gains
+        X = simulate.unvectorize(x, option, U * 8, 8)
+        assert np.flatnonzero(X).tolist() == [((U - 1) * 8 + 3) * 8 + 5]
 
 
 @pytest.mark.parametrize("tau, match", [(0.5 / 32, "not on the grid"), (8 / 32, "delay tap 8")],
                          ids=["half-tap", "tap-D"])
 def test_sparse_truth_refuses_paths_off_the_delay_grid(tau, match):
     # The on-grid truth takes only paths on the (1/N, 1/M) grid with a delay tap below D.
-    from hisparse import ChannelPath, ChannelRealization
+    from hisparse import ChannelPath
 
-    params = ChannelParams(N=32, M=8, D=8, U=1, V=1, L=1)
-    r = ChannelRealization(params, [[ChannelPath(tau, 3 / 8, 1.0)]])
+    r = [[ChannelPath(tau, 3 / 8, 1.0)]]
     for option in ("FS", "SF"):
         with pytest.raises(ValueError, match=match):
-            sparse_delay_angular(r, option)
+            sparse_delay_angular(r, 32, 8, 8, option)
 
 
 @pytest.mark.parametrize("option", ["FS", "SF"])
@@ -269,9 +295,10 @@ def test_ongrid_score_matches_dense_oracle(monkeypatch, algorithm, option):
     config = tiny_config(system=SystemConfig(N=64, M=16, D=16, U=3),
                          channel=ChannelConfig(L=2, V=2), sweep=[6], option=option)
     cond = Condition(label=algorithm, algorithm=algorithm, option=option, V=2, L=2)
+    params = ChannelParams(N=64, M=16, D=16, U=3, V=2, L=2)
     for t in range(6):
         mse = run_trial(config, cond, 6, t)
-        x_truth = stack_delay_angular(seen["gen_ongrid"], option)
+        x_truth = stack_delay_angular(seen["gen_ongrid"], params, option)
         dense = float(np.linalg.norm(seen["solve"].x_hat - x_truth) ** 2)
         assert mse == pytest.approx(dense, rel=1e-12, abs=0.0)
 
@@ -296,11 +323,11 @@ def test_mse_dual_route_agreement():
     rng = np.random.default_rng(3)
     params = ChannelParams(N=32, M=8, D=8, U=2, V=2, L=2)
     r = gen_ongrid(params, rng, "FS")
-    x_truth = stack_delay_angular(r, "FS")
+    x_truth = stack_delay_angular(r, params, "FS")
     x_hat = x_truth + 0.1 * (rng.standard_normal(x_truth.size)
                              + 1j * rng.standard_normal(x_truth.size))
     direct = float(np.linalg.norm(x_hat - x_truth) ** 2)
-    H_true = synthesize_transfer(r)
+    H_true = synthesize_transfer(r, params)
     h_err = 0.0
     for u, est in enumerate(split_estimate(x_hat, "FS", 2, 8, 8)):
         H_hat = transfer_from_delay_angular(est, 32, 8)
@@ -350,8 +377,8 @@ def test_observation_routes_agree_on_grid():
     design = make_design(64, 16, 16, 2, 12, 7, seed=8)
     op = KroneckerSensingOperator(design, "FS")
     from hisparse.simulate import observed_matrix
-    Y = observed_matrix(np.stack(synthesize_transfer(r)), design, rng, snr_db=math.inf)
-    x = stack_delay_angular(r, "FS")
+    Y = observed_matrix(np.stack(synthesize_transfer(r, params)), design, rng, snr_db=math.inf)
+    x = stack_delay_angular(r, params, "FS")
     nz = np.flatnonzero(x)
     y_direct = op.forward(nz, x[nz])
     np.testing.assert_allclose(Y.flatten(order="F"), y_direct, atol=1e-10)
@@ -381,7 +408,7 @@ def test_zero_estimator_power_is_unit():
     draws = 400
     for _ in range(draws):
         r = gen_ongrid(params, rng, "FS")
-        total += np.linalg.norm(stack_delay_angular(r, "FS")) ** 2
+        total += np.linalg.norm(stack_delay_angular(r, params, "FS")) ** 2
     assert total / draws == pytest.approx(1.0, rel=0.1)
 
 
