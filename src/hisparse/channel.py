@@ -22,6 +22,7 @@ import math
 
 import numpy as np
 
+from .blocks import _is_integer
 from .operators import VectorizationOption, as_option
 
 DEFAULT_ALPHA = 0.25
@@ -58,6 +59,10 @@ class ChannelParams:
             raise ValueError("need 1 <= V <= U")
         if self.L < 1 or self.L > self.D * self.M:
             raise ValueError("path count L out of range")
+        for name in ("K_V", "K_L"):
+            value = getattr(self, name)
+            if not _is_integer(value) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 def _gains(L: int, rng: np.random.Generator) -> np.ndarray:

@@ -10,13 +10,21 @@ copy). A^H y is computed once per solve; the first pass starts from x = 0,
 so its x_temp is A^H y itself. The iterate x is one buffer per solve,
 updated in place: a later pass adds x to the fresh A^H (y - A x) on x's
 support only, zeroes that support in x and writes the new one. x is zero off
-its support and IEEE addition commutes, so x_temp is the textbook sum bit
-for bit, apart from the sign of a zero component off that support
-(0.0 + -0.0 is +0.0). A x is ``op.forward(S, x[S])`` on x's support S, so
-no pass reads the rest of x. A^H y and x_temp live in two of this thread's
-work buffers (``blocks.work_buffer``), written by ``adjoint_values(...,
-out=)``; they are never returned or kept in a result, so only x, allocated
-per solve, leaves the loop, and solves on different threads share nothing.
+its support and IEEE addition commutes, so x_temp is x plus the operator's
+step bit for bit, apart from the sign of a zero component off that support
+(0.0 + -0.0 is +0.0). The step is ``op.adjoint_residual(y, A^H y, S, x[S])``
+on x's support S, so no pass reads the rest of x. With Mp < M it is
+``adjoint_values(y - forward(S, x[S]))``, the textbook sum. With every
+antenna observed (Mp = M) the operator works in the delay domain instead
+(A^H A = I (x) T^H T, see ``operators``): one length-N FFT pair per angle
+that x occupies, no ``forward`` and no full adjoint. That moves HiIHT/IHT
+estimates at rounding level; HiHTP/HTP select on the step but refit from
+A^H y, so they keep their bits unless a support choice sits on a tie at
+rounding level. A^H y and x_temp live in two of this thread's work buffers
+(``blocks.work_buffer``), written by ``adjoint_values(..., out=)`` and
+``adjoint_residual(..., out=)``; they are never returned or kept in a result,
+so only x, allocated per solve, leaves the loop, and solves on different
+threads share nothing.
 Every solver takes one hierarchical profile, cfg.profile, clipped to the
 unknown's layout. HiIHT/HiHTP select under it;
 the flat IHT/HTP are the one-level case (a single block of length U*D*M with
@@ -116,7 +124,7 @@ def _threshold_loop(y, op, max_iters: int, dims, profile, pursuit: bool):
             x_temp = aty
         else:
             # x + A^H (y - A x), adding x only on the previous pass's support.
-            x_temp = op.adjoint_values(y - op.forward(support, x[support]), out=scratch)
+            x_temp = op.adjoint_residual(y, aty, support, x[support], out=scratch)
             x_temp[support] += x[support]
             x[support] = 0.0
         support = hi_threshold(x_temp.reshape(dims), profile)
@@ -180,8 +188,9 @@ def solve(y, op, cfg: RecoveryConfig) -> RecoveryResult:
         y: measurement vector of length op.out_dim.
         op: the sensing operator. solve reads its ``shape_in`` (a
             BlockShape), ``in_dim``, ``out_dim``, ``forward(idx, values)``,
-            ``adjoint_values(y, out=None)``, ``gram(idx)`` and, for OMP,
-            ``columns(idx)``.
+            ``adjoint_values(y, out=None)``, ``gram(idx)``, for the
+            thresholding solvers ``adjoint_residual(y, aty, idx, values,
+            out=None)`` and, for OMP, ``columns(idx)``.
         cfg: solver configuration. cfg.profile is clipped to op.shape_in;
             HiIHT/HiHTP select under the clipped profile, IHT/HTP select and
             OMP picks k = its max_support entries.

@@ -239,8 +239,8 @@ class ExperimentConfig:
         return cls.from_json_dict(json.loads(text))
 
     def apply_preset(self, name: str) -> None:
-        self.system = replace(self.system, **PRESETS[name])
-        self._validate()
+        """Take the preset's sizes; a ValueError leaves this config as it was."""
+        self.system = replace(self, system=replace(self.system, **PRESETS[name])).system
 
 
 @dataclass

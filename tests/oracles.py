@@ -22,6 +22,10 @@ None of these is on a route that the CLI, the sweep harness or the
     synthesis and one norm per UE, against ``run_trial``'s (U, N, M) stack;
   * ``textbook_threshold_loop``: the thresholding solvers' every pass from a
     fresh zero iterate, with no cycle exit, against ``solve``'s in-place loop.
+    It takes its step from the operator's ``adjoint_residual``, as ``solve``
+    does, so the two loops agree bit for bit on either route of that step;
+    the route itself is checked against ``densify`` in ``test_operators``
+    and against the forward + adjoint loop in ``test_recovery``.
 
 Test modules import them with ``from oracles import ...``.
 """
@@ -70,6 +74,10 @@ class DenseOperator:
             return adj
         out[...] = adj
         return out
+
+    def adjoint_residual(self, y, aty, idx, values, out=None) -> np.ndarray:
+        """A^H (y - A x) by the two dense products; ``aty`` is not read."""
+        return self.adjoint_values(y - self.forward(idx, values), out)
 
     def columns(self, idx) -> np.ndarray:
         return self.A[:, idx]
@@ -163,6 +171,9 @@ def is_hi_sparse(x: np.ndarray, s: SparsityProfile) -> bool:
 def textbook_threshold_loop(y, op, select_shape, profile, pursuit, max_iters):
     """x_temp = x + A^H (y - A x) from a fresh zero iterate, every pass run.
 
+    The step A^H (y - A x) is ``op.adjoint_residual(y, A^H y, S, x[S])`` on
+    the support S of x.
+
     Returns (x, support, iterations, residual_norm). It stops only when the
     support repeats the previous pass's or after max_iters passes.
     """
@@ -171,7 +182,7 @@ def textbook_threshold_loop(y, op, select_shape, profile, pursuit, max_iters):
     prev = None
     for i in range(1, max_iters + 1):
         nz = np.flatnonzero(x)
-        x_temp = x + op.adjoint_values(y - op.forward(nz, x[nz]))
+        x_temp = x + op.adjoint_residual(y, aty, nz, x[nz])
         support = hi_threshold(x_temp.reshape(select_shape.dims), profile)
         x = np.zeros(op.in_dim, dtype=complex)
         x[support] = _restricted_lstsq(aty, op, support) if pursuit else x_temp[support]

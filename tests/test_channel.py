@@ -29,6 +29,16 @@ def test_single_user_single_path():
     assert np.count_nonzero(X) == 1
 
 
+@pytest.mark.parametrize("name", ["K_V", "K_L"])
+@pytest.mark.parametrize("value", [0, -2, 1.5, 2.0, True])
+def test_channel_params_refuse_a_bad_per_block_cap(name, value):
+    # Refused with a one-line error, not drawn as if it were 1 (K_L <= 0)
+    # or failed later as an unsatisfiable draw (K_V = 0).
+    with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1, got {value!r}$"):
+        ChannelParams(N=64, M=16, D=16, U=2, V=2, L=3, **{name: value})
+    ChannelParams(N=64, M=16, D=16, U=2, V=2, L=3, **{name: np.int64(2)})
+
+
 def test_ongrid_support_cardinality_is_L():
     rng = np.random.default_rng(1)
     params = ChannelParams(N=64, M=16, D=16, U=2, V=2, L=4)

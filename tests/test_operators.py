@@ -14,7 +14,7 @@ from hisparse import (
     tau_factor,
     theta_factor,
 )
-from hisparse.operators import unvectorize, vectorize
+from hisparse.operators import flat_index, unvectorize, vectorize
 from oracles import DenseOperator
 
 
@@ -200,6 +200,57 @@ def test_dimension_errors(monkeypatch):
             op.adjoint_values(y, out=out)
 
 
+@pytest.mark.parametrize("option", ["FS", "SF"])
+@pytest.mark.parametrize("U", [1, 2, 4])
+@pytest.mark.parametrize("Mp", [8, 5])
+def test_adjoint_residual_matches_dense(option, U, Mp):
+    # A^H y - A^H A x against the dense matrix: in the delay domain when every
+    # antenna is observed, and as the very forward + adjoint bits otherwise.
+    op = KroneckerSensingOperator(make_design(32, 8, 8, U, 12, Mp, seed=U), option)
+    assert (op._delay_spectrum is not None) == (Mp == 8)
+    A = op.densify()
+    rng = np.random.default_rng(10 * U + Mp)
+    y = rng.standard_normal(op.out_dim) + 1j * rng.standard_normal(op.out_dim)
+    aty = op.adjoint_values(y)
+    UD = U * 8
+    whole_rows = flat_index(option, np.tile(np.arange(UD), 2), np.repeat([1, 6], UD), UD, 8)
+    supports = {
+        "empty": np.array([], dtype=np.int64),
+        "single": np.array([op.in_dim // 3]),
+        "whole angle rows": np.sort(whole_rows),
+        "scattered": np.sort(rng.choice(op.in_dim, 10, replace=False)),
+        "everything": np.arange(op.in_dim),
+    }
+    for name, idx in supports.items():
+        values = rng.standard_normal(idx.size) + 1j * rng.standard_normal(idx.size)
+        x = np.zeros(op.in_dim, dtype=complex)
+        x[idx] = values
+        expected = A.conj().T @ (y - A @ x)
+        got = op.adjoint_residual(y, aty, idx, values)
+        assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected), name
+        out = np.full(op.in_dim, np.nan + 1j * np.nan)
+        assert op.adjoint_residual(y, aty, idx, values, out=out) is out
+        assert out.tobytes() == got.tobytes()
+        assert not np.shares_memory(got, aty)
+        if Mp < 8:
+            assert got.tobytes() == op.adjoint_values(y - op.forward(idx, values)).tobytes()
+    if Mp == 8:
+        assert op.adjoint_residual(y, aty, [], []).tobytes() == aty.tobytes()
+
+
+def test_adjoint_residual_refuses_bad_inputs():
+    op = KroneckerSensingOperator(make_design(16, 4, 4, 2, 8, 4, seed=0), "SF")
+    y = np.zeros(op.out_dim, dtype=complex)
+    aty = op.adjoint_values(y)
+    for idx, values in (([op.in_dim], [1.0]), ([3, 2], [1.0, 1.0]), ([1, 2], [1.0])):
+        with pytest.raises(DimensionError):
+            op.adjoint_residual(y, aty, idx, values)
+    with pytest.raises(DimensionError):
+        op.adjoint_residual(y, aty[:-1], [1], [1.0])
+    with pytest.raises(DimensionError):
+        op.adjoint_residual(y, aty, [1], [1.0], out=np.empty(op.in_dim, dtype=np.complex64))
+
+
 @pytest.mark.parametrize("option, N, D, U, route", [
     # Np = 12: the product route runs when 12*U*D <= 2*N*log2(N).
     pytest.param("FS", 32, 8, 4, "fft", id="FS-32-8-4"),        # U*D = N: FFT in out itself
@@ -271,6 +322,9 @@ def test_forward_adjoint_match_dense_on_row_sparse_inputs(data):
     fwd = op.forward(idx, x[idx])
     adj = op.adjoint_values(y)
     assert np.linalg.norm(fwd - A @ x) <= 1e-10 * np.linalg.norm(x)
+    step = A.conj().T @ (y - A @ x)
+    got = op.adjoint_residual(y, adj, idx, x[idx])
+    assert np.linalg.norm(got - step) <= 1e-10 * np.linalg.norm(step)
     # The same rows enter the same product as a scan of the dense x finds.
     assert fwd.tobytes() == row_scan_forward(op, x).tobytes()
     if count == 0:

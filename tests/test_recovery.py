@@ -183,6 +183,55 @@ def test_in_place_loop_matches_textbook_loop(algorithm, option):
     assert capped > 0
 
 
+class ForwardAdjointOperator(KroneckerSensingOperator):
+    """The operator with its gradient step as forward + adjoint on every design."""
+
+    def adjoint_residual(self, y, aty, idx, values, out=None):
+        return self.adjoint_values(y - self.forward(idx, values), out)
+
+
+def solved_trial(config, cond, Np, t, operator):
+    """(MSE, solve result) of one ``run_trial`` on the given operator class."""
+    results = []
+
+    def capture(*args):
+        results.append(solve(*args))
+        return results[-1]
+    with mock.patch.object(hisparse.simulate, "solve", capture), \
+            mock.patch.object(hisparse.simulate, "KroneckerSensingOperator", operator):
+        mse = run_trial(config, cond, Np, t)
+    return mse, results[0]
+
+
+@pytest.mark.parametrize("option", ["FS", "SF"])
+@pytest.mark.parametrize("offgrid", [False, True])
+def test_delay_domain_step_tracks_the_forward_adjoint_loop(option, offgrid):
+    # Mp = M: the delay-domain step moves HiIHT/IHT estimates at rounding level
+    # only (same supports and pass counts), and HiHTP/HTP, which select on the
+    # step but refit from A^H y, not at all.
+    system = SystemConfig(N=64, M=16, D=16, U=4)
+    if offgrid:
+        config = ExperimentConfig(scenario="offgrid-sweep", system=system, channel=ChannelConfig(L=3, V=2),
+                                  sweep=[24], seed=7, option=option, l1_values=[1], l2_values=[1])
+    else:
+        config = ExperimentConfig(scenario="multiuser-sweep", system=system, channel=ChannelConfig(L=3),
+                                  sweep=[24], seed=7, option=option)
+    assert config.antenna_count() == system.M
+    grid = {"L1": 1, "L2": 1} if offgrid else {}
+    for alg in ("HiIHT", "IHT", "HiHTP", "HTP"):
+        cond = Condition(label=alg, algorithm=alg, option=option, V=2, L=3, **grid)
+        for t in range(5):
+            mse, res = solved_trial(config, cond, 24, t, KroneckerSensingOperator)
+            ref_mse, ref = solved_trial(config, cond, 24, t, ForwardAdjointOperator)
+            np.testing.assert_array_equal(res.support, ref.support)
+            assert res.iterations == ref.iterations
+            if alg in ("HiHTP", "HTP"):
+                assert res.x_hat.tobytes() == ref.x_hat.tobytes()
+                assert mse.hex() == ref_mse.hex() and res.residual_norm == ref.residual_norm
+            else:
+                assert abs(mse - ref_mse) <= 1e-12 * ref_mse
+
+
 def offgrid_style_measurement(op, design, rng):
     """A pilot observation of an off-grid channel (leaky in delay and angle)."""
     N, M, D, U = design.N, design.M, design.D, design.U

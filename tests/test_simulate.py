@@ -171,9 +171,13 @@ def test_omp_compare_default_antennas_follow_preset():
 
 
 def test_preset_revalidates():
-    config = tiny_config(system=SystemConfig(N=1024, M=16, D=16, U=1), sweep=[300])
+    # A refused preset leaves the config as it was, one its validation accepts.
+    system = SystemConfig(N=1024, M=16, D=16, U=1)
+    config = tiny_config(system=system, sweep=[300])
     with pytest.raises(ValueError, match="pilot count"):
         config.apply_preset("small")
+    assert config.system is system and config.sweep == [300]
+    config._validate()
 
 
 def test_preset_override():
