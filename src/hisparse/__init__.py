@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .blocks import BlockShape, DimensionError, SparsityProfile, hi_threshold
+from .blocks import BlockShape, DimensionError, SparsityProfile, hi_threshold, squared_moduli
 from .channel import (
     ChannelParams,
     ChannelPath,

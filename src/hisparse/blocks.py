@@ -8,9 +8,12 @@ recursively: at most s1 of the N1 outer blocks are populated, each populated
 block holding at most s2 of its N2 sub-blocks, and so on down to s_l elements
 per innermost block.
 
-``work_buffer`` hands out per-thread scratch arrays, so the per-pass arrays
-of a large solve are allocated once per thread and not mapped afresh on
-every call.
+``hi_threshold`` selects on squared moduli shaped by the block dims
+(``squared_moduli(x)``, float64 re*re + im*im of complex x), so a caller
+that changes a few entries of x between selections patches only their
+moduli. ``work_buffer`` hands out per-thread scratch arrays, so the per-pass
+arrays of a large solve are allocated once per thread and not mapped afresh
+on every call.
 """
 
 from __future__ import annotations
@@ -125,42 +128,55 @@ def _top_mask(energy: np.ndarray, k: int) -> np.ndarray:
     return above | (tied & (np.cumsum(tied, axis=-1) <= room))
 
 
-def hi_threshold(x: np.ndarray, s: SparsityProfile) -> np.ndarray:
+def squared_moduli(x: np.ndarray, out=None) -> np.ndarray:
+    """re*re + im*im of complex x, float64 of x's shape, into ``out`` if given."""
+    out = np.multiply(x.real, x.real, out=out)
+    out += x.imag * x.imag
+    return out
+
+
+def hi_threshold(moduli: np.ndarray, s: SparsityProfile) -> np.ndarray:
     """Support of the best s-hierarchically-sparse approximation of x.
 
-    x has the block dims as its shape. Returns the sorted flat (C-order)
+    ``moduli`` is x's squared moduli (``squared_moduli(x)``, real floating
+    point) shaped by the block dims. Returns the sorted flat (C-order)
     indices (int64) of the support.
 
-    Bottom-up selection: per innermost block keep the s_l largest-modulus
-    entries, then at each coarser level keep the per-block child blocks of
-    largest retained Euclidean norm, up to and including the root (which
-    keeps s1 of the N1 outer blocks). Comparisons use squared moduli; ties
-    go to the lowest flat index. A level of sparsity 1 keeps each block's
-    first maximum (``argmax``) and passes that one energy up by a gather.
-    The squared moduli are formed in two of this thread's work buffers.
+    Bottom-up selection: per innermost block keep the s_l largest entries,
+    then at each coarser level keep the per-block child blocks of largest
+    retained energy, up to the root (s1 of the N1 outer blocks). Ties go to
+    the lowest flat index. A level of sparsity 1 keeps each block's first
+    maximum (``argmax``) and passes its energy up by a gather; a level with
+    s >= N keeps every child. The support is then built top-down from the
+    root, reading each level's pick only for the blocks kept above it.
     """
-    s.check_compatible(x.shape)
-    moduli = work_buffer("hi_threshold.moduli", x.shape, np.float64)
-    np.multiply(x.real, x.real, out=moduli)
-    moduli += np.multiply(x.imag, x.imag, out=work_buffer("hi_threshold.imag", x.shape, np.float64))
-    energy = moduli
-    masks = []
-    for lvl in range(x.ndim - 1, -1, -1):
-        if s.s[lvl] == 1:
-            best = np.argmax(energy, axis=-1)[..., None]
-            m = np.zeros_like(energy, dtype=bool)
-            np.put_along_axis(m, best, True, axis=-1)
-            energy = np.take_along_axis(energy, best, axis=-1)[..., 0]
+    moduli = np.asarray(moduli)
+    if not np.issubdtype(moduli.dtype, np.floating):
+        raise DimensionError(f"hi_threshold takes real squared moduli, got dtype {moduli.dtype}")
+    s.check_compatible(moduli.shape)
+    energy, picks = moduli, []  # per level, innermost first: argmax, _top_mask or None (all)
+    for lvl in range(moduli.ndim - 1, -1, -1):
+        k = s.s[lvl]
+        if k >= moduli.shape[lvl]:
+            pick = None
+            energy = energy.sum(axis=-1)
+        elif k == 1:
+            pick = np.argmax(energy, axis=-1)
+            energy = np.take_along_axis(energy, pick[..., None], axis=-1)[..., 0]
         else:
-            m = _top_mask(energy, s.s[lvl])
-            energy = np.where(m, energy, 0.0).sum(axis=-1)
-        masks.append(m)
+            pick = _top_mask(energy, k)
+            energy = np.where(pick, energy, 0.0).sum(axis=-1)
+        picks.append(pick)
 
-    full = masks[0]
-    for m in masks[1:]:
-        full = full & m.reshape(m.shape + (1,) * (full.ndim - m.ndim))
-    indices = np.flatnonzero(full.reshape(-1))
+    kept = np.zeros(1, dtype=np.int64)  # flat indices of the blocks kept so far
+    for pick, n in zip(reversed(picks), moduli.shape):
+        if pick is None:
+            kept = (kept[:, None] * n + np.arange(n)).reshape(-1)
+        elif pick.dtype == bool:
+            rows, cols = np.nonzero(pick.reshape(-1, n)[kept])
+            kept = kept[rows] * n + cols
+        else:
+            kept = kept * n + pick.reshape(-1)[kept]
 
     # Drop exact zeros so the support matches supp(z) of the projected vector.
-    return indices[moduli.reshape(-1)[indices] > 0.0]
-
+    return kept[moduli.reshape(-1)[kept] > 0.0]

@@ -35,19 +35,20 @@ copied into ``out``. Both factor Grams are circulant (entry (q, q')
 depends only on (q - q') mod N, entry (m, m') only on (m - m') mod M), so
 ``gram`` evaluates any restricted Gram (A^H A)[S, S] from two precomputed
 kernels in O(|S|^2) without building a column; least-squares refits solve on
-it. ``adjoint_residual(y, aty, idx, values, out)`` is the thresholding
-solvers' gradient step A^H (y - A x) given aty = A^H y. Its route, too, is
-fixed by the design alone. With Mp < M it is ``adjoint_values(y -
-forward(idx, values), out)``. With every antenna observed (Mp = M) the angle
+it. ``adjoint_residual(y, aty, idx, values)`` is the thresholding solvers'
+gradient step A^H (y - A x) given aty = A^H y, reported as the entries where
+it differs from aty and its values there. Its route, too, is fixed by the
+design alone. With Mp < M that is every entry, ``adjoint_values(y -
+forward(idx, values))``. With every antenna observed (Mp = M) the angle
 factor is the unitary M-point DFT, so A^H A = I (x) T^H T (FS) or T^H T (x) I
-(SF), and the step stays in the delay domain: a copy of aty minus T^H T
-applied to the delay column of each of the r angles that x occupies, by one
-length-N FFT, the delay spectrum and one inverse FFT per angle. That costs
-O(r*N log N + in_dim) in place of O(Np*r*M + Np*M log M) for ``forward`` plus
-O(M*N log N) or O(Np*U*D*M) for the adjoint, and agrees with them to
-rounding. ``columns`` builds exact columns of the matrix from the two
-factors, and a dense materialization is kept as a test oracle for small
-problems.
+(SF), and the step stays in the delay domain: it changes only the r*U*D
+entries of the r angles that x occupies, each angle's delay column minus
+T^H T applied to it, by one length-N FFT, the delay spectrum and one inverse
+FFT per angle. That costs O(r*N log N + r*U*D) in place of
+O(Np*r*M + Np*M log M) for ``forward`` plus O(M*N log N) or O(Np*U*D*M) for
+the adjoint, and agrees with them to rounding. ``columns`` builds exact
+columns of the matrix from the two factors, and a dense materialization is
+kept as a test oracle for small problems.
 """
 
 from __future__ import annotations
@@ -162,7 +163,7 @@ class KroneckerSensingOperator:
     ``out`` under FS with U*D = N and else in a per-thread (M x N) work
     buffer and one copy into ``out``. The product route keeps an (Np x U*D)
     table, ``_adjoint_table`` (None on the FFT route). With Mp = M,
-    ``adjoint_residual`` of a support on r angles costs O(r*N log N + in_dim)
+    ``adjoint_residual`` of a support on r angles costs O(r*N log N + r*U*D)
     from the length-N delay spectrum ``_delay_spectrum`` (None when Mp < M,
     where it is ``forward`` plus ``adjoint_values``). Instances are
     immutable after construction and reentrant: concurrent calls from
@@ -212,15 +213,6 @@ class KroneckerSensingOperator:
         sub = d.subcarriers[:, None]
         return d.base_sequence[sub] * self._twiddle[sub * q % d.N]
 
-    def _destination(self, out) -> np.ndarray:
-        """``out`` checked as a C-contiguous complex128 array of length in_dim, or a new one."""
-        if out is None:
-            return np.empty(self.in_dim, dtype=np.complex128)
-        if out.shape != (self.in_dim,) or out.dtype != np.complex128 or not out.flags.c_contiguous:
-            raise DimensionError(
-                f"out must be a C-contiguous complex128 array of length {self.in_dim}")
-        return out
-
     def forward(self, idx, values) -> np.ndarray:
         """A @ x for the x that holds ``values`` at the flat indices ``idx``.
 
@@ -265,7 +257,11 @@ class KroneckerSensingOperator:
         v = np.asarray(y, dtype=np.complex128)
         if v.shape != (self.out_dim,):
             raise DimensionError(f"measurement length {v.shape} != {self.out_dim}")
-        out = self._destination(out)
+        if out is None:
+            out = np.empty(self.in_dim, dtype=np.complex128)
+        elif out.shape != (self.in_dim,) or out.dtype != np.complex128 or not out.flags.c_contiguous:
+            raise DimensionError(
+                f"out must be a C-contiguous complex128 array of length {self.in_dim}")
         padded = np.zeros((d.Np, d.M), dtype=np.complex128)
         padded[:, d.antennas] = unvectorize(v, self.option, d.Np, d.Mp)
         Z = np.fft.fft(padded, axis=1) / math.sqrt(d.Mp)
@@ -288,30 +284,31 @@ class KroneckerSensingOperator:
             unvectorize(out, self.option, self._ud, d.M)[...] = buf[:, : self._ud].T
         return out
 
-    def adjoint_residual(self, y, aty, idx, values, out=None) -> np.ndarray:
+    def adjoint_residual(self, y, aty, idx, values) -> tuple[np.ndarray, np.ndarray]:
         """A^H (y - A x) for the x that holds ``values`` at the flat indices ``idx``.
 
-        ``aty`` is A^H y, ``out`` as in ``adjoint_values``. With Mp < M this is
-        ``adjoint_values(y - forward(idx, values), out)``. With Mp = M the
-        angle factor is unitary, A^H A = I (x) T^H T, and y is not read: ``out``
-        is a copy of ``aty`` minus T^H T applied to each of the r angles that
-        x occupies. T^H T is circulant, so that product is one length-N FFT
-        per angle of its zero-padded delay column, times the delay spectrum
-        (nonzero on the pilot subcarriers only), and one inverse FFT, whose
-        first U*D entries are subtracted. It costs O(r*N log N + in_dim),
-        against O(Np*r*M + Np*M log M) for ``forward`` plus the adjoint's
+        ``aty`` is A^H y. Returns (changed, step): an index of the flat
+        vector and the step's values there; at every other index the step
+        equals ``aty``. With Mp < M ``changed`` is ``slice(None)``, every
+        entry, and ``step`` is ``adjoint_values(y - forward(idx, values))``.
+        With Mp = M it is an array of sorted flat indices. With Mp = M the angle
+        factor is unitary, A^H A = I (x) T^H T, and y is not read: ``changed``
+        is every entry of the r angles that x occupies (r contiguous runs of
+        U*D under FS, U*D strided rows of r under SF), and ``step`` is aty
+        there minus T^H T applied to each angle's delay column. T^H T is
+        circulant, so that product is one length-N FFT per angle of its
+        zero-padded delay column, times the delay spectrum (nonzero on the
+        pilot subcarriers only), and one inverse FFT, whose first U*D entries
+        are subtracted. It costs O(r*N log N + r*U*D), against
+        O(Np*r*M + Np*M log M) for ``forward`` plus the adjoint's
         O(M*N log N) (FFT route) or O(Np*U*D*M) (product route).
         """
         d = self.design
         if self._delay_spectrum is None:
-            return self.adjoint_values(y - self.forward(idx, values), out)
+            return slice(None), self.adjoint_values(y - self.forward(idx, values))
         idx, values = _support(idx, values, self.in_dim)
         if np.shape(aty) != (self.in_dim,):
             raise DimensionError(f"A^H y length {np.shape(aty)} != {self.in_dim}")
-        out = self._destination(out)
-        np.copyto(out, aty)
-        if not idx.size:
-            return out
         q, m = self._split(idx)
         occupied = np.zeros(d.M, dtype=bool)
         occupied[m] = True
@@ -321,8 +318,10 @@ class KroneckerSensingOperator:
         np.fft.fft(spec, axis=1, out=spec)
         spec *= self._delay_spectrum
         np.fft.ifft(spec, axis=1, norm="forward", out=spec)
-        unvectorize(out, self.option, self._ud, d.M).T[angles] -= spec[:, : self._ud]
-        return out
+        # The (U*D x r) block of those angles, vectorized in flat index order.
+        changed = vectorize(flat_index(self.option, np.arange(self._ud)[:, None], angles,
+                                       self._ud, d.M), self.option)
+        return changed, aty[changed] - vectorize(spec[:, : self._ud].T, self.option)
 
     def columns(self, idx) -> np.ndarray:
         """Exact columns A[:, idx] as an (Np*Mp x len(idx)) matrix.

@@ -5,26 +5,27 @@ thresholding solvers are one gradient-descent loop with unit step:
 
     x_temp = x + A^H (y - A x)
 
-followed by hi_threshold on x_temp reshaped to its block dims (a view, no
-copy). A^H y is computed once per solve; the first pass starts from x = 0,
-so its x_temp is A^H y itself. The iterate x is one buffer per solve,
-updated in place: a later pass adds x to the fresh A^H (y - A x) on x's
-support only, zeroes that support in x and writes the new one. x is zero off
-its support and IEEE addition commutes, so x_temp is x plus the operator's
-step bit for bit, apart from the sign of a zero component off that support
-(0.0 + -0.0 is +0.0). The step is ``op.adjoint_residual(y, A^H y, S, x[S])``
-on x's support S, so no pass reads the rest of x. With Mp < M it is
-``adjoint_values(y - forward(S, x[S]))``, the textbook sum. With every
-antenna observed (Mp = M) the operator works in the delay domain instead
+followed by hi_threshold on the squared moduli of x_temp, shaped by the block
+dims. A^H y and its squared moduli are formed once per solve, in two of this
+thread's work buffers (``blocks.work_buffer``); pass 1 starts from x = 0 and
+selects on them as they are. The iterate x is one buffer per solve, updated
+in place. The step is ``op.adjoint_residual(y, A^H y, S, x[S])`` on x's
+support S, so no pass reads the rest of x; it returns the entries where
+A^H (y - A x) differs from A^H y, and its values there. A later pass writes
+those over A^H y, adds x on S only, zeroes S in x, patches those entries'
+moduli, selects, reads x_temp on the new support and puts the saved A^H y
+entries and moduli back before a refit reads A^H y. x is zero off S and IEEE
+addition commutes, so x_temp is x plus the step bit for bit, apart from the
+sign of a zero off S (0.0 + -0.0 is +0.0). With Mp < M the step is
+``adjoint_values(y - forward(S, x[S]))``, the textbook sum, over every entry.
+With every antenna observed (Mp = M) it stays in the delay domain
 (A^H A = I (x) T^H T, see ``operators``): one length-N FFT pair per angle
-that x occupies, no ``forward`` and no full adjoint. That moves HiIHT/IHT
-estimates at rounding level; HiHTP/HTP select on the step but refit from
-A^H y, so they keep their bits unless a support choice sits on a tie at
-rounding level. A^H y and x_temp live in two of this thread's work buffers
-(``blocks.work_buffer``), written by ``adjoint_values(..., out=)`` and
-``adjoint_residual(..., out=)``; they are never returned or kept in a result,
-so only x, allocated per solve, leaves the loop, and solves on different
-threads share nothing.
+that x occupies, and only those angles' entries change, so a pass makes no
+length-in_dim copy and no full moduli pass. That moves HiIHT/IHT estimates at
+rounding level; HiHTP/HTP select on the step but refit from A^H y, so they
+keep their bits unless a support choice sits on a tie at rounding level. The
+work buffers never reach a result, so only x, allocated per solve, leaves
+the loop, and solves on different threads share nothing.
 Every solver takes one hierarchical profile, cfg.profile, clipped to the
 unknown's layout. HiIHT/HiHTP select under it;
 the flat IHT/HTP are the one-level case (a single block of length U*D*M with
@@ -58,7 +59,8 @@ import math
 
 import numpy as np
 
-from .blocks import DimensionError, SparsityProfile, _is_integer, hi_threshold, work_buffer
+from .blocks import (DimensionError, SparsityProfile, _is_integer, hi_threshold, squared_moduli,
+                     work_buffer)
 from .operators import VectorizationOption, as_option
 
 HI_ALGORITHMS = ("HiIHT", "HiHTP")
@@ -116,19 +118,23 @@ def _restricted_lstsq(aty, op, support: np.ndarray) -> np.ndarray:
 
 def _threshold_loop(y, op, max_iters: int, dims, profile, pursuit: bool):
     aty = op.adjoint_values(y, out=work_buffer("aty", (op.in_dim,), np.complex128))
-    scratch = work_buffer("x_temp", (op.in_dim,), np.complex128)
+    moduli = squared_moduli(aty, out=work_buffer("moduli", (op.in_dim,), np.float64))
     x = np.zeros(op.in_dim, dtype=np.complex128)
     latest, passes = {}, []  # support bytes -> latest pass that selected it; (support, values) per pass
     for i in range(1, max_iters + 1):
-        if i == 1:
-            x_temp = aty
-        else:
-            # x + A^H (y - A x), adding x only on the previous pass's support.
-            x_temp = op.adjoint_residual(y, aty, support, x[support], out=scratch)
-            x_temp[support] += x[support]
+        if i > 1:
+            # x_temp = x + A^H (y - A x), patched into A^H y where the step changed it.
+            changed, step = op.adjoint_residual(y, aty, support, x[support])
+            saved, saved_moduli = aty[changed].copy(), moduli[changed].copy()  # a slice is a view
+            aty[changed] = step
+            aty[support] += x[support]
             x[support] = 0.0
-        support = hi_threshold(x_temp.reshape(dims), profile)
-        x[support] = values = _restricted_lstsq(aty, op, support) if pursuit else x_temp[support]
+            moduli[changed] = squared_moduli(aty[changed])
+        support = hi_threshold(moduli.reshape(dims), profile)
+        x_temp = aty[support]
+        if i > 1:  # A^H y back, before a refit reads it
+            aty[changed], moduli[changed] = saved, saved_moduli
+        x[support] = values = _restricted_lstsq(aty, op, support) if pursuit else x_temp
         passes.append((support, values))
         key = support.tobytes()
         j, latest[key] = latest.get(key), i
@@ -189,8 +195,9 @@ def solve(y, op, cfg: RecoveryConfig) -> RecoveryResult:
         op: the sensing operator. solve reads its ``shape_in`` (a
             BlockShape), ``in_dim``, ``out_dim``, ``forward(idx, values)``,
             ``adjoint_values(y, out=None)``, ``gram(idx)``, for the
-            thresholding solvers ``adjoint_residual(y, aty, idx, values,
-            out=None)`` and, for OMP, ``columns(idx)``.
+            thresholding solvers ``adjoint_residual(y, aty, idx, values)``
+            (an index of the entries it changes, and their values) and, for
+            OMP, ``columns(idx)``.
         cfg: solver configuration. cfg.profile is clipped to op.shape_in;
             HiIHT/HiHTP select under the clipped profile, IHT/HTP select and
             OMP picks k = its max_support entries.

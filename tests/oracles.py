@@ -17,13 +17,18 @@ None of these is on a route that the CLI, the sweep harness or the
     ``ripcheck`` unranks;
   * ``is_hi_sparse``: a per-level count of populated blocks, against the
     supports that ``hi_threshold`` selects;
+  * ``mask_hi_threshold``: the selection from complex x with one full-size
+    boolean mask per level, ANDed and scanned by ``flatnonzero``, against
+    ``hi_threshold``'s top-down assembly from squared moduli;
   * ``split_estimate`` / ``offgrid_trial_oracle``: the off-grid trial with
     one transfer matrix per active UE (None for an inactive one), one
     synthesis and one norm per UE, against ``run_trial``'s (U, N, M) stack;
   * ``textbook_threshold_loop``: the thresholding solvers' every pass from a
-    fresh zero iterate, with no cycle exit, against ``solve``'s in-place loop.
-    It takes its step from the operator's ``adjoint_residual``, as ``solve``
-    does, so the two loops agree bit for bit on either route of that step;
+    fresh zero iterate, with no cycle exit, a full x_temp and full squared
+    moduli every pass, against ``solve``'s loop, which patches A^H y and its
+    moduli only where the step changed them. It takes its step from the
+    operator's ``adjoint_residual``, as ``solve`` does, so the two loops
+    agree bit for bit on either route of that step;
     the route itself is checked against ``densify`` in ``test_operators``
     and against the forward + adjoint loop in ``test_recovery``.
 
@@ -37,7 +42,8 @@ import math
 
 import numpy as np
 
-from hisparse.blocks import BlockShape, DimensionError, SparsityProfile, hi_threshold
+from hisparse.blocks import (BlockShape, DimensionError, SparsityProfile, _top_mask, hi_threshold,
+                             squared_moduli, work_buffer)
 from hisparse.channel import (
     ChannelParams,
     gen_offgrid,
@@ -75,9 +81,9 @@ class DenseOperator:
         out[...] = adj
         return out
 
-    def adjoint_residual(self, y, aty, idx, values, out=None) -> np.ndarray:
-        """A^H (y - A x) by the two dense products; ``aty`` is not read."""
-        return self.adjoint_values(y - self.forward(idx, values), out)
+    def adjoint_residual(self, y, aty, idx, values):
+        """Every entry and A^H (y - A x) by the two dense products; ``aty`` is not read."""
+        return slice(None), self.adjoint_values(y - self.forward(idx, values))
 
     def columns(self, idx) -> np.ndarray:
         return self.A[:, idx]
@@ -168,11 +174,52 @@ def is_hi_sparse(x: np.ndarray, s: SparsityProfile) -> bool:
     return True
 
 
+def mask_hi_threshold(x: np.ndarray, s: SparsityProfile) -> np.ndarray:
+    """Support of the best s-hierarchically-sparse approximation of x.
+
+    x has the block dims as its shape. Returns the sorted flat (C-order)
+    indices (int64) of the support.
+
+    Bottom-up selection: per innermost block keep the s_l largest-modulus
+    entries, then at each coarser level keep the per-block child blocks of
+    largest retained Euclidean norm, up to and including the root (which
+    keeps s1 of the N1 outer blocks). Comparisons use squared moduli; ties
+    go to the lowest flat index. A level of sparsity 1 keeps each block's
+    first maximum (``argmax``) and passes that one energy up by a gather.
+    The squared moduli are formed in two of this thread's work buffers.
+    """
+    s.check_compatible(x.shape)
+    moduli = work_buffer("hi_threshold.moduli", x.shape, np.float64)
+    np.multiply(x.real, x.real, out=moduli)
+    moduli += np.multiply(x.imag, x.imag, out=work_buffer("hi_threshold.imag", x.shape, np.float64))
+    energy = moduli
+    masks = []
+    for lvl in range(x.ndim - 1, -1, -1):
+        if s.s[lvl] == 1:
+            best = np.argmax(energy, axis=-1)[..., None]
+            m = np.zeros_like(energy, dtype=bool)
+            np.put_along_axis(m, best, True, axis=-1)
+            energy = np.take_along_axis(energy, best, axis=-1)[..., 0]
+        else:
+            m = _top_mask(energy, s.s[lvl])
+            energy = np.where(m, energy, 0.0).sum(axis=-1)
+        masks.append(m)
+
+    full = masks[0]
+    for m in masks[1:]:
+        full = full & m.reshape(m.shape + (1,) * (full.ndim - m.ndim))
+    indices = np.flatnonzero(full.reshape(-1))
+
+    # Drop exact zeros so the support matches supp(z) of the projected vector.
+    return indices[moduli.reshape(-1)[indices] > 0.0]
+
+
 def textbook_threshold_loop(y, op, select_shape, profile, pursuit, max_iters):
     """x_temp = x + A^H (y - A x) from a fresh zero iterate, every pass run.
 
     The step A^H (y - A x) is ``op.adjoint_residual(y, A^H y, S, x[S])`` on
-    the support S of x.
+    the support S of x, written over a full copy of A^H y; each pass
+    selects on the squared moduli of the whole x_temp.
 
     Returns (x, support, iterations, residual_norm). It stops only when the
     support repeats the previous pass's or after max_iters passes.
@@ -182,8 +229,11 @@ def textbook_threshold_loop(y, op, select_shape, profile, pursuit, max_iters):
     prev = None
     for i in range(1, max_iters + 1):
         nz = np.flatnonzero(x)
-        x_temp = x + op.adjoint_residual(y, aty, nz, x[nz])
-        support = hi_threshold(x_temp.reshape(select_shape.dims), profile)
+        changed, values = op.adjoint_residual(y, aty, nz, x[nz])
+        step = aty.copy()
+        step[changed] = values
+        x_temp = x + step
+        support = hi_threshold(squared_moduli(x_temp.reshape(select_shape.dims)), profile)
         x = np.zeros(op.in_dim, dtype=complex)
         x[support] = _restricted_lstsq(aty, op, support) if pursuit else x_temp[support]
         if prev is not None and np.array_equal(support, prev):

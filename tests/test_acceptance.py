@@ -63,10 +63,11 @@ def _min_passing(values, mses, threshold):
 
 
 def test_criterion_01_thresholding_ground_truth():
-    x = REFERENCE_VALUES.reshape(2, 3, 5)
+    moduli = hs.squared_moduli(REFERENCE_VALUES)
+    x = moduli.reshape(2, 3, 5)
     profile = hs.SparsityProfile((1, 2, 2))
     hier = hs.hi_threshold(x, profile)
-    flat = hs.hi_threshold(REFERENCE_VALUES, hs.SparsityProfile((4,)))
+    flat = hs.hi_threshold(moduli, hs.SparsityProfile((4,)))
     ok = set(hier.tolist()) == REFERENCE_HIER_SUPPORT and set(flat.tolist()) == REFERENCE_FLAT_SUPPORT
 
     best = math.inf

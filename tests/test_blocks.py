@@ -1,3 +1,4 @@
+from collections import Counter
 import itertools
 import math
 import threading
@@ -6,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 import numpy as np
 import pytest
 
+import hisparse.blocks
 from hisparse import (
     BlockShape,
     DimensionError,
@@ -14,10 +16,10 @@ from hisparse import (
     hi_threshold,
     rip_constant,
 )
-from hisparse.blocks import _top_mask, work_buffer
+from hisparse.blocks import _top_mask, squared_moduli, work_buffer
 from hisparse.ripcheck import count_hi_supports
 from conftest import REFERENCE_HIER_SUPPORT, REFERENCE_FLAT_SUPPORT
-from oracles import is_hi_sparse
+from oracles import is_hi_sparse, mask_hi_threshold
 
 
 def brute_force_supports(dims, s):
@@ -34,6 +36,11 @@ def brute_force_supports(dims, s):
         ]
         for picks in itertools.product(*options):
             yield tuple(sorted(itertools.chain.from_iterable(picks)))
+
+
+def threshold(x, s):
+    """hi_threshold on the squared moduli of complex x."""
+    return hi_threshold(squared_moduli(x), s)
 
 
 def project(values, support):
@@ -83,19 +90,19 @@ def test_shape_and_profile_validation():
     # A flat vector not reshaped to its block dims has too few levels.
     flat = np.zeros(30, dtype=complex)
     with pytest.raises(DimensionError):
-        hi_threshold(flat, SparsityProfile((1, 2, 2)))
+        threshold(flat, SparsityProfile((1, 2, 2)))
     with pytest.raises(DimensionError):
         is_hi_sparse(flat, SparsityProfile((1, 2, 2)))
 
 
 def test_reference_vector_hierarchical_support(reference_vector):
     x = reference_vector.reshape(2, 3, 5)
-    support = hi_threshold(x, SparsityProfile((1, 2, 2)))
+    support = threshold(x, SparsityProfile((1, 2, 2)))
     assert set(support.tolist()) == REFERENCE_HIER_SUPPORT
 
 
 def test_reference_vector_flat_support(reference_vector):
-    support = hi_threshold(reference_vector, SparsityProfile((4,)))
+    support = threshold(reference_vector, SparsityProfile((4,)))
     assert set(support.tolist()) == REFERENCE_FLAT_SUPPORT
 
 
@@ -112,7 +119,7 @@ def test_threshold_is_optimal_vs_bruteforce(dims, s):
     shape, profile = BlockShape(dims), SparsityProfile(s)
     for _ in range(25):
         values = rng.standard_normal(shape.total) + 1j * rng.standard_normal(shape.total)
-        proj = project(values, hi_threshold(values.reshape(dims), profile))
+        proj = project(values, threshold(values.reshape(dims), profile))
         residual = float(np.linalg.norm(values - proj))
         assert residual <= best_residual_bruteforce(values, dims, s) + 1e-12
 
@@ -122,25 +129,25 @@ def test_threshold_idempotent():
     shape, profile = BlockShape((3, 4, 2)), SparsityProfile((2, 2, 1))
     for _ in range(10):
         values = rng.standard_normal(24) + 1j * rng.standard_normal(24)
-        first = project(values, hi_threshold(values.reshape(shape.dims), profile))
-        second = project(first, hi_threshold(first.reshape(shape.dims), profile))
+        first = project(values, threshold(values.reshape(shape.dims), profile))
+        second = project(first, threshold(first.reshape(shape.dims), profile))
         np.testing.assert_array_equal(first, second)
 
 
 def test_single_level_reduces_to_top_k():
     rng = np.random.default_rng(11)
     values = rng.standard_normal(40) + 1j * rng.standard_normal(40)
-    support = hi_threshold(values, SparsityProfile((6,)))
+    support = threshold(values, SparsityProfile((6,)))
     expected = set(np.argsort(np.abs(values))[-6:])
     assert set(support.tolist()) == expected
     # Flat best-k semantics: equal moduli go to the lowest index, and with
     # k >= n every nonzero is kept while exact zeros are dropped.
     tied = np.array([1, -1, 1j, 2, -1j, 0.5, 1], dtype=complex)
     for k, expected in ((3, [0, 1, 3]), (4, [0, 1, 2, 3])):
-        support = hi_threshold(tied, SparsityProfile((k,)))
+        support = threshold(tied, SparsityProfile((k,)))
         np.testing.assert_array_equal(support, expected)
     sparse = np.array([0, 1, 0, 2j, 0.5, 0], dtype=complex)
-    support = hi_threshold(sparse, SparsityProfile((6,)))
+    support = threshold(sparse, SparsityProfile((6,)))
     np.testing.assert_array_equal(support, [1, 3, 4])
 
 
@@ -161,25 +168,39 @@ def test_work_buffer_is_kept_per_thread_name_shape_and_dtype():
 
 
 def test_threshold_zero_vector():
-    support = hi_threshold(np.zeros((2, 3, 5), dtype=complex), SparsityProfile((1, 2, 2)))
+    support = threshold(np.zeros((2, 3, 5), dtype=complex), SparsityProfile((1, 2, 2)))
     assert len(support) == 0
 
 
 def test_threshold_ties_go_to_lowest_index():
     values = np.array([1.0, 1.0, 1.0, 1.0], dtype=complex)
-    support = hi_threshold(values.reshape(2, 2), SparsityProfile((1, 1)))
+    support = threshold(values.reshape(2, 2), SparsityProfile((1, 1)))
     assert support.tolist() == [0]
+
+
+def test_threshold_refuses_input_that_is_not_real_floating_point(monkeypatch):
+    # Complex x (an old-style call) or integers are refused before any selection runs.
+    def no_selection(*args):
+        raise AssertionError("selection ran")
+    monkeypatch.setattr(hisparse.blocks, "_top_mask", no_selection)
+    monkeypatch.setattr(np, "argmax", no_selection)
+    for bad in (np.ones((2, 3, 5), dtype=complex), np.ones((2, 3, 5), dtype=np.int64), [[1, 2], [3, 4]]):
+        with pytest.raises(DimensionError, match="real squared moduli") as err:
+            hi_threshold(bad, SparsityProfile((1, 2, 2)) if np.ndim(bad) == 3 else SparsityProfile((1, 1)))
+        assert "\n" not in str(err.value)
+    monkeypatch.undo()
+    assert hi_threshold(np.ones((2, 2), dtype=np.float32), SparsityProfile((1, 1))).tolist() == [0]
 
 
 def test_threshold_profile_mismatch():
     x = np.zeros((2, 3), dtype=complex)
     with pytest.raises(DimensionError):
-        hi_threshold(x, SparsityProfile((1, 2, 2)))
+        threshold(x, SparsityProfile((1, 2, 2)))
 
 
 def test_reference_projection_matches_bruteforce(reference_vector):
     x = reference_vector.reshape(2, 3, 5)
-    proj = project(reference_vector, hi_threshold(x, SparsityProfile((1, 2, 2))))
+    proj = project(reference_vector, threshold(x, SparsityProfile((1, 2, 2))))
     residual = float(np.linalg.norm(reference_vector - proj))
     best = best_residual_bruteforce(reference_vector, (2, 3, 5), (1, 2, 2))
     assert residual == pytest.approx(best, abs=1e-12)
@@ -192,7 +213,7 @@ def test_is_hi_sparse_cases():
 
     rng = np.random.default_rng(3)
     values = rng.standard_normal(30) + 0j
-    projected = project(values, hi_threshold(values.reshape(dims), profile))
+    projected = project(values, threshold(values.reshape(dims), profile))
     assert is_hi_sparse(projected.reshape(dims), profile)
 
     # Two populated outer blocks violate s1 = 1.
@@ -216,7 +237,7 @@ def test_threshold_properties_on_random_layouts(data):
     values = raw[:n] + 1j * raw[n:]
     profile = SparsityProfile(s)
 
-    support = hi_threshold(values.reshape(dims), profile)
+    support = threshold(values.reshape(dims), profile)
     assert support.dtype == np.int64
     assert np.all(np.diff(support) > 0)
     assert support.size == 0 or (support[0] >= 0 and support[-1] < n)
@@ -255,3 +276,50 @@ def test_top_mask_matches_stable_sort(data):
     for k in range(1, dims[-1] + 1):
         np.testing.assert_array_equal(_top_mask(energy, k), stable_top_mask(energy, k),
                                       err_msg=f"k={k}")
+
+
+# Block layouts the benchmark workloads select under: the small off-grid sweep
+# (FS, HiIHT/HiHTP at L1 = 1 and 2; flat IHT with k = 45) and the paper size.
+WORKLOAD_LAYOUTS = [((64, 1, 32), (15, 1, 3)), ((64, 1, 32), (15, 1, 5)),
+                    ((2048,), (45,)), ((256, 4, 256), (6, 1, 1))]
+
+
+def test_top_down_support_matches_the_mask_oracle():
+    # The top-down assembly from squared moduli returns the very support array
+    # of the mask-AND selection from complex x.
+    seen = Counter()
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.data())
+    def check(data):
+        if data.draw(st.booleans(), label="workload layout"):
+            dims, s = data.draw(st.sampled_from(WORKLOAD_LAYOUTS), label="layout")
+            rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+            n = math.prod(dims)
+            if data.draw(st.booleans(), label="ties"):
+                raw = rng.integers(-2, 3, 2 * n).astype(float)   # ties and exact zeros
+            else:
+                raw = rng.standard_normal(2 * n) * (rng.random(2 * n) < 0.3)
+        else:
+            dims = tuple(data.draw(st.lists(st.integers(1, 5), min_size=1, max_size=4), label="dims"))
+            s = tuple(data.draw(st.integers(1, n), label="s") for n in dims)
+            n = math.prod(dims)
+            part = st.one_of(st.integers(-2, 2), st.floats(-4, 4, allow_subnormal=False))
+            raw = np.asarray(data.draw(st.lists(part, min_size=2 * n, max_size=2 * n),
+                                       label="values"), dtype=float)
+        x = (raw[:n] + 1j * raw[n:]).reshape(dims)
+        profile = SparsityProfile(s)
+        expected = mask_hi_threshold(x, profile)
+        got = hi_threshold(squared_moduli(x), profile)
+        assert got.dtype == expected.dtype == np.int64
+        assert got.tobytes() == expected.tobytes()
+        moduli = squared_moduli(x).reshape(-1)
+        seen["ties"] += np.unique(moduli).size < moduli.size
+        seen["zeros"] += bool(np.any(moduli == 0.0))
+        seen["size-1 level"] += 1 in dims
+        seen["s = N level"] += any(si == ni > 1 for si, ni in zip(s, dims))
+        seen[dims] += 1
+
+    check()
+    assert all(seen[key] > 0 for key in ("ties", "zeros", "size-1 level", "s = N level"))
+    assert all(seen[dims] > 0 for dims, _ in WORKLOAD_LAYOUTS)

@@ -221,21 +221,28 @@ def test_adjoint_residual_matches_dense(option, U, Mp):
         "scattered": np.sort(rng.choice(op.in_dim, 10, replace=False)),
         "everything": np.arange(op.in_dim),
     }
+    angle_of = op._split(np.arange(op.in_dim))[1]
     for name, idx in supports.items():
         values = rng.standard_normal(idx.size) + 1j * rng.standard_normal(idx.size)
         x = np.zeros(op.in_dim, dtype=complex)
         x[idx] = values
         expected = A.conj().T @ (y - A @ x)
-        got = op.adjoint_residual(y, aty, idx, values)
+        changed, step = op.adjoint_residual(y, aty, idx, values)
+        got = aty.copy()
+        got[changed] = step
         assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected), name
-        out = np.full(op.in_dim, np.nan + 1j * np.nan)
-        assert op.adjoint_residual(y, aty, idx, values, out=out) is out
-        assert out.tobytes() == got.tobytes()
-        assert not np.shares_memory(got, aty)
+        assert not np.shares_memory(step, aty)
         if Mp < 8:
-            assert got.tobytes() == op.adjoint_values(y - op.forward(idx, values)).tobytes()
+            assert changed == slice(None)
+            assert step.tobytes() == op.adjoint_values(y - op.forward(idx, values)).tobytes()
+        else:
+            assert changed.dtype == np.int64 and step.shape == changed.shape
+            # Exactly the entries of the angles that x occupies, in flat order.
+            occupied = np.isin(angle_of, angle_of[idx])
+            np.testing.assert_array_equal(changed, np.flatnonzero(occupied), err_msg=name)
     if Mp == 8:
-        assert op.adjoint_residual(y, aty, [], []).tobytes() == aty.tobytes()
+        changed, step = op.adjoint_residual(y, aty, [], [])
+        assert changed.size == 0 and step.size == 0
 
 
 def test_adjoint_residual_refuses_bad_inputs():
@@ -247,8 +254,6 @@ def test_adjoint_residual_refuses_bad_inputs():
             op.adjoint_residual(y, aty, idx, values)
     with pytest.raises(DimensionError):
         op.adjoint_residual(y, aty[:-1], [1], [1.0])
-    with pytest.raises(DimensionError):
-        op.adjoint_residual(y, aty, [1], [1.0], out=np.empty(op.in_dim, dtype=np.complex64))
 
 
 @pytest.mark.parametrize("option, N, D, U, route", [
@@ -323,7 +328,9 @@ def test_forward_adjoint_match_dense_on_row_sparse_inputs(data):
     adj = op.adjoint_values(y)
     assert np.linalg.norm(fwd - A @ x) <= 1e-10 * np.linalg.norm(x)
     step = A.conj().T @ (y - A @ x)
-    got = op.adjoint_residual(y, adj, idx, x[idx])
+    changed, values = op.adjoint_residual(y, adj, idx, x[idx])
+    got = adj.copy()
+    got[changed] = values
     assert np.linalg.norm(got - step) <= 1e-10 * np.linalg.norm(step)
     # The same rows enter the same product as a scan of the dense x finds.
     assert fwd.tobytes() == row_scan_forward(op, x).tobytes()

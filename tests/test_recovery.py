@@ -1,4 +1,5 @@
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 import math
 import threading
 from unittest import mock
@@ -19,6 +20,7 @@ from hisparse import (
     make_design,
     min_overhead,
     solve,
+    squared_moduli,
 )
 from hisparse.channel import ChannelParams, gen_offgrid, superpose_transfer
 from hisparse.operators import vectorize
@@ -137,7 +139,7 @@ def test_single_pass_thresholds_the_adjoint(algorithm, option):
     res = solve(y, op, RecoveryConfig(algorithm=algorithm, profile=profile, max_iters=1))
 
     aty = op.adjoint_values(y)
-    support = hi_threshold(aty.reshape(op.shape_in.dims), profile)
+    support = hi_threshold(squared_moduli(aty).reshape(op.shape_in.dims), profile)
     expected = np.zeros(op.in_dim, dtype=complex)
     assert res.iterations == 1
     np.testing.assert_array_equal(res.support, support)
@@ -153,41 +155,55 @@ def test_single_pass_thresholds_the_adjoint(algorithm, option):
 @pytest.mark.parametrize("option", ["FS", "SF"])
 @pytest.mark.parametrize("algorithm", ["HiIHT", "HiHTP", "IHT", "HTP"])
 def test_in_place_loop_matches_textbook_loop(algorithm, option):
-    # Same supports, iteration counts and estimate bytes, converged or capped.
+    # Same supports, iteration counts, estimate bytes and residual bits as the
+    # loop with a full x_temp and full moduli every pass, converged or capped:
+    # with every antenna observed (the step patches A^H y on the occupied
+    # angles and the loop puts it back) and without (it changes every entry),
+    # on- and off-grid. Solves run back to back on one thread and on a pool
+    # thread agree too, so a restore leaves no trace in the work buffers.
     rng = np.random.default_rng(31)
-    op = KroneckerSensingOperator(make_design(64, 8, 16, 2, 10, 5, seed=9), option)
     profile = SparsityProfile((3, 1, 2) if option == "FS" else (2, 2, 2))
-    if algorithm in ("HiIHT", "HiHTP"):
-        select_shape, select_profile = op.shape_in, profile
-    else:
-        # The flat solvers select k = the clipped profile's size: 6 (FS), 8 (SF).
-        k = profile.clip(op.shape_in).max_support
-        select_shape, select_profile = BlockShape((op.in_dim,)), SparsityProfile((k,))
     capped = 0
-    for trial in range(8):
-        x = np.zeros(op.in_dim, dtype=complex)
-        x[rng.permutation(op.in_dim)[:4]] = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        noise = rng.standard_normal(op.out_dim) + 1j * rng.standard_normal(op.out_dim)
-        y = dense_forward(op, x) + (0.05 if trial % 2 else 0.5) * noise
-        # A run capped at i passes replays the first i passes of a longer one.
-        for max_iters in (1, 2, 3, 10):
-            res = solve(y, op, RecoveryConfig(algorithm=algorithm, profile=profile,
-                                              max_iters=max_iters))
-            x_ref, support, iterations, residual = textbook_threshold_loop(
-                y, op, select_shape, select_profile, algorithm in ("HiHTP", "HTP"), max_iters)
-            np.testing.assert_array_equal(res.support, support)
-            assert res.iterations == iterations
-            assert res.x_hat.tobytes() == x_ref.tobytes()
-            assert res.residual_norm == residual
-            capped += iterations == max_iters > 1  # a one-pass run is always capped
+    with ThreadPoolExecutor(1) as pool:
+        for Mp in (8, 5):
+            design = make_design(64, 8, 16, 2, 10, Mp, seed=9)
+            op = KroneckerSensingOperator(design, option)
+            assert (op._delay_spectrum is not None) == (Mp == 8)
+            if algorithm in ("HiIHT", "HiHTP"):
+                select_shape, select_profile = op.shape_in, profile
+            else:
+                # The flat solvers select k = the clipped profile's size: 6 (FS), 8 (SF).
+                k = profile.clip(op.shape_in).max_support
+                select_shape, select_profile = BlockShape((op.in_dim,)), SparsityProfile((k,))
+            for trial in range(8):
+                if trial >= 6:
+                    y = offgrid_style_measurement(op, design, rng)
+                else:
+                    x = np.zeros(op.in_dim, dtype=complex)
+                    x[rng.permutation(op.in_dim)[:4]] = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+                    noise = rng.standard_normal(op.out_dim) + 1j * rng.standard_normal(op.out_dim)
+                    y = dense_forward(op, x) + (0.05 if trial % 2 else 0.5) * noise
+                # A run capped at i passes replays the first i passes of a longer one.
+                for max_iters in (1, 2, 3, 10):
+                    cfg = RecoveryConfig(algorithm=algorithm, profile=profile, max_iters=max_iters)
+                    res = solve(y, op, cfg)
+                    x_ref, support, iterations, residual = textbook_threshold_loop(
+                        y, op, select_shape, select_profile, algorithm in ("HiHTP", "HTP"), max_iters)
+                    np.testing.assert_array_equal(res.support, support)
+                    assert res.iterations == iterations
+                    assert res.x_hat.tobytes() == x_ref.tobytes()
+                    assert res.residual_norm.hex() == residual.hex()
+                    assert fingerprint(solve(y, op, cfg)) == fingerprint(res)
+                    assert fingerprint(pool.submit(solve, y, op, cfg).result()) == fingerprint(res)
+                    capped += iterations == max_iters > 1  # a one-pass run is always capped
     assert capped > 0
 
 
 class ForwardAdjointOperator(KroneckerSensingOperator):
     """The operator with its gradient step as forward + adjoint on every design."""
 
-    def adjoint_residual(self, y, aty, idx, values, out=None):
-        return self.adjoint_values(y - self.forward(idx, values), out)
+    def adjoint_residual(self, y, aty, idx, values):
+        return slice(None), self.adjoint_values(y - self.forward(idx, values))
 
 
 def solved_trial(config, cond, Np, t, operator):
