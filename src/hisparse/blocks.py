@@ -116,12 +116,21 @@ def _top_mask(energy: np.ndarray, k: int) -> np.ndarray:
 
     Ties resolve to the lowest index, as a stable sort would. O(n) per row: a
     partition finds the kth largest value, every entry above it is kept, and
-    the entries equal to it fill the remaining places in index order.
+    the entries equal to it fill the remaining places in index order. When
+    exactly n - k entries of every row lie below the kth value, no row holds
+    a tie across it, and ``energy >= kth`` is already that mask: the tie pass
+    is skipped. No row can have more than n - k entries below its kth value,
+    so one count over all rows decides it. Counting the entries below, not
+    those at or above, keeps the exit exact for NaN, which compares false
+    either way: a row whose NaN took one of the k places must not let a tied
+    row keep more than k.
     """
     n = energy.shape[-1]
     if k >= n:
         return np.ones_like(energy, dtype=bool)
     kth = np.partition(energy, n - k, axis=-1)[..., n - k, None]
+    if np.count_nonzero(energy < kth) == (n - k) * (energy.size // n):
+        return energy >= kth
     above = energy > kth
     tied = energy == kth
     room = k - np.count_nonzero(above, axis=-1)[..., None]

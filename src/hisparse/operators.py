@@ -35,20 +35,32 @@ copied into ``out``. Both factor Grams are circulant (entry (q, q')
 depends only on (q - q') mod N, entry (m, m') only on (m - m') mod M), so
 ``gram`` evaluates any restricted Gram (A^H A)[S, S] from two precomputed
 kernels in O(|S|^2) without building a column; least-squares refits solve on
-it. ``adjoint_residual(y, aty, idx, values)`` is the thresholding solvers'
-gradient step A^H (y - A x) given aty = A^H y, reported as the entries where
-it differs from aty and its values there. Its route, too, is fixed by the
-design alone. With Mp < M that is every entry, ``adjoint_values(y -
-forward(idx, values))``. With every antenna observed (Mp = M) the angle
-factor is the unitary M-point DFT, so A^H A = I (x) T^H T (FS) or T^H T (x) I
-(SF), and the step stays in the delay domain: it changes only the r*U*D
-entries of the r angles that x occupies, each angle's delay column minus
-T^H T applied to it, by one length-N FFT, the delay spectrum and one inverse
-FFT per angle. That costs O(r*N log N + r*U*D) in place of
-O(Np*r*M + Np*M log M) for ``forward`` plus O(M*N log N) or O(Np*U*D*M) for
-the adjoint, and agrees with them to rounding. ``columns`` builds exact
-columns of the matrix from the two factors, and a dense materialization is
-kept as a test oracle for small problems.
+it. ``adjoint_residual(y, aty, idx, values, out=None)`` is the thresholding
+solvers' gradient step A^H (y - A x) given aty = A^H y, reported as the
+entries where it differs from aty and its values there. It takes one of three routes, each
+fixed by the design alone:
+
+  * Mp < M: every entry, ``adjoint_values(y - forward(idx, values))``, the
+    textbook bits, into a caller's ``out`` when given one.
+  * Mp = M: the angle factor is the unitary M-point DFT, so A^H A = I (x) T^H T
+    (FS) or T^H T (x) I (SF), and the step stays in the delay domain. It
+    changes only the r*U*D entries of the r angles that x occupies: each
+    angle's delay column minus T^H T applied to it, which agrees with
+    ``forward`` plus the adjoint to rounding. T^H T is applied in one of two
+    ways, chosen by GRAM_STEP_CROSSOVER:
+      - Gram route, when (U*D)**2 <= GRAM_STEP_CROSSOVER * N*log2(N): one
+        product of the (r x U*D) block of x's values with the restricted delay
+        Gram (T^H T)[:U*D, :U*D], a (U*D x U*D) table built at construction
+        (32 x 32 at the ``small`` preset). O(r*(U*D)^2).
+      - FFT route otherwise: one length-N FFT, the delay spectrum and one
+        inverse FFT per angle. O(r*N log N + r*U*D).
+    Either costs far less than O(Np*r*M + Np*M log M) for ``forward`` plus
+    O(M*N log N) or O(Np*U*D*M) for the adjoint. The ``paper`` preset (U = 4,
+    U*D = 1024, N = 1024) sits far above the gate, (U*D)^2 = 1,048,576
+    against 40,960, and takes the FFT route; its table would be 16 MB.
+
+``columns`` builds exact columns of the matrix from the two factors, and a
+dense materialization is kept as a test oracle for small problems.
 """
 
 from __future__ import annotations
@@ -67,6 +79,13 @@ DENSIFY_CAP = 4096
 # the same between ratios 2 and 5 (x86 VM, one BLAS thread); at ratio 13 the
 # product took 1.8x the FFT's time.
 PRODUCT_CROSSOVER = 2.0
+# With every antenna observed, the gradient step applies the restricted delay
+# Gram (U*D x U*D) as one matrix product, not an FFT pair per angle, when
+# (U*D)**2 <= GRAM_STEP_CROSSOVER * N*log2(N). Per call at r = 3 occupied
+# angles (x86 VM, one BLAS thread): ratio 1.1 (the small preset) 14 against
+# 21 us; ratio 4.6 19 against 22 us; at ratios 8 and 18 the product took
+# 1.1-1.2x the FFT's time, and 22x at ratio 102 (the paper preset).
+GRAM_STEP_CROSSOVER = 4.0
 
 
 class VectorizationOption(str, enum.Enum):
@@ -163,9 +182,11 @@ class KroneckerSensingOperator:
     ``out`` under FS with U*D = N and else in a per-thread (M x N) work
     buffer and one copy into ``out``. The product route keeps an (Np x U*D)
     table, ``_adjoint_table`` (None on the FFT route). With Mp = M,
-    ``adjoint_residual`` of a support on r angles costs O(r*N log N + r*U*D)
-    from the length-N delay spectrum ``_delay_spectrum`` (None when Mp < M,
-    where it is ``forward`` plus ``adjoint_values``). Instances are
+    ``adjoint_residual`` of a support on r angles costs O(r*(U*D)^2) from the
+    restricted delay Gram ``_delay_gram`` when (U*D)^2 <= GRAM_STEP_CROSSOVER
+    * N*log2(N), else O(r*N log N + r*U*D) from the length-N delay spectrum
+    ``_delay_spectrum``; the other one is None. Both are None when Mp < M,
+    where the step is ``forward`` plus ``adjoint_values``. Instances are
     immutable after construction and reentrant: concurrent calls from
     different threads share no scratch memory.
     """
@@ -194,9 +215,17 @@ class KroneckerSensingOperator:
         mask[d.antennas] = 1.0
         self._angle_kernel = np.conj(np.fft.ifft(mask) * (d.M / d.Mp))
         # With every antenna observed the angle Gram is I, so A^H A is the delay
-        # Gram per angle: a circular convolution with tau_kernel, whose DFT is
-        # weights * N/Np (scaled by 1/N here for an unnormalized inverse FFT).
-        self._delay_spectrum = weights / d.Np if d.Mp == d.M else None
+        # Gram per angle: a circular convolution with tau_kernel. At small U*D
+        # (see GRAM_STEP_CROSSOVER) the step multiplies by its (U*D x U*D)
+        # restriction; otherwise it goes through its DFT, weights * N/Np
+        # (scaled by 1/N here for an unnormalized inverse FFT).
+        self._delay_spectrum = self._delay_gram = None
+        if d.Mp == d.M:
+            if self._ud ** 2 <= GRAM_STEP_CROSSOVER * d.N * math.log2(d.N):
+                delays = np.arange(self._ud)
+                self._delay_gram = self._tau_kernel[(delays[:, None] - delays) % d.N]
+            else:
+                self._delay_spectrum = weights / d.Np
 
     def _split(self, idx) -> tuple[np.ndarray, np.ndarray]:
         """Flat indices -> (delay index q in [0, U*D), angle index m in [0, M))."""
@@ -284,28 +313,31 @@ class KroneckerSensingOperator:
             unvectorize(out, self.option, self._ud, d.M)[...] = buf[:, : self._ud].T
         return out
 
-    def adjoint_residual(self, y, aty, idx, values) -> tuple[np.ndarray, np.ndarray]:
+    def adjoint_residual(self, y, aty, idx, values, out=None) -> tuple[np.ndarray, np.ndarray]:
         """A^H (y - A x) for the x that holds ``values`` at the flat indices ``idx``.
 
         ``aty`` is A^H y. Returns (changed, step): an index of the flat
         vector and the step's values there; at every other index the step
         equals ``aty``. With Mp < M ``changed`` is ``slice(None)``, every
-        entry, and ``step`` is ``adjoint_values(y - forward(idx, values))``.
-        With Mp = M it is an array of sorted flat indices. With Mp = M the angle
-        factor is unitary, A^H A = I (x) T^H T, and y is not read: ``changed``
-        is every entry of the r angles that x occupies (r contiguous runs of
-        U*D under FS, U*D strided rows of r under SF), and ``step`` is aty
-        there minus T^H T applied to each angle's delay column. T^H T is
-        circulant, so that product is one length-N FFT per angle of its
-        zero-padded delay column, times the delay spectrum (nonzero on the
-        pilot subcarriers only), and one inverse FFT, whose first U*D entries
-        are subtracted. It costs O(r*N log N + r*U*D), against
+        entry, and ``step`` is ``adjoint_values(y - forward(idx, values),
+        out)``: ``out`` is an optional destination, as for ``adjoint_values``,
+        read only on this route. With Mp = M the angle factor is unitary,
+        A^H A = I (x) T^H T, and y is not read: ``changed`` is the sorted flat
+        indices of every entry of the r angles that x occupies (r contiguous
+        runs of U*D under FS, U*D strided rows of r under SF), and ``step`` is
+        aty there minus T^H T applied to each angle's delay column. On the
+        Gram route that product is the (r x U*D) block of x's values times the
+        transposed restricted delay Gram, O(r*(U*D)^2). On the FFT route T^H T
+        is circulant, so it is one length-N FFT per angle of its zero-padded
+        delay column, times the delay spectrum (nonzero on the pilot
+        subcarriers only), and one inverse FFT, whose first U*D entries are
+        subtracted, O(r*N log N + r*U*D). Either is against
         O(Np*r*M + Np*M log M) for ``forward`` plus the adjoint's
         O(M*N log N) (FFT route) or O(Np*U*D*M) (product route).
         """
         d = self.design
-        if self._delay_spectrum is None:
-            return slice(None), self.adjoint_values(y - self.forward(idx, values))
+        if d.Mp < d.M:
+            return slice(None), self.adjoint_values(y - self.forward(idx, values), out)
         idx, values = _support(idx, values, self.in_dim)
         if np.shape(aty) != (self.in_dim,):
             raise DimensionError(f"A^H y length {np.shape(aty)} != {self.in_dim}")
@@ -313,15 +345,19 @@ class KroneckerSensingOperator:
         occupied = np.zeros(d.M, dtype=bool)
         occupied[m] = True
         angles = np.flatnonzero(occupied)
-        spec = np.zeros((angles.size, d.N), dtype=np.complex128)
-        spec[np.searchsorted(angles, m), q] = values
-        np.fft.fft(spec, axis=1, out=spec)
-        spec *= self._delay_spectrum
-        np.fft.ifft(spec, axis=1, norm="forward", out=spec)
+        gram = self._delay_gram
+        block = np.zeros((angles.size, d.N if gram is None else self._ud), dtype=np.complex128)
+        block[np.searchsorted(angles, m), q] = values
+        if gram is not None:
+            block = block @ gram.T
+        else:
+            np.fft.fft(block, axis=1, out=block)
+            block *= self._delay_spectrum
+            np.fft.ifft(block, axis=1, norm="forward", out=block)
         # The (U*D x r) block of those angles, vectorized in flat index order.
         changed = vectorize(flat_index(self.option, np.arange(self._ud)[:, None], angles,
                                        self._ud, d.M), self.option)
-        return changed, aty[changed] - vectorize(spec[:, : self._ud].T, self.option)
+        return changed, aty[changed] - vectorize(block[:, : self._ud].T, self.option)
 
     def columns(self, idx) -> np.ndarray:
         """Exact columns A[:, idx] as an (Np*Mp x len(idx)) matrix.

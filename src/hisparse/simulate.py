@@ -147,6 +147,10 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be a list, got {value!r}")
             if value == []:
                 raise ValueError(f"{name} must be a non-empty list when given")
+        algorithms = self.algorithms or []
+        for i, alg in enumerate(algorithms):  # each names one curve label's rows
+            if alg in algorithms[:i]:
+                raise ValueError(f"algorithms lists {alg!r} twice")
         as_option(self.option)  # ValueError unless FS or SF
         if not _is_integer(self.seed) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
@@ -202,6 +206,11 @@ class ExperimentConfig:
                 raise ValueError(f"{cond.label}: unknown algorithm {cond.algorithm!r}")
             if not 1 <= cond.V <= U:
                 raise ValueError(f"{cond.label}: active UEs V = {cond.V} outside [1, U = {U}]")
+            if not cond.on_grid:  # the leakage footprint sparse_approx models
+                for name, level, size, n in (("l1_values", cond.L1, "N", N), ("l2_values", cond.L2, "M", M)):
+                    if not 1 <= level <= (n - 1) // 2:
+                        raise ValueError(f"{name}: truncation level {level} outside "
+                                         f"[1, ({size} - 1) // 2 = {(n - 1) // 2}]")
             for Np, lhat in points:
                 # Building the profile rejects a non-positive sparsity. A refit
                 # support never exceeds the clipped profile's size (the flat

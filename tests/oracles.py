@@ -81,9 +81,9 @@ class DenseOperator:
         out[...] = adj
         return out
 
-    def adjoint_residual(self, y, aty, idx, values):
+    def adjoint_residual(self, y, aty, idx, values, out=None):
         """Every entry and A^H (y - A x) by the two dense products; ``aty`` is not read."""
-        return slice(None), self.adjoint_values(y - self.forward(idx, values))
+        return slice(None), self.adjoint_values(y - self.forward(idx, values), out)
 
     def columns(self, idx) -> np.ndarray:
         return self.A[:, idx]
@@ -94,6 +94,17 @@ class DenseOperator:
 
     def densify(self) -> np.ndarray:
         return self.A
+
+
+def step_route(op) -> str:
+    """The gradient-step route of a ``KroneckerSensingOperator``: "Mp < M"
+    (forward + adjoint), "gram" (one product with the restricted delay Gram)
+    or "fft" (an FFT pair per occupied angle)."""
+    if op.design.Mp < op.design.M:
+        assert op._delay_gram is None and op._delay_spectrum is None
+        return "Mp < M"
+    assert (op._delay_gram is None) != (op._delay_spectrum is None)
+    return "gram" if op._delay_gram is not None else "fft"
 
 
 def delay_angular_matrix(paths, N: int, M: int, D: int) -> np.ndarray:

@@ -6,8 +6,12 @@ breaks the benchmark without failing any other test here.
 
 from collections import Counter
 import functools
+import importlib.util
 import inspect
+import json
 import math
+from pathlib import Path
+import sys
 
 import numpy as np
 import pytest
@@ -143,3 +147,28 @@ def test_a_cycling_pursuit_solve_reports_its_full_pass_count(monkeypatch):
     result = hisparse.simulate.solve(y, op, cfg)
     assert calls["hi_threshold"] < cfg.max_iters
     assert result.iterations == cfg.max_iters
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _perfbench_workloads():
+    """perfbench/workloads.py, loaded once from its file; sys.path is not touched."""
+    name = "perfbench_workloads"
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(name, PERFBENCH / "workloads.py")
+        sys.modules[name] = importlib.util.module_from_spec(spec)  # dataclasses look it up
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
+
+
+@pytest.mark.parametrize("workload", ["paper-hiiht", "small-offgrid-sweep", "hirip-enum"])
+def test_seed_zero_quality_matches_the_benchmark_reference(workload, tmp_path):
+    # Every benchmark run at seed 0 compares the mean quality figure of its
+    # check requests with perfbench/reference.json at rtol 1e-9; the same
+    # check, in-process, so a figure that drifts fails here first.
+    reference = json.loads((PERFBENCH / "reference.json").read_text())[workload]
+    runner = _perfbench_workloads().make_workload(workload, 0, "full", tmp_path)
+    k = runner.check_requests
+    value = math.fsum(runner.run(i).value for i in range(k)) / k
+    assert math.isclose(value, reference, rel_tol=1e-9, abs_tol=0.0), (value, reference)

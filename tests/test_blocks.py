@@ -2,6 +2,7 @@ from collections import Counter
 import itertools
 import math
 import threading
+from unittest import mock
 
 from hypothesis import assume, given, settings, strategies as st
 import numpy as np
@@ -282,6 +283,45 @@ def test_top_mask_matches_stable_sort(data):
 # (FS, HiIHT/HiHTP at L1 = 1 and 2; flat IHT with k = 45) and the paper size.
 WORKLOAD_LAYOUTS = [((64, 1, 32), (15, 1, 3)), ((64, 1, 32), (15, 1, 5)),
                     ((2048,), (45,)), ((256, 4, 256), (6, 1, 1))]
+
+
+def _tie_passes(energy, k):
+    """(_top_mask(energy, k), how many times its tie pass ran)."""
+    with mock.patch.object(hisparse.blocks.np, "cumsum", wraps=np.cumsum) as cumsum:
+        mask = _top_mask(energy, k)
+    return mask, cumsum.call_count
+
+
+def test_top_mask_skips_the_tie_pass_when_no_row_ties():
+    # Continuous energies at the workload layouts' innermost and top levels:
+    # no row holds a tie, so the partition's comparison is the mask.
+    rng = np.random.default_rng(5)
+    cases = [(dims, s[-1]) for dims, s in WORKLOAD_LAYOUTS] + [((dims[0],), s[0]) for dims, s in WORKLOAD_LAYOUTS]
+    cases = [(shape, k) for shape, k in cases if k < shape[-1]]
+    assert {shape for shape, _ in cases} == {(64, 1, 32), (64,), (2048,), (256, 4, 256), (256,)}
+    for shape, k in cases:
+        energy = rng.random(shape)
+        assert np.unique(energy).size == energy.size
+        mask, tie_passes = _tie_passes(energy, k)
+        assert tie_passes == 0, (shape, k)
+        np.testing.assert_array_equal(mask, stable_top_mask(energy, k), err_msg=f"{shape} k={k}")
+
+
+def test_top_mask_runs_the_tie_pass_when_one_row_ties():
+    rng = np.random.default_rng(6)
+    energy = rng.random((5, 7))
+    energy[3] = [0.5, 2.0, 0.0, 2.0, 2.0, 1.0, 2.0]  # four entries tie at the 2nd largest
+    for k in (1, 2, 3):
+        mask, tie_passes = _tie_passes(energy, k)
+        assert tie_passes == 1
+        np.testing.assert_array_equal(mask, stable_top_mask(energy, k), err_msg=f"k={k}")
+    # A NaN compares false, so the tie pass never keeps one; the count of
+    # entries below the kth value must see the tie in the second row, although
+    # the NaN row's shortfall evens out the count of entries at or above it.
+    energy = np.array([[np.nan, 5.0, 1.0], [3.0, 3.0, 3.0]])
+    mask, tie_passes = _tie_passes(energy, 2)
+    assert tie_passes == 1
+    np.testing.assert_array_equal(mask, [[False, True, False], [True, True, False]])
 
 
 def test_top_down_support_matches_the_mask_oracle():

@@ -185,6 +185,19 @@ def test_plot_unreadable_csv_exits_one(tmp_path, capsys):
      "channel.K_V must be >= 1, got 0"),
     ({"channel": {"K_L": 0}}, "channel.K_L must be >= 1, got 0"),
     ({"scenario": "offgrid-sweep", "channel": {"K_V": -1}}, "channel.K_V must be >= 1, got -1"),
+    ({"scenario": "offgrid-sweep", "l1_values": [0]},
+     "l1_values: truncation level 0 outside [1, (N - 1) // 2 = 63]"),
+    ({"scenario": "offgrid-sweep", "l1_values": [-1]},
+     "l1_values: truncation level -1 outside [1, (N - 1) // 2 = 63]"),
+    ({"scenario": "offgrid-sweep", "l1_values": [2, 64]},
+     "l1_values: truncation level 64 outside [1, (N - 1) // 2 = 63]"),
+    ({"scenario": "offgrid-sweep", "l2_values": [32]},
+     "l2_values: truncation level 32 outside [1, (M - 1) // 2 = 31]"),
+    ({"scenario": "offgrid-sweep", "l2_values": [0, 1]},
+     "l2_values: truncation level 0 outside [1, (M - 1) // 2 = 31]"),
+    ({"scenario": "offgrid-sweep", "system": {"M": 4}},
+     "l2_values: truncation level 2 outside [1, (M - 1) // 2 = 1]"),
+    ({"algorithms": ["HiIHT", "IHT", "HiIHT"]}, "algorithms lists 'HiIHT' twice"),
 ], ids=["negative-seed", "fractional-seed", "nan-snr", "negative-alpha", "fractional-trials",
         "fractional-sweep", "fractional-v", "fractional-l", "fractional-mp", "boolean-trials",
         "unknown-algorithm", "ongrid-l-exceeds-angles", "ongrid-users-exceed-angles",
@@ -196,7 +209,8 @@ def test_plot_unreadable_csv_exits_one(tmp_path, capsys):
         "unread-l-values", "unread-v-values", "unread-l-values-offgrid", "unread-nan-alpha",
         "unread-alpha", "unread-option-sf-vs-fs", "swept-channel-v", "swept-channel-v-values",
         "swept-channel-v-sf-vs-fs", "swept-channel-l", "negative-k-v-sf", "zero-k-v-sf",
-        "zero-k-v-sf-offgrid", "zero-k-l", "negative-k-v-offgrid"])
+        "zero-k-v-sf-offgrid", "zero-k-l", "negative-k-v-offgrid", "zero-l1", "negative-l1",
+        "l1-beyond-n", "l2-beyond-m", "zero-l2", "default-l2-beyond-m", "duplicate-algorithm"])
 def test_run_config_out_of_model_exits_one_before_any_trial(tmp_path, capsys, bad, message):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({"scenario": "single-user-sweep", "sweep": [8],

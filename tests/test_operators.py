@@ -15,7 +15,7 @@ from hisparse import (
     theta_factor,
 )
 from hisparse.operators import flat_index, unvectorize, vectorize
-from oracles import DenseOperator
+from oracles import DenseOperator, step_route
 
 
 def random_design(rng, max_cols=2048):
@@ -206,8 +206,9 @@ def test_dimension_errors(monkeypatch):
 def test_adjoint_residual_matches_dense(option, U, Mp):
     # A^H y - A^H A x against the dense matrix: in the delay domain when every
     # antenna is observed, and as the very forward + adjoint bits otherwise.
+    # At N = 32 the Gram product serves U*D <= 25 (U = 1, 2), the FFT pair U = 4.
     op = KroneckerSensingOperator(make_design(32, 8, 8, U, 12, Mp, seed=U), option)
-    assert (op._delay_spectrum is not None) == (Mp == 8)
+    assert step_route(op) == ("Mp < M" if Mp < 8 else "gram" if U < 4 else "fft")
     A = op.densify()
     rng = np.random.default_rng(10 * U + Mp)
     y = rng.standard_normal(op.out_dim) + 1j * rng.standard_normal(op.out_dim)
@@ -235,6 +236,9 @@ def test_adjoint_residual_matches_dense(option, U, Mp):
         if Mp < 8:
             assert changed == slice(None)
             assert step.tobytes() == op.adjoint_values(y - op.forward(idx, values)).tobytes()
+            out = np.full(op.in_dim, np.nan + 1j * np.nan)
+            _, into = op.adjoint_residual(y, aty, idx, values, out=out)
+            assert into is out and out.tobytes() == step.tobytes()
         else:
             assert changed.dtype == np.int64 and step.shape == changed.shape
             # Exactly the entries of the angles that x occupies, in flat order.

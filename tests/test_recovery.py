@@ -33,7 +33,7 @@ from hisparse.simulate import (
     observed_matrix,
     run_trial,
 )
-from oracles import DenseOperator, is_hi_sparse, textbook_threshold_loop
+from oracles import DenseOperator, is_hi_sparse, step_route, textbook_threshold_loop
 
 
 def dense_forward(op, x):
@@ -165,10 +165,10 @@ def test_in_place_loop_matches_textbook_loop(algorithm, option):
     profile = SparsityProfile((3, 1, 2) if option == "FS" else (2, 2, 2))
     capped = 0
     with ThreadPoolExecutor(1) as pool:
-        for Mp in (8, 5):
-            design = make_design(64, 8, 16, 2, 10, Mp, seed=9)
+        for U, Mp, route in ((2, 8, "gram"), (4, 8, "fft"), (2, 5, "Mp < M")):
+            design = make_design(64, 8, 16, U, 10, Mp, seed=9)
             op = KroneckerSensingOperator(design, option)
-            assert (op._delay_spectrum is not None) == (Mp == 8)
+            assert step_route(op) == route
             if algorithm in ("HiIHT", "HiHTP"):
                 select_shape, select_profile = op.shape_in, profile
             else:
@@ -202,8 +202,8 @@ def test_in_place_loop_matches_textbook_loop(algorithm, option):
 class ForwardAdjointOperator(KroneckerSensingOperator):
     """The operator with its gradient step as forward + adjoint on every design."""
 
-    def adjoint_residual(self, y, aty, idx, values):
-        return slice(None), self.adjoint_values(y - self.forward(idx, values))
+    def adjoint_residual(self, y, aty, idx, values, out=None):
+        return slice(None), self.adjoint_values(y - self.forward(idx, values), out)
 
 
 def solved_trial(config, cond, Np, t, operator):
@@ -222,30 +222,33 @@ def solved_trial(config, cond, Np, t, operator):
 @pytest.mark.parametrize("option", ["FS", "SF"])
 @pytest.mark.parametrize("offgrid", [False, True])
 def test_delay_domain_step_tracks_the_forward_adjoint_loop(option, offgrid):
-    # Mp = M: the delay-domain step moves HiIHT/IHT estimates at rounding level
-    # only (same supports and pass counts), and HiHTP/HTP, which select on the
-    # step but refit from A^H y, not at all.
-    system = SystemConfig(N=64, M=16, D=16, U=4)
-    if offgrid:
-        config = ExperimentConfig(scenario="offgrid-sweep", system=system, channel=ChannelConfig(L=3, V=2),
-                                  sweep=[24], seed=7, option=option, l1_values=[1], l2_values=[1])
-    else:
-        config = ExperimentConfig(scenario="multiuser-sweep", system=system, channel=ChannelConfig(L=3),
-                                  sweep=[24], seed=7, option=option)
-    assert config.antenna_count() == system.M
-    grid = {"L1": 1, "L2": 1} if offgrid else {}
-    for alg in ("HiIHT", "IHT", "HiHTP", "HTP"):
-        cond = Condition(label=alg, algorithm=alg, option=option, V=2, L=3, **grid)
-        for t in range(5):
-            mse, res = solved_trial(config, cond, 24, t, KroneckerSensingOperator)
-            ref_mse, ref = solved_trial(config, cond, 24, t, ForwardAdjointOperator)
-            np.testing.assert_array_equal(res.support, ref.support)
-            assert res.iterations == ref.iterations
-            if alg in ("HiHTP", "HTP"):
-                assert res.x_hat.tobytes() == ref.x_hat.tobytes()
-                assert mse.hex() == ref_mse.hex() and res.residual_norm == ref.residual_norm
-            else:
-                assert abs(mse - ref_mse) <= 1e-12 * ref_mse
+    # Mp = M: the delay-domain step, on either of its routes, moves HiIHT/IHT
+    # estimates at rounding level only (same supports and pass counts), and
+    # HiHTP/HTP, which select on the step but refit from A^H y, not at all.
+    for U, route in ((4, "fft"), (1, "gram")):
+        system = SystemConfig(N=64, M=16, D=16, U=U)
+        V = min(U, 2)
+        assert step_route(KroneckerSensingOperator(make_design(64, 16, 16, U, 24, 16, seed=0), option)) == route
+        if offgrid:
+            config = ExperimentConfig(scenario="offgrid-sweep", system=system, channel=ChannelConfig(L=3, V=V),
+                                      sweep=[24], seed=7, option=option, l1_values=[1], l2_values=[1])
+        else:
+            config = ExperimentConfig(scenario="multiuser-sweep", system=system, channel=ChannelConfig(L=3),
+                                      sweep=[24], seed=7, option=option, v_values=[V])
+        assert config.antenna_count() == system.M
+        grid = {"L1": 1, "L2": 1} if offgrid else {}
+        for alg in ("HiIHT", "IHT", "HiHTP", "HTP"):
+            cond = Condition(label=alg, algorithm=alg, option=option, V=V, L=3, **grid)
+            for t in range(5):
+                mse, res = solved_trial(config, cond, 24, t, KroneckerSensingOperator)
+                ref_mse, ref = solved_trial(config, cond, 24, t, ForwardAdjointOperator)
+                np.testing.assert_array_equal(res.support, ref.support)
+                assert res.iterations == ref.iterations
+                if alg in ("HiHTP", "HTP"):
+                    assert res.x_hat.tobytes() == ref.x_hat.tobytes()
+                    assert mse.hex() == ref_mse.hex() and res.residual_norm == ref.residual_norm
+                else:
+                    assert abs(mse - ref_mse) <= 1e-12 * ref_mse
 
 
 def offgrid_style_measurement(op, design, rng):

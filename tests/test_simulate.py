@@ -107,8 +107,9 @@ def test_config_rejects_offgrid_delay_spread_beyond_d():
     offgrid = dict(scenario="offgrid-sweep", system=SystemConfig(N=32, M=8, D=8, U=1, alpha=0.9))
     with pytest.raises(ValueError, match="alpha"):
         tiny_config(**offgrid)
-    # alpha*N == D sits exactly on the bound and is accepted.
-    tiny_config(scenario="offgrid-sweep", system=SystemConfig(N=32, M=8, D=8, U=1))
+    # alpha*N == D sits exactly on the bound and is accepted. (M = 8 admits
+    # angle truncation levels up to 3, so the default l2_values [1, 2, 4] do not fit.)
+    tiny_config(scenario="offgrid-sweep", system=SystemConfig(N=32, M=8, D=8, U=1), l2_values=[1, 2, 3])
 
 
 def test_config_rejects_nonpositive_sparsity():
@@ -178,6 +179,18 @@ def test_preset_revalidates():
         config.apply_preset("small")
     assert config.system is system and config.sweep == [300]
     config._validate()
+
+
+def test_preset_refuses_truncation_levels_outside_its_sizes():
+    # L1 = 100 fits N = 1024 ((N - 1) // 2 = 511) but not the small preset's
+    # N = 128 (63); the refusal names the field and leaves the config as it was.
+    system = SystemConfig(N=1024, M=256, D=256, U=1)
+    config = tiny_config(scenario="offgrid-sweep", system=system, sweep=[64], l1_values=[1, 100],
+                         l2_values=[2])
+    with pytest.raises(ValueError, match=r"l1_values: truncation level 100 outside \[1, \(N - 1\) // 2 = 63\]"):
+        config.apply_preset("small")
+    assert config.system is system
+    config.apply_preset("paper")
 
 
 def test_preset_override():
