@@ -45,9 +45,7 @@ def main(argv=None) -> int:
             return 1
     if args.command == "run":
         try:
-            config = ExperimentConfig.from_json(Path(args.config).read_text())
-            if args.preset:
-                config.apply_preset(args.preset)
+            config = ExperimentConfig.from_json(Path(args.config).read_text(), args.preset)
         except (OSError, json.JSONDecodeError, TypeError, ValueError) as exc:
             print(f"error: bad config: {exc}", file=sys.stderr)
             return 1

@@ -34,8 +34,26 @@ FS with U*D = N, else a per-thread work buffer whose first U*D columns are
 copied into ``out``. Both factor Grams are circulant (entry (q, q')
 depends only on (q - q') mod N, entry (m, m') only on (m - m') mod M), so
 ``gram`` evaluates any restricted Gram (A^H A)[S, S] from two precomputed
-kernels in O(|S|^2) without building a column; least-squares refits solve on
-it. ``adjoint_residual(y, aty, idx, values, out=None)`` is the thresholding
+kernels in O(|S|^2) without building a column. ``solve_normal(aty, idx)``
+is the least-squares refit: it solves the normal equations
+(A^H A)[S, S] beta = (A^H y)[S] on one of two routes, fixed by the design
+alone:
+
+  * Mp < M: one SVD ``lstsq`` of ``gram(S)``, O(|S|^3), the minimum-norm
+    solution when the Gram is singular.
+  * Mp = M: the angle Gram is I, so (A^H A)[S, S] is block-diagonal by
+    angle, and the block of an angle is the delay Gram (T^H T)[q, q] over
+    that angle's delays q, gathered from the delay kernel. The r occupied
+    angles' blocks, zero-padded to the largest one (n delays), take one
+    batched Cholesky factorization and one batched ``solve``, O(r*n^3)
+    against O(|S|^3). The Cholesky factors are the certificate: when one
+    fails, or the smallest squared pivot over S is below
+    CHOLESKY_PIVOT_FLOOR (1e-8) times the largest, the refit takes the
+    ``lstsq`` route instead, so a singular block (more delays at one angle
+    than Np, or dependent columns) still gets the minimum-norm solution.
+    Otherwise the result agrees with that ``lstsq`` to rounding.
+
+``adjoint_residual(y, aty, idx, values, out=None)`` is the thresholding
 solvers' gradient step A^H (y - A x) given aty = A^H y, reported as the
 entries where it differs from aty and its values there. It takes one of three routes, each
 fixed by the design alone:
@@ -86,6 +104,11 @@ PRODUCT_CROSSOVER = 2.0
 # 21 us; ratio 4.6 19 against 22 us; at ratios 8 and 18 the product took
 # 1.1-1.2x the FFT's time, and 22x at ratio 102 (the paper preset).
 GRAM_STEP_CROSSOVER = 4.0
+# With every antenna observed, a least-squares refit solves its per-angle
+# blocks only if their Cholesky factorization succeeds with every squared
+# pivot at least this fraction of the largest; otherwise it takes the full
+# minimum-norm lstsq.
+CHOLESKY_PIVOT_FLOOR = 1e-8
 
 
 class VectorizationOption(str, enum.Enum):
@@ -186,7 +209,9 @@ class KroneckerSensingOperator:
     restricted delay Gram ``_delay_gram`` when (U*D)^2 <= GRAM_STEP_CROSSOVER
     * N*log2(N), else O(r*N log N + r*U*D) from the length-N delay spectrum
     ``_delay_spectrum``; the other one is None. Both are None when Mp < M,
-    where the step is ``forward`` plus ``adjoint_values``. Instances are
+    where the step is ``forward`` plus ``adjoint_values``. ``solve_normal``
+    of a support S costs O(|S|^3) with Mp < M and O(r*n^3) with Mp = M, for
+    r occupied angles with at most n delays each. Instances are
     immutable after construction and reentrant: concurrent calls from
     different threads share no scratch memory.
     """
@@ -383,6 +408,55 @@ class KroneckerSensingOperator:
         d = self.design
         return (self._angle_kernel[(m[:, None] - m[None, :]) % d.M]
                 * self._tau_kernel[(q[:, None] - q[None, :]) % d.N])
+
+    def solve_normal(self, aty, idx) -> np.ndarray:
+        """Least-squares coefficients on a support: beta with (A^H A)[idx, idx] beta = aty[idx].
+
+        ``aty`` is A^H y and ``idx`` a sequence of distinct flat indices in any
+        order; beta[i] belongs to idx[i]. With Mp < M this is one ``lstsq`` of
+        ``gram(idx)``, the minimum-norm solution when it is singular. With
+        Mp = M the angle Gram is I, so the system splits by angle into
+        blocks (T^H T)[q, q] over the delays q of each occupied angle. The
+        entries are stably sorted by angle, each block is gathered from the
+        delay kernel into a stack zero-padded to the largest block (identity
+        on the padding), and one batched ``solve`` runs on the stack. A
+        batched Cholesky factorization certifies it first: if one fails, or
+        the smallest squared pivot over the support is below
+        CHOLESKY_PIVOT_FLOOR times the largest, the solve falls back to the
+        ``lstsq`` of ``gram(idx)``, so a singular block (more delays at one
+        angle than Np, say) still gets the minimum-norm solution.
+        """
+        d = self.design
+        idx = np.asarray(idx, dtype=np.int64)
+        rhs = aty[idx]
+        if d.Mp == d.M:
+            if not idx.size:
+                return rhs
+            q, m = self._split(idx)
+            order = np.argsort(m, kind="stable")
+            q, m = q[order], m[order]
+            first = np.ones(idx.size, dtype=bool)  # the first entry of each angle's block
+            first[1:] = m[1:] != m[:-1]
+            starts = np.flatnonzero(first)
+            block = np.cumsum(first) - 1
+            slot = np.arange(idx.size) - starts[block]
+            shape = (starts.size, int(slot.max()) + 1)
+            delays, used = np.zeros(shape, dtype=np.int64), np.zeros(shape, dtype=bool)
+            delays[block, slot], used[block, slot] = q, True
+            G = np.where(used[:, :, None] & used[:, None, :],
+                         self._tau_kernel[(delays[:, :, None] - delays[:, None, :]) % d.N],
+                         np.eye(shape[1]))
+            try:
+                pivots = np.linalg.cholesky(G)[block, slot, slot].real ** 2
+            except np.linalg.LinAlgError:  # a block is not numerically positive definite
+                pivots = None
+            if pivots is not None and pivots.min() >= CHOLESKY_PIVOT_FLOOR * pivots.max():
+                b = np.zeros(shape + (1,), dtype=np.complex128)
+                b[block, slot, 0] = rhs[order]
+                beta = np.empty_like(rhs)
+                beta[order] = np.linalg.solve(G, b)[block, slot, 0]
+                return beta
+        return np.linalg.lstsq(self.gram(idx), rhs, rcond=None)[0]
 
     def densify(self) -> np.ndarray:
         """Explicit (Np*Mp x U*D*M) matrix; test oracle for small problems."""

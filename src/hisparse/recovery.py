@@ -28,15 +28,18 @@ bit, apart from the sign of a zero off S (0.0 + -0.0 is +0.0).
     in the ``step_moduli`` buffer and selects on those two; A^H y and its
     moduli are not touched, so nothing is saved or put back.
 
-Which outputs move, against the textbook forward + adjoint step: only
-HiIHT/IHT estimates with Mp = M, at rounding level, on either delay-domain
-route (the restricted delay Gram product at small U*D, an FFT pair per angle
-otherwise), with the same supports and pass counts. The worst relative MSE
-change seen over 240 seeded small HiIHT/IHT solves was 3.0e-14; the tests
-bound it by 1e-12. HiHTP/HTP select on the step but refit from A^H y, so
-they keep their bits unless a support choice sits on a tie at rounding
-level; OMP and every Mp < M solve run the textbook arithmetic and keep
-theirs. The work buffers never reach a result, so only x, allocated per
+Which outputs move, against the textbook forward + adjoint step and a
+refit by one ``lstsq`` of the restricted Gram: only estimates with Mp = M,
+at rounding level, with the same supports and pass counts. HiIHT/IHT move
+through the delay-domain step (the restricted delay Gram product at small
+U*D, an FFT pair per angle otherwise): the worst relative MSE change seen
+over 240 seeded small solves was 3.0e-14. HiHTP/HTP select on the step but
+refit from A^H y, so the step moves them only where a support choice sits on
+a tie at rounding level; they and OMP move through the per-angle block
+refit (see ``solve_normal`` in ``operators``): the worst relative MSE
+change seen over the seeded test grids was 2.4e-14. The tests bound both by
+1e-12. Every Mp < M solve runs the textbook arithmetic and keeps its bits.
+The work buffers never reach a result, so only x, allocated per
 solve, leaves the loop, and solves on different threads share nothing.
 Every solver takes one hierarchical profile, cfg.profile, clipped to the
 unknown's layout. HiIHT/HiHTP select under it;
@@ -56,10 +59,10 @@ mod p's support and refit values, with iterations = max_iters, the same in
 every bit as the full run. The IHT variants carry values from pass to pass,
 so they run on past such a repeat. OMP grows its support one correlation
 pick at a time, k picks at most, with the same least-squares refit, and
-reports its pick count as iterations. Every refit solves the |S| x |S|
-normal equations (A^H A)[S, S] beta = (A^H y)[S] from the operator's
-restricted Gram ``op.gram(S)`` and that A^H y, by ``lstsq`` so a
-rank-deficient support still gets the minimum-norm solution. Supports are
+reports its pick count as iterations. Every refit is the operator's
+``op.solve_normal(A^H y, S)``, which solves the |S| x |S| normal equations
+(A^H A)[S, S] beta = (A^H y)[S] and keeps the minimum-norm solution on a
+rank-deficient support; the route it takes is the operator's. Supports are
 sorted int64 arrays of flat indices, and the estimate ``RecoveryResult.x_hat``
 is the flat vector of length op.in_dim in layout op.shape_in.
 """
@@ -118,16 +121,6 @@ def _check_measurement(y, op) -> np.ndarray:
     return y
 
 
-def _restricted_lstsq(aty, op, support: np.ndarray) -> np.ndarray:
-    """Coefficients of argmin over vectors supported on ``support`` of ||y - A x||.
-
-    ``aty`` is A^H y. One least-squares solve of the normal equations on the
-    restricted Gram (A^H A)[support, support]; minimum-norm if it is singular.
-    """
-    beta, *_ = np.linalg.lstsq(op.gram(support), aty[support], rcond=None)
-    return beta
-
-
 def _threshold_loop(y, op, max_iters: int, dims, profile, pursuit: bool):
     aty = op.adjoint_values(y, out=work_buffer("aty", (op.in_dim,), np.complex128))
     moduli = squared_moduli(aty, out=work_buffer("moduli", (op.in_dim,), np.float64))
@@ -153,7 +146,7 @@ def _threshold_loop(y, op, max_iters: int, dims, profile, pursuit: bool):
         values = x_temp[support]
         if x_temp is aty and i > 1:  # A^H y back, before a refit reads it
             aty[changed], moduli[changed] = saved, saved_moduli
-        x[support] = values = _restricted_lstsq(aty, op, support) if pursuit else values
+        x[support] = values = op.solve_normal(aty, support) if pursuit else values
         passes.append((support, values))
         key = support.tobytes()
         j, latest[key] = latest.get(key), i
@@ -192,7 +185,7 @@ def _omp(y, op, k: int):
         corr[selected] = -1.0
         selected.append(int(np.argmax(corr)))
         cols = np.concatenate([cols, op.columns(selected[-1:])], axis=1)
-        beta = _restricted_lstsq(aty, op, selected)
+        beta = op.solve_normal(aty, selected)
         r = y - cols @ beta
     x = np.zeros(op.in_dim, dtype=np.complex128)
     x[selected] = beta
@@ -213,12 +206,11 @@ def solve(y, op, cfg: RecoveryConfig) -> RecoveryResult:
         y: measurement vector of length op.out_dim.
         op: the sensing operator. solve reads its ``shape_in`` (a
             BlockShape), ``in_dim``, ``out_dim``, ``forward(idx, values)``,
-            ``adjoint_values(y, out=None)``, ``gram(idx)``, for the
-            thresholding solvers ``adjoint_residual(y, aty, idx, values,
-            out=None)`` (an index of the entries it changes, and their
-            values; ``out`` receives the step when it changes every entry)
-            and, for
-            OMP, ``columns(idx)``.
+            ``adjoint_values(y, out=None)``, for the thresholding solvers
+            ``adjoint_residual(y, aty, idx, values, out=None)`` (an index
+            of the entries it changes, and their values; ``out`` receives
+            the step when it changes every entry), for HiHTP, HTP and OMP
+            ``solve_normal(aty, idx)`` and, for OMP, ``columns(idx)``.
         cfg: solver configuration. cfg.profile is clipped to op.shape_in;
             HiIHT/HiHTP select under the clipped profile, IHT/HTP select and
             OMP picks k = its max_support entries.

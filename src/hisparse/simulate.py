@@ -147,10 +147,9 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be a list, got {value!r}")
             if value == []:
                 raise ValueError(f"{name} must be a non-empty list when given")
-        algorithms = self.algorithms or []
-        for i, alg in enumerate(algorithms):  # each names one curve label's rows
-            if alg in algorithms[:i]:
-                raise ValueError(f"algorithms lists {alg!r} twice")
+            for i, item in enumerate(value or []):  # each names one curve's or one point's rows
+                if item in value[:i]:
+                    raise ValueError(f"{name} lists {item!r} twice")
         as_option(self.option)  # ValueError unless FS or SF
         if not _is_integer(self.seed) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
@@ -237,15 +236,18 @@ class ExperimentConfig:
         return json.dumps(doc, sort_keys=True, indent=2)
 
     @classmethod
-    def from_json_dict(cls, doc: dict) -> "ExperimentConfig":
+    def from_json_dict(cls, doc: dict, preset: str | None = None) -> "ExperimentConfig":
+        """The config a JSON document describes, validated once at its final
+        sizes: a named preset's sizes replace the document's before that."""
         doc = dict(doc)
-        doc["system"] = SystemConfig(**doc.get("system", {}))
+        sizes = PRESETS[preset] if preset is not None else {}
+        doc["system"] = SystemConfig(**{**doc.get("system", {}), **sizes})
         doc["channel"] = ChannelConfig(**doc.get("channel", {}))
         return cls(**doc)
 
     @classmethod
-    def from_json(cls, text: str) -> "ExperimentConfig":
-        return cls.from_json_dict(json.loads(text))
+    def from_json(cls, text: str, preset: str | None = None) -> "ExperimentConfig":
+        return cls.from_json_dict(json.loads(text), preset)
 
     def apply_preset(self, name: str) -> None:
         """Take the preset's sizes; a ValueError leaves this config as it was."""

@@ -27,10 +27,13 @@ None of these is on a route that the CLI, the sweep harness or the
     fresh zero iterate, with no cycle exit, a full x_temp and full squared
     moduli every pass, against ``solve``'s loop, which patches A^H y and its
     moduli only where the step changed them. It takes its step from the
-    operator's ``adjoint_residual``, as ``solve`` does, so the two loops
-    agree bit for bit on either route of that step;
-    the route itself is checked against ``densify`` in ``test_operators``
-    and against the forward + adjoint loop in ``test_recovery``.
+    operator's ``adjoint_residual`` and its HiHTP/HTP refit from the
+    operator's ``solve_normal``, as ``solve`` does, so the two loops agree
+    bit for bit on every route of either; it tests the loop, not those
+    routes. The step routes are checked against ``densify`` in
+    ``test_operators`` and against the forward + adjoint loop in
+    ``test_recovery``, and the refit routes against the column and
+    full-Gram ``lstsq`` in ``test_recovery``.
 
 Test modules import them with ``from oracles import ...``.
 """
@@ -54,7 +57,7 @@ from hisparse.channel import (
 )
 from hisparse.design import make_design, signature
 from hisparse.operators import KroneckerSensingOperator, _support, unvectorize, vectorize
-from hisparse.recovery import RecoveryConfig, _restricted_lstsq, solve
+from hisparse.recovery import RecoveryConfig, solve
 from hisparse.simulate import Condition, ExperimentConfig, SystemConfig, _noise, _profile
 
 
@@ -91,6 +94,11 @@ class DenseOperator:
     def gram(self, idx) -> np.ndarray:
         cols = self.A[:, idx]
         return cols.conj().T @ cols
+
+    def solve_normal(self, aty, idx) -> np.ndarray:
+        """The minimum-norm least-squares refit on the restricted Gram."""
+        idx = np.asarray(idx, dtype=np.int64)
+        return np.linalg.lstsq(self.gram(idx), aty[idx], rcond=None)[0]
 
     def densify(self) -> np.ndarray:
         return self.A
@@ -246,7 +254,7 @@ def textbook_threshold_loop(y, op, select_shape, profile, pursuit, max_iters):
         x_temp = x + step
         support = hi_threshold(squared_moduli(x_temp.reshape(select_shape.dims)), profile)
         x = np.zeros(op.in_dim, dtype=complex)
-        x[support] = _restricted_lstsq(aty, op, support) if pursuit else x_temp[support]
+        x[support] = op.solve_normal(aty, support) if pursuit else x_temp[support]
         if prev is not None and np.array_equal(support, prev):
             break
         prev = support

@@ -82,12 +82,16 @@ def test_solve_and_report_keep_the_attributes_the_tracer_reads():
 
 
 # The call sites perfbench's traced run counts to check that a workload reaches
-# each layer it claims to, and skips the ones it claims to skip.
+# each layer it claims to, and skips the ones it claims to skip; and the
+# operator's least-squares refit, which perfbench does not trace: with every
+# antenna observed it solves per-angle blocks without ``lstsq``, so its time
+# reads as recovery.solve.self_ms there.
 COUNTED = [
     (hisparse.operators.KroneckerSensingOperator, "forward"),
     (hisparse.operators.KroneckerSensingOperator, "adjoint_values"),
     (hisparse.recovery, "hi_threshold"),
     (np.linalg, "lstsq"),
+    (hisparse.operators.KroneckerSensingOperator, "solve_normal"),
 ]
 
 
@@ -118,13 +122,21 @@ def test_trials_reach_the_layers_the_benchmark_counts(monkeypatch):
     calls = counted_trial(monkeypatch, ongrid,
                           Condition(label="HiIHT", algorithm="HiIHT", option="FS", V=2, L=3), 12)
     assert min(calls[name] for name in ("forward", "adjoint_values", "hi_threshold")) >= 1
-    assert calls["lstsq"] == 0  # HiIHT keeps x_temp on the support, it never refits
+    assert calls["solve_normal"] == calls["lstsq"] == 0  # HiIHT keeps x_temp on the support, it never refits
 
-    offgrid = ExperimentConfig(scenario="offgrid-sweep", system=SystemConfig(N=64, M=16, D=16, U=1),
-                               channel=ChannelConfig(L=3, V=1), sweep=[32], trials=1, seed=3)
-    calls = counted_trial(monkeypatch, offgrid, Condition(label="HiHTP", algorithm="HiHTP", option="FS",
-                                                          V=1, L=3, L1=1, L2=1), 32)
-    assert min(calls[name] for name in ("forward", "adjoint_values", "hi_threshold", "lstsq")) >= 1
+    # Off-grid HiHTP refits through solve_normal. With every antenna observed
+    # (Mp = M) its well-conditioned angle blocks never fall back to lstsq;
+    # with Mp < M every refit is one lstsq of the restricted Gram.
+    hihtp = Condition(label="HiHTP", algorithm="HiHTP", option="FS", V=1, L=3, L1=1, L2=1)
+    for Mp in (16, 8):
+        offgrid = ExperimentConfig(scenario="offgrid-sweep", system=SystemConfig(N=64, M=16, D=16, U=1),
+                                   channel=ChannelConfig(L=3, V=1), sweep=[32], Mp=Mp, trials=1, seed=3)
+        calls = counted_trial(monkeypatch, offgrid, hihtp, 32)
+        assert min(calls[name] for name in ("forward", "adjoint_values", "hi_threshold", "solve_normal")) >= 1
+        if Mp == 16:
+            assert calls["lstsq"] == 0
+        else:
+            assert calls["lstsq"] == calls["solve_normal"]
 
 
 def test_a_cycling_pursuit_solve_reports_its_full_pass_count(monkeypatch):

@@ -42,6 +42,23 @@ def test_run_with_preset(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("config", [
+    {"scenario": "single-user-sweep", "sweep": [300]},
+    {"scenario": "offgrid-sweep", "sweep": [64], "l1_values": [100], "l2_values": [1]},
+], ids=["pilots", "truncation-level"])
+def test_preset_sizes_are_the_ones_validated(tmp_path, capsys, config):
+    # Np = 300 and L1 = 100 fit the paper preset's N = 1024 but not the
+    # default N = 128 the JSON would give: the config is validated once,
+    # after --preset has replaced the sizes.
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({**config, "trials": 1}))
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", str(config_path), "--out", str(out_dir), "--preset", "paper"]) == 0
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    assert manifest["config"]["system"]["N"] == 1024
+    assert capsys.readouterr().err == ""
+
+
 def test_bad_config_exits_nonzero(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{\"scenario\": \"nope\"}")
@@ -198,6 +215,12 @@ def test_plot_unreadable_csv_exits_one(tmp_path, capsys):
     ({"scenario": "offgrid-sweep", "system": {"M": 4}},
      "l2_values: truncation level 2 outside [1, (M - 1) // 2 = 1]"),
     ({"algorithms": ["HiIHT", "IHT", "HiIHT"]}, "algorithms lists 'HiIHT' twice"),
+    ({"sweep": [8, 16, 8]}, "sweep lists 8 twice"),
+    ({"l_values": [2, 2]}, "l_values lists 2 twice"),
+    ({"scenario": "multiuser-sweep", "system": {"U": 4}, "v_values": [1, 4, 4]},
+     "v_values lists 4 twice"),
+    ({"scenario": "offgrid-sweep", "l1_values": [1, 1]}, "l1_values lists 1 twice"),
+    ({"scenario": "offgrid-sweep", "l2_values": [2, 1, 2]}, "l2_values lists 2 twice"),
 ], ids=["negative-seed", "fractional-seed", "nan-snr", "negative-alpha", "fractional-trials",
         "fractional-sweep", "fractional-v", "fractional-l", "fractional-mp", "boolean-trials",
         "unknown-algorithm", "ongrid-l-exceeds-angles", "ongrid-users-exceed-angles",
@@ -210,7 +233,9 @@ def test_plot_unreadable_csv_exits_one(tmp_path, capsys):
         "unread-alpha", "unread-option-sf-vs-fs", "swept-channel-v", "swept-channel-v-values",
         "swept-channel-v-sf-vs-fs", "swept-channel-l", "negative-k-v-sf", "zero-k-v-sf",
         "zero-k-v-sf-offgrid", "zero-k-l", "negative-k-v-offgrid", "zero-l1", "negative-l1",
-        "l1-beyond-n", "l2-beyond-m", "zero-l2", "default-l2-beyond-m", "duplicate-algorithm"])
+        "l1-beyond-n", "l2-beyond-m", "zero-l2", "default-l2-beyond-m", "duplicate-algorithm",
+        "duplicate-sweep", "duplicate-l-values", "duplicate-v-values", "duplicate-l1-values",
+        "duplicate-l2-values"])
 def test_run_config_out_of_model_exits_one_before_any_trial(tmp_path, capsys, bad, message):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({"scenario": "single-user-sweep", "sweep": [8],

@@ -23,8 +23,8 @@ from hisparse import (
     squared_moduli,
 )
 from hisparse.channel import ChannelParams, gen_offgrid, superpose_transfer
+from hisparse.design import PilotDesign
 from hisparse.operators import vectorize
-from hisparse.recovery import _restricted_lstsq
 from hisparse.simulate import (
     ChannelConfig,
     Condition,
@@ -88,6 +88,11 @@ def test_zero_measurement_gives_zero_estimate():
     res = solve(y, op, RecoveryConfig(algorithm="OMP", profile=SparsityProfile((3, 1, 1))))
     assert not res.x_hat.any()
     assert res.support.size == 0
+    # The pursuit solves above refit on an empty support with Mp = M = 4.
+    for Mp in (4, 3):
+        op = KroneckerSensingOperator(make_design(16, 4, 4, 1, 16, Mp, seed=1), "FS")
+        beta = op.solve_normal(np.zeros(op.in_dim, dtype=complex), [])
+        assert beta.shape == (0,) and beta.dtype == complex
 
 
 def test_restricted_ls_matches_pinv_oracle():
@@ -105,27 +110,71 @@ def test_restricted_ls_matches_pinv_oracle():
 
 @pytest.mark.parametrize("option", ["FS", "SF"])
 def test_restricted_lstsq_matches_column_lstsq(option):
+    # op.solve_normal against the column lstsq and the full-Gram lstsq. With
+    # Mp < M it is that full-Gram lstsq, bit for bit. With Mp = M it solves
+    # per-angle blocks and calls no lstsq; it agrees to 1e-12 relative.
+    # Supports come unsorted and as lists, as OMP passes them, and spread
+    # over angles in blocks of unequal sizes.
     rng = np.random.default_rng(11 if option == "FS" else 12)
-    op = KroneckerSensingOperator(make_design(32, 8, 8, 2, 12, 6, seed=4), option)
-    for _ in range(20):
-        y = rng.standard_normal(op.out_dim) + 1j * rng.standard_normal(op.out_dim)
-        S = rng.permutation(op.in_dim)[: int(rng.integers(1, 13))]
-        assert np.linalg.matrix_rank(op.columns(S)) == S.size
-        expected = np.linalg.lstsq(op.columns(S), y, rcond=None)[0]
-        got = _restricted_lstsq(op.adjoint_values(y), op, S)
-        assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
+    unequal = 0
+    for Mp in (6, 8):
+        op = KroneckerSensingOperator(make_design(32, 8, 8, 2, 12, Mp, seed=4), option)
+        for _ in range(20):
+            y = rng.standard_normal(op.out_dim) + 1j * rng.standard_normal(op.out_dim)
+            S = rng.permutation(op.in_dim)[: int(rng.integers(1, 13))]
+            assert np.linalg.matrix_rank(op.columns(S)) == S.size
+            aty = op.adjoint_values(y)
+            expected = np.linalg.lstsq(op.columns(S), y, rcond=None)[0]
+            full = np.linalg.lstsq(op.gram(S), aty[S], rcond=None)[0]
+            with mock.patch.object(np.linalg, "lstsq", wraps=np.linalg.lstsq) as lstsq:
+                got = op.solve_normal(aty, S.tolist())
+            assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
+            if Mp < 8:
+                assert lstsq.call_count == 1 and got.tobytes() == full.tobytes()
+            else:
+                assert lstsq.call_count == 0
+                assert np.linalg.norm(got - full) <= 1e-12 * np.linalg.norm(full)
+                sizes = np.unique(op._split(S)[1], return_counts=True)[1]  # delays per angle
+                unequal += sizes.min() < sizes.max()
+    assert unequal > 0
 
 
 def test_restricted_lstsq_rank_deficient_support_is_minimum_norm():
-    # Six delay columns at one angle but only Np = 4 pilots: rank 6 of 8.
+    # Six delay columns at one angle but only Np = 4 pilots: rank 6 of 8. With
+    # Mp = M that angle's block is singular, so its Cholesky certificate fails
+    # and the block solve falls back to the full-Gram lstsq. Either way the
+    # answer is the minimum-norm one.
     rng = np.random.default_rng(13)
-    op = KroneckerSensingOperator(make_design(32, 8, 8, 2, 4, 6, seed=4), "FS")
-    S = np.array([0, 1, 2, 3, 4, 5, 19, 40])
-    assert np.linalg.matrix_rank(op.columns(S)) == 6
-    y = rng.standard_normal(op.out_dim) + 1j * rng.standard_normal(op.out_dim)
-    expected = np.linalg.lstsq(op.columns(S), y, rcond=None)[0]
-    got = _restricted_lstsq(op.adjoint_values(y), op, S)
-    assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
+    for Mp in (6, 8):
+        op = KroneckerSensingOperator(make_design(32, 8, 8, 2, 4, Mp, seed=4), "FS")
+        S = np.array([0, 1, 2, 3, 4, 5, 19, 40])
+        assert np.linalg.matrix_rank(op.columns(S)) == 6
+        y = rng.standard_normal(op.out_dim) + 1j * rng.standard_normal(op.out_dim)
+        expected = np.linalg.lstsq(op.columns(S), y, rcond=None)[0]
+        with mock.patch.object(np.linalg, "lstsq", wraps=np.linalg.lstsq) as lstsq:
+            got = op.solve_normal(op.adjoint_values(y), S)
+        assert lstsq.call_count == 1
+        assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
+
+
+def test_block_refit_falls_back_below_the_pivot_floor():
+    # Adjacent pilot subcarriers 0 and 1 of N = 65536 make delay columns 0
+    # and 1 nearly parallel: that angle's block [[1, c], [conj(c), 1]] has
+    # |c| = cos(pi/N), so its Cholesky factorization succeeds, but with a
+    # squared pivot sin(pi/N)^2 = 2.3e-9 of the largest, below the 1e-8
+    # floor. The refit is then the full-Gram lstsq, bit for bit.
+    N = 65536
+    design = PilotDesign(N=N, M=4, D=4, U=1, Np=2, Mp=4, subcarriers=[0, 1], antennas=np.arange(4),
+                         base_sequence=np.ones(N, dtype=complex))
+    op = KroneckerSensingOperator(design, "FS")
+    S = np.array([0, 1, 6])  # delays 0 and 1 at angle 0, delay 2 at angle 1
+    np.linalg.cholesky(op.gram(S[:2]))
+    rng = np.random.default_rng(14)
+    aty = op.adjoint_values(rng.standard_normal(op.out_dim) + 1j * rng.standard_normal(op.out_dim))
+    with mock.patch.object(np.linalg, "lstsq", wraps=np.linalg.lstsq) as lstsq:
+        got = op.solve_normal(aty, S)
+    assert lstsq.call_count == 1
+    assert got.tobytes() == np.linalg.lstsq(op.gram(S), aty[S], rcond=None)[0].tobytes()
 
 
 @pytest.mark.parametrize("algorithm", ["HiIHT", "HiHTP"])
@@ -219,16 +268,20 @@ def solved_trial(config, cond, Np, t, operator):
     return mse, results[0]
 
 
-@pytest.mark.parametrize("option", ["FS", "SF"])
-@pytest.mark.parametrize("offgrid", [False, True])
-def test_delay_domain_step_tracks_the_forward_adjoint_loop(option, offgrid):
-    # Mp = M: the delay-domain step, on either of its routes, moves HiIHT/IHT
-    # estimates at rounding level only (same supports and pass counts), and
-    # HiHTP/HTP, which select on the step but refit from A^H y, not at all.
+class FullGramOperator(KroneckerSensingOperator):
+    """The operator with its refit as one lstsq of the restricted Gram on every design."""
+
+    def solve_normal(self, aty, idx):
+        idx = np.asarray(idx, dtype=np.int64)
+        return np.linalg.lstsq(self.gram(idx), aty[idx], rcond=None)[0]
+
+
+def every_antenna_grid(option, offgrid):
+    """(step route, config, V, truncation levels) of seeded Mp = M sweeps at
+    Np = 24: U = 4 takes the FFT step route, U = 1 the Gram route."""
     for U, route in ((4, "fft"), (1, "gram")):
         system = SystemConfig(N=64, M=16, D=16, U=U)
         V = min(U, 2)
-        assert step_route(KroneckerSensingOperator(make_design(64, 16, 16, U, 24, 16, seed=0), option)) == route
         if offgrid:
             config = ExperimentConfig(scenario="offgrid-sweep", system=system, channel=ChannelConfig(L=3, V=V),
                                       sweep=[24], seed=7, option=option, l1_values=[1], l2_values=[1])
@@ -236,7 +289,18 @@ def test_delay_domain_step_tracks_the_forward_adjoint_loop(option, offgrid):
             config = ExperimentConfig(scenario="multiuser-sweep", system=system, channel=ChannelConfig(L=3),
                                       sweep=[24], seed=7, option=option, v_values=[V])
         assert config.antenna_count() == system.M
-        grid = {"L1": 1, "L2": 1} if offgrid else {}
+        yield route, config, V, {"L1": 1, "L2": 1} if offgrid else {}
+
+
+@pytest.mark.parametrize("option", ["FS", "SF"])
+@pytest.mark.parametrize("offgrid", [False, True])
+def test_delay_domain_step_tracks_the_forward_adjoint_loop(option, offgrid):
+    # Mp = M: the delay-domain step, on either of its routes, moves HiIHT/IHT
+    # estimates at rounding level only (same supports and pass counts), and
+    # HiHTP/HTP, which select on the step but refit from A^H y, not at all.
+    for route, config, V, grid in every_antenna_grid(option, offgrid):
+        design = make_design(64, 16, 16, config.system.U, 24, 16, seed=0)
+        assert step_route(KroneckerSensingOperator(design, option)) == route
         for alg in ("HiIHT", "IHT", "HiHTP", "HTP"):
             cond = Condition(label=alg, algorithm=alg, option=option, V=V, L=3, **grid)
             for t in range(5):
@@ -249,6 +313,23 @@ def test_delay_domain_step_tracks_the_forward_adjoint_loop(option, offgrid):
                     assert mse.hex() == ref_mse.hex() and res.residual_norm == ref.residual_norm
                 else:
                     assert abs(mse - ref_mse) <= 1e-12 * ref_mse
+
+
+@pytest.mark.parametrize("option", ["FS", "SF"])
+@pytest.mark.parametrize("offgrid", [False, True])
+def test_block_refit_tracks_the_full_gram_refit(option, offgrid):
+    # Mp = M: HiHTP/HTP/OMP refit by per-angle block solves. Against the
+    # full-Gram lstsq refit they keep every support and pass count, and the
+    # trial MSE moves by at most 1e-12 relative.
+    for _, config, V, grid in every_antenna_grid(option, offgrid):
+        for alg in ("HiHTP", "HTP", "OMP"):
+            cond = Condition(label=alg, algorithm=alg, option=option, V=V, L=3, **grid)
+            for t in range(5):
+                mse, res = solved_trial(config, cond, 24, t, KroneckerSensingOperator)
+                ref_mse, ref = solved_trial(config, cond, 24, t, FullGramOperator)
+                np.testing.assert_array_equal(res.support, ref.support)
+                assert res.iterations == ref.iterations
+                assert abs(mse - ref_mse) <= 1e-12 * ref_mse
 
 
 def offgrid_style_measurement(op, design, rng):
