@@ -6,6 +6,13 @@ scenario), SNR, trial count, and a master seed. Trial t of any condition
 draws its randomness from SeedSequence([master_seed, t]), so aggregate
 results are independent of execution order and the whole CSV is
 reproducible from the run manifest.
+
+A sweep point runs one pool task per trial index: it calls ``run_trial``
+for each condition in order, on one dict of draws that the task owns. A
+draw (rng, channel paths, pilot design, operator and observation) is keyed
+by (trial_index, Np, V, L, option, on_grid), everything that can differ
+between two conditions of one config, so conditions that read the same
+channel statistics solve the same observation, drawn once per row.
 """
 
 from __future__ import annotations
@@ -353,11 +360,58 @@ def _profile(config: ExperimentConfig, condition: Condition) -> SparsityProfile:
     return profile.clip(unknown_shape(condition.option, sys_cfg.M, sys_cfg.U, sys_cfg.D))
 
 
-def run_trial(config: ExperimentConfig, condition: Condition, Np: int, trial_index: int) -> float:
-    """Per-element channel MSE of one seeded Monte-Carlo trial."""
+def run_trial(config: ExperimentConfig, condition: Condition, Np: int, trial_index: int,
+              draws: dict | None = None) -> float:
+    """Per-element channel MSE of one seeded Monte-Carlo trial.
+
+    The trial's draw is its rng, channel paths, pilot design, operator and
+    observation (and the truth it is scored against). Within one config it
+    depends on the condition only through the key (trial_index, Np, V, L,
+    option, on_grid); the assumed path count, L1, L2 and the algorithm enter
+    only the solve and the score. ``draws``, when given, is a dict its caller
+    owns: the draw is made the first time its key is seen, stored there, and
+    reused after that. The measurement and the truth are read-only arrays,
+    and neither the solve nor the score writes the operator, so a reused
+    draw returns the float a fresh call returns, in every bit.
+    """
+    key = (trial_index, Np, condition.V, condition.L, condition.option, condition.on_grid)
+    draw = None if draws is None else draws.get(key)
+    if draw is None:
+        draw = _draw(config, condition, Np, trial_index)
+        if draws is not None:
+            draws[key] = draw
+    op, y, truth = draw
+    cfg = RecoveryConfig(algorithm=condition.algorithm, profile=_profile(config, condition))
+    result = solve(y, op, cfg)
+    if condition.on_grid:
+        idx, gains = truth
+        # Parseval: per-element MSE over all UEs equals the squared distance
+        # of the stacked delay-angular vectors. Both vanish off the union of
+        # the estimate's support and the true one, so only that union is summed.
+        union = np.union1d(result.support, idx)
+        err = result.x_hat[union]
+        err[np.searchsorted(union, idx)] -= gains
+        return float(np.linalg.norm(err) ** 2)
+
+    (H,) = truth
+    sys_cfg = config.system
+    N, M, D, U = sys_cfg.N, sys_cfg.M, sys_cfg.D, sys_cfg.U
+    X_hat = unvectorize(result.x_hat, condition.option, U * D, M).reshape(U, D, M)
+    H_hat = transfer_from_delay_angular(X_hat, N, M)
+    # Summed per UE, in UE order, without a U x N x M difference array.
+    err = sum(float(np.linalg.norm(H_hat[u] - H[u]) ** 2) for u in range(U))
+    return err / (N * M)
+
+
+def _draw(config: ExperimentConfig, condition: Condition, Np: int, trial_index: int):
+    """(operator, measurement y, truth) of trial ``trial_index``, from SeedSequence([seed, t]).
+
+    The truth is the on-grid (flat indices, gains) of the unknown or the
+    off-grid (H,), the (U, N, M) stack of transfer matrices; its arrays and y
+    are read-only.
+    """
     sys_cfg, chan = config.system, config.channel
     N, M, D, U = sys_cfg.N, sys_cfg.M, sys_cfg.D, sys_cfg.U
-    Mp = config.antenna_count()
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, trial_index]))
     params = ChannelParams(
         N=N, M=M, D=D, U=U, V=condition.V, L=condition.L, K_V=chan.K_V, K_L=chan.K_L,
@@ -367,32 +421,21 @@ def run_trial(config: ExperimentConfig, condition: Condition, Np: int, trial_ind
         paths = gen_ongrid(params, rng, condition.option)
     else:
         paths = gen_offgrid(params, rng)
-    design = make_design(N, M, D, U, Np, Mp, seed=int(rng.integers(2**63)))
+    design = make_design(N, M, D, U, Np, config.antenna_count(), seed=int(rng.integers(2**63)))
     op = KroneckerSensingOperator(design, condition.option)
-    cfg = RecoveryConfig(algorithm=condition.algorithm, profile=_profile(config, condition))
-
-    snr_linear = 10.0 ** (config.snr_db / 10.0)
     if condition.on_grid:
         idx, gains = sparse_delay_angular(paths, N, M, D, condition.option)
+        snr_linear = 10.0 ** (config.snr_db / 10.0)
         z = _noise(rng, design.Np, design.Mp, snr_linear) / math.sqrt(design.Np * design.Mp)
         y = op.forward(idx, gains) + vectorize(z, condition.option)
-        result = solve(y, op, cfg)
-        # Parseval: per-element MSE over all UEs equals the squared distance
-        # of the stacked delay-angular vectors. Both vanish off the union of
-        # the estimate's support and the true one, so only that union is summed.
-        union = np.union1d(result.support, idx)
-        err = result.x_hat[union]
-        err[np.searchsorted(union, idx)] -= gains
-        return float(np.linalg.norm(err) ** 2)
-
-    H = np.stack([superpose_transfer(ue_paths, N, M) for ue_paths in paths])
-    Y = observed_matrix(H, design, rng, config.snr_db)
-    result = solve(vectorize(Y, condition.option), op, cfg)
-    X_hat = unvectorize(result.x_hat, condition.option, U * D, M).reshape(U, D, M)
-    H_hat = transfer_from_delay_angular(X_hat, N, M)
-    # Summed per UE, in UE order, without a U x N x M difference array.
-    err = sum(float(np.linalg.norm(H_hat[u] - H[u]) ** 2) for u in range(U))
-    return err / (N * M)
+        truth = (idx, gains)
+    else:
+        H = np.stack([superpose_transfer(ue_paths, N, M) for ue_paths in paths])
+        y = vectorize(observed_matrix(H, design, rng, config.snr_db), condition.option)
+        truth = (H,)
+    for array in (y, *truth):
+        array.flags.writeable = False
+    return op, y, truth
 
 
 def _conditions(config: ExperimentConfig) -> list[Condition]:
@@ -412,13 +455,32 @@ def _conditions(config: ExperimentConfig) -> list[Condition]:
     return conditions
 
 
+def _trial_row(config: ExperimentConfig, conditions: list[Condition], Np: int,
+               trial_index: int) -> list[tuple[float, float]]:
+    """(MSE, seconds) of trial ``trial_index`` under each condition, in order.
+
+    The conditions share one dict of draws, which lives only for this call; a
+    draw's cost is charged to the first condition that makes it.
+    """
+    draws: dict = {}
+    row = []
+    for cond in conditions:
+        start = time.perf_counter()
+        mse = run_trial(config, cond, Np, trial_index, draws=draws)
+        row.append((mse, time.perf_counter() - start))
+    return row
+
+
 def run_sweep(config: ExperimentConfig, out_dir=None, threads: int = 1):
     """Run all sweep points and conditions; optionally write CSV + manifest.
 
     All trials run on one pool of ``threads`` workers, opened once, before the
-    output directory; a record's ``seconds`` is its batch's wall time. A trial
-    that raises cancels those not yet started. Returns (records, csv_path,
-    manifest_path); the paths are None when no output directory is given.
+    output directory. Each sweep point runs one pool task per trial index,
+    which calls ``run_trial`` for every condition in order on one shared dict
+    of draws (``_trial_row``). A record's ``seconds`` is the summed wall time
+    of its condition's ``run_trial`` calls. A trial that raises cancels the
+    rows not yet started. Returns (records, csv_path, manifest_path); the
+    paths are None when no output directory is given.
     """
     conditions = _conditions(config)
     pool = ThreadPoolExecutor(max_workers=threads)
@@ -429,13 +491,13 @@ def run_sweep(config: ExperimentConfig, out_dir=None, threads: int = 1):
         records: list[MseRecord] = []
         for sweep_value in config.sweep:
             Np, lhat = config._sweep_point(sweep_value)
+            at_point = [cond if lhat is None else replace(cond, lhat=lhat) for cond in conditions]
+            rows = list(pool.map(functools.partial(_trial_row, config, at_point, Np),
+                                 range(config.trials)))
             best: dict[str, MseRecord] = {}  # per algorithm, its first lowest-mean off-grid record
-            for cond in conditions:
-                at_point = cond if lhat is None else replace(cond, lhat=lhat)
-                start = time.perf_counter()
-                values = np.asarray(list(pool.map(
-                    functools.partial(run_trial, config, at_point, Np), range(config.trials))))
-                seconds = time.perf_counter() - start
+            for c, cond in enumerate(conditions):
+                values = np.asarray([row[c][0] for row in rows])
+                seconds = math.fsum(row[c][1] for row in rows)
                 stderr = float(values.std(ddof=1) / math.sqrt(len(values))) if len(values) > 1 else 0.0
                 record = MseRecord(float(sweep_value), cond.label, float(values.mean()), stderr,
                                    config.trials, seconds)

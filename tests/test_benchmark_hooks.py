@@ -12,6 +12,7 @@ import json
 import math
 from pathlib import Path
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -184,3 +185,24 @@ def test_seed_zero_quality_matches_the_benchmark_reference(workload, tmp_path):
     k = runner.check_requests
     value = math.fsum(runner.run(i).value for i in range(k)) / k
     assert math.isclose(value, reference, rel_tol=1e-9, abs_tol=0.0), (value, reference)
+
+
+def test_sweep_trials_reach_both_pool_threads(monkeypatch, tmp_path):
+    # perfbench fails small-offgrid-sweep unless its run_trial spans run on two
+    # pool threads. A sweep point runs one pool task per trial index, so the
+    # workload's two trials at --threads 2 must put one row on each thread,
+    # and run_trial stays the one call per (condition, trial).
+    runner = _perfbench_workloads().make_workload("small-offgrid-sweep", 0, "full", tmp_path)
+    config = ExperimentConfig.from_json(runner.config_text(0), "small")
+    threads = Counter()
+    trial = hisparse.simulate.run_trial
+
+    def traced(*args, **kwargs):
+        threads[threading.get_ident()] += 1
+        return trial(*args, **kwargs)
+
+    monkeypatch.setattr(hisparse.simulate, "run_trial", traced)
+    hisparse.simulate.run_sweep(config, threads=runner.threads)
+    assert runner.threads == config.trials == 2
+    assert len(threads) == 2
+    assert sum(threads.values()) == runner.curves * config.trials

@@ -469,13 +469,92 @@ def test_records_do_not_depend_on_thread_count():
                     for r in runs[0]])
 
 
+
+# One config per case of the shared draw: (config fields, draws per row).
+# offgrid-sweep: every condition shares one draw; omp-compare: Mp < M with OMP
+# in the row; multiuser-sweep: a V axis, one key per V; sf-vs-fs: an option
+# axis by a V axis; single-user-sweep: an L axis.
+_SHARED_DRAW_CASES = {
+    "offgrid-sweep": (dict(system=SystemConfig(N=32, M=8, D=8, U=1), channel=ChannelConfig(L=1, V=1),
+                           algorithms=["HiIHT", "HiHTP", "IHT"], l1_values=[1, 2], l2_values=[1]), 1),
+    "omp-compare": (dict(system=SystemConfig(N=64, M=16, D=16, U=2), channel=ChannelConfig(L=2, V=1)), 1),
+    "multiuser-sweep": (dict(system=SystemConfig(N=64, M=16, D=16, U=4)), 3),
+    "sf-vs-fs": (dict(system=SystemConfig(N=64, M=16, D=16, U=2), v_values=[1, 2]), 4),
+    "single-user-sweep": (dict(system=SystemConfig(N=64, M=16, D=16, U=1), l_values=[2, 3]), 2),
+}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("scenario", sorted(_SHARED_DRAW_CASES))
+def test_sweep_records_equal_independent_trials(monkeypatch, scenario, threads):
+    # A row shares trial t's draw between its conditions, one draw per
+    # distinct key; every record still equals, in every bit, the mean and
+    # stderr of run_trial calls that share nothing.
+    fields, keys = _SHARED_DRAW_CASES[scenario]
+    config = ExperimentConfig(scenario=scenario, sweep=[8, 16], trials=3, seed=4, **fields)
+    designs = []
+    make = simulate.make_design
+
+    def counted(*args, **kwargs):
+        designs.append(args)
+        return make(*args, **kwargs)
+
+    monkeypatch.setattr(simulate, "make_design", counted)
+    records, _, _ = run_sweep(config, threads=threads)
+    monkeypatch.undo()
+    assert len(designs) == len(config.sweep) * config.trials * keys
+    expected = []
+    for Np in config.sweep:
+        for cond in simulate._conditions(config):
+            values = np.asarray([run_trial(config, cond, Np, t) for t in range(config.trials)])
+            stderr = float(values.std(ddof=1) / math.sqrt(config.trials))
+            expected.append((float(Np), cond.label, float(values.mean()).hex(), stderr.hex()))
+    assert [(r.sweep_value, r.algorithm, r.mse_mean.hex(), r.mse_stderr.hex()) for r in records
+            if not r.algorithm.endswith(":best(L1,L2)")] == expected
+
+
+def _draw_bytes(draw):
+    """The bytes of a draw's measurement, truth and operator arrays, by name."""
+    op, y, truth = draw
+    arrays = {"y": y, **{f"truth{i}": a for i, a in enumerate(truth)}}
+    for owner, prefix in ((op, "op."), (op.design, "design.")):
+        arrays.update({prefix + name: a for name, a in vars(owner).items() if isinstance(a, np.ndarray)})
+    return {name: (a.flags.writeable, a.tobytes()) for name, a in arrays.items()}
+
+
+@pytest.mark.parametrize("Mp", [16, 8])
+def test_a_shared_draw_is_never_written(Mp):
+    # Every solver, on-grid and off-grid, under FS and SF, runs on one dict of
+    # draws (one dict per config: the key leaves the config out). Afterwards
+    # each draw has the bytes of a fresh one, its measurement and truth are
+    # still read-only, and every MSE equals a fresh call's.
+    config = ExperimentConfig(scenario="offgrid-sweep", system=SystemConfig(N=64, M=16, D=16, U=2),
+                              channel=ChannelConfig(L=2, V=2), sweep=[24], trials=1, seed=9, Mp=Mp,
+                              l1_values=[1], l2_values=[1])
+    draws, first = {}, {}
+    for option in ("FS", "SF"):
+        for L1 in (None, 1):
+            for alg in ("HiIHT", "HiHTP", "IHT", "HTP", "OMP"):
+                cond = Condition(label=alg, algorithm=alg, option=option, V=2, L=2, L1=L1, L2=L1)
+                mse = run_trial(config, cond, 24, 1, draws=draws)
+                assert mse.hex() == run_trial(config, cond, 24, 1).hex()
+                first.setdefault((1, 24, 2, 2, option, L1 is None), cond)
+    assert draws.keys() == first.keys()
+    for key, cond in first.items():
+        fresh = _draw_bytes(simulate._draw(config, cond, 24, 1))
+        assert _draw_bytes(draws[key]) == fresh
+        assert not any(writeable for name, (writeable, _) in fresh.items()
+                       if not name.startswith(("op.", "design.")))
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_failing_trial_stops_the_sweep(monkeypatch, threads):
-    # The exception reaches the caller, the trials not yet started are
-    # cancelled, and no pool worker outlives run_sweep.
+    # The exception reaches the caller, the trial rows not yet started are
+    # cancelled, and no pool worker outlives run_sweep. A row calls run_trial
+    # once per condition with its shared dict of draws.
     started = []
 
-    def failing_trial(config, condition, Np, trial_index):
+    def failing_trial(config, condition, Np, trial_index, draws=None):
         started.append(trial_index)
         time.sleep(0.01)
         if trial_index == 1:
