@@ -65,10 +65,11 @@ class ChannelParams:
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
-def _gains(L: int, rng: np.random.Generator) -> np.ndarray:
-    # i.i.d. circularly-symmetric complex Gaussian, per-path variance 1/L.
-    scale = math.sqrt(1.0 / (2 * L))
-    return scale * (rng.standard_normal(L) + 1j * rng.standard_normal(L))
+def _complex_normal(rng: np.random.Generator, shape, variance: float) -> np.ndarray:
+    """i.i.d. circularly-symmetric complex Gaussian draws of the given variance
+    (the real parts drawn first, then the imaginary parts)."""
+    scale = math.sqrt(variance / 2)
+    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
 def _constrained_pairs(outer_n, inner_n, L, K_outer_per_ue, rng, shared_counts, K_shared):
@@ -144,7 +145,7 @@ def gen_ongrid(params: ChannelParams, rng: np.random.Generator, option="FS") -> 
             kl = [(d, a) for a, d in pairs]
         else:
             kl = _constrained_pairs(p.D, p.M, p.L, p.K_L, rng, None, 0)
-        gains = _gains(p.L, rng)
+        gains = _complex_normal(rng, p.L, 1.0 / p.L)
         paths[u] = [
             ChannelPath(k / p.N, l / p.M, complex(g)) for (k, l), g in zip(kl, gains)
         ]
@@ -159,7 +160,7 @@ def gen_offgrid(params: ChannelParams, rng: np.random.Generator) -> list[list[Ch
     for u in active:
         taus = rng.uniform(0.0, p.alpha, size=p.L)
         thetas = rng.uniform(0.0, 1.0, size=p.L)
-        gains = _gains(p.L, rng)
+        gains = _complex_normal(rng, p.L, 1.0 / p.L)
         paths[u] = [
             ChannelPath(float(t), float(th), complex(g))
             for t, th, g in zip(taus, thetas, gains)

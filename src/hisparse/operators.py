@@ -16,69 +16,16 @@ operator is conj(angle) (x) delay and the flat index factors as block layout
 The option is also the single place that decides how matrices are vectorized
 (``vectorize`` / ``unvectorize``, and ``flat_index`` for single entries).
 
-``forward`` takes the unknown by its support: sorted distinct flat indices
-and their values. It runs no length-N FFT and never reads the rest of the
-unknown: it scatters the values into an (r x M) block of the r occupied delay
-rows, multiplies that block by the matching delay-factor columns (built as
-``columns`` builds them, from a precomputed table of the N DFT phases) and
-then applies length-M FFTs to the Np pilot rows. A dense vector x enters as
-``forward(np.flatnonzero(x), x[np.flatnonzero(x)])``. ``adjoint_values``
-applies length-M FFTs to the Np rows and writes its result into a caller's
-``out`` array when given one. Its delay adjoint takes one of two routes,
-fixed at construction by the design's sizes alone. With sparse pilots
-(Np*U*D <= PRODUCT_CROSSOVER * N*log2(N)) it is one matrix product of the
-(Np x M) angle output with the conjugated delay-factor table (Np x U*D),
-written straight into ``out``. Otherwise it is one length-N inverse FFT per
-angle along the contiguous rows of an (M x N) buffer: ``out`` itself under
-FS with U*D = N, else a per-thread work buffer whose first U*D columns are
-copied into ``out``. Both factor Grams are circulant (entry (q, q')
-depends only on (q - q') mod N, entry (m, m') only on (m - m') mod M), so
-``gram`` evaluates any restricted Gram (A^H A)[S, S] from two precomputed
-kernels in O(|S|^2) without building a column. ``solve_normal(aty, idx)``
-is the least-squares refit: it solves the normal equations
-(A^H A)[S, S] beta = (A^H y)[S] on one of two routes, fixed by the design
-alone:
-
-  * Mp < M: one SVD ``lstsq`` of ``gram(S)``, O(|S|^3), the minimum-norm
-    solution when the Gram is singular.
-  * Mp = M: the angle Gram is I, so (A^H A)[S, S] is block-diagonal by
-    angle, and the block of an angle is the delay Gram (T^H T)[q, q] over
-    that angle's delays q, gathered from the delay kernel. The r occupied
-    angles' blocks, zero-padded to the largest one (n delays), take one
-    batched Cholesky factorization and one batched ``solve``, O(r*n^3)
-    against O(|S|^3). The Cholesky factors are the certificate: when one
-    fails, or the smallest squared pivot over S is below
-    CHOLESKY_PIVOT_FLOOR (1e-8) times the largest, the refit takes the
-    ``lstsq`` route instead, so a singular block (more delays at one angle
-    than Np, or dependent columns) still gets the minimum-norm solution.
-    Otherwise the result agrees with that ``lstsq`` to rounding.
-
-``adjoint_residual(y, aty, idx, values, out=None)`` is the thresholding
-solvers' gradient step A^H (y - A x) given aty = A^H y, reported as the
-entries where it differs from aty and its values there. It takes one of three routes, each
-fixed by the design alone:
-
-  * Mp < M: every entry, ``adjoint_values(y - forward(idx, values))``, the
-    textbook bits, into a caller's ``out`` when given one.
-  * Mp = M: the angle factor is the unitary M-point DFT, so A^H A = I (x) T^H T
-    (FS) or T^H T (x) I (SF), and the step stays in the delay domain. It
-    changes only the r*U*D entries of the r angles that x occupies: each
-    angle's delay column minus T^H T applied to it, which agrees with
-    ``forward`` plus the adjoint to rounding. T^H T is applied in one of two
-    ways, chosen by GRAM_STEP_CROSSOVER:
-      - Gram route, when (U*D)**2 <= GRAM_STEP_CROSSOVER * N*log2(N): one
-        product of the (r x U*D) block of x's values with the restricted delay
-        Gram (T^H T)[:U*D, :U*D], a (U*D x U*D) table built at construction
-        (32 x 32 at the ``small`` preset). O(r*(U*D)^2).
-      - FFT route otherwise: one length-N FFT, the delay spectrum and one
-        inverse FFT per angle. O(r*N log N + r*U*D).
-    Either costs far less than O(Np*r*M + Np*M log M) for ``forward`` plus
-    O(M*N log N) or O(Np*U*D*M) for the adjoint. The ``paper`` preset (U = 4,
-    U*D = 1024, N = 1024) sits far above the gate, (U*D)^2 = 1,048,576
-    against 40,960, and takes the FFT route; its table would be 16 MB.
-
-``columns`` builds exact columns of the matrix from the two factors, and a
-dense materialization is kept as a test oracle for small problems.
+Both factor Grams are circulant: entry (q, q') depends only on (q - q') mod
+N, entry (m, m') only on (m - m') mod M, so ``gram`` evaluates any restricted
+Gram from two kernels. With every antenna observed (Mp = M) the angle factor
+is the unitary M-point DFT, so A^H A = I (x) T^H T (FS) or T^H T (x) I (SF),
+with T the delay factor: the gradient step ``adjoint_residual`` and the
+least-squares refit ``solve_normal`` then split by angle. Each method's
+docstring gives its routes and their costs; the design picks the route,
+apart from the refit's fallback on a singular block. ``columns`` builds exact
+columns from the two factors, and ``densify`` a dense matrix kept as a test
+oracle for small problems.
 """
 
 from __future__ import annotations
@@ -192,28 +139,23 @@ def _support(idx, values, in_dim: int) -> tuple[np.ndarray, np.ndarray]:
     return idx, values
 
 
+def _groups(keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(sorted distinct keys, each key's position among them) of integer keys in [0, n)."""
+    seen = np.zeros(n, dtype=bool)
+    seen[keys] = True
+    distinct = np.flatnonzero(seen)
+    return distinct, np.searchsorted(distinct, keys)
+
+
 class KroneckerSensingOperator:
     """Forward/adjoint linear map between the unknown and the pilot samples.
 
     The unknown is a flat array of length ``in_dim`` in layout ``shape_in``;
-    the output has length Np*Mp. ``forward(idx, values)`` of a support whose
-    entries occupy r delay rows costs O(U*D + |S| log r + Np*r*M +
-    Np*M log M), independent of ``in_dim``. ``adjoint_values(y, out)`` costs
-    O(Np*M log M) plus its delay adjoint: O(Np*U*D*M) on the product route,
-    taken when Np*U*D <= PRODUCT_CROSSOVER * N*log2(N), with no scratch
-    memory; O(M*N log N) on the FFT route otherwise, whose FFT runs in
-    ``out`` under FS with U*D = N and else in a per-thread (M x N) work
-    buffer and one copy into ``out``. The product route keeps an (Np x U*D)
-    table, ``_adjoint_table`` (None on the FFT route). With Mp = M,
-    ``adjoint_residual`` of a support on r angles costs O(r*(U*D)^2) from the
-    restricted delay Gram ``_delay_gram`` when (U*D)^2 <= GRAM_STEP_CROSSOVER
-    * N*log2(N), else O(r*N log N + r*U*D) from the length-N delay spectrum
-    ``_delay_spectrum``; the other one is None. Both are None when Mp < M,
-    where the step is ``forward`` plus ``adjoint_values``. ``solve_normal``
-    of a support S costs O(|S|^3) with Mp < M and O(r*n^3) with Mp = M, for
-    r occupied angles with at most n delays each. Instances are
-    immutable after construction and reentrant: concurrent calls from
-    different threads share no scratch memory.
+    the output has length Np*Mp. The tables a route reads (``_adjoint_table``,
+    ``_delay_gram``, ``_delay_spectrum``) are built at construction, and each
+    is None when its route is not taken. Instances are immutable after
+    construction and reentrant: concurrent calls from different threads
+    share no scratch memory.
     """
 
     def __init__(self, design: PilotDesign, option="FS"):
@@ -239,11 +181,9 @@ class KroneckerSensingOperator:
         mask = np.zeros(d.M)
         mask[d.antennas] = 1.0
         self._angle_kernel = np.conj(np.fft.ifft(mask) * (d.M / d.Mp))
-        # With every antenna observed the angle Gram is I, so A^H A is the delay
-        # Gram per angle: a circular convolution with tau_kernel. At small U*D
-        # (see GRAM_STEP_CROSSOVER) the step multiplies by its (U*D x U*D)
-        # restriction; otherwise it goes through its DFT, weights * N/Np
-        # (scaled by 1/N here for an unnormalized inverse FFT).
+        # The Mp = M gradient step's table (see adjoint_residual): the delay
+        # Gram restricted to U*D x U*D, or its DFT, weights * N/Np, scaled by
+        # 1/N here for an unnormalized inverse FFT.
         self._delay_spectrum = self._delay_gram = None
         if d.Mp == d.M:
             if self._ud ** 2 <= GRAM_STEP_CROSSOVER * d.N * math.log2(d.N):
@@ -270,23 +210,22 @@ class KroneckerSensingOperator:
     def forward(self, idx, values) -> np.ndarray:
         """A @ x for the x that holds ``values`` at the flat indices ``idx``.
 
-        ``idx`` must be strictly increasing in [0, in_dim). The occupied delay
-        rows are marked in a mask of length U*D, each entry's slot is the rank
-        of its row among them (a binary search in the sorted rows), and the
-        values are scattered into an (r x M) block of those rows. Only the
-        support is read. The block enters the delay factor, and the
-        (Np x M) product is then mapped through the angle factor by length-M
-        inverse FFTs read at the observed antennas. Returns a length Np*Mp
-        vector (vectorized per the option).
+        ``idx`` must be strictly increasing in [0, in_dim). The values are
+        scattered into an (r x M) block of the r occupied delay rows, each at
+        its row's position among them. Only the support is read. The block
+        enters the matching delay-factor columns, and the (Np x M) product is
+        then mapped through the angle factor by length-M inverse FFTs read at
+        the observed antennas; no length-N FFT runs. Cost O(U*D + |S| log r +
+        Np*r*M + Np*M log M), independent of ``in_dim``. Returns a length
+        Np*Mp vector (vectorized per the option). A dense x enters as
+        ``forward(np.flatnonzero(x), x[np.flatnonzero(x)])``.
         """
         d = self.design
         idx, values = _support(idx, values, self.in_dim)
         q, m = self._split(idx)
-        occupied = np.zeros(self._ud, dtype=bool)
-        occupied[q] = True
-        rows = np.flatnonzero(occupied)
+        rows, slot = _groups(q, self._ud)
         block = np.zeros((rows.size, d.M), dtype=np.complex128)
-        block[np.searchsorted(rows, q), m] = values
+        block[slot, m] = values
         W = self._delay_columns(rows) @ block / math.sqrt(d.Np)
         V = np.fft.ifft(W, axis=1) * d.M
         return vectorize(V[:, d.antennas] / math.sqrt(d.Mp), self.option)
@@ -297,15 +236,19 @@ class KroneckerSensingOperator:
         ``out`` is an optional destination: a C-contiguous complex128 array
         of length ``in_dim``, allocated when None; the result is the same in
         every bit either way. The angle adjoint is one length-M FFT per pilot
-        row of the (Np x Mp) observation, zero-padded to M antennas. On the
-        product route the delay adjoint is that (Np x M) result times the
-        table conj(T) (Np x U*D), a matrix product written into ``out``
-        viewed as (M x U*D) under FS or (U*D x M) under SF. On the FFT route
-        it is one unnormalized length-N inverse FFT per angle, run in place
-        along the contiguous rows of an (M x N) buffer. Under FS with U*D = N
-        that buffer is ``out`` viewed as (M x N); otherwise it is this
-        thread's work buffer, and its first U*D columns are copied into
-        ``out``.
+        row of the (Np x Mp) observation, zero-padded to M antennas, O(Np*M
+        log M). The delay adjoint takes one of two routes:
+
+          * product route, when Np*U*D <= PRODUCT_CROSSOVER * N*log2(N)
+            (sparse pilots): that (Np x M) result times the table
+            ``_adjoint_table`` = conj(T) (Np x U*D), one matrix product
+            written into ``out`` viewed as (M x U*D) under FS or (U*D x M)
+            under SF. O(Np*U*D*M), no scratch memory.
+          * FFT route otherwise: one unnormalized length-N inverse FFT per
+            angle, run in place along the contiguous rows of an (M x N)
+            buffer. Under FS with U*D = N that buffer is ``out`` viewed as
+            (M x N); otherwise it is this thread's work buffer, and its first
+            U*D columns are copied into ``out``. O(M*N log N).
         """
         d = self.design
         v = np.asarray(y, dtype=np.complex128)
@@ -343,22 +286,28 @@ class KroneckerSensingOperator:
 
         ``aty`` is A^H y. Returns (changed, step): an index of the flat
         vector and the step's values there; at every other index the step
-        equals ``aty``. With Mp < M ``changed`` is ``slice(None)``, every
-        entry, and ``step`` is ``adjoint_values(y - forward(idx, values),
-        out)``: ``out`` is an optional destination, as for ``adjoint_values``,
-        read only on this route. With Mp = M the angle factor is unitary,
-        A^H A = I (x) T^H T, and y is not read: ``changed`` is the sorted flat
-        indices of every entry of the r angles that x occupies (r contiguous
-        runs of U*D under FS, U*D strided rows of r under SF), and ``step`` is
-        aty there minus T^H T applied to each angle's delay column. On the
-        Gram route that product is the (r x U*D) block of x's values times the
-        transposed restricted delay Gram, O(r*(U*D)^2). On the FFT route T^H T
-        is circulant, so it is one length-N FFT per angle of its zero-padded
-        delay column, times the delay spectrum (nonzero on the pilot
-        subcarriers only), and one inverse FFT, whose first U*D entries are
-        subtracted, O(r*N log N + r*U*D). Either is against
-        O(Np*r*M + Np*M log M) for ``forward`` plus the adjoint's
-        O(M*N log N) (FFT route) or O(Np*U*D*M) (product route).
+        equals ``aty``. With Mp = M, A^H A = I (x) T^H T and y is not read:
+        ``changed`` is the sorted flat indices of every entry of the r angles
+        that x occupies (r contiguous runs of U*D under FS, U*D strided rows
+        of r under SF), and ``step`` is aty there minus T^H T applied to each
+        angle's delay column, which agrees with ``forward`` plus the adjoint
+        to rounding. One of three routes runs:
+
+          * Mp < M: ``changed`` is ``slice(None)``, every entry, and ``step``
+            is ``adjoint_values(y - forward(idx, values), out)``, the
+            textbook bits; ``out`` is an optional destination, as for
+            ``adjoint_values``, read only on this route.
+          * Mp = M, Gram route, when (U*D)**2 <= GRAM_STEP_CROSSOVER *
+            N*log2(N): the (r x U*D) block of x's values times the
+            transposed restricted delay Gram ``_delay_gram``, O(r*(U*D)^2).
+          * Mp = M, FFT route otherwise: T^H T is circulant, so it is one
+            length-N FFT per angle of its zero-padded delay column, times the
+            delay spectrum ``_delay_spectrum`` (nonzero on the pilot
+            subcarriers only), and one inverse FFT, whose first U*D entries
+            are subtracted, O(r*N log N + r*U*D).
+
+        Both Mp = M routes cost far less than ``forward`` plus a full
+        adjoint over all M angles.
         """
         d = self.design
         if d.Mp < d.M:
@@ -367,12 +316,10 @@ class KroneckerSensingOperator:
         if np.shape(aty) != (self.in_dim,):
             raise DimensionError(f"A^H y length {np.shape(aty)} != {self.in_dim}")
         q, m = self._split(idx)
-        occupied = np.zeros(d.M, dtype=bool)
-        occupied[m] = True
-        angles = np.flatnonzero(occupied)
+        angles, slot = _groups(m, d.M)
         gram = self._delay_gram
         block = np.zeros((angles.size, d.N if gram is None else self._ud), dtype=np.complex128)
-        block[np.searchsorted(angles, m), q] = values
+        block[slot, q] = values
         if gram is not None:
             block = block @ gram.T
         else:
@@ -413,18 +360,21 @@ class KroneckerSensingOperator:
         """Least-squares coefficients on a support: beta with (A^H A)[idx, idx] beta = aty[idx].
 
         ``aty`` is A^H y and ``idx`` a sequence of distinct flat indices in any
-        order; beta[i] belongs to idx[i]. With Mp < M this is one ``lstsq`` of
-        ``gram(idx)``, the minimum-norm solution when it is singular. With
-        Mp = M the angle Gram is I, so the system splits by angle into
-        blocks (T^H T)[q, q] over the delays q of each occupied angle. The
-        entries are stably sorted by angle, each block is gathered from the
-        delay kernel into a stack zero-padded to the largest block (identity
-        on the padding), and one batched ``solve`` runs on the stack. A
+        order; beta[i] belongs to idx[i]. With Mp < M this is one SVD
+        ``lstsq`` of ``gram(idx)``, O(|S|^3), the minimum-norm solution when
+        it is singular. With Mp = M the angle Gram is I, so the system splits
+        by angle into blocks (T^H T)[q, q] over the delays q of each occupied
+        angle. Each entry, in the support's own order, takes the slot of its
+        angle's position among the r occupied angles and of its rank within
+        that angle. The blocks are gathered from the delay kernel into a
+        stack zero-padded to the largest block, n delays (identity on the
+        padding), and one batched ``solve`` runs on the stack, O(r*n^3). A
         batched Cholesky factorization certifies it first: if one fails, or
         the smallest squared pivot over the support is below
         CHOLESKY_PIVOT_FLOOR times the largest, the solve falls back to the
         ``lstsq`` of ``gram(idx)``, so a singular block (more delays at one
-        angle than Np, say) still gets the minimum-norm solution.
+        angle than Np, say) still gets the minimum-norm solution. Otherwise
+        the result agrees with that ``lstsq`` to rounding.
         """
         d = self.design
         idx = np.asarray(idx, dtype=np.int64)
@@ -433,14 +383,12 @@ class KroneckerSensingOperator:
             if not idx.size:
                 return rhs
             q, m = self._split(idx)
-            order = np.argsort(m, kind="stable")
-            q, m = q[order], m[order]
-            first = np.ones(idx.size, dtype=bool)  # the first entry of each angle's block
-            first[1:] = m[1:] != m[:-1]
-            starts = np.flatnonzero(first)
-            block = np.cumsum(first) - 1
-            slot = np.arange(idx.size) - starts[block]
-            shape = (starts.size, int(slot.max()) + 1)
+            angles, block = _groups(m, d.M)
+            order = np.argsort(block, kind="stable")
+            ranked = block[order]
+            slot = np.empty_like(block)  # each entry's rank within its angle
+            slot[order] = np.arange(idx.size) - np.searchsorted(ranked, ranked)
+            shape = (angles.size, int(slot.max()) + 1)
             delays, used = np.zeros(shape, dtype=np.int64), np.zeros(shape, dtype=bool)
             delays[block, slot], used[block, slot] = q, True
             G = np.where(used[:, :, None] & used[:, None, :],
@@ -452,10 +400,8 @@ class KroneckerSensingOperator:
                 pivots = None
             if pivots is not None and pivots.min() >= CHOLESKY_PIVOT_FLOOR * pivots.max():
                 b = np.zeros(shape + (1,), dtype=np.complex128)
-                b[block, slot, 0] = rhs[order]
-                beta = np.empty_like(rhs)
-                beta[order] = np.linalg.solve(G, b)[block, slot, 0]
-                return beta
+                b[block, slot, 0] = rhs
+                return np.linalg.solve(G, b)[block, slot, 0]
         return np.linalg.lstsq(self.gram(idx), rhs, rcond=None)[0]
 
     def densify(self) -> np.ndarray:

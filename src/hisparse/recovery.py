@@ -16,9 +16,9 @@ IEEE addition commutes, so either way below x_temp is x plus the step bit for
 bit, apart from the sign of a zero off S (0.0 + -0.0 is +0.0).
 
   * With every antenna observed (Mp = M) the step stays in the delay domain
-    (A^H A = I (x) T^H T, see ``operators``) and changes only the entries of
-    the angles that x occupies. A later pass writes those over A^H y, adds x
-    on S only, zeroes S in x, patches those entries' moduli, selects, reads
+    (see ``adjoint_residual``) and changes only the entries of the angles
+    that x occupies. A later pass writes those over A^H y, adds x on S
+    only, zeroes S in x, patches those entries' moduli, selects, reads
     x_temp on the new support and puts the saved A^H y entries and moduli
     back before a refit reads A^H y. It makes no length-in_dim copy and no
     full moduli pass.
@@ -28,17 +28,14 @@ bit, apart from the sign of a zero off S (0.0 + -0.0 is +0.0).
     in the ``step_moduli`` buffer and selects on those two; A^H y and its
     moduli are not touched, so nothing is saved or put back.
 
-Which outputs move, against the textbook forward + adjoint step and a
-refit by one ``lstsq`` of the restricted Gram: only estimates with Mp = M,
-at rounding level, with the same supports and pass counts. HiIHT/IHT move
-through the delay-domain step (the restricted delay Gram product at small
-U*D, an FFT pair per angle otherwise): the worst relative MSE change seen
-over 240 seeded small solves was 3.0e-14. HiHTP/HTP select on the step but
-refit from A^H y, so the step moves them only where a support choice sits on
-a tie at rounding level; they and OMP move through the per-angle block
-refit (see ``solve_normal`` in ``operators``): the worst relative MSE
-change seen over the seeded test grids was 2.4e-14. The tests bound both by
-1e-12. Every Mp < M solve runs the textbook arithmetic and keeps its bits.
+Against the textbook forward + adjoint step and a refit by one ``lstsq`` of
+the restricted Gram, only estimates with Mp = M move, at rounding level,
+with the same supports and pass counts: HiIHT/IHT through the delay-domain
+step, and HiHTP/HTP/OMP through the per-angle block refit of
+``solve_normal`` (HiHTP/HTP select on the step but refit from A^H y, so the
+step moves them only where a support choice sits on a tie at rounding
+level). The tests bound the relative MSE change by 1e-12. Every Mp < M solve
+runs the textbook arithmetic and keeps its bits.
 The work buffers never reach a result, so only x, allocated per
 solve, leaves the loop, and solves on different threads share nothing.
 Every solver takes one hierarchical profile, cfg.profile, clipped to the

@@ -18,7 +18,7 @@ channel statistics solve the same observation, drawn once per row.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, asdict, field, replace
+from dataclasses import dataclass, asdict, field, fields, replace
 import csv
 import functools
 import itertools
@@ -35,6 +35,7 @@ from .blocks import SparsityProfile, _is_integer
 from .channel import (
     DEFAULT_ALPHA,
     ChannelParams,
+    _complex_normal,
     gen_offgrid,
     gen_ongrid,
     grid_indices,
@@ -77,8 +78,6 @@ _SCENARIO_TABLE = {
 # The list fields that some scenario's axes read, in table order.
 _AXIS_KEYS = tuple(dict.fromkeys(key for _, _, axes in _SCENARIO_TABLE.values()
                                  for key, _ in axes.values() if key))
-
-CSV_HEADER = ("sweep_value", "algorithm", "mse_mean", "mse_stderr", "trials", "seconds")
 
 
 def _is_real(value) -> bool:
@@ -271,6 +270,9 @@ class MseRecord:
     seconds: float
 
 
+CSV_HEADER = tuple(f.name for f in fields(MseRecord))
+
+
 def recovery_profile(option, V, L, K_V, K_L, L1=None, L2=None) -> SparsityProfile:
     """Hierarchical profile of the unknown for the given vectorization.
 
@@ -314,11 +316,6 @@ def sparse_delay_angular(paths, N: int, M: int, D: int, option: str) -> tuple[np
     return idx, values
 
 
-def _noise(rng, Np, Mp, snr_linear) -> np.ndarray:
-    scale = math.sqrt(1.0 / (2.0 * snr_linear))
-    return scale * (rng.standard_normal((Np, Mp)) + 1j * rng.standard_normal((Np, Mp)))
-
-
 def observed_matrix(H, design, rng, snr_db) -> np.ndarray:
     """Normalized pilot observation from the (U, N, M) stack of transfer matrices.
 
@@ -327,7 +324,7 @@ def observed_matrix(H, design, rng, snr_db) -> np.ndarray:
     Y = np.zeros((design.Np, design.Mp), dtype=np.complex128)
     for u, H_u in enumerate(H):
         Y += signature(design, u)[:, None] * H_u[np.ix_(design.subcarriers, design.antennas)]
-    Y += _noise(rng, design.Np, design.Mp, 10.0 ** (snr_db / 10.0))
+    Y += _complex_normal(rng, (design.Np, design.Mp), 1.0 / 10.0 ** (snr_db / 10.0))
     return Y / math.sqrt(design.Np * design.Mp)
 
 
@@ -374,13 +371,11 @@ def run_trial(config: ExperimentConfig, condition: Condition, Np: int, trial_ind
     and neither the solve nor the score writes the operator, so a reused
     draw returns the float a fresh call returns, in every bit.
     """
+    draws = {} if draws is None else draws
     key = (trial_index, Np, condition.V, condition.L, condition.option, condition.on_grid)
-    draw = None if draws is None else draws.get(key)
-    if draw is None:
-        draw = _draw(config, condition, Np, trial_index)
-        if draws is not None:
-            draws[key] = draw
-    op, y, truth = draw
+    if key not in draws:
+        draws[key] = _draw(config, condition, Np, trial_index)
+    op, y, truth = draws[key]
     cfg = RecoveryConfig(algorithm=condition.algorithm, profile=_profile(config, condition))
     result = solve(y, op, cfg)
     if condition.on_grid:
@@ -425,8 +420,8 @@ def _draw(config: ExperimentConfig, condition: Condition, Np: int, trial_index: 
     op = KroneckerSensingOperator(design, condition.option)
     if condition.on_grid:
         idx, gains = sparse_delay_angular(paths, N, M, D, condition.option)
-        snr_linear = 10.0 ** (config.snr_db / 10.0)
-        z = _noise(rng, design.Np, design.Mp, snr_linear) / math.sqrt(design.Np * design.Mp)
+        z = _complex_normal(rng, (design.Np, design.Mp), 1.0 / 10.0 ** (config.snr_db / 10.0))
+        z /= math.sqrt(design.Np * design.Mp)
         y = op.forward(idx, gains) + vectorize(z, condition.option)
         truth = (idx, gains)
     else:
@@ -449,9 +444,9 @@ def _conditions(config: ExperimentConfig) -> list[Condition]:
     conditions = []
     for alg in config.algorithms or algorithms:
         for point in itertools.product(*grids):
-            fields = dict(base, **dict(zip(axes, point)))
-            conditions.append(Condition(label=label.format(alg=alg, **fields), algorithm=alg,
-                                        **fields))
+            values = dict(base, **dict(zip(axes, point)))
+            conditions.append(Condition(label=label.format(alg=alg, **values), algorithm=alg,
+                                        **values))
     return conditions
 
 

@@ -31,6 +31,12 @@ def _report(name: str, ok: bool, detail: str = "") -> bool:
     return ok
 
 
+def _unit_columns(rng, rows: int, cols: int) -> np.ndarray:
+    """A (rows x cols) complex Gaussian matrix with its columns scaled to unit norm."""
+    A = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+    return A / np.linalg.norm(A, axis=0)
+
+
 def _random_design(rng):
     while True:
         N = int(rng.choice([8, 12, 16, 24, 32]))
@@ -101,9 +107,7 @@ def suite_hirip(trials: int = 50, seed: int = 0) -> bool:
             s = SparsityProfile(tuple(int(rng.integers(1, d + 1)) for d in dims))
             if math.comb(shape.total, min(s.max_support, shape.total)) <= 200_000:
                 break
-        rows = int(rng.integers(4, 10))
-        A = (rng.standard_normal((rows, shape.total)) + 1j * rng.standard_normal((rows, shape.total)))
-        A /= np.linalg.norm(A, axis=0)
+        A = _unit_columns(rng, int(rng.integers(4, 10)), shape.total)
         d_hi = hirip_constant(A, shape, s).delta
         d_flat = rip_constant(A, min(s.max_support, shape.total)).delta
         if d_hi > d_flat + 1e-12:
@@ -115,9 +119,7 @@ def suite_hirip(trials: int = 50, seed: int = 0) -> bool:
     for _ in range(trials):
         n = int(rng.integers(3, 7))
         s = int(rng.integers(1, n + 1))
-        rows = int(rng.integers(3, 8))
-        A = rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
-        A /= np.linalg.norm(A, axis=0)
+        A = _unit_columns(rng, int(rng.integers(3, 8)), n)
         gap = abs(hirip_constant(A, BlockShape((n,)), SparsityProfile((s,))).delta
                   - rip_constant(A, s).delta)
         worst = max(worst, gap)
@@ -125,9 +127,7 @@ def suite_hirip(trials: int = 50, seed: int = 0) -> bool:
                   f"max gap {worst:.2e}")
 
     def _factor(rng, cols):
-        rows = int(rng.integers(2, 9))
-        A = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
-        return A / np.linalg.norm(A, axis=0)
+        return _unit_columns(rng, int(rng.integers(2, 9)), cols)
 
     viol = 0
     for _ in range(max(1, trials // 2)):

@@ -49,6 +49,7 @@ from hisparse.blocks import (BlockShape, DimensionError, SparsityProfile, _top_m
                              squared_moduli, work_buffer)
 from hisparse.channel import (
     ChannelParams,
+    _complex_normal,
     gen_offgrid,
     gen_ongrid,
     grid_indices,
@@ -58,7 +59,7 @@ from hisparse.channel import (
 from hisparse.design import make_design, signature
 from hisparse.operators import KroneckerSensingOperator, _support, unvectorize, vectorize
 from hisparse.recovery import RecoveryConfig, solve
-from hisparse.simulate import Condition, ExperimentConfig, SystemConfig, _noise, _profile
+from hisparse.simulate import Condition, ExperimentConfig, SystemConfig, _profile
 
 
 class DenseOperator:
@@ -155,7 +156,7 @@ def naive_mse_trial(system: SystemConfig, L: int, snr_db: float, trial_index: in
     params = ChannelParams(N=system.N, M=system.M, D=system.D, U=1, V=1, L=L, alpha=system.alpha)
     H = superpose_transfer(gen_ongrid(params, rng, "FS")[0], system.N, system.M)
     snr_linear = 10.0 ** (snr_db / 10.0)
-    Y = H + _noise(rng, system.N, system.M, snr_linear)
+    Y = H + _complex_normal(rng, (system.N, system.M), 1.0 / snr_linear)
     return float(np.linalg.norm(Y - H) ** 2) / (system.N * system.M)
 
 
@@ -293,7 +294,7 @@ def offgrid_trial_oracle(config: ExperimentConfig, condition: Condition, Np: int
         if H is None:
             continue
         Y += signature(design, u)[:, None] * H[np.ix_(design.subcarriers, design.antennas)]
-    Y += _noise(rng, design.Np, design.Mp, 10.0 ** (config.snr_db / 10.0))
+    Y += _complex_normal(rng, (design.Np, design.Mp), 1.0 / 10.0 ** (config.snr_db / 10.0))
     Y = Y / math.sqrt(design.Np * design.Mp)
     result = solve(vectorize(Y, condition.option), op, cfg)
     estimates = split_estimate(result.x_hat, condition.option, sys_cfg.U, sys_cfg.D, M)

@@ -88,6 +88,8 @@ def test_shape_and_profile_validation():
         SparsityProfile((3,)).check_compatible((2,))
     with pytest.raises(DimensionError):
         SparsityProfile((1, 1)).check_compatible((4,))
+    with pytest.raises(DimensionError, match="mismatched shape"):
+        SparsityProfile((1, 1)).clip(BlockShape((4,)))
     # A flat vector not reshaped to its block dims has too few levels.
     flat = np.zeros(30, dtype=complex)
     with pytest.raises(DimensionError):

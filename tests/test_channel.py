@@ -39,6 +39,24 @@ def test_channel_params_refuse_a_bad_per_block_cap(name, value):
     ChannelParams(N=64, M=16, D=16, U=2, V=2, L=3, **{name: np.int64(2)})
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: ChannelPath(-0.1, 0.5, 1.0), r"^tau_norm -0.1 outside \[0, 1\]$"),
+    (lambda: ChannelPath(1.5, 0.5, 1.0), r"^tau_norm 1.5 outside \[0, 1\]$"),
+    (lambda: ChannelPath(0.1, -0.2, 1.0), r"^theta -0.2 outside \[0, 1\)$"),
+    (lambda: ChannelPath(0.1, 1.0, 1.0), r"^theta 1.0 outside \[0, 1\)$"),
+    (lambda: ChannelParams(N=64, M=16, D=16, U=2, V=0, L=3), "^need 1 <= V <= U$"),
+    (lambda: ChannelParams(N=64, M=16, D=16, U=2, V=3, L=3), "^need 1 <= V <= U$"),
+    (lambda: ChannelParams(N=64, M=16, D=16, U=2, V=2, L=0), "^path count L out of range$"),
+    (lambda: ChannelParams(N=64, M=16, D=16, U=2, V=2, L=257), "^path count L out of range$"),
+], ids=["tau-below", "tau-above", "theta-below", "theta-at-1", "V-0", "V-above-U", "L-0",
+        "L-above-DM"])
+def test_paths_and_params_out_of_range_are_refused(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+    ChannelPath(1.0, 0.0, 1.0)
+    ChannelParams(N=64, M=16, D=16, U=2, V=2, L=256)
+
+
 def test_ongrid_support_cardinality_is_L():
     rng = np.random.default_rng(1)
     params = ChannelParams(N=64, M=16, D=16, U=2, V=2, L=4)
@@ -276,6 +294,9 @@ def test_dirichlet_validation():
         dirichlet_vector(8, 1.5)
     with pytest.raises(ValueError):
         dirichlet_vector(0, 0.5)
+    for J in (-1, 4):  # 2J+1 outside [1, K]
+        with pytest.raises(ValueError, match=rf"^2J\+1 = {2 * J + 1} outside \[1, 8\]$"):
+            dirichlet_sparse(8, 0.5, J)
 
 
 def test_dirichlet_sparse_kept_indices_are_wraparound_consecutive():

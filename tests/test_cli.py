@@ -132,9 +132,13 @@ def test_plot_unreadable_csv_exits_one(tmp_path, capsys):
     truncated = tmp_path / "results.csv"
     truncated.write_text("sweep_value,algorithm,mse_mean,mse_stderr,trials,seconds\n4.0,HiIHT\n")
     assert main(["plot", "--csv", str(truncated)]) == 1
+    renamed = tmp_path / "renamed.csv"
+    renamed.write_text("sweep_value,curve,mse_mean,mse_stderr,trials,seconds\n4.0,HiIHT,1.0,0.0,1,0.0\n")
+    assert main(["plot", "--csv", str(renamed)]) == 1
     assert not list(tmp_path.glob("*.dat"))
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 2 and all(line.startswith("error: cannot read results CSV: ") for line in err)
+    assert len(err) == 3 and all(line.startswith("error: cannot read results CSV: ") for line in err)
+    assert "unexpected CSV header" in err[2]
 
 
 @pytest.mark.parametrize("bad, message", [

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
@@ -66,6 +68,21 @@ def test_make_design_validation():
         make_design(16, 4, 4, 2, 8, 4, base_sequence=np.full(16, 2.0 + 0j))
     with pytest.raises(ValueError):
         make_design(16, 4, 4, 2, 8, 4, base_sequence=np.ones(8, dtype=complex))
+    # A directly built design is checked by the same rules.
+    design = make_design(16, 4, 4, 2, 2, 2, seed=0)
+    for changes, message in [
+        ({"Np": 0}, "pilot/antenna counts out of range"),
+        ({"Np": 17}, "pilot/antenna counts out of range"),
+        ({"Mp": 5}, "pilot/antenna counts out of range"),
+        ({"subcarriers": np.array([3, 3])}, "subcarriers must be 2 distinct indices"),
+        ({"antennas": np.array([1, 1])}, "antennas must be 2 distinct indices"),
+        ({"subcarriers": np.array([-1, 3])}, r"subcarriers out of range \[0, 16\)"),
+        ({"subcarriers": np.array([3, 16])}, r"subcarriers out of range \[0, 16\)"),
+        ({"antennas": np.array([0, 4])}, r"antennas out of range \[0, 4\)"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            replace(design, **changes)
+    replace(design)
 
 
 def test_signature_zero_ue_restricts_base():

@@ -24,7 +24,7 @@ from hisparse import (
 )
 from hisparse.channel import ChannelParams, gen_offgrid, superpose_transfer
 from hisparse.design import PilotDesign
-from hisparse.operators import vectorize
+from hisparse.operators import flat_index, vectorize
 from hisparse.simulate import (
     ChannelConfig,
     Condition,
@@ -137,6 +137,28 @@ def test_restricted_lstsq_matches_column_lstsq(option):
                 sizes = np.unique(op._split(S)[1], return_counts=True)[1]  # delays per angle
                 unequal += sizes.min() < sizes.max()
     assert unequal > 0
+
+
+@pytest.mark.parametrize("option", ["FS", "SF"])
+def test_block_refit_keeps_its_bits_in_any_angle_interleaving(option):
+    # With Mp = M each entry goes to its angle's block at its rank within
+    # that angle, in the support's own order. A support whose angle groups
+    # interleave, as OMP's picks do, but that keeps each angle's delays in
+    # order, builds the same blocks as its sorted form, so each entry's
+    # coefficient is the same in every bit. Angle 3 holds four delays and
+    # the others two, so two blocks are zero-padded.
+    op = KroneckerSensingOperator(make_design(32, 8, 8, 2, 12, 8, seed=4), option)
+    picks = [(3, 0), (1, 2), (6, 5), (3, 4), (6, 9), (3, 7), (1, 11), (3, 15)]  # (angle, delay)
+    angles, delays = np.array(picks).T
+    S = flat_index(option, delays, angles, 16, 8)
+    order = np.argsort(S)
+    assert not np.array_equal(order, np.arange(S.size))
+    rng = np.random.default_rng(15)
+    aty = op.adjoint_values(rng.standard_normal(op.out_dim) + 1j * rng.standard_normal(op.out_dim))
+    with mock.patch.object(np.linalg, "lstsq", wraps=np.linalg.lstsq) as lstsq:
+        interleaved, in_order = op.solve_normal(aty, S.tolist()), op.solve_normal(aty, S[order])
+    assert lstsq.call_count == 0
+    assert interleaved[order].tobytes() == in_order.tobytes()
 
 
 def test_restricted_lstsq_rank_deficient_support_is_minimum_norm():
@@ -557,6 +579,9 @@ def test_config_without_profile_is_rejected():
         for profile in (None, (2, 1, 1), [2], 3):
             with pytest.raises(ValueError, match=f"{alg} needs a profile"):
                 RecoveryConfig(algorithm=alg, profile=profile)
+    # So is a solver name it does not know.
+    with pytest.raises(ValueError, match="^unknown algorithm 'CoSaMP'$"):
+        RecoveryConfig(algorithm="CoSaMP", profile=SparsityProfile((1,)))
 
 
 def test_result_json_dict():

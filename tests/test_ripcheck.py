@@ -299,6 +299,21 @@ def test_bad_matrices_are_refused(bad):
         hirip_constant(A, BlockShape((2, 2)), SparsityProfile((1, 1)))
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: rip_constant(np.eye(4), 0), r"^sparsity 0 outside \[1, 4\]$"),
+    (lambda: rip_constant(np.eye(4), 5), r"^sparsity 5 outside \[1, 4\]$"),
+    (lambda: hirip_constant(np.eye(4), BlockShape((2, 3)), SparsityProfile((1, 1))),
+     "^matrix width 4 != block layout total 6$"),
+    (lambda: kron_hirip_bound(np.eye(2), np.eye(4), SparsityProfile((1, 1)), "outer-first"),
+     "^bound is stated for 3-level profiles$"),
+    (lambda: kron_hirip_bound(np.eye(2), np.eye(4), SparsityProfile((1, 1, 1)), "sideways"),
+     "^unknown grouping 'sideways'$"),
+], ids=["rip-s-0", "rip-s-above-cols", "hirip-width", "kron-levels", "kron-grouping"])
+def test_sizes_that_do_not_fit_are_refused(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def unpruned_scan(A, supports, k):
     """The scan before Gershgorin pruning: every support's block is eigensolved."""
     rows = A.shape[0]
