@@ -156,8 +156,11 @@ def hi_threshold(moduli: np.ndarray, s: SparsityProfile) -> np.ndarray:
     retained energy, up to the root (s1 of the N1 outer blocks). Ties go to
     the lowest flat index. A level of sparsity 1 keeps each block's first
     maximum (``argmax``) and passes its energy up by a gather; a level with
-    s >= N keeps every child. The support is then built top-down from the
-    root, reading each level's pick only for the blocks kept above it.
+    s >= N keeps every child. The root level's pick is read by nothing
+    above it, so it forms no energy. The support is then built top-down:
+    the root's pick gives the first kept blocks, each level below reads its
+    pick only for the blocks kept above it, and a level of size 1 keeps the
+    blocks as they are.
     """
     moduli = np.asarray(moduli)
     if not np.issubdtype(moduli.dtype, np.floating):
@@ -165,20 +168,33 @@ def hi_threshold(moduli: np.ndarray, s: SparsityProfile) -> np.ndarray:
     s.check_compatible(moduli.shape)
     energy, picks = moduli, []  # per level, innermost first: argmax, _top_mask or None (all)
     for lvl in range(moduli.ndim - 1, -1, -1):
-        k = s.s[lvl]
-        if k >= moduli.shape[lvl]:
+        k, n = s.s[lvl], moduli.shape[lvl]
+        if k >= n:
             pick = None
-            energy = energy.sum(axis=-1)
         elif k == 1:
             pick = np.argmax(energy, axis=-1)
-            energy = np.take_along_axis(energy, pick[..., None], axis=-1)[..., 0]
         else:
             pick = _top_mask(energy, k)
-            energy = np.where(pick, energy, 0.0).sum(axis=-1)
         picks.append(pick)
+        if lvl == 0:  # the root: no level above reads its energy
+            break
+        if pick is None:
+            energy = energy.sum(axis=-1) if n > 1 else energy[..., 0]
+        elif k == 1:
+            energy = np.take_along_axis(energy, pick[..., None], axis=-1)[..., 0]
+        else:
+            energy = np.where(pick, energy, 0.0).sum(axis=-1)
 
-    kept = np.zeros(1, dtype=np.int64)  # flat indices of the blocks kept so far
-    for pick, n in zip(reversed(picks), moduli.shape):
+    root, n = picks[-1], moduli.shape[0]
+    if root is None:  # flat indices of the blocks kept so far
+        kept = np.arange(n, dtype=np.int64)
+    elif root.dtype == bool:
+        kept = np.flatnonzero(root)
+    else:
+        kept = root.reshape(1)
+    for pick, n in zip(reversed(picks[:-1]), moduli.shape[1:]):
+        if n == 1:  # kept * 1 + 0
+            continue
         if pick is None:
             kept = (kept[:, None] * n + np.arange(n)).reshape(-1)
         elif pick.dtype == bool:

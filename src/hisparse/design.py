@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .blocks import _is_integer
+
 UNIT_MODULUS_TOL = 1e-12
 
 
@@ -29,16 +31,20 @@ class PilotDesign:
     base_sequence: np.ndarray
 
     def __post_init__(self):
+        for name in ("N", "M", "D", "U", "Np", "Mp"):
+            if not _is_integer(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.U * self.D > self.N:
             raise ValueError(f"U={self.U} exceeds N/D={self.N}/{self.D}")
         if not (1 <= self.Np <= self.N and 1 <= self.Mp <= self.M):
             raise ValueError("pilot/antenna counts out of range")
-        sub = np.asarray(self.subcarriers, dtype=np.int64)
-        ant = np.asarray(self.antennas, dtype=np.int64)
+        sub, ant = np.asarray(self.subcarriers), np.asarray(self.antennas)
         for name, arr, count, limit in (
             ("subcarriers", sub, self.Np, self.N),
             ("antennas", ant, self.Mp, self.M),
         ):
+            if arr.size and arr.dtype.kind not in "iu":  # a bool is not an index either
+                raise ValueError(f"{name} must be integer indices, got {arr.dtype} entries")
             if arr.size != count or np.unique(arr).size != count:
                 raise ValueError(f"{name} must be {count} distinct indices")
             if arr.size and (arr.min() < 0 or arr.max() >= limit):
@@ -48,8 +54,8 @@ class PilotDesign:
             raise ValueError(f"base sequence must have length N={self.N}")
         if np.max(np.abs(np.abs(c) - 1.0)) > UNIT_MODULUS_TOL:
             raise ValueError("base sequence entries must have unit modulus")
-        object.__setattr__(self, "subcarriers", np.sort(sub))
-        object.__setattr__(self, "antennas", np.sort(ant))
+        object.__setattr__(self, "subcarriers", np.sort(sub).astype(np.int64, copy=False))
+        object.__setattr__(self, "antennas", np.sort(ant).astype(np.int64, copy=False))
         object.__setattr__(self, "base_sequence", c)
 
 

@@ -6,11 +6,15 @@ thresholding solvers are one gradient-descent loop with unit step:
     x_temp = x + A^H (y - A x)
 
 followed by hi_threshold on the squared moduli of x_temp, shaped by the block
-dims. A^H y and its squared moduli are formed once per solve, in two of this
-thread's work buffers (``blocks.work_buffer``); pass 1 starts from x = 0 and
-selects on them as they are. The iterate x is one buffer per solve, updated
-in place. The step is ``op.adjoint_residual(y, A^H y, S, x[S], out)`` on x's
-support S, so no pass reads the rest of x; it returns the entries where
+dims. A^H y is held in one of this thread's work buffers
+(``blocks.work_buffer``): a caller that already has it passes it as ``aty``
+and the loop copies it there (a sweep's trial row forms it once per draw
+that more than one of its conditions reads), otherwise the solve forms it
+there with ``op.adjoint_values``. Its squared moduli are formed once per
+solve in a second buffer; pass 1 starts from x = 0 and selects on the two
+as they are. The iterate x is one buffer per solve, updated in place. The
+step is ``op.adjoint_residual(y, A^H y, S, x[S], out)`` on x's support S,
+so no pass reads the rest of x; it returns the entries where
 A^H (y - A x) differs from A^H y, and its values there. x is zero off S and
 IEEE addition commutes, so either way below x_temp is x plus the step bit for
 bit, apart from the sign of a zero off S (0.0 + -0.0 is +0.0).
@@ -118,8 +122,12 @@ def _check_measurement(y, op) -> np.ndarray:
     return y
 
 
-def _threshold_loop(y, op, max_iters: int, dims, profile, pursuit: bool):
-    aty = op.adjoint_values(y, out=work_buffer("aty", (op.in_dim,), np.complex128))
+def _threshold_loop(y, op, max_iters: int, dims, profile, pursuit: bool, given_aty):
+    aty = work_buffer("aty", (op.in_dim,), np.complex128)
+    if given_aty is None:
+        op.adjoint_values(y, out=aty)
+    else:  # a copy: the Mp = M passes patch aty in place
+        np.copyto(aty, given_aty)
     moduli = squared_moduli(aty, out=work_buffer("moduli", (op.in_dim,), np.float64))
     x_temp, x_moduli = aty, moduli  # what a pass selects on: pass 1 takes A^H y as it is
     x = np.zeros(op.in_dim, dtype=np.complex128)
@@ -164,12 +172,12 @@ def _threshold_loop(y, op, max_iters: int, dims, profile, pursuit: bool):
     )
 
 
-def _omp(y, op, k: int):
+def _omp(y, op, k: int, aty):
     """Orthogonal matching pursuit: k greedy correlation picks with LS refits.
 
-    The picked columns are kept only to form the residual.
+    The picked columns are kept only to form the residual; ``aty`` is only read.
     """
-    aty = op.adjoint_values(y)
+    aty = op.adjoint_values(y) if aty is None else aty
     selected: list[int] = []
     cols = np.empty((op.out_dim, 0), dtype=np.complex128)
     beta = np.zeros(0, dtype=np.complex128)
@@ -196,7 +204,7 @@ def _omp(y, op, k: int):
     )
 
 
-def solve(y, op, cfg: RecoveryConfig) -> RecoveryResult:
+def solve(y, op, cfg: RecoveryConfig, aty=None) -> RecoveryResult:
     """Recover the unknown from y with the solver named by cfg.algorithm.
 
     Args:
@@ -211,17 +219,24 @@ def solve(y, op, cfg: RecoveryConfig) -> RecoveryResult:
         cfg: solver configuration. cfg.profile is clipped to op.shape_in;
             HiIHT/HiHTP select under the clipped profile, IHT/HTP select and
             OMP picks k = its max_support entries.
+        aty: A^H y of this op and y, if the caller already has it: a
+            complex128 array of length op.in_dim, which solve only reads.
+            When None, the solve forms it with ``op.adjoint_values(y)``.
     """
     y = _check_measurement(y, op)
+    if aty is not None and not (isinstance(aty, np.ndarray) and aty.dtype == np.complex128
+                                and aty.shape == (op.in_dim,)):
+        raise DimensionError(f"aty must be a complex128 array of length {op.in_dim}, got "
+                             f"{getattr(aty, 'dtype', type(aty).__name__)} {np.shape(aty)}")
     profile = cfg.profile.clip(op.shape_in)
     if cfg.algorithm == "OMP":
-        return _omp(y, op, profile.max_support)
+        return _omp(y, op, profile.max_support, aty)
     if cfg.algorithm in HI_ALGORITHMS:
         dims = op.shape_in.dims
     else:
         dims, profile = (op.in_dim,), SparsityProfile((profile.max_support,))
     pursuit = cfg.algorithm in LS_ALGORITHMS
-    return _threshold_loop(y, op, cfg.max_iters, dims, profile, pursuit)
+    return _threshold_loop(y, op, cfg.max_iters, dims, profile, pursuit, aty)
 
 
 @dataclass(frozen=True)

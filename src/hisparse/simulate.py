@@ -12,11 +12,14 @@ for each condition in order, on one dict of draws that the task owns. A
 draw (rng, channel paths, pilot design, operator and observation) is keyed
 by (trial_index, Np, V, L, option, on_grid), everything that can differ
 between two conditions of one config, so conditions that read the same
-channel statistics solve the same observation, drawn once per row.
+channel statistics solve the same observation, drawn once per row, with one
+A^H y. A key that only one condition reads is drawn by that condition's
+trial alone, whose solve forms its A^H y as an independent trial does.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict, field, fields, replace
 import csv
@@ -366,18 +369,27 @@ def run_trial(config: ExperimentConfig, condition: Condition, Np: int, trial_ind
     depends on the condition only through the key (trial_index, Np, V, L,
     option, on_grid); the assumed path count, L1, L2 and the algorithm enter
     only the solve and the score. ``draws``, when given, is a dict its caller
-    owns: the draw is made the first time its key is seen, stored there, and
-    reused after that. The measurement and the truth are read-only arrays,
-    and neither the solve nor the score writes the operator, so a reused
-    draw returns the float a fresh call returns, in every bit.
+    owns for conditions that share draws: the draw is made the first time its
+    key is seen, stored there with its A^H y (``op.adjoint_values(y)``), and
+    reused after that; every solve on the draw reads that A^H y rather than
+    forming its own. Without ``draws`` the solve forms A^H y itself, in its
+    work buffer. The measurement, the truth and the shared A^H y are
+    read-only arrays, and neither the solve nor the score writes the
+    operator, so a reused draw returns the float a fresh call returns, in
+    every bit.
     """
-    draws = {} if draws is None else draws
-    key = (trial_index, Np, condition.V, condition.L, condition.option, condition.on_grid)
-    if key not in draws:
-        draws[key] = _draw(config, condition, Np, trial_index)
-    op, y, truth = draws[key]
+    key = _draw_key(condition, Np, trial_index)
+    if draws is None or key not in draws:
+        op, y, truth = _draw(config, condition, Np, trial_index)
+        aty = None
+        if draws is not None:
+            aty = op.adjoint_values(y)
+            aty.flags.writeable = False
+            draws[key] = op, y, truth, aty
+    else:
+        op, y, truth, aty = draws[key]
     cfg = RecoveryConfig(algorithm=condition.algorithm, profile=_profile(config, condition))
-    result = solve(y, op, cfg)
+    result = solve(y, op, cfg, aty=aty)
     if condition.on_grid:
         idx, gains = truth
         # Parseval: per-element MSE over all UEs equals the squared distance
@@ -396,6 +408,11 @@ def run_trial(config: ExperimentConfig, condition: Condition, Np: int, trial_ind
     # Summed per UE, in UE order, without a U x N x M difference array.
     err = sum(float(np.linalg.norm(H_hat[u] - H[u]) ** 2) for u in range(U))
     return err / (N * M)
+
+
+def _draw_key(condition: Condition, Np: int, trial_index: int) -> tuple:
+    """What a trial's draw depends on within one config."""
+    return trial_index, Np, condition.V, condition.L, condition.option, condition.on_grid
 
 
 def _draw(config: ExperimentConfig, condition: Condition, Np: int, trial_index: int):
@@ -454,14 +471,18 @@ def _trial_row(config: ExperimentConfig, conditions: list[Condition], Np: int,
                trial_index: int) -> list[tuple[float, float]]:
     """(MSE, seconds) of trial ``trial_index`` under each condition, in order.
 
-    The conditions share one dict of draws, which lives only for this call; a
-    draw's cost is charged to the first condition that makes it.
+    Conditions whose draw key more than one of them reads share one dict of
+    draws, which lives only for this call; a shared draw's cost is charged
+    to the first condition that makes it. A condition that reads its key
+    alone runs as an independent trial, so no A^H y is kept for it.
     """
+    keys = [_draw_key(cond, Np, trial_index) for cond in conditions]
+    readers = Counter(keys)
     draws: dict = {}
     row = []
-    for cond in conditions:
+    for cond, key in zip(conditions, keys):
         start = time.perf_counter()
-        mse = run_trial(config, cond, Np, trial_index, draws=draws)
+        mse = run_trial(config, cond, Np, trial_index, draws=draws if readers[key] > 1 else None)
         row.append((mse, time.perf_counter() - start))
     return row
 
@@ -471,10 +492,11 @@ def run_sweep(config: ExperimentConfig, out_dir=None, threads: int = 1):
 
     All trials run on one pool of ``threads`` workers, opened once, before the
     output directory. Each sweep point runs one pool task per trial index,
-    which calls ``run_trial`` for every condition in order on one shared dict
-    of draws (``_trial_row``). A record's ``seconds`` is the summed wall time
-    of its condition's ``run_trial`` calls. A trial that raises cancels the
-    rows not yet started. Returns (records, csv_path, manifest_path); the
+    which calls ``run_trial`` for every condition in order, on one dict of
+    the draws that more than one condition reads (``_trial_row``). A
+    record's ``seconds`` is the summed wall time of its condition's
+    ``run_trial`` calls. A trial that raises cancels the rows not yet
+    started. Returns (records, csv_path, manifest_path); the
     paths are None when no output directory is given.
     """
     conditions = _conditions(config)

@@ -67,6 +67,40 @@ def test_run_trial_keeps_the_benchmark_call_shape():
     assert isinstance(mse, float) and math.isfinite(mse)
 
 
+def test_only_a_shared_draw_hands_solve_its_aty(monkeypatch):
+    # Without draws (the workloads' call) run_trial passes solve no A^H y, so
+    # the solve forms it with one adjoint_values call into its work buffer and
+    # the trial makes no extra length-in_dim array. With draws, the draw's one
+    # A^H y, read-only, goes to every solve on it.
+    config = ExperimentConfig(scenario="mismatched-L", system=SystemConfig(N=64, M=16, D=16, U=2),
+                              sweep=[8], Np=8, trials=1, seed=3)
+    condition = Condition(label="HiIHT", algorithm="HiIHT", option="FS", V=1, L=3)
+    op_class = hisparse.operators.KroneckerSensingOperator
+    solve, adjoint = hisparse.simulate.solve, op_class.adjoint_values
+    solves, adjoints = [], []
+
+    def spy(*args, **kwargs):
+        solves.append(kwargs)
+        return solve(*args, **kwargs)
+
+    def counted_adjoint(self, y, out=None):
+        adjoints.append(out is not None)
+        return adjoint(self, y, out)
+
+    monkeypatch.setattr(hisparse.simulate, "solve", spy)
+    monkeypatch.setattr(op_class, "adjoint_values", counted_adjoint)
+    mse = hisparse.simulate.run_trial(config, condition, 8, 0)
+    assert [kwargs.get("aty") for kwargs in solves] == [None] and adjoints == [True]
+    solves.clear()
+    adjoints.clear()
+    draws = {}
+    shared = [hisparse.simulate.run_trial(config, condition, 8, 0, draws=draws) for _ in range(2)]
+    assert [value.hex() for value in shared] == [mse.hex()] * 2
+    assert adjoints == [False]
+    assert [list(kwargs) for kwargs in solves] == [["aty"], ["aty"]]
+    assert solves[0]["aty"] is solves[1]["aty"] and not solves[0]["aty"].flags.writeable
+
+
 def test_solve_and_report_keep_the_attributes_the_tracer_reads():
     # The tracer reads solve's third argument as args[2] or kwargs["cfg"], then
     # cfg.max_iters and result.iterations; ripcheck spans read supports_checked.
@@ -191,14 +225,19 @@ def test_sweep_trials_reach_both_pool_threads(monkeypatch, tmp_path):
     # perfbench fails small-offgrid-sweep unless its run_trial spans run on two
     # pool threads. A sweep point runs one pool task per trial index, so the
     # workload's two trials at --threads 2 must put one row on each thread,
-    # and run_trial stays the one call per (condition, trial).
+    # and run_trial stays the one call per (condition, trial). Each call waits
+    # for a call of the other row: both rows must be in flight at once, so the
+    # pool cannot run them one after the other on one thread, and a run_sweep
+    # that does not run them concurrently breaks the barrier.
     runner = _perfbench_workloads().make_workload("small-offgrid-sweep", 0, "full", tmp_path)
     config = ExperimentConfig.from_json(runner.config_text(0), "small")
     threads = Counter()
     trial = hisparse.simulate.run_trial
+    both_rows = threading.Barrier(2, timeout=30)
 
     def traced(*args, **kwargs):
         threads[threading.get_ident()] += 1
+        both_rows.wait()
         return trial(*args, **kwargs)
 
     monkeypatch.setattr(hisparse.simulate, "run_trial", traced)

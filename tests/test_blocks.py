@@ -282,9 +282,9 @@ def test_top_mask_matches_stable_sort(data):
 
 
 # Block layouts the benchmark workloads select under: the small off-grid sweep
-# (FS, HiIHT/HiHTP at L1 = 1 and 2; flat IHT with k = 45) and the paper size.
+# (FS, HiIHT/HiHTP at L1 = 1 and 2; flat IHT with k = 45 and 75) and the paper size.
 WORKLOAD_LAYOUTS = [((64, 1, 32), (15, 1, 3)), ((64, 1, 32), (15, 1, 5)),
-                    ((2048,), (45,)), ((256, 4, 256), (6, 1, 1))]
+                    ((2048,), (45,)), ((2048,), (75,)), ((256, 4, 256), (6, 1, 1))]
 
 
 def _tie_passes(energy, k):
@@ -365,3 +365,32 @@ def test_top_down_support_matches_the_mask_oracle():
     check()
     assert all(seen[key] > 0 for key in ("ties", "zeros", "size-1 level", "s = N level"))
     assert all(seen[dims] > 0 for dims, _ in WORKLOAD_LAYOUTS)
+
+
+# Root sparsities that reach each branch of the root's pick: keep every block
+# (s1 >= N1), argmax (s1 = 1) and top-k (1 < s1 < N1). Each is crossed with a
+# size-1 level at the root, in the middle and innermost, and with none.
+ROOT_BRANCH_LAYOUTS = [
+    (dims, (s1,) + tuple(min(2, n) for n in dims[1:]))
+    for dims in ((3, 2, 3), (1, 2, 3), (3, 1, 3), (3, 2, 1), (5,))
+    for s1 in sorted({dims[0], 1, min(2, dims[0])})
+]
+
+
+@pytest.mark.parametrize("dims, s", ROOT_BRANCH_LAYOUTS, ids=[f"{d}-{s}" for d, s in ROOT_BRANCH_LAYOUTS])
+def test_every_root_branch_matches_the_oracles(dims, s):
+    # The root forms no energy and a size-1 level is not expanded; the support
+    # is still the mask oracle's array, in every bit, and attains the brute
+    # force's best residual, with continuous values, ties and exact zeros.
+    rng = np.random.default_rng(sum(dims) + 7 * sum(s))
+    profile = SparsityProfile(s)
+    n = math.prod(dims)
+    for raw in (rng.standard_normal(2 * n), rng.integers(-1, 2, 2 * n).astype(float),
+                np.ones(2 * n), np.zeros(2 * n)):
+        x = (raw[:n] + 1j * raw[n:]).reshape(dims)
+        got = hi_threshold(squared_moduli(x), profile)
+        assert got.dtype == np.int64
+        assert got.tobytes() == mask_hi_threshold(x, profile).tobytes()
+        values = x.reshape(-1)
+        residual = float(np.linalg.norm(values - project(values, got)))
+        assert residual == pytest.approx(best_residual_bruteforce(values, dims, s), abs=1e-12)

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import pytest
 
@@ -96,6 +97,18 @@ def test_verify_suites_pass(capsys):
     assert main(["verify", "--suite", "bounds", "--trials", "20"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out
+
+
+def test_verify_hirip_prints_its_worst_margins(capsys):
+    # Each law over isometry constants prints its worst margin, so a
+    # byte-identical output pins the constants it compared.
+    assert main(["verify", "--suite", "hirip", "--trials", "6"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    figure = r" max gap -?\d\.\d\de[+-]\d\d\)$"
+    assert re.fullmatch(r"\[ok\] hierarchical constant never exceeds flat constant "
+                        r"\(6 instances," + figure, lines[0])
+    assert re.fullmatch(r"\[ok\] factor bounds dominate exact constants \(both groupings," + figure,
+                        lines[2])
 
 
 def test_verify_failure_exits_two(monkeypatch, capsys):

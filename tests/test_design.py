@@ -79,10 +79,25 @@ def test_make_design_validation():
         ({"subcarriers": np.array([-1, 3])}, r"subcarriers out of range \[0, 16\)"),
         ({"subcarriers": np.array([3, 16])}, r"subcarriers out of range \[0, 16\)"),
         ({"antennas": np.array([0, 4])}, r"antennas out of range \[0, 4\)"),
+        # Non-integer sizes and indices are refused, not truncated.
+        ({"Np": 2.5}, r"^Np must be an integer, got 2\.5$"),
+        ({"N": 16.0}, r"^N must be an integer, got 16\.0$"),
+        ({"M": np.float64(4)}, r"^M must be an integer, got np\.float64\(4\.0\)$"),
+        ({"D": "4"}, r"^D must be an integer, got '4'$"),
+        ({"U": True}, r"^U must be an integer, got True$"),
+        ({"Mp": None}, r"^Mp must be an integer, got None$"),
+        ({"subcarriers": [0.5, 3.7]}, r"^subcarriers must be integer indices, got float64 entries$"),
+        ({"subcarriers": np.array([0.0, 3.0])}, r"^subcarriers must be integer indices, got float64 entries$"),
+        ({"antennas": [True, False]}, r"^antennas must be integer indices, got bool entries$"),
+        ({"antennas": ["0", "1"]}, r"^antennas must be integer indices, got <U1 entries$"),
     ]:
         with pytest.raises(ValueError, match=message):
             replace(design, **changes)
     replace(design)
+    # Integer indices of any integer dtype become sorted int64.
+    built = replace(design, subcarriers=[9, 2], antennas=np.array([3, 0], dtype=np.uint8))
+    for arr, expected in ((built.subcarriers, [2, 9]), (built.antennas, [0, 3])):
+        assert arr.dtype == np.int64 and arr.tolist() == expected
 
 
 def test_signature_zero_ue_restricts_base():

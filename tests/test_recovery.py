@@ -11,6 +11,7 @@ import pytest
 import hisparse.recovery
 from hisparse import (
     BlockShape,
+    DimensionError,
     GuaranteeVoidError,
     KroneckerSensingOperator,
     RecoveryConfig,
@@ -231,7 +232,8 @@ def test_in_place_loop_matches_textbook_loop(algorithm, option):
     # with every antenna observed (the step patches A^H y on the occupied
     # angles and the loop puts it back) and without (it changes every entry),
     # on- and off-grid. Solves run back to back on one thread and on a pool
-    # thread agree too, so a restore leaves no trace in the work buffers.
+    # thread agree too, so a restore leaves no trace in the work buffers, and
+    # so does a solve handed a read-only A^H y, which it leaves as it was.
     rng = np.random.default_rng(31)
     profile = SparsityProfile((3, 1, 2) if option == "FS" else (2, 2, 2))
     capped = 0
@@ -254,6 +256,8 @@ def test_in_place_loop_matches_textbook_loop(algorithm, option):
                     x[rng.permutation(op.in_dim)[:4]] = rng.standard_normal(4) + 1j * rng.standard_normal(4)
                     noise = rng.standard_normal(op.out_dim) + 1j * rng.standard_normal(op.out_dim)
                     y = dense_forward(op, x) + (0.05 if trial % 2 else 0.5) * noise
+                aty = op.adjoint_values(y)
+                aty.flags.writeable = False
                 # A run capped at i passes replays the first i passes of a longer one.
                 for max_iters in (1, 2, 3, 10):
                     cfg = RecoveryConfig(algorithm=algorithm, profile=profile, max_iters=max_iters)
@@ -266,7 +270,9 @@ def test_in_place_loop_matches_textbook_loop(algorithm, option):
                     assert res.residual_norm.hex() == residual.hex()
                     assert fingerprint(solve(y, op, cfg)) == fingerprint(res)
                     assert fingerprint(pool.submit(solve, y, op, cfg).result()) == fingerprint(res)
+                    assert fingerprint(solve(y, op, cfg, aty=aty)) == fingerprint(res)
                     capped += iterations == max_iters > 1  # a one-pass run is always capped
+                assert aty.tobytes() == op.adjoint_values(y).tobytes()
     assert capped > 0
 
 
@@ -281,8 +287,8 @@ def solved_trial(config, cond, Np, t, operator):
     """(MSE, solve result) of one ``run_trial`` on the given operator class."""
     results = []
 
-    def capture(*args):
-        results.append(solve(*args))
+    def capture(*args, **kwargs):
+        results.append(solve(*args, **kwargs))
         return results[-1]
     with mock.patch.object(hisparse.simulate, "solve", capture), \
             mock.patch.object(hisparse.simulate, "KroneckerSensingOperator", operator):
@@ -570,6 +576,48 @@ def test_measurement_validation():
     bad[0] = np.nan
     with pytest.raises(ValueError):
         solve(bad, op, cfg)
+
+
+def test_omp_reads_a_given_aty_as_it_is():
+    # OMP's refits read A^H y; a given one returns the same bits as the one
+    # OMP forms, at Mp = M and Mp < M, is left as it was, and saves OMP's own
+    # adjoint_values call (one more is made per pick either way).
+    rng = np.random.default_rng(12)
+    cfg = RecoveryConfig(algorithm="OMP", profile=SparsityProfile((2, 1, 2)))
+    for Mp in (8, 5):
+        op = KroneckerSensingOperator(make_design(64, 8, 16, 2, 10, Mp, seed=3), "FS")
+        y = rng.standard_normal(op.out_dim) + 1j * rng.standard_normal(op.out_dim)
+        aty = op.adjoint_values(y)
+        aty.flags.writeable = False
+        with mock.patch.object(op, "adjoint_values", wraps=op.adjoint_values) as adjoint:
+            given = solve(y, op, cfg, aty=aty)
+            assert adjoint.call_count == given.iterations
+            formed = solve(y, op, cfg)
+            assert adjoint.call_count == 2 * given.iterations + 1
+        assert fingerprint(given) == fingerprint(formed)
+        assert aty.tobytes() == op.adjoint_values(y).tobytes()
+
+
+def test_an_aty_of_the_wrong_length_or_type_is_refused():
+    # Refused in one line before any operator call, for every solver.
+    op, _, y = single_path_setup()
+    good = op.adjoint_values(y)
+    bad = {
+        "complex128 \\(15,\\)": good[:-1],
+        "float64 \\(16,\\)": good.real.copy(),
+        "complex64 \\(16,\\)": good.astype(np.complex64),
+        "complex128 \\(1, 16\\)": good[None, :],
+        "list \\(16,\\)": good.tolist(),
+    }
+    for alg in ("HiIHT", "HiHTP", "IHT", "HTP", "OMP"):
+        cfg = RecoveryConfig(algorithm=alg, profile=SparsityProfile((1, 1, 1)))
+        for detail, aty in bad.items():
+            with mock.patch.object(KroneckerSensingOperator, "adjoint_values") as adjoint, \
+                    mock.patch.object(KroneckerSensingOperator, "forward") as forward:
+                with pytest.raises(DimensionError,
+                                   match=f"^aty must be a complex128 array of length 16, got {detail}$"):
+                    solve(y, op, cfg, aty=aty)
+            assert adjoint.call_count == forward.call_count == 0
 
 
 def test_config_without_profile_is_rejected():

@@ -470,39 +470,62 @@ def test_records_do_not_depend_on_thread_count():
 
 
 
-# One config per case of the shared draw: (config fields, draws per row).
+# One config per case of the shared draw: (config fields, draws per row,
+# conditions per row whose draw another condition also reads).
 # offgrid-sweep: every condition shares one draw; omp-compare: Mp < M with OMP
-# in the row; multiuser-sweep: a V axis, one key per V; sf-vs-fs: an option
-# axis by a V axis; single-user-sweep: an L axis.
+# in the row; multiuser-sweep: a V axis, one key per V, each read by one
+# condition; sf-vs-fs: an option axis by a V axis, likewise; single-user-sweep:
+# an L axis, each key read by HiIHT and IHT.
 _SHARED_DRAW_CASES = {
     "offgrid-sweep": (dict(system=SystemConfig(N=32, M=8, D=8, U=1), channel=ChannelConfig(L=1, V=1),
-                           algorithms=["HiIHT", "HiHTP", "IHT"], l1_values=[1, 2], l2_values=[1]), 1),
-    "omp-compare": (dict(system=SystemConfig(N=64, M=16, D=16, U=2), channel=ChannelConfig(L=2, V=1)), 1),
-    "multiuser-sweep": (dict(system=SystemConfig(N=64, M=16, D=16, U=4)), 3),
-    "sf-vs-fs": (dict(system=SystemConfig(N=64, M=16, D=16, U=2), v_values=[1, 2]), 4),
-    "single-user-sweep": (dict(system=SystemConfig(N=64, M=16, D=16, U=1), l_values=[2, 3]), 2),
+                           algorithms=["HiIHT", "HiHTP", "IHT"], l1_values=[1, 2], l2_values=[1]),
+                      1, 6),
+    "omp-compare": (dict(system=SystemConfig(N=64, M=16, D=16, U=2), channel=ChannelConfig(L=2, V=1)),
+                    1, 3),
+    "multiuser-sweep": (dict(system=SystemConfig(N=64, M=16, D=16, U=4)), 3, 0),
+    "sf-vs-fs": (dict(system=SystemConfig(N=64, M=16, D=16, U=2), v_values=[1, 2]), 4, 0),
+    "single-user-sweep": (dict(system=SystemConfig(N=64, M=16, D=16, U=1), l_values=[2, 3]), 2, 4),
 }
 
 
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("scenario", sorted(_SHARED_DRAW_CASES))
 def test_sweep_records_equal_independent_trials(monkeypatch, scenario, threads):
-    # A row shares trial t's draw between its conditions, one draw per
-    # distinct key; every record still equals, in every bit, the mean and
-    # stderr of run_trial calls that share nothing.
-    fields, keys = _SHARED_DRAW_CASES[scenario]
+    # A row shares trial t's draw, and its A^H y, between its conditions, one
+    # draw per distinct key; a solve gets the shared A^H y only where another
+    # condition reads the same draw. Every record still equals, in every bit,
+    # the mean and stderr of run_trial calls that share nothing.
+    fields, keys, sharing = _SHARED_DRAW_CASES[scenario]
     config = ExperimentConfig(scenario=scenario, sweep=[8, 16], trials=3, seed=4, **fields)
-    designs = []
-    make = simulate.make_design
+    designs, adjoints, given = [], [], []
+    make, adjoint, solve = simulate.make_design, KroneckerSensingOperator.adjoint_values, simulate.solve
 
     def counted(*args, **kwargs):
         designs.append(args)
         return make(*args, **kwargs)
 
+    def counted_adjoint(*args, **kwargs):
+        adjoints.append(args)
+        return adjoint(*args, **kwargs)
+
+    def spied_solve(*args, **kwargs):
+        given.append(kwargs["aty"] is not None)
+        return solve(*args, **kwargs)
+
     monkeypatch.setattr(simulate, "make_design", counted)
+    monkeypatch.setattr(KroneckerSensingOperator, "adjoint_values", counted_adjoint)
+    monkeypatch.setattr(simulate, "solve", spied_solve)
     records, _, _ = run_sweep(config, threads=threads)
     monkeypatch.undo()
     assert len(designs) == len(config.sweep) * config.trials * keys
+    assert sum(given) == len(config.sweep) * config.trials * sharing
+    assert len(given) == len(config.sweep) * config.trials * len(simulate._conditions(config))
+    # Thresholding solves with every antenna observed call adjoint_values
+    # only for A^H y (OMP's picks and the Mp < M step call it too).
+    if scenario != "omp-compare":
+        assert config.antenna_count() == config.system.M
+        assert "OMP" not in {cond.algorithm for cond in simulate._conditions(config)}
+        assert len(adjoints) == len(designs)
     expected = []
     for Np in config.sweep:
         for cond in simulate._conditions(config):
@@ -514,9 +537,9 @@ def test_sweep_records_equal_independent_trials(monkeypatch, scenario, threads):
 
 
 def _draw_bytes(draw):
-    """The bytes of a draw's measurement, truth and operator arrays, by name."""
-    op, y, truth = draw
-    arrays = {"y": y, **{f"truth{i}": a for i, a in enumerate(truth)}}
+    """The bytes of a draw's measurement, truth, A^H y and operator arrays, by name."""
+    op, y, truth, aty = draw
+    arrays = {"y": y, "aty": aty, **{f"truth{i}": a for i, a in enumerate(truth)}}
     for owner, prefix in ((op, "op."), (op.design, "design.")):
         arrays.update({prefix + name: a for name, a in vars(owner).items() if isinstance(a, np.ndarray)})
     return {name: (a.flags.writeable, a.tobytes()) for name, a in arrays.items()}
@@ -526,8 +549,9 @@ def _draw_bytes(draw):
 def test_a_shared_draw_is_never_written(Mp):
     # Every solver, on-grid and off-grid, under FS and SF, runs on one dict of
     # draws (one dict per config: the key leaves the config out). Afterwards
-    # each draw has the bytes of a fresh one, its measurement and truth are
-    # still read-only, and every MSE equals a fresh call's.
+    # each draw has the bytes of a fresh one, its A^H y those of a fresh
+    # adjoint_values(y), its measurement, truth and A^H y are still read-only,
+    # and every MSE equals a fresh call's.
     config = ExperimentConfig(scenario="offgrid-sweep", system=SystemConfig(N=64, M=16, D=16, U=2),
                               channel=ChannelConfig(L=2, V=2), sweep=[24], trials=1, seed=9, Mp=Mp,
                               l1_values=[1], l2_values=[1])
@@ -541,8 +565,10 @@ def test_a_shared_draw_is_never_written(Mp):
                 first.setdefault((1, 24, 2, 2, option, L1 is None), cond)
     assert draws.keys() == first.keys()
     for key, cond in first.items():
-        fresh = _draw_bytes(simulate._draw(config, cond, 24, 1))
-        assert _draw_bytes(draws[key]) == fresh
+        op, y, truth = simulate._draw(config, cond, 24, 1)
+        fresh, shared = _draw_bytes((op, y, truth, op.adjoint_values(y))), _draw_bytes(draws[key])
+        assert shared.pop("aty") == (False, fresh.pop("aty")[1])
+        assert shared == fresh
         assert not any(writeable for name, (writeable, _) in fresh.items()
                        if not name.startswith(("op.", "design.")))
 
