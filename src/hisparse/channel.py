@@ -199,9 +199,12 @@ def transfer_from_delay_angular(X: np.ndarray, N: int, M: int) -> np.ndarray:
 
 
 def delay_angular_offgrid(H: np.ndarray) -> np.ndarray:
-    """Full N x M delay-angular representation: F[N,N]^-1 @ H @ (F[M,M]^H)^-1."""
-    M = H.shape[1]
-    return np.fft.ifft(np.fft.fft(H, axis=1), axis=0) / M
+    """Full N x M delay-angular representation: F[N,N]^-1 @ H @ (F[M,M]^H)^-1.
+
+    H is one N x M matrix or a (..., N, M) stack, mapped slice by slice.
+    """
+    M = H.shape[-1]
+    return np.fft.ifft(np.fft.fft(H, axis=-1), axis=-2) / M
 
 
 def dirichlet_vector(K: int, omega: float) -> np.ndarray:

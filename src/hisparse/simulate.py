@@ -28,6 +28,7 @@ import itertools
 import json
 import math
 import operator
+import sys
 import time
 from pathlib import Path
 
@@ -39,12 +40,13 @@ from .channel import (
     DEFAULT_ALPHA,
     ChannelParams,
     _complex_normal,
+    delay_angular_offgrid,
     gen_offgrid,
     gen_ongrid,
     grid_indices,
     ongrid_draw_can_fail,
     superpose_transfer,
-    transfer_from_delay_angular,
+    transfer_from_delay_angular,  # unused here; perfbench patches this name (channel.synth)
 )
 from .design import make_design, signature
 from .operators import (
@@ -53,7 +55,6 @@ from .operators import (
     as_option,
     flat_index,
     unknown_shape,
-    unvectorize,
     vectorize,
 )
 from .recovery import FLAT_ALGORITHMS, HI_ALGORITHMS, LS_ALGORITHMS, RecoveryConfig, solve
@@ -365,7 +366,9 @@ def run_trial(config: ExperimentConfig, condition: Condition, Np: int, trial_ind
     """Per-element channel MSE of one seeded Monte-Carlo trial.
 
     The trial's draw is its rng, channel paths, pilot design, operator and
-    observation (and the truth it is scored against). Within one config it
+    observation (and the truth it is scored against). The score is taken in
+    the delay-angular domain, which by Parseval equals the per-element
+    transfer-domain error; no estimate is synthesized. Within one config it
     depends on the condition only through the key (trial_index, Np, V, L,
     option, on_grid); the assumed path count, L1, L2 and the algorithm enter
     only the solve and the score. ``draws``, when given, is a dict its caller
@@ -390,24 +393,19 @@ def run_trial(config: ExperimentConfig, condition: Condition, Np: int, trial_ind
         op, y, truth, aty = draws[key]
     cfg = RecoveryConfig(algorithm=condition.algorithm, profile=_profile(config, condition))
     result = solve(y, op, cfg, aty=aty)
-    if condition.on_grid:
-        idx, gains = truth
-        # Parseval: per-element MSE over all UEs equals the squared distance
-        # of the stacked delay-angular vectors. Both vanish off the union of
-        # the estimate's support and the true one, so only that union is summed.
-        union = np.union1d(result.support, idx)
-        err = result.x_hat[union]
-        err[np.searchsorted(union, idx)] -= gains
-        return float(np.linalg.norm(err) ** 2)
-
-    (H,) = truth
-    sys_cfg = config.system
-    N, M, D, U = sys_cfg.N, sys_cfg.M, sys_cfg.D, sys_cfg.U
-    X_hat = unvectorize(result.x_hat, condition.option, U * D, M).reshape(U, D, M)
-    H_hat = transfer_from_delay_angular(X_hat, N, M)
-    # Summed per UE, in UE order, without a U x N x M difference array.
-    err = sum(float(np.linalg.norm(H_hat[u] - H[u]) ** 2) for u in range(U))
-    return err / (N * M)
+    # Parseval: per-element MSE over all UEs equals the squared distance of
+    # the stacked delay-angular vectors, plus (off-grid) the true energy
+    # beyond the D delay rows that the estimate spans.
+    if not condition.on_grid:
+        g, tail = truth
+        return float(np.linalg.norm(result.x_hat - g) ** 2 + tail)
+    idx, gains = truth
+    # On-grid both vectors vanish off the union of the estimate's support
+    # and the true one, so only that union is summed.
+    union = np.union1d(result.support, idx)
+    err = result.x_hat[union]
+    err[np.searchsorted(union, idx)] -= gains
+    return float(np.linalg.norm(err) ** 2)
 
 
 def _draw_key(condition: Condition, Np: int, trial_index: int) -> tuple:
@@ -419,8 +417,11 @@ def _draw(config: ExperimentConfig, condition: Condition, Np: int, trial_index: 
     """(operator, measurement y, truth) of trial ``trial_index``, from SeedSequence([seed, t]).
 
     The truth is the on-grid (flat indices, gains) of the unknown or the
-    off-grid (H,), the (U, N, M) stack of transfer matrices; its arrays and y
-    are read-only.
+    off-grid (g, tail): g is the first D delay rows of every UE's
+    delay-angular channel (``delay_angular_offgrid``), in the unknown's
+    layout, and tail the 0-d energy of the rows beyond D. The (U, N, M)
+    transfer stack that y observes is not kept. The truth's arrays and y are
+    read-only.
     """
     sys_cfg, chan = config.system, config.channel
     N, M, D, U = sys_cfg.N, sys_cfg.M, sys_cfg.D, sys_cfg.U
@@ -444,7 +445,10 @@ def _draw(config: ExperimentConfig, condition: Condition, Np: int, trial_index: 
     else:
         H = np.stack([superpose_transfer(ue_paths, N, M) for ue_paths in paths])
         y = vectorize(observed_matrix(H, design, rng, config.snr_db), condition.option)
-        truth = (H,)
+        G = delay_angular_offgrid(H)
+        # A copy, so that no view of G lives on in the draw.
+        g = vectorize(G[:, :D].reshape(U * D, M), condition.option).copy()
+        truth = (g, np.asarray(np.linalg.norm(G[:, D:]) ** 2))
     for array in (y, *truth):
         array.flags.writeable = False
     return op, y, truth
@@ -602,6 +606,5 @@ def emit_plot_data(csv_path, out_dir=None) -> list[Path]:
             fh.write(f"plot {parts}\n")
     written.append(script)
     if not curves:
-        import sys
         print(f"warning: no curves found in {csv_path}", file=sys.stderr)
     return written

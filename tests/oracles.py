@@ -22,7 +22,8 @@ None of these is on a route that the CLI, the sweep harness or the
     ``hi_threshold``'s top-down assembly from squared moduli;
   * ``split_estimate`` / ``offgrid_trial_oracle``: the off-grid trial with
     one transfer matrix per active UE (None for an inactive one), one
-    synthesis and one norm per UE, against ``run_trial``'s (U, N, M) stack;
+    synthesis and one norm per UE in the transfer domain, against
+    ``run_trial``'s delay-angular score of the draw's (g, tail) truth;
   * ``textbook_threshold_loop``: the thresholding solvers' every pass from a
     fresh zero iterate, with no cycle exit, a full x_temp and full squared
     moduli every pass, against ``solve``'s loop, which patches A^H y and its

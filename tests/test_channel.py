@@ -267,6 +267,18 @@ def test_offgrid_rep_roundtrip():
     assert np.linalg.norm(delay_angular_offgrid(np.zeros((8, 8)))) == 0.0
 
 
+def test_offgrid_rep_maps_a_stack_slice_by_slice():
+    # A (U, N, M) stack, an all-zero inactive slice included, keeps every bit
+    # of the per-slice calls.
+    rng = np.random.default_rng(9)
+    H = rng.standard_normal((3, 32, 8)) + 1j * rng.standard_normal((3, 32, 8))
+    H[1] = 0.0
+    stacked = delay_angular_offgrid(H)
+    assert stacked.shape == H.shape
+    for u in range(3):
+        assert np.array_equal(stacked[u].view(np.uint64), delay_angular_offgrid(H[u]).view(np.uint64))
+
+
 def test_dirichlet_grid_points_are_basis_vectors():
     for K in (2, 5, 16):
         for k in range(K):

@@ -111,6 +111,15 @@ def test_verify_hirip_prints_its_worst_margins(capsys):
                         lines[2])
 
 
+def test_verify_bounds_prints_its_worst_margin(capsys):
+    # The sparse-approximation line prints its largest ||X - X_sp|| - bound,
+    # so a byte-identical output pins sparse_approx's error and bound.
+    assert main(["verify", "--suite", "bounds", "--trials", "20"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert re.fullmatch(r"\[ok\] sparse-approximation error bound holds \(20 channels x 9 "
+                        r"truncation levels, max gap -?\d\.\d\de[+-]\d\d\)", lines[1])
+
+
 def test_verify_failure_exits_two(monkeypatch, capsys):
     import hisparse.cli as cli
 

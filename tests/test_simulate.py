@@ -12,8 +12,10 @@ from hisparse import (
     gen_ongrid,
     make_design,
     KroneckerSensingOperator,
+    delay_angular_offgrid,
     transfer_from_delay_angular,
 )
+from hisparse.operators import unvectorize, vectorize
 from hisparse.simulate import (
     ChannelConfig,
     Condition,
@@ -277,7 +279,7 @@ def test_sparse_truth_takes_the_ue_count_from_the_path_lists(option):
                                           32, 8, 8, option)
         x = np.zeros(U * 8 * 8, dtype=complex)
         x[idx] = gains
-        X = simulate.unvectorize(x, option, U * 8, 8)
+        X = unvectorize(x, option, U * 8, 8)
         assert np.flatnonzero(X).tolist() == [((U - 1) * 8 + 3) * 8 + 5]
 
 
@@ -355,25 +357,66 @@ def test_mse_dual_route_agreement():
 @pytest.mark.parametrize("option", ["FS", "SF"])
 @pytest.mark.parametrize("U, V", [(1, 1), (2, 1), (2, 2), (4, 2)])
 def test_offgrid_trial_matches_per_ue_oracle(option, U, V):
-    # The (U, N, M) stack, with zeros for inactive UEs, keeps every bit of the
-    # per-UE route: None for an inactive UE, one synthesis and norm per UE.
+    # The delay-angular score of the stacked truth (zeros for inactive UEs)
+    # equals the per-UE transfer-domain route (None for an inactive UE, one
+    # synthesis and norm per UE) within rounding: the two sum in other orders.
     config = ExperimentConfig(scenario="offgrid-sweep", system=SystemConfig(N=64, M=16, D=16, U=U),
                               channel=ChannelConfig(L=2, V=V), sweep=[16], trials=3, seed=5,
                               option=option, l1_values=[1], l2_values=[1])
     for alg in ("HiIHT", "HiHTP", "IHT", "HTP"):
         cond = Condition(label=alg, algorithm=alg, option=option, V=V, L=2, L1=1, L2=1)
         for t in range(3):
-            assert run_trial(config, cond, 16, t).hex() == offgrid_trial_oracle(config, cond, 16, t).hex()
+            assert run_trial(config, cond, 16, t) == pytest.approx(
+                offgrid_trial_oracle(config, cond, 16, t), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("option", ["FS", "SF"])
+def test_offgrid_score_is_the_transfer_domain_error(option):
+    # Parseval: for any estimate, the per-element transfer-domain error over
+    # all UEs equals the distance to the first D delay rows of the stacked
+    # delay-angular truth plus its energy beyond them, the score run_trial
+    # takes from an off-grid draw's (g, tail).
+    rng = np.random.default_rng(12)
+    U, D, N, M = 3, 8, 32, 8
+    H = rng.standard_normal((U, N, M)) + 1j * rng.standard_normal((U, N, M))
+    H[1] = 0.0  # an inactive UE
+    x_hat = rng.standard_normal(U * D * M) + 1j * rng.standard_normal(U * D * M)
+    G = delay_angular_offgrid(H)
+    g = vectorize(G[:, :D].reshape(U * D, M), option)
+    tail = np.linalg.norm(G[:, D:]) ** 2
+    H_hat = transfer_from_delay_angular(unvectorize(x_hat, option, U * D, M).reshape(U, D, M), N, M)
+    direct = np.linalg.norm(H_hat - H) ** 2 / (N * M)
+    assert np.linalg.norm(x_hat - g) ** 2 + tail == pytest.approx(direct, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_offgrid_trials_synthesize_no_estimate(monkeypatch, threads):
+    # No off-grid trial, on a shared draw or its own, maps its estimate back
+    # to the transfer domain, and the draw's truth is in_dim + 1 values.
+    def refuse(*args, **kwargs):
+        raise AssertionError("an off-grid trial synthesized its estimate")
+
+    monkeypatch.setattr(simulate, "transfer_from_delay_angular", refuse)
+    config = ExperimentConfig(scenario="offgrid-sweep", system=SystemConfig(N=64, M=16, D=16, U=2),
+                              channel=ChannelConfig(L=2, V=2), sweep=[16, 24], trials=2, seed=3,
+                              l1_values=[1, 2], l2_values=[1])
+    records, _, _ = run_sweep(config, threads=threads)
+    assert len(records) == 2 * 3 and all(math.isfinite(r.mse_mean) for r in records)
+    cond = simulate._conditions(config)[0]
+    assert math.isfinite(run_trial(config, cond, 16, 0))
+    op, _, truth = simulate._draw(config, cond, 16, 0)
+    assert sum(a.size for a in truth) == op.in_dim + 1
 
 
 @pytest.mark.parametrize("option", ["FS", "SF"])
 def test_stacked_synthesis_matches_per_slice(option):
-    # A (U, D, M) stack, as run_trial unvectorizes it, maps slice by slice in
-    # every bit, and each slice equals an FFT of the zero-padded N x M buffer.
+    # A (U, D, M) stack of a stacked estimate's per-UE blocks maps slice by
+    # slice in every bit, and each slice equals an FFT of the zero-padded
+    # N x M buffer.
     rng = np.random.default_rng(11)
     U, D, N, M = 3, 8, 32, 8
     x = rng.standard_normal(U * D * M) + 1j * rng.standard_normal(U * D * M)
-    X = simulate.unvectorize(x, option, U * D, M).reshape(U, D, M)
+    X = unvectorize(x, option, U * D, M).reshape(U, D, M)
     stacked = transfer_from_delay_angular(X, N, M)
     assert stacked.shape == (U, N, M)
     for u in range(U):
