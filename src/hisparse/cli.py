@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 from .simulate import ExperimentConfig, PRESETS, emit_plot_data, run_sweep
-from .verify import SUITES
+from .verify import SUITES, print_line
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -55,7 +55,7 @@ def main(argv=None) -> int:
         except OSError as exc:
             print(f"error: cannot write results: {exc}", file=sys.stderr)
             return 1
-        print(f"wrote {csv_path} ({len(records)} rows) and {manifest_path}")
+        print_line(f"wrote {csv_path} ({len(records)} rows) and {manifest_path}")
         return 0
     if args.command == "plot":
         try:
@@ -63,14 +63,14 @@ def main(argv=None) -> int:
         except (OSError, ValueError) as exc:
             print(f"error: cannot read results CSV: {exc}", file=sys.stderr)
             return 1
-        print(f"wrote {len(written)} plot files")
+        print_line(f"wrote {len(written)} plot files")
         return 0
     suite = SUITES[args.suite]  # the command is "verify": argparse requires one of the three
     kwargs = {"seed": args.seed}
     if args.trials is not None:
         kwargs["trials"] = args.trials
     passed = suite(**kwargs)
-    print("verify:", "PASS" if passed else "FAIL")
+    print_line("verify: " + ("PASS" if passed else "FAIL"))
     return 0 if passed else 2
 
 

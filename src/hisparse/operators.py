@@ -20,12 +20,12 @@ Both factor Grams are circulant: entry (q, q') depends only on (q - q') mod
 N, entry (m, m') only on (m - m') mod M, so ``gram`` evaluates any restricted
 Gram from two kernels. With every antenna observed (Mp = M) the angle factor
 is the unitary M-point DFT, so A^H A = I (x) T^H T (FS) or T^H T (x) I (SF),
-with T the delay factor: the gradient step ``adjoint_residual`` and the
-least-squares refit ``solve_normal`` then split by angle. Each method's
-docstring gives its routes and their costs; the design picks the route,
-apart from the refit's fallback on a singular block. ``columns`` builds exact
-columns from the two factors, and ``densify`` a dense matrix kept as a test
-oracle for small problems.
+with T the delay factor: the gradient step ``adjoint_residual`` then stays in
+the delay domain and the least-squares refit ``solve_normal`` splits by
+angle. Each method's docstring gives its routes and their costs; the design
+picks the route, apart from the refit's lstsq of a singular block.
+``columns`` builds exact columns from the two factors, and ``densify`` a
+dense matrix kept as a test oracle for small problems.
 """
 
 from __future__ import annotations
@@ -44,17 +44,27 @@ DENSIFY_CAP = 4096
 # the same between ratios 2 and 5 (x86 VM, one BLAS thread); at ratio 13 the
 # product took 1.8x the FFT's time.
 PRODUCT_CROSSOVER = 2.0
-# With every antenna observed, the gradient step applies the restricted delay
-# Gram (U*D x U*D) as one matrix product, not an FFT pair per angle, when
-# (U*D)**2 <= GRAM_STEP_CROSSOVER * N*log2(N). Per call at r = 3 occupied
-# angles (x86 VM, one BLAS thread): ratio 1.1 (the small preset) 14 against
-# 21 us; ratio 4.6 19 against 22 us; at ratios 8 and 18 the product took
-# 1.1-1.2x the FFT's time, and 22x at ratio 102 (the paper preset).
-GRAM_STEP_CROSSOVER = 4.0
-# With every antenna observed, a least-squares refit solves its per-angle
-# blocks only if their Cholesky factorization succeeds with every squared
-# pivot at least this fraction of the largest; otherwise it takes the full
-# minimum-norm lstsq.
+# With every antenna observed, the gradient step is one product of the whole
+# (M x U*D) unknown with the restricted delay Gram (U*D x U*D), not an FFT pair
+# per occupied angle and a patch of A^H y there, when both bounds hold:
+#   (U*D)**2 <= GRAM_ANGLE_CROSSOVER * N*log2(N): per angle the product costs
+#     no more than the FFT pair, so it can win even when x occupies every
+#     angle. Per call at r = 3 occupied angles, the product of those angles
+#     alone took 1.1-1.2x the FFT pair's time at ratios 8 and 18.
+#   M*(U*D)**2 <= GRAM_STEP_CROSSOVER * N*log2(N): the product over all M
+#     angles against the FFT pairs of the few that x occupies. Per later HiIHT
+#     pass at r = 4, the FFT route's patch and restore included (x86 VM, one
+#     BLAS thread), Gram against FFT route: ratio 73 (the small preset) 72
+#     against 97 us; 146 (N = 128, M = 128, U*D = 32) 96 against 114 us; 229
+#     126 against 129 us; 250 (N = 1024, M = 64, U*D = 200) 441 against 249
+#     us; 293 (N = 128, M = 256, U*D = 32) 148 against 140 us; 26214 (the
+#     paper preset) 33.6 against 1.6 ms.
+GRAM_ANGLE_CROSSOVER = 4.0
+GRAM_STEP_CROSSOVER = 200.0
+# With every antenna observed, a least-squares refit solves a per-angle block
+# in its batched solve only if the block's Cholesky factorization succeeds
+# with every squared pivot at least this fraction of the largest; otherwise
+# that block alone takes the minimum-norm lstsq of its own Gram.
 CHOLESKY_PIVOT_FLOOR = 1e-8
 
 
@@ -186,11 +196,22 @@ class KroneckerSensingOperator:
         # 1/N here for an unnormalized inverse FFT.
         self._delay_spectrum = self._delay_gram = None
         if d.Mp == d.M:
-            if self._ud ** 2 <= GRAM_STEP_CROSSOVER * d.N * math.log2(d.N):
+            fft_cost = d.N * math.log2(d.N)
+            if (self._ud ** 2 <= GRAM_ANGLE_CROSSOVER * fft_cost
+                    and d.M * self._ud ** 2 <= GRAM_STEP_CROSSOVER * fft_cost):
                 delays = np.arange(self._ud)
                 self._delay_gram = self._tau_kernel[(delays[:, None] - delays) % d.N]
             else:
                 self._delay_spectrum = weights / d.Np
+
+    def _destination(self, out) -> np.ndarray:
+        """``out`` checked as a C-contiguous complex128 array of length in_dim, or a new one."""
+        if out is None:
+            return np.empty(self.in_dim, dtype=np.complex128)
+        if out.shape != (self.in_dim,) or out.dtype != np.complex128 or not out.flags.c_contiguous:
+            raise DimensionError(
+                f"out must be a C-contiguous complex128 array of length {self.in_dim}")
+        return out
 
     def _split(self, idx) -> tuple[np.ndarray, np.ndarray]:
         """Flat indices -> (delay index q in [0, U*D), angle index m in [0, M))."""
@@ -254,11 +275,7 @@ class KroneckerSensingOperator:
         v = np.asarray(y, dtype=np.complex128)
         if v.shape != (self.out_dim,):
             raise DimensionError(f"measurement length {v.shape} != {self.out_dim}")
-        if out is None:
-            out = np.empty(self.in_dim, dtype=np.complex128)
-        elif out.shape != (self.in_dim,) or out.dtype != np.complex128 or not out.flags.c_contiguous:
-            raise DimensionError(
-                f"out must be a C-contiguous complex128 array of length {self.in_dim}")
+        out = self._destination(out)
         padded = np.zeros((d.Np, d.M), dtype=np.complex128)
         padded[:, d.antennas] = unvectorize(v, self.option, d.Np, d.Mp)
         Z = np.fft.fft(padded, axis=1) / math.sqrt(d.Mp)
@@ -286,23 +303,29 @@ class KroneckerSensingOperator:
 
         ``aty`` is A^H y. Returns (changed, step): an index of the flat
         vector and the step's values there; at every other index the step
-        equals ``aty``. With Mp = M, A^H A = I (x) T^H T and y is not read:
-        ``changed`` is the sorted flat indices of every entry of the r angles
-        that x occupies (r contiguous runs of U*D under FS, U*D strided rows
-        of r under SF), and ``step`` is aty there minus T^H T applied to each
-        angle's delay column, which agrees with ``forward`` plus the adjoint
-        to rounding. One of three routes runs:
+        equals ``aty``. ``out`` is an optional destination, as for
+        ``adjoint_values``, read on the two routes whose ``changed`` is
+        ``slice(None)``, every entry. With Mp = M, A^H A = I (x) T^H T (FS)
+        or T^H T (x) I (SF) and y is not read; the step then agrees with
+        ``forward`` plus the adjoint to rounding. One of three routes runs:
 
-          * Mp < M: ``changed`` is ``slice(None)``, every entry, and ``step``
-            is ``adjoint_values(y - forward(idx, values), out)``, the
-            textbook bits; ``out`` is an optional destination, as for
-            ``adjoint_values``, read only on this route.
-          * Mp = M, Gram route, when (U*D)**2 <= GRAM_STEP_CROSSOVER *
-            N*log2(N): the (r x U*D) block of x's values times the
-            transposed restricted delay Gram ``_delay_gram``, O(r*(U*D)^2).
-          * Mp = M, FFT route otherwise: T^H T is circulant, so it is one
-            length-N FFT per angle of its zero-padded delay column, times the
-            delay spectrum ``_delay_spectrum`` (nonzero on the pilot
+          * Mp < M: ``changed`` is ``slice(None)`` and ``step`` is
+            ``adjoint_values(y - forward(idx, values), out)``, the textbook
+            bits.
+          * Mp = M, Gram route, when (U*D)**2 and M*(U*D)**2 are within
+            GRAM_ANGLE_CROSSOVER and GRAM_STEP_CROSSOVER times N*log2(N):
+            ``changed`` is ``slice(None)`` and ``step`` is aty minus the
+            (M x U*D) view of x times the transposed restricted
+            delay Gram ``_delay_gram`` (FS), or that Gram times the (U*D x
+            M) view (SF), written into ``out``: one product over every
+            angle, O(M*(U*D)^2), with no grouping of the support.
+          * Mp = M, FFT route otherwise: ``changed`` is the sorted flat
+            indices of every entry of the r angles that x occupies (r
+            contiguous runs of U*D under FS, U*D strided rows of r under
+            SF), and ``step`` is aty there minus T^H T applied to each
+            angle's delay column. T^H T is circulant, so that is one
+            length-N FFT per angle of its zero-padded delay column, times
+            the delay spectrum ``_delay_spectrum`` (nonzero on the pilot
             subcarriers only), and one inverse FFT, whose first U*D entries
             are subtracted, O(r*N log N + r*U*D).
 
@@ -315,17 +338,23 @@ class KroneckerSensingOperator:
         idx, values = _support(idx, values, self.in_dim)
         if np.shape(aty) != (self.in_dim,):
             raise DimensionError(f"A^H y length {np.shape(aty)} != {self.in_dim}")
+        gram = self._delay_gram
+        if gram is not None:
+            out = self._destination(out)
+            x = np.zeros(self.in_dim, dtype=np.complex128)
+            x[idx] = values
+            if self.option is VectorizationOption.FS:
+                np.matmul(x.reshape(d.M, self._ud), gram.T, out=out.reshape(d.M, self._ud))
+            else:
+                np.matmul(gram, x.reshape(self._ud, d.M), out=out.reshape(self._ud, d.M))
+            return slice(None), np.subtract(aty, out, out=out)
         q, m = self._split(idx)
         angles, slot = _groups(m, d.M)
-        gram = self._delay_gram
-        block = np.zeros((angles.size, d.N if gram is None else self._ud), dtype=np.complex128)
+        block = np.zeros((angles.size, d.N), dtype=np.complex128)
         block[slot, q] = values
-        if gram is not None:
-            block = block @ gram.T
-        else:
-            np.fft.fft(block, axis=1, out=block)
-            block *= self._delay_spectrum
-            np.fft.ifft(block, axis=1, norm="forward", out=block)
+        np.fft.fft(block, axis=1, out=block)
+        block *= self._delay_spectrum
+        np.fft.ifft(block, axis=1, norm="forward", out=block)
         # The (U*D x r) block of those angles, vectorized in flat index order.
         changed = vectorize(flat_index(self.option, np.arange(self._ud)[:, None], angles,
                                        self._ud, d.M), self.option)
@@ -369,40 +398,54 @@ class KroneckerSensingOperator:
         that angle. The blocks are gathered from the delay kernel into a
         stack zero-padded to the largest block, n delays (identity on the
         padding), and one batched ``solve`` runs on the stack, O(r*n^3). A
-        batched Cholesky factorization certifies it first: if one fails, or
-        the smallest squared pivot over the support is below
-        CHOLESKY_PIVOT_FLOOR times the largest, the solve falls back to the
-        ``lstsq`` of ``gram(idx)``, so a singular block (more delays at one
-        angle than Np, say) still gets the minimum-norm solution. Otherwise
-        the result agrees with that ``lstsq`` to rounding.
+        batched Cholesky factorization certifies each block first. A block
+        whose factorization fails, or that has a squared pivot below
+        CHOLESKY_PIVOT_FLOOR times the largest over the support, is refit
+        alone by the ``lstsq`` of its own Gram (more delays at one angle than
+        Np, say). The Gram is block-diagonal, so the result is still the
+        minimum-norm solution of ``gram(idx)``, and it agrees with that
+        ``lstsq`` to rounding.
         """
         d = self.design
         idx = np.asarray(idx, dtype=np.int64)
         rhs = aty[idx]
-        if d.Mp == d.M:
-            if not idx.size:
-                return rhs
-            q, m = self._split(idx)
-            angles, block = _groups(m, d.M)
-            order = np.argsort(block, kind="stable")
-            ranked = block[order]
-            slot = np.empty_like(block)  # each entry's rank within its angle
-            slot[order] = np.arange(idx.size) - np.searchsorted(ranked, ranked)
-            shape = (angles.size, int(slot.max()) + 1)
-            delays, used = np.zeros(shape, dtype=np.int64), np.zeros(shape, dtype=bool)
-            delays[block, slot], used[block, slot] = q, True
-            G = np.where(used[:, :, None] & used[:, None, :],
-                         self._tau_kernel[(delays[:, :, None] - delays[:, None, :]) % d.N],
-                         np.eye(shape[1]))
-            try:
-                pivots = np.linalg.cholesky(G)[block, slot, slot].real ** 2
-            except np.linalg.LinAlgError:  # a block is not numerically positive definite
-                pivots = None
-            if pivots is not None and pivots.min() >= CHOLESKY_PIVOT_FLOOR * pivots.max():
-                b = np.zeros(shape + (1,), dtype=np.complex128)
-                b[block, slot, 0] = rhs
-                return np.linalg.solve(G, b)[block, slot, 0]
-        return np.linalg.lstsq(self.gram(idx), rhs, rcond=None)[0]
+        if d.Mp < d.M:
+            return np.linalg.lstsq(self.gram(idx), rhs, rcond=None)[0]
+        if not idx.size:
+            return rhs
+        q, m = self._split(idx)
+        angles, block = _groups(m, d.M)
+        order = np.argsort(block, kind="stable")
+        ranked = block[order]
+        slot = np.empty_like(block)  # each entry's rank within its angle
+        slot[order] = np.arange(idx.size) - np.searchsorted(ranked, ranked)
+        shape = (angles.size, int(slot.max()) + 1)
+        delays, used = np.zeros(shape, dtype=np.int64), np.zeros(shape, dtype=bool)
+        delays[block, slot], used[block, slot] = q, True
+        G = np.where(used[:, :, None] & used[:, None, :],
+                     self._tau_kernel[(delays[:, :, None] - delays[:, None, :]) % d.N],
+                     np.eye(shape[1]))
+        try:
+            factors = np.linalg.cholesky(G)
+        except np.linalg.LinAlgError:  # some block is not numerically positive definite
+            factors = np.full_like(G, np.nan)  # NaN pivots mark the blocks that fail
+            for k, Gk in enumerate(G):
+                try:
+                    factors[k] = np.linalg.cholesky(Gk)
+                except np.linalg.LinAlgError:
+                    pass
+        pivots = factors[block, slot, slot].real ** 2
+        floor = CHOLESKY_PIVOT_FLOOR * np.max(pivots, initial=0.0, where=~np.isnan(pivots))
+        weak = np.zeros(shape[0], dtype=bool)
+        weak[block[~(pivots >= floor)]] = True  # a NaN pivot fails the comparison
+        b = np.zeros(shape + (1,), dtype=np.complex128)
+        b[block, slot, 0] = rhs
+        G[weak] = np.eye(shape[1])  # each weak block is solved below instead
+        beta = np.linalg.solve(G, b)[block, slot, 0]
+        for k in np.flatnonzero(weak):
+            entries = block == k
+            beta[entries] = np.linalg.lstsq(self.gram(idx[entries]), rhs[entries], rcond=None)[0]
+        return beta
 
     def densify(self) -> np.ndarray:
         """Explicit (Np*Mp x U*D*M) matrix; test oracle for small problems."""

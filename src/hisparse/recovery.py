@@ -20,17 +20,19 @@ IEEE addition commutes, so either way below x_temp is x plus the step bit for
 bit, apart from the sign of a zero off S (0.0 + -0.0 is +0.0).
 
   * With every antenna observed (Mp = M) the step stays in the delay domain
-    (see ``adjoint_residual``) and changes only the entries of the angles
-    that x occupies. A later pass writes those over A^H y, adds x on S
-    only, zeroes S in x, patches those entries' moduli, selects, reads
-    x_temp on the new support and puts the saved A^H y entries and moduli
-    back before a refit reads A^H y. It makes no length-in_dim copy and no
-    full moduli pass.
-  * With Mp < M the step is ``adjoint_values(y - forward(S, x[S]))``, the
-    textbook sum, over every entry, written into this thread's ``step``
-    buffer (``out``). The pass adds x on S to that buffer, forms its moduli
-    in the ``step_moduli`` buffer and selects on those two; A^H y and its
-    moduli are not touched, so nothing is saved or put back.
+    (see ``adjoint_residual``). On the operator's FFT route it changes only
+    the entries of the angles that x occupies. A later pass writes those
+    over A^H y, adds x on S only, zeroes S in x, patches those entries'
+    moduli, selects, reads x_temp on the new support and puts the saved
+    A^H y entries and moduli back before a refit reads A^H y. It makes no
+    length-in_dim copy and no full moduli pass.
+  * With Mp < M, and with Mp = M on the operator's Gram route (one product
+    of the whole unknown with the restricted delay Gram), the step changes
+    every entry: with Mp < M it is ``adjoint_values(y - forward(S, x[S]))``,
+    the textbook sum. It is written into this thread's ``step`` buffer
+    (``out``). The pass adds x on S to that buffer, forms its moduli in the
+    ``step_moduli`` buffer and selects on those two; A^H y and its moduli
+    are not touched, so nothing is saved or put back.
 
 Against the textbook forward + adjoint step and a refit by one ``lstsq`` of
 the restricted Gram, only estimates with Mp = M move, at rounding level,
@@ -126,7 +128,7 @@ def _threshold_loop(y, op, max_iters: int, dims, profile, pursuit: bool, given_a
     aty = work_buffer("aty", (op.in_dim,), np.complex128)
     if given_aty is None:
         op.adjoint_values(y, out=aty)
-    else:  # a copy: the Mp = M passes patch aty in place
+    else:  # a copy: the passes of the FFT step route patch aty in place
         np.copyto(aty, given_aty)
     moduli = squared_moduli(aty, out=work_buffer("moduli", (op.in_dim,), np.float64))
     x_temp, x_moduli = aty, moduli  # what a pass selects on: pass 1 takes A^H y as it is
@@ -213,8 +215,9 @@ def solve(y, op, cfg: RecoveryConfig, aty=None) -> RecoveryResult:
             BlockShape), ``in_dim``, ``out_dim``, ``forward(idx, values)``,
             ``adjoint_values(y, out=None)``, for the thresholding solvers
             ``adjoint_residual(y, aty, idx, values, out=None)`` (an index
-            of the entries it changes, and their values; ``out`` receives
-            the step when it changes every entry), for HiHTP, HTP and OMP
+            of the entries it changes, and their values: ``slice(None)``
+            and the whole step, written into ``out``, when it changes every
+            entry, or an int64 index and the step there), for HiHTP, HTP and OMP
             ``solve_normal(aty, idx)`` and, for OMP, ``columns(idx)``.
         cfg: solver configuration. cfg.profile is clipped to op.shape_in;
             HiIHT/HiHTP select under the clipped profile, IHT/HTP select and

@@ -8,6 +8,8 @@ approximation-bound properties the rest of the toolkit relies on.
 from __future__ import annotations
 
 import math
+import os
+import sys
 
 import numpy as np
 
@@ -25,9 +27,21 @@ from .recovery import contraction_constants, min_overhead
 from .ripcheck import extension_rip_check, hirip_constant, kron_hirip_bound, rip_constant
 
 
+def print_line(text: str) -> None:
+    """Print one line to stdout. Once the reader has closed it (``| head -1``),
+    stdout is pointed at the null device: this line and the rest are dropped
+    without an error, and the command still runs to its own exit status."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _report(name: str, ok: bool, detail: str = "") -> bool:
     status = "ok" if ok else "FAIL"
-    print(f"[{status}] {name}" + (f" ({detail})" if detail else ""))
+    print_line(f"[{status}] {name}" + (f" ({detail})" if detail else ""))
     return ok
 
 

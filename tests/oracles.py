@@ -108,8 +108,8 @@ class DenseOperator:
 
 def step_route(op) -> str:
     """The gradient-step route of a ``KroneckerSensingOperator``: "Mp < M"
-    (forward + adjoint), "gram" (one product with the restricted delay Gram)
-    or "fft" (an FFT pair per occupied angle)."""
+    (forward + adjoint), "gram" (one product of the whole unknown with the
+    restricted delay Gram) or "fft" (an FFT pair per occupied angle)."""
     if op.design.Mp < op.design.M:
         assert op._delay_gram is None and op._delay_spectrum is None
         return "Mp < M"

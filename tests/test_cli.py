@@ -1,6 +1,10 @@
 import json
 import math
+import os
+from pathlib import Path
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -118,6 +122,27 @@ def test_verify_bounds_prints_its_worst_margin(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert re.fullmatch(r"\[ok\] sparse-approximation error bound holds \(20 channels x 9 "
                         r"truncation levels, max gap -?\d\.\d\de[+-]\d\d\)", lines[1])
+
+
+def test_verify_exits_quietly_when_its_reader_closes_stdout():
+    # `hisparse verify --suite bounds | head -1`: the reader takes the first
+    # line and closes the pipe while the suite is still checking. The rest
+    # of the output is dropped, the suite still runs to its PASS, and
+    # nothing reaches stderr.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", ""),
+           "PYTHONUNBUFFERED": "1"}
+    proc = subprocess.Popen([sys.executable, "-m", "hisparse.cli", "verify", "--suite", "bounds"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 0, err.decode()
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert first.startswith(b"[ok] ") and err == b""
 
 
 def test_verify_failure_exits_two(monkeypatch, capsys):

@@ -207,8 +207,11 @@ def test_adjoint_residual_matches_dense(option, U, Mp):
     # A^H y - A^H A x against the dense matrix: in the delay domain when every
     # antenna is observed, and as the very forward + adjoint bits otherwise.
     # At N = 32 the Gram product serves U*D <= 25 (U = 1, 2), the FFT pair U = 4.
+    # The Gram route and Mp < M change every entry and fill ``out`` in place;
+    # the FFT route changes exactly the entries of the angles x occupies.
     op = KroneckerSensingOperator(make_design(32, 8, 8, U, 12, Mp, seed=U), option)
-    assert step_route(op) == ("Mp < M" if Mp < 8 else "gram" if U < 4 else "fft")
+    route = step_route(op)
+    assert route == ("Mp < M" if Mp < 8 else "gram" if U < 4 else "fft")
     A = op.densify()
     rng = np.random.default_rng(10 * U + Mp)
     y = rng.standard_normal(op.out_dim) + 1j * rng.standard_normal(op.out_dim)
@@ -233,18 +236,19 @@ def test_adjoint_residual_matches_dense(option, U, Mp):
         got[changed] = step
         assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected), name
         assert not np.shares_memory(step, aty)
-        if Mp < 8:
-            assert changed == slice(None)
-            assert step.tobytes() == op.adjoint_values(y - op.forward(idx, values)).tobytes()
-            out = np.full(op.in_dim, np.nan + 1j * np.nan)
-            _, into = op.adjoint_residual(y, aty, idx, values, out=out)
-            assert into is out and out.tobytes() == step.tobytes()
-        else:
+        if route == "fft":
             assert changed.dtype == np.int64 and step.shape == changed.shape
             # Exactly the entries of the angles that x occupies, in flat order.
             occupied = np.isin(angle_of, angle_of[idx])
             np.testing.assert_array_equal(changed, np.flatnonzero(occupied), err_msg=name)
-    if Mp == 8:
+            continue
+        assert changed == slice(None)
+        if route == "Mp < M":
+            assert step.tobytes() == op.adjoint_values(y - op.forward(idx, values)).tobytes()
+        out = np.full(op.in_dim, np.nan + 1j * np.nan)
+        _, into = op.adjoint_residual(y, aty, idx, values, out=out)
+        assert into is out and out.tobytes() == step.tobytes()
+    if route == "fft":
         changed, step = op.adjoint_residual(y, aty, [], [])
         assert changed.size == 0 and step.size == 0
 
@@ -258,6 +262,23 @@ def test_adjoint_residual_refuses_bad_inputs():
             op.adjoint_residual(y, aty, idx, values)
     with pytest.raises(DimensionError):
         op.adjoint_residual(y, aty[:-1], [1], [1.0])
+    with pytest.raises(DimensionError):  # the Gram route's destination is checked as adjoint_values' is
+        op.adjoint_residual(y, aty, [1], [1.0], out=np.empty(op.in_dim - 1, dtype=complex))
+
+
+@pytest.mark.parametrize("N, M, D, U, route", [
+    # With Mp = M the step is one whole-vector Gram product while (U*D)**2 <=
+    # 4*N*log2(N) and M*(U*D)**2 <= 200*N*log2(N); the number after each
+    # design is M*(U*D)**2 / (N*log2(N)).
+    pytest.param(128, 64, 32, 1, "gram", id="small-preset"),     # 73
+    pytest.param(256, 64, 48, 1, "gram", id="N256-M64-UD48"),    # 72
+    pytest.param(128, 256, 32, 1, "fft", id="N128-M256-UD32"),   # 293
+    pytest.param(1024, 64, 200, 1, "fft", id="N1024-M64-UD200"),  # 250
+    pytest.param(1024, 256, 256, 4, "fft", id="paper-preset"),   # 26214
+])
+def test_step_route_follows_the_gram_crossovers(N, M, D, U, route):
+    for option in ("FS", "SF"):
+        assert step_route(KroneckerSensingOperator(make_design(N, M, D, U, 16, M, seed=0), option)) == route
 
 
 @pytest.mark.parametrize("option, N, D, U, route", [

@@ -185,7 +185,8 @@ def test_block_refit_falls_back_below_the_pivot_floor():
     # and 1 nearly parallel: that angle's block [[1, c], [conj(c), 1]] has
     # |c| = cos(pi/N), so its Cholesky factorization succeeds, but with a
     # squared pivot sin(pi/N)^2 = 2.3e-9 of the largest, below the 1e-8
-    # floor. The refit is then the full-Gram lstsq, bit for bit.
+    # floor. That block alone is then refit by lstsq; on this support the
+    # result has the full-Gram lstsq's bits.
     N = 65536
     design = PilotDesign(N=N, M=4, D=4, U=1, Np=2, Mp=4, subcarriers=[0, 1], antennas=np.arange(4),
                          base_sequence=np.ones(N, dtype=complex))
@@ -358,6 +359,35 @@ def test_block_refit_tracks_the_full_gram_refit(option, offgrid):
                 np.testing.assert_array_equal(res.support, ref.support)
                 assert res.iterations == ref.iterations
                 assert abs(mse - ref_mse) <= 1e-12 * ref_mse
+
+
+def test_a_weak_block_refits_alone():
+    # Flat HTP on the U = 4 off-grid grids above picks more delays at one
+    # angle than the Np = 24 pilots on 12 refits, so that angle's block is
+    # singular. Only that block takes an lstsq, of its own Gram, and the
+    # other blocks keep the batched solve; the Gram is block-diagonal, so
+    # the refit is still the full-Gram minimum-norm solution, to 1e-12.
+    refits = []
+
+    class Recording(KroneckerSensingOperator):
+        def solve_normal(self, aty, idx):
+            with mock.patch.object(np.linalg, "lstsq", wraps=np.linalg.lstsq) as lstsq:
+                beta = super().solve_normal(aty, idx)
+            if lstsq.call_count:
+                full = np.linalg.lstsq(self.gram(idx), aty[idx], rcond=None)[0]
+                assert np.linalg.norm(beta - full) <= 1e-12 * np.linalg.norm(full)
+                sizes = [call.args[0].shape[0] for call in lstsq.call_args_list]
+                angles, counts = np.unique(self._split(idx)[1], return_counts=True)
+                assert sorted(sizes) == sorted(counts[counts > 24]) and angles.size > len(sizes)
+                refits.append(sizes)
+            return beta
+
+    for option in ("FS", "SF"):
+        for _, config, V, grid in every_antenna_grid(option, offgrid=True):
+            cond = Condition(label="HTP", algorithm="HTP", option=option, V=V, L=3, **grid)
+            for t in range(5):
+                solved_trial(config, cond, 24, t, Recording)
+    assert len(refits) == 12
 
 
 def offgrid_style_measurement(op, design, rng):
