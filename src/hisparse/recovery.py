@@ -51,7 +51,8 @@ sparsity k = the clipped profile's size, its max_support). The IHT variants
 keep x_temp on the selected support, the HTP variants refit it by least
 squares on S. Every stop is read from one history of the passes (each one's
 support and values, and the latest pass to select each support): iteration
-stops when pass i selects pass i - 1's support or after max_iters passes; a
+stops when pass i selects pass i - 1's support (``RecoveryResult.stop``
+"support-repeat") or after max_iters passes ("max-iters"); a
 run capped at max_iters = i replays the first i passes of a longer one, so
 capped reruns expose the iterates. The HTP variants also stop at an exact
 cycle. Their iterate is the refit on its support, so from pass 1 on each
@@ -59,13 +60,14 @@ support is a fixed function of the one before; once pass i selects the
 support of a pass j < i - 1, the run repeats with period p = i - j. The loop
 then stops and returns what pass max_iters would: pass j + (max_iters - j)
 mod p's support and refit values, with iterations = max_iters, the same in
-every bit as the full run. The IHT variants carry values from pass to pass,
-so they run on past such a repeat. OMP grows its support one correlation
-pick at a time, k picks at most, with the same least-squares refit, and
-reports its pick count as iterations. Every refit is the operator's
-``op.solve_normal(A^H y, S)``, which solves the |S| x |S| normal equations
-(A^H A)[S, S] beta = (A^H y)[S] and keeps the minimum-norm solution on a
-rank-deficient support; the route it takes is the operator's. Supports are
+every bit as the full run ("support-cycle"). The IHT variants carry values
+from pass to pass, so they run on past such a repeat. OMP grows its support
+one correlation pick at a time, k picks at most, with the same least-squares
+refit, and reports its pick count as iterations; it stops on "residual" once
+its residual falls to LS_TOLERANCE, else on "k-picks". Every refit is the
+operator's ``op.solve_normal(A^H y, S)``, which solves the |S| x |S| normal
+equations (A^H A)[S, S] beta = (A^H y)[S] and keeps the minimum-norm solution
+on a rank-deficient support; the route it takes is the operator's. Supports are
 sorted int64 arrays of flat indices, and the estimate ``RecoveryResult.x_hat``
 is the flat vector of length op.in_dim in layout op.shape_in.
 """
@@ -113,6 +115,7 @@ class RecoveryResult:
     support: np.ndarray
     iterations: int
     residual_norm: float
+    stop: str  # "support-repeat", "support-cycle" or "max-iters"; OMP "residual" or "k-picks"
 
 
 def _check_measurement(y, op) -> np.ndarray:
@@ -134,6 +137,7 @@ def _threshold_loop(y, op, max_iters: int, dims, profile, pursuit: bool, given_a
     x_temp, x_moduli = aty, moduli  # what a pass selects on: pass 1 takes A^H y as it is
     x = np.zeros(op.in_dim, dtype=np.complex128)
     latest, passes = {}, []  # support bytes -> latest pass that selected it; (support, values) per pass
+    stop = "max-iters"
     for i in range(1, max_iters + 1):
         if i > 1:
             # x_temp = x + A^H (y - A x).
@@ -158,8 +162,10 @@ def _threshold_loop(y, op, max_iters: int, dims, profile, pursuit: bool, given_a
         key = support.tobytes()
         j, latest[key] = latest.get(key), i
         if j == i - 1:  # the previous pass's support
+            stop = "support-repeat"
             break
         if pursuit and j is not None:  # pass i repeats pass j < i - 1: a cycle of period i - j
+            stop = "support-cycle"
             x[support] = 0.0
             support, values = passes[j - 1 + (max_iters - j) % (i - j)]
             x[support] = values
@@ -171,6 +177,7 @@ def _threshold_loop(y, op, max_iters: int, dims, profile, pursuit: bool, given_a
         support=support,
         iterations=i,
         residual_norm=residual,
+        stop=stop,
     )
 
 
@@ -185,8 +192,10 @@ def _omp(y, op, k: int, aty):
     beta = np.zeros(0, dtype=np.complex128)
     r = y.copy()
     ynorm = float(np.linalg.norm(y))
+    stop = "k-picks"
     for _ in range(k):
         if float(np.linalg.norm(r)) <= LS_TOLERANCE * max(1.0, ynorm):
+            stop = "residual"
             break
         corr = np.abs(op.adjoint_values(r))
         corr[selected] = -1.0
@@ -203,6 +212,7 @@ def _omp(y, op, k: int, aty):
         support=support,
         iterations=len(selected),
         residual_norm=float(np.linalg.norm(r)),
+        stop=stop,
     )
 
 

@@ -5,28 +5,34 @@ supports' Gram blocks. The flat delta_s (``rip_constant``) is the one-level
 case of ``hirip_constant``, with the same enumeration, input checks and caps.
 This is exponential by nature: oversized instances are refused, not approximated.
 
-Each call forms one Gram ``G = A^H A`` and unranks the supports' numbers in
-chunks of int64 index rows (``_unranker``), so memory is bounded by the chunk
-and no Python runs per support. A chunk's blocks ``G[S, S]`` go as one stack
-through one batched ``eigvalsh``. When the support size k exceeds the row
-count, the rows x rows ``A_S A_S^H`` stand in for the k x k blocks: they share
-the nonzero spectrum, and the Gram's smallest eigenvalue is exactly 0. The
-witness is the first maximiser in (lexicographic) enumeration order.
+Each call forms one Gram ``G = A^H A``, with ``|G|`` (its diagonal zeroed) and
+G's real diagonal, and unranks the supports' numbers in chunks of int64 index
+rows (``_unranker``), so memory is bounded by the chunk and no Python runs per
+support. When the support size k exceeds the row count, each chunk's rows x
+rows ``A_S A_S^H`` stand in for the k x k blocks: they share the nonzero
+spectrum, and the Gram's smallest eigenvalue is exactly 0. The witness is the
+first maximiser in (lexicographic) enumeration order.
 
-Only supports that can still set delta are eigensolved. From the chunk's
-stack each block H gets a Gershgorin bound on its deviation,
-max(max_i(H_ii + R_i) - 1, 1 - min_i(H_ii - R_i)) with R_i the off-diagonal
-absolute row sum (1 - lambda_min is exactly 1 on the rows x rows side). A
-support whose bound is below the running maximum less a relative margin of
-1e-9 cannot tie or beat it, so it is skipped; the first chunk's maximum is
-seeded by solving its top-bound support. The constant and the witness are
-those of solving every support, in every bit, and ``supports_checked``
-counts every enumerated support, skipped or solved.
+Only supports that can still set delta are eigensolved. Each block H gets a
+Gershgorin bound on its deviation, max(max_i(H_ii + R_i) - 1, 1 - min_i(H_ii -
+R_i)) with R_i the off-diagonal absolute row sum (1 - lambda_min is exactly 1
+on the rows x rows side). Its centres are read from the diagonal and its
+|H_ij| from ``|G|`` by real gathers (from the chunk's |H| on the rows x rows
+side), and the sums, maxima and minima run slice by slice over the block's
+rows, one length-c vector op each for c supports. A support whose bound is
+below the running maximum less a relative margin of 1e-9 cannot tie or beat
+it, so it is skipped; the first chunk's maximum is seeded by solving its
+top-bound support. Only the seed and the surviving supports gather their
+complex blocks ``G[S, S]``, which go as one stack through one batched
+``eigvalsh``. The constant and the witness are those of solving every
+support, in every bit, and ``supports_checked`` counts every enumerated
+support, skipped or solved.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 import math
 
 import numpy as np
@@ -37,7 +43,7 @@ from .operators import dft_matrix, tau_factor
 
 ENUM_CAP = 1_000_000
 EIG_BLOCK_CAP = 64
-# Complex entries gathered per batched eigensolve (256 KB): a chunk holds
+# Block entries per chunk (256 KB as complex): a chunk holds
 # _CHUNK_ENTRIES // (k * min(k, rows)) supports, at least one. Chunks of up to
 # 32 MB ran no faster and raised peak memory.
 _CHUNK_ENTRIES = 2**14
@@ -73,17 +79,38 @@ def _deviation(H: np.ndarray, smaller_side: bool) -> np.ndarray:
     return np.maximum(ev[:, -1] - 1.0, 1.0 if smaller_side else 1.0 - ev[:, 0])
 
 
+def _gershgorin(off: np.ndarray, centre: np.ndarray, smaller_side: bool) -> np.ndarray:
+    """Gershgorin bound on each block's deviation, one length-c slice at a time.
+
+    ``off`` holds |H_ij| as (i, j, block) with a zero diagonal, ``centre`` the real
+    H_ii as (i, block): every eigenvalue lies within R_i = sum_j |H_ij| of some H_ii.
+    """
+    radius = sum(off.swapaxes(0, 1))  # R_i, column by column
+    top = reduce(np.maximum, centre + radius) - 1.0
+    return np.maximum(top, 1.0 if smaller_side else 1.0 - reduce(np.minimum, centre - radius))
+
+
 def _scan(A: np.ndarray, supports, count: int, k: int):
     """(delta, witness) over the k-column supports numbered 0 .. count - 1.
 
-    ``supports`` maps numbers to sorted index rows. Eigensolves only the supports
-    whose Gershgorin bound can still reach the running maximum (see above).
+    ``supports`` maps numbers to sorted index rows. Each chunk's Gershgorin bounds
+    come from real gathers of |G| and G's diagonal (from |H| on the rows x rows
+    side); only the supports whose bound can still reach the running maximum
+    gather their complex blocks and are eigensolved (see above).
     """
-    rows = A.shape[0]
+    rows, n = A.shape
     smaller_side = k > rows
     if not smaller_side:
         G = A.conj().T @ A
+        diag = G.diagonal().real
+        off = np.abs(G)
+        np.fill_diagonal(off, 0.0)
     chunk = max(1, _CHUNK_ENTRIES // (k * min(k, rows)))
+
+    def blocks(idx, H, sel):
+        """The complex blocks of the supports idx[sel]."""
+        return H[sel] if smaller_side else G[idx[sel, :, None], idx[sel, None, :]]
+
     best = -1.0
     witness: tuple[int, ...] = ()
     for start in range(0, count, chunk):
@@ -91,19 +118,21 @@ def _scan(A: np.ndarray, supports, count: int, k: int):
         if smaller_side:
             cols = A.T[idx]
             H = cols.transpose(0, 2, 1) @ cols.conj()
+            centre = H.diagonal(axis1=1, axis2=2).real.T
+            absH = np.abs(H).transpose(1, 2, 0)
+            absH[np.arange(rows), np.arange(rows)] = 0.0
         else:
-            H = G[idx[:, :, None], idx[:, None, :]]
-        # Gershgorin: every eigenvalue lies within R_i of some H_ii, R_i the
-        # off-diagonal absolute row sum.
-        centre = H.diagonal(axis1=1, axis2=2).real
-        radius = np.abs(H).sum(axis=2) - np.abs(centre)
-        bound = np.maximum((centre + radius).max(axis=1) - 1.0,
-                           1.0 if smaller_side else 1.0 - (centre - radius).min(axis=1))
-        floor = best if best >= 0 else _deviation(H[[int(np.argmax(bound))]], smaller_side)[0]
+            H = None
+            at = np.ascontiguousarray(idx.T)  # (i, block)
+            centre = diag.take(at)
+            absH = off.take(at[:, None, :] * n + at[None, :, :])  # flat indices into |G|
+        bound = _gershgorin(absH, centre, smaller_side)
+        floor = best if best >= 0 else (  # the first chunk: its top-bound support seeds it
+            _deviation(blocks(idx, H, [int(np.argmax(bound))]), smaller_side)[0])
         live = np.flatnonzero(bound >= floor - _MARGIN * max(1.0, floor))
         if not len(live):
             continue
-        dev = _deviation(H[live], smaller_side)
+        dev = _deviation(blocks(idx, H, live), smaller_side)
         j = int(np.argmax(dev))
         if dev[j] > best:
             best = float(dev[j])

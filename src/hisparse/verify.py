@@ -110,10 +110,16 @@ def suite_operators(trials: int = 50, seed: int = 0) -> bool:
     return ok
 
 
+def _sums(hi, flat) -> str:
+    """The exact sums of the constants a line compared, in repr: a byte-identical
+    line then pins them even where its gap reads 0."""
+    return f"hierarchical sum {math.fsum(hi)!r}, flat sum {math.fsum(flat)!r}"
+
+
 def suite_hirip(trials: int = 50, seed: int = 0) -> bool:
     rng = np.random.default_rng(seed)
     ok = True
-    worst = -math.inf  # largest d_hi - d_flat
+    hi, flat = [], []  # the constants compared, summed into the line
     for _ in range(trials):
         while True:
             dims = (int(rng.integers(2, 4)), int(rng.integers(2, 4)), int(rng.integers(2, 4)))
@@ -122,22 +128,22 @@ def suite_hirip(trials: int = 50, seed: int = 0) -> bool:
             if math.comb(shape.total, min(s.max_support, shape.total)) <= 200_000:
                 break
         A = _unit_columns(rng, int(rng.integers(4, 10)), shape.total)
-        d_hi = hirip_constant(A, shape, s).delta
-        d_flat = rip_constant(A, min(s.max_support, shape.total)).delta
-        worst = max(worst, d_hi - d_flat)
+        hi.append(hirip_constant(A, shape, s).delta)
+        flat.append(rip_constant(A, min(s.max_support, shape.total)).delta)
+    worst = max((h - f for h, f in zip(hi, flat)), default=-math.inf)
     ok &= _report("hierarchical constant never exceeds flat constant", worst <= 1e-12,
-                  f"{trials} instances, max gap {worst:.2e}")
+                  f"{trials} instances, max gap {worst:.2e}, {_sums(hi, flat)}")
 
-    worst = 0.0
+    hi, flat = [], []
     for _ in range(trials):
         n = int(rng.integers(3, 7))
         s = int(rng.integers(1, n + 1))
         A = _unit_columns(rng, int(rng.integers(3, 8)), n)
-        gap = abs(hirip_constant(A, BlockShape((n,)), SparsityProfile((s,))).delta
-                  - rip_constant(A, s).delta)
-        worst = max(worst, gap)
+        hi.append(hirip_constant(A, BlockShape((n,)), SparsityProfile((s,))).delta)
+        flat.append(rip_constant(A, s).delta)
+    worst = max((abs(h - f) for h, f in zip(hi, flat)), default=0.0)
     ok &= _report("single-level constant coincides with flat constant", worst <= 1e-12,
-                  f"max gap {worst:.2e}")
+                  f"max gap {worst:.2e}, {_sums(hi, flat)}")
 
     def _factor(rng, cols):
         return _unit_columns(rng, int(rng.integers(2, 9)), cols)

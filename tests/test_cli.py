@@ -109,10 +109,21 @@ def test_verify_hirip_prints_its_worst_margins(capsys):
     assert main(["verify", "--suite", "hirip", "--trials", "6"]) == 0
     lines = capsys.readouterr().out.splitlines()
     figure = r" max gap -?\d\.\d\de[+-]\d\d\)$"
-    assert re.fullmatch(r"\[ok\] hierarchical constant never exceeds flat constant "
-                        r"\(6 instances," + figure, lines[0])
+    # The gaps of the first two lines can read 0, so those lines also print
+    # the exact sums of the constants they compared, in repr.
+    sums = r"max gap -?\d\.\d\de[+-]\d\d, hierarchical sum (\S+), flat sum (\S+)\)$"
+    first = re.fullmatch(r"\[ok\] hierarchical constant never exceeds flat constant "
+                         r"\(6 instances, " + sums, lines[0])
+    second = re.fullmatch(r"\[ok\] single-level constant coincides with flat constant \(" + sums,
+                          lines[1])
     assert re.fullmatch(r"\[ok\] factor bounds dominate exact constants \(both groupings," + figure,
                         lines[2])
+    assert first and second
+    for line in (first, second):
+        hi, flat = (float(text) for text in line.groups())
+        assert repr(hi) == line[1] and repr(flat) == line[2]
+        assert 0.0 <= hi <= flat  # six constants each, none above its flat twin
+    assert second[1] == second[2]  # one level: the same enumeration, the same bits
 
 
 def test_verify_bounds_prints_its_worst_margin(capsys):

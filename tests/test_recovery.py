@@ -75,6 +75,29 @@ def test_omp_single_path_exact():
     assert res.iterations == 1
 
 
+def test_stop_names_the_exit_that_ended_the_run():
+    # "support-cycle" is checked on cycling solves in
+    # test_cycle_exit_replays_the_full_run.
+    op, _, y = single_path_setup()
+    profile = SparsityProfile((1, 1, 1))
+    for algorithm in ("HiIHT", "HiHTP", "IHT", "HTP"):
+        capped = solve(y, op, RecoveryConfig(algorithm=algorithm, profile=profile, max_iters=1))
+        assert (capped.iterations, capped.stop) == (1, "max-iters")
+        converged = solve(y, op, RecoveryConfig(algorithm=algorithm, profile=profile))
+        assert (converged.iterations, converged.stop) == (2, "support-repeat")
+
+    def omp(y, s):
+        res = solve(y, op, RecoveryConfig(algorithm="OMP", profile=SparsityProfile(s)))
+        return res.iterations, res.stop
+
+    # One path: one pick is all k = 1 allows, and leaves no residual for a second.
+    assert omp(y, (1, 1, 1)) == (1, "k-picks")
+    assert omp(y, (1, 1, 2)) == (1, "residual")
+    assert omp(np.zeros_like(y), (1, 1, 2)) == (0, "residual")
+    noise = [0.1, 0.1j] @ np.random.default_rng(0).standard_normal((2, y.size))
+    assert omp(y + noise, (1, 1, 2)) == (2, "k-picks")
+
+
 def test_zero_measurement_gives_zero_estimate():
     op, _, _ = single_path_setup()
     y = np.zeros(op.out_dim, dtype=complex)
@@ -445,6 +468,14 @@ def test_cycle_exit_replays_the_full_run():
             np.testing.assert_array_equal(res.support, support)
             assert res.iterations == iterations
             assert res.residual_norm == residual
+            # The first recurring support decides the stop: a non-adjacent one
+            # ends a pursuit run, an adjacent one any run.
+            if pursuit and cycle_start is not None:
+                assert res.stop == "support-cycle"
+            elif iterations < max_iters or supports[-2:-1] == supports[-1:]:
+                assert res.stop == "support-repeat"
+            else:
+                assert res.stop == "max-iters"
             # The pursuit loop runs up to the pass that closes the cycle.
             expected_passes = iterations
             if pursuit and cycle_start is not None:

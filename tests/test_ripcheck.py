@@ -456,6 +456,11 @@ def degenerate_matrix(kind):
         return np.ones((3, 6)) / math.sqrt(3)
     if kind == "orthonormal":  # every deviation is 0
         return np.linalg.qr(rng.standard_normal((6, 6)))[0]
+    if kind == "uneven orthogonal":  # Gershgorin is tight up to rounding
+        # A seed whose eigvalsh rounding, at k = 5, lands above a bound taken
+        # with no margin.
+        tight = np.random.default_rng(1)
+        return np.linalg.qr(tight.standard_normal((6, 6)))[0] * tight.uniform(0.3, 1.3, 6)
     A = normalized_matrix(rng, 3, 6)
     if kind == "zero column":
         A[:, 2] = 0.0
@@ -464,7 +469,8 @@ def degenerate_matrix(kind):
     return A
 
 
-@pytest.mark.parametrize("kind", ["identical", "orthonormal", "zero column", "duplicated pair"])
+@pytest.mark.parametrize("kind", ["identical", "orthonormal", "uneven orthogonal", "zero column",
+                                  "duplicated pair"])
 @pytest.mark.parametrize("k", [2, 5])  # k <= rows, and k > rows on three rows
 @pytest.mark.parametrize("length", [None, 1, 3])
 def test_pruned_scan_matches_oracle_on_degenerate_columns(monkeypatch, kind, k, length):
@@ -483,6 +489,7 @@ HIRIP_LADDER = (
 
 @pytest.mark.parametrize("dims, s", HIRIP_LADDER)
 def test_pruning_eigensolves_few_supports(monkeypatch, dims, s):
+    # ... and keeps both constants equal to the unpruned oracle's in every bit.
     solved = []
     solve = np.linalg.eigvalsh
 
@@ -490,12 +497,43 @@ def test_pruning_eigensolves_few_supports(monkeypatch, dims, s):
         solved.append(len(blocks))
         return solve(blocks)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
     rng = np.random.default_rng(11)
     shape, profile = BlockShape(dims), SparsityProfile(s)
     checked = 0
     for rows in range(4, 10):
         A = normalized_matrix(rng, rows, shape.total)
-        checked += hirip_constant(A, shape, profile).supports_checked
-        checked += rip_constant(A, profile.max_support).supports_checked
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "eigvalsh", recording)
+            checked += hirip_constant(A, shape, profile).supports_checked
+            checked += rip_constant(A, profile.max_support).supports_checked
+        assert_matches_unpruned(monkeypatch, A, shape, profile, profile.max_support, None)
     assert sum(solved) < 0.25 * checked
+
+
+# Supports of 8 and 9 columns, past the width where the bound's column-by-column
+# sums can round unlike numpy's reduction; 10 rows hold them, 6 do not.
+@pytest.mark.parametrize("k, dims, s", [(8, (2, 6), (2, 4)), (9, (3, 4), (3, 3))])
+@pytest.mark.parametrize("rows", [10, 6])
+@pytest.mark.parametrize("length", [None, 1, 3])
+def test_wide_supports_match_unpruned_oracle(monkeypatch, k, dims, s, rows, length):
+    rng = np.random.default_rng(k * rows)
+    A = normalized_matrix(rng, rows, 12) * rng.uniform(0.3, 1.3, 12)
+    assert_matches_unpruned(monkeypatch, A, BlockShape(dims), SparsityProfile(s), k, length)
+
+
+# k <= rows with lambda_max - 1 deciding, then 1 - lambda_min (a rank-one
+# block has lambda_min = 0), and k > rows.
+@pytest.mark.parametrize("rows, k, entry", [(4, 2, 1.0), (4, 2, 0.25), (2, 3, 1.0)])
+@pytest.mark.parametrize("length", [None, 1, 3])
+def test_duplicated_columns_keep_the_first_maximiser(monkeypatch, rows, k, entry, length):
+    # Four exact copies of one column among small ones: every k of the copies
+    # make the same block, whose deviation is the largest, so the witness is
+    # the first k copies, also when each support is a chunk of its own.
+    A = 0.3 * normalized_matrix(np.random.default_rng(13), rows, 8)
+    copies = [1, 3, 4, 6]
+    A[:, copies] = entry
+    assert_matches_unpruned(monkeypatch, A, BlockShape((2, 4)), SparsityProfile((2, k - 1)), k,
+                            length)
+    if length is not None:
+        chunked(monkeypatch, length, k, rows)
+    assert rip_constant(A, k).witness == tuple(copies[:k])
