@@ -101,8 +101,8 @@ def work_buffer(name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
     on return: a caller overwrites it fully before reading it and never
     returns it or keeps it past the call that asked for it, so the next
     request for ``name`` on this thread may clobber it. The arrays live as long
-    as their thread: a worker pool's buffers go with its threads, the main
-    thread's stay.
+    as their thread: a sweep lane thread's buffers go with it, while lane 0's
+    are the calling thread's and stay.
     """
     buf = getattr(_work, name, None)
     if buf is None or buf.shape != shape or buf.dtype != dtype:

@@ -7,28 +7,28 @@ draws its randomness from SeedSequence([master_seed, t]), so aggregate
 results are independent of execution order and the whole CSV is
 reproducible from the run manifest.
 
-A sweep point runs one pool task per trial index: it calls ``run_trial``
-for each condition in order, on one dict of draws that the task owns. A
-draw (rng, channel paths, pilot design, operator and observation) is keyed
-by (trial_index, Np, V, L, option, on_grid), everything that can differ
-between two conditions of one config, so conditions that read the same
-channel statistics solve the same observation, drawn once per row, with one
-A^H y. A key that only one condition reads is drawn by that condition's
-trial alone, whose solve forms its A^H y as an independent trial does.
+Trial row t of each sweep point runs on lane t % threads, lane 0 being the
+calling thread: the row calls ``run_trial`` for each condition in order, on
+one dict of draws that the row owns. A draw (rng, channel paths, pilot
+design, operator and observation) is keyed by (trial_index, Np, V, L,
+option, on_grid), everything that can differ between two conditions of one
+config, so conditions that read the same channel statistics solve the same
+observation, drawn once per row, with one A^H y. A key that only one
+condition reads is drawn by that condition's trial alone, whose solve forms
+its A^H y as an independent trial does.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict, field, fields, replace
 import csv
-import functools
 import itertools
 import json
 import math
 import operator
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -494,42 +494,71 @@ def _trial_row(config: ExperimentConfig, conditions: list[Condition], Np: int,
 def run_sweep(config: ExperimentConfig, out_dir=None, threads: int = 1):
     """Run all sweep points and conditions; optionally write CSV + manifest.
 
-    All trials run on one pool of ``threads`` workers, opened once, before the
-    output directory. Each sweep point runs one pool task per trial index,
-    which calls ``run_trial`` for every condition in order, on one dict of
-    the draws that more than one condition reads (``_trial_row``). A
-    record's ``seconds`` is the summed wall time of its condition's
-    ``run_trial`` calls. A trial that raises cancels the rows not yet
-    started. Returns (records, csv_path, manifest_path); the
-    paths are None when no output directory is given.
+    Trial row t of every sweep point runs on lane ``t % threads``. Lane 0 is
+    the calling thread; each other lane is one thread, started once per
+    sweep, that takes the sweep points in order, so ``threads = 1`` starts
+    none. A row calls ``run_trial`` for every condition in order, on one
+    dict of the draws that more than one condition reads (``_trial_row``).
+    Once every lane has ended, each point's records are built from its rows
+    in trial order. A record's ``seconds`` is the summed wall time of its
+    condition's ``run_trial`` calls. The first exception in any lane, the
+    caller's included, stops every lane before its next row; it is raised
+    once every lane thread has ended. A ``threads`` that is not an integer
+    >= 1 is refused before the output directory is made. Returns (records,
+    csv_path, manifest_path); the paths are None when no output directory
+    is given.
     """
+    if not _is_integer(threads) or threads < 1:
+        raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
     conditions = _conditions(config)
-    pool = ThreadPoolExecutor(max_workers=threads)
+    points = [(Np, [cond if lhat is None else replace(cond, lhat=lhat) for cond in conditions])
+              for Np, lhat in map(config._sweep_point, config.sweep)]
+    if out_dir is not None:
+        out_dir = Path(out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+    rows = [[None] * config.trials for _ in points]  # rows[point][trial], as _trial_row returns it
+    failures: list[BaseException] = []  # the first one stops every lane before its next row
+
+    def run_lane(lane: int) -> None:
+        """Fill the lane's rows of every point in order, until a lane fails."""
+        try:
+            for point_rows, (Np, at_point) in zip(rows, points):
+                for t in range(lane, config.trials, threads):
+                    if failures:
+                        return
+                    point_rows[t] = _trial_row(config, at_point, Np, t)
+        except BaseException as exc:  # Ctrl-C on the caller stops the lanes too
+            failures.append(exc)
+
+    lanes = [threading.Thread(target=run_lane, args=(lane,), name=f"sweep-lane-{lane}")
+             for lane in range(1, min(threads, config.trials))]
     try:
-        if out_dir is not None:
-            out_dir = Path(out_dir)
-            out_dir.mkdir(parents=True, exist_ok=True)
-        records: list[MseRecord] = []
-        for sweep_value in config.sweep:
-            Np, lhat = config._sweep_point(sweep_value)
-            at_point = [cond if lhat is None else replace(cond, lhat=lhat) for cond in conditions]
-            rows = list(pool.map(functools.partial(_trial_row, config, at_point, Np),
-                                 range(config.trials)))
-            best: dict[str, MseRecord] = {}  # per algorithm, its first lowest-mean off-grid record
-            for c, cond in enumerate(conditions):
-                values = np.asarray([row[c][0] for row in rows])
-                seconds = math.fsum(row[c][1] for row in rows)
-                stderr = float(values.std(ddof=1) / math.sqrt(len(values))) if len(values) > 1 else 0.0
-                record = MseRecord(float(sweep_value), cond.label, float(values.mean()), stderr,
-                                   config.trials, seconds)
-                records.append(record)
-                if not cond.on_grid and (cond.algorithm not in best
-                                         or record.mse_mean < best[cond.algorithm].mse_mean):
-                    best[cond.algorithm] = record
-            records += [replace(r, algorithm=f"{alg}:best(L1,L2)", seconds=0.0)
-                        for alg, r in best.items()]
-    finally:
-        pool.shutdown(cancel_futures=True)
+        for thread in lanes:
+            thread.start()
+        run_lane(0)
+        for thread in lanes:
+            thread.join()
+    except BaseException as exc:  # a lane that would not start, or Ctrl-C while waiting
+        failures.append(exc)
+        for thread in filter(threading.Thread.is_alive, lanes):
+            thread.join()
+    if failures:
+        raise failures[0]
+    records: list[MseRecord] = []
+    for sweep_value, point_rows in zip(config.sweep, rows):
+        best: dict[str, MseRecord] = {}  # per algorithm, its first lowest-mean off-grid record
+        for c, cond in enumerate(conditions):
+            values = np.asarray([row[c][0] for row in point_rows])
+            seconds = math.fsum(row[c][1] for row in point_rows)
+            stderr = float(values.std(ddof=1) / math.sqrt(len(values))) if len(values) > 1 else 0.0
+            record = MseRecord(float(sweep_value), cond.label, float(values.mean()), stderr,
+                               config.trials, seconds)
+            records.append(record)
+            if not cond.on_grid and (cond.algorithm not in best
+                                     or record.mse_mean < best[cond.algorithm].mse_mean):
+                best[cond.algorithm] = record
+        records += [replace(r, algorithm=f"{alg}:best(L1,L2)", seconds=0.0)
+                    for alg, r in best.items()]
     csv_path = manifest_path = None
     if out_dir is not None:
         csv_path, manifest_path = out_dir / "results.csv", out_dir / "manifest.json"

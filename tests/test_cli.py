@@ -118,12 +118,20 @@ def test_verify_hirip_prints_its_worst_margins(capsys):
                           lines[1])
     assert re.fullmatch(r"\[ok\] factor bounds dominate exact constants \(both groupings," + figure,
                         lines[2])
-    assert first and second
+    # The padded-extension line prints its largest d_restricted - d_extended
+    # and the exact sums of both constants.
+    fourth = re.fullmatch(r"\[ok\] row-sampled factor constant bounded by padded extension "
+                          r"\(6 seeds, max gap (-?\d\.\d\de[+-]\d\d), "
+                          r"restricted sum (\S+), extended sum (\S+)\)$", lines[3])
+    assert first and second and fourth
     for line in (first, second):
         hi, flat = (float(text) for text in line.groups())
         assert repr(hi) == line[1] and repr(flat) == line[2]
         assert 0.0 <= hi <= flat  # six constants each, none above its flat twin
     assert second[1] == second[2]  # one level: the same enumeration, the same bits
+    gap, restricted, extended = (float(text) for text in fourth.groups())
+    assert repr(restricted) == fourth[2] and repr(extended) == fourth[3]
+    assert gap <= 1e-12 and 0.0 <= restricted <= extended  # six seeds, none above its extension
 
 
 def test_verify_bounds_prints_its_worst_margin(capsys):

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 import threading
 import time
 
@@ -616,34 +617,132 @@ def test_a_shared_draw_is_never_written(Mp):
                        if not name.startswith(("op.", "design.")))
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_failing_trial_stops_the_sweep(monkeypatch, threads):
-    # The exception reaches the caller, the trial rows not yet started are
-    # cancelled, and no pool worker outlives run_sweep. A row calls run_trial
-    # once per condition with its shared dict of draws.
-    started = []
+def _lane_threads():
+    return {t for t in threading.enumerate() if t.name.startswith("sweep-lane-")}
 
-    def failing_trial(config, condition, Np, trial_index, draws=None):
-        started.append(trial_index)
-        time.sleep(0.01)
-        if trial_index == 1:
-            raise RuntimeError("trial 1 failed")
+
+def test_trial_rows_run_on_fixed_lanes(monkeypatch):
+    # Row t of every sweep point runs on lane t % threads, and lane 0 is the
+    # caller: at trials=6, threads=3 rows {0, 3} run on this thread, {1, 4}
+    # on one lane thread and {2, 5} on another, at both sweep points. Thread
+    # objects are compared, not idents, since an ended thread's ident is
+    # reused.
+    placed = {}
+
+    def placing_trial(config, condition, Np, trial_index, draws=None):
+        placed.setdefault(threading.current_thread(), set()).add((Np, trial_index))
         return 0.0
 
-    def pool_workers():
-        return {t for t in threading.enumerate() if t.name.startswith("ThreadPoolExecutor")}
+    monkeypatch.setattr(simulate, "run_trial", placing_trial)
+    run_sweep(tiny_config(trials=6), threads=3)
 
-    before = pool_workers()
-    monkeypatch.setattr(simulate, "run_trial", failing_trial)
-    with pytest.raises(RuntimeError, match="trial 1 failed"):
-        run_sweep(tiny_config(trials=50), threads=threads)
-    assert 2 <= len(started) < 50
-    assert pool_workers() <= before
+    def rows(*trials):
+        return {(Np, t) for Np in (4, 8) for t in trials}
+
+    assert placed.pop(threading.current_thread()) == rows(0, 3)
+    assert sorted(placed.values(), key=min) == [rows(1, 4), rows(2, 5)]
+    assert all(t.name.startswith("sweep-lane-") and not t.is_alive() for t in placed)
 
 
-def test_zero_threads_is_refused_before_the_output_directory(tmp_path):
-    with pytest.raises(ValueError):
-        run_sweep(tiny_config(), out_dir=tmp_path / "out", threads=0)
+def test_one_thread_runs_every_row_on_the_caller(monkeypatch):
+    # The default starts no thread, so a profile of the caller sees every trial.
+    callers, started = set(), []
+    start = threading.Thread.start
+
+    def placing_trial(config, condition, Np, trial_index, draws=None):
+        callers.add(threading.current_thread())
+        return 0.0
+
+    def recording_start(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(simulate, "run_trial", placing_trial)
+    monkeypatch.setattr(threading.Thread, "start", recording_start)
+    records, _, _ = run_sweep(tiny_config(), threads=1)
+    assert callers == {threading.current_thread()}
+    assert started == []
+    assert len(records) == 2 * 2 and all(r.trials == 4 for r in records)
+
+
+def test_a_lagging_lane_still_runs_every_row(monkeypatch):
+    # The caller waits for the other lanes once its own rows are done; it
+    # does not stop them. Lane 1's rows sleep, so over two sweep points it is
+    # still at work when lane 0 has finished.
+    ran = []
+
+    def lagging_trial(config, condition, Np, trial_index, draws=None):
+        if trial_index % 2:
+            time.sleep(0.01)
+        ran.append((Np, trial_index))
+        return float(trial_index)
+
+    monkeypatch.setattr(simulate, "run_trial", lagging_trial)
+    records, _, _ = run_sweep(tiny_config(trials=4), threads=2)
+    assert sorted(set(ran)) == [(Np, t) for Np in (4, 8) for t in range(4)]
+    assert [r.mse_mean for r in records] == [1.5] * 4
+    assert not _lane_threads()
+
+
+def test_lanes_fill_every_row_under_fast_switching(monkeypatch):
+    # More lanes than cores, switching threads every microsecond: every row
+    # of every point is filled by its own trial, none lost or overwritten.
+    def numbered_trial(config, condition, Np, trial_index, draws=None):
+        return float(Np * 100 + trial_index)
+
+    monkeypatch.setattr(simulate, "run_trial", numbered_trial)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        records, _, _ = run_sweep(tiny_config(trials=23), threads=5)
+    finally:
+        sys.setswitchinterval(interval)
+    assert [r.mse_mean for r in records] == [Np * 100 + 11.0 for Np in (4, 8) for _ in range(2)]
+    assert not _lane_threads()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_failing_trial_stops_the_sweep(monkeypatch, threads):
+    # The exception reaches the caller once every lane thread has ended, and
+    # the lane it failed on starts no row after it. The failing trial runs on
+    # the caller (trial 0) and, at threads=2, on lane 1 (trial 1); there each
+    # thread's first call waits until both lanes are in a row, so a row does
+    # run on a lane thread. A row calls run_trial once per condition with its
+    # shared dict of draws.
+    for failing in (0, 1):
+        started = []
+        met, both_lanes = set(), threading.Barrier(threads, timeout=30)
+
+        def failing_trial(config, condition, Np, trial_index, draws=None):
+            thread = threading.current_thread()
+            started.append((trial_index, thread))
+            if thread not in met:
+                met.add(thread)
+                both_lanes.wait()
+            time.sleep(0.01)
+            if trial_index == failing:
+                raise RuntimeError(f"trial {failing} failed")
+            return 0.0
+
+        monkeypatch.setattr(simulate, "run_trial", failing_trial)
+        with pytest.raises(RuntimeError, match=f"trial {failing} failed"):
+            run_sweep(tiny_config(trials=50), threads=threads)
+        # Each lane started its first row, the failing row's lane every row
+        # before it, and far from every row started.
+        assert set(range(max(threads, failing + 1))) <= {t for t, _ in started}
+        assert len(started) < 50
+        assert max(t for t, thread in started if t % threads == failing % threads) == failing
+        lanes = {thread for _, thread in started} - {threading.current_thread()}
+        assert len(lanes) == threads - 1
+        assert all(thread.name.startswith("sweep-lane-") and not thread.is_alive() for thread in lanes)
+        assert not _lane_threads()
+
+
+@pytest.mark.parametrize("threads", [0, -1, 1.5, 2.0, True])
+def test_zero_threads_is_refused_before_the_output_directory(tmp_path, threads):
+    # Anything but an integer >= 1 is refused before any compute or output.
+    with pytest.raises(ValueError, match="threads must be an integer >= 1"):
+        run_sweep(tiny_config(), out_dir=tmp_path / "out", threads=threads)
     assert not (tmp_path / "out").exists()
 
 
