@@ -35,7 +35,7 @@ import math
 
 import numpy as np
 
-from .blocks import BlockShape, DimensionError, work_buffer
+from .blocks import BlockShape, DimensionError, squared_moduli, work_buffer
 from .design import PilotDesign
 
 DENSIFY_CAP = 4096
@@ -44,6 +44,14 @@ DENSIFY_CAP = 4096
 # the same between ratios 2 and 5 (x86 VM, one BLAS thread); at ratio 13 the
 # product took 1.8x the FFT's time.
 PRODUCT_CROSSOVER = 2.0
+# The product route runs its one matrix product in blocks of whole output rows,
+# about this many output entries each, so that optional squared moduli read
+# each block while it is still in cache. Median cold pass-1 solve at the paper
+# preset (262,144 entries; a cache-evicting job run between calls, x86 VM, one
+# BLAS thread; three runs each): blocks of 16k-64k entries 2.4-3.5 ms, 8k
+# 2.7-3.2 ms, one block of all entries 3.1-3.7 ms, and moduli taken in a
+# second pass after the whole product 3.1-3.2 ms.
+ADJOINT_BLOCK = 32768
 # With every antenna observed, the gradient step is one product of the whole
 # (M x U*D) unknown with the restricted delay Gram (U*D x U*D), not an FFT pair
 # per occupied angle and a patch of A^H y there, when both bounds hold:
@@ -204,14 +212,19 @@ class KroneckerSensingOperator:
             else:
                 self._delay_spectrum = weights / d.Np
 
+    def _checked(self, array, dtype, name: str) -> np.ndarray:
+        """``array`` as given if it is a C-contiguous ``dtype`` array of length in_dim."""
+        if (not isinstance(array, np.ndarray) or array.shape != (self.in_dim,)
+                or array.dtype != dtype or not array.flags.c_contiguous):
+            raise DimensionError(
+                f"{name} must be a C-contiguous {np.dtype(dtype).name} array of length {self.in_dim}")
+        return array
+
     def _destination(self, out) -> np.ndarray:
         """``out`` checked as a C-contiguous complex128 array of length in_dim, or a new one."""
         if out is None:
             return np.empty(self.in_dim, dtype=np.complex128)
-        if out.shape != (self.in_dim,) or out.dtype != np.complex128 or not out.flags.c_contiguous:
-            raise DimensionError(
-                f"out must be a C-contiguous complex128 array of length {self.in_dim}")
-        return out
+        return self._checked(out, np.complex128, "out")
 
     def _split(self, idx) -> tuple[np.ndarray, np.ndarray]:
         """Flat indices -> (delay index q in [0, U*D), angle index m in [0, M))."""
@@ -251,40 +264,60 @@ class KroneckerSensingOperator:
         V = np.fft.ifft(W, axis=1) * d.M
         return vectorize(V[:, d.antennas] / math.sqrt(d.Mp), self.option)
 
-    def adjoint_values(self, y, out=None) -> np.ndarray:
+    def adjoint_values(self, y, out=None, moduli=None) -> np.ndarray:
         """A^H @ y as a flat vector of the input length, written into ``out``.
 
         ``out`` is an optional destination: a C-contiguous complex128 array
         of length ``in_dim``, allocated when None; the result is the same in
-        every bit either way. The angle adjoint is one length-M FFT per pilot
-        row of the (Np x Mp) observation, zero-padded to M antennas, O(Np*M
-        log M). The delay adjoint takes one of two routes:
+        every bit either way. ``moduli``, if given, is a C-contiguous float64
+        array of length ``in_dim`` that receives ``squared_moduli`` of the
+        result, the same bits as that call on the returned array. Both are
+        checked before any product. The angle adjoint is one length-M FFT per
+        pilot row of the (Np x Mp) observation, zero-padded to M antennas,
+        O(Np*M log M). The delay adjoint takes one of two routes:
 
           * product route, when Np*U*D <= PRODUCT_CROSSOVER * N*log2(N)
             (sparse pilots): that (Np x M) result times the table
             ``_adjoint_table`` = conj(T) (Np x U*D), one matrix product
             written into ``out`` viewed as (M x U*D) under FS or (U*D x M)
-            under SF. O(Np*U*D*M), no scratch memory.
+            under SF. It runs in blocks of whole output rows of about
+            ADJOINT_BLOCK entries, at least two rows each, and each block's
+            moduli are formed right after its product. O(Np*U*D*M); the
+            product needs no scratch memory.
           * FFT route otherwise: one unnormalized length-N inverse FFT per
             angle, run in place along the contiguous rows of an (M x N)
             buffer. Under FS with U*D = N that buffer is ``out`` viewed as
             (M x N); otherwise it is this thread's work buffer, and its first
-            U*D columns are copied into ``out``. O(M*N log N).
+            U*D columns are copied into ``out``. The moduli are formed from
+            ``out`` at the end. O(M*N log N).
         """
         d = self.design
         v = np.asarray(y, dtype=np.complex128)
         if v.shape != (self.out_dim,):
             raise DimensionError(f"measurement length {v.shape} != {self.out_dim}")
         out = self._destination(out)
+        if moduli is not None:
+            self._checked(moduli, np.float64, "moduli")
         padded = np.zeros((d.Np, d.M), dtype=np.complex128)
         padded[:, d.antennas] = unvectorize(v, self.option, d.Np, d.Mp)
         Z = np.fft.fft(padded, axis=1) / math.sqrt(d.Mp)
         table = self._adjoint_table
         if table is not None:
             if self.option is VectorizationOption.FS:
-                np.matmul(Z.T, table, out=out.reshape(d.M, self._ud))
+                left, right, rows = Z.T, table, d.M
             else:
-                np.matmul(table.T, Z, out=out.reshape(self._ud, d.M))
+                left, right, rows = table.T, Z, self._ud
+            cols = self.in_dim // rows
+            result = out.reshape(rows, cols)
+            energy = None if moduli is None else moduli.reshape(rows, cols)
+            # At least two rows per block: a one-row product takes BLAS's
+            # matrix-vector path, whose rounding differs from the whole product's.
+            blocks = max(1, rows // max(2, ADJOINT_BLOCK // cols))
+            for k in range(blocks):
+                part = slice(k * rows // blocks, (k + 1) * rows // blocks)
+                block = np.matmul(left[part], right, out=result[part])
+                if energy is not None:
+                    squared_moduli(block, out=energy[part])
             return out
         direct = self.option is VectorizationOption.FS and self._ud == d.N
         if direct:
@@ -296,6 +329,8 @@ class KroneckerSensingOperator:
         np.fft.ifft(buf, axis=1, norm="forward", out=buf)
         if not direct:
             unvectorize(out, self.option, self._ud, d.M)[...] = buf[:, : self._ud].T
+        if moduli is not None:
+            squared_moduli(out, out=moduli)
         return out
 
     def adjoint_residual(self, y, aty, idx, values, out=None) -> tuple[np.ndarray, np.ndarray]:

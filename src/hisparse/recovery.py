@@ -7,12 +7,14 @@ thresholding solvers are one gradient-descent loop with unit step:
 
 followed by hi_threshold on the squared moduli of x_temp, shaped by the block
 dims. A^H y is held in one of this thread's work buffers
-(``blocks.work_buffer``): a caller that already has it passes it as ``aty``
-and the loop copies it there (a sweep's trial row forms it once per draw
-that more than one of its conditions reads), otherwise the solve forms it
-there with ``op.adjoint_values``. Its squared moduli are formed once per
-solve in a second buffer; pass 1 starts from x = 0 and selects on the two
-as they are. The iterate x is one buffer per solve, updated in place. The
+(``blocks.work_buffer``), and its squared moduli in a second one. A caller
+that already has A^H y passes it as ``aty``; the loop copies it there and
+squares the copy (a sweep's trial row forms it once per draw that more than
+one of its conditions reads). Otherwise the solve forms both in one call,
+``op.adjoint_values(y, out, moduli)``, which on the operator's product
+route squares each block of its product while that block is still in cache.
+Pass 1 starts from x = 0 and selects on the two as they are. The iterate x
+is one buffer per solve, updated in place. The
 step is ``op.adjoint_residual(y, A^H y, S, x[S], out)`` on x's support S,
 so no pass reads the rest of x; it returns the entries where
 A^H (y - A x) differs from A^H y, and its values there. x is zero off S and
@@ -129,11 +131,12 @@ def _check_measurement(y, op) -> np.ndarray:
 
 def _threshold_loop(y, op, max_iters: int, dims, profile, pursuit: bool, given_aty):
     aty = work_buffer("aty", (op.in_dim,), np.complex128)
+    moduli = work_buffer("moduli", (op.in_dim,), np.float64)
     if given_aty is None:
-        op.adjoint_values(y, out=aty)
+        op.adjoint_values(y, out=aty, moduli=moduli)
     else:  # a copy: the passes of the FFT step route patch aty in place
         np.copyto(aty, given_aty)
-    moduli = squared_moduli(aty, out=work_buffer("moduli", (op.in_dim,), np.float64))
+        squared_moduli(aty, out=moduli)
     x_temp, x_moduli = aty, moduli  # what a pass selects on: pass 1 takes A^H y as it is
     x = np.zeros(op.in_dim, dtype=np.complex128)
     latest, passes = {}, []  # support bytes -> latest pass that selected it; (support, values) per pass
@@ -223,7 +226,9 @@ def solve(y, op, cfg: RecoveryConfig, aty=None) -> RecoveryResult:
         y: measurement vector of length op.out_dim.
         op: the sensing operator. solve reads its ``shape_in`` (a
             BlockShape), ``in_dim``, ``out_dim``, ``forward(idx, values)``,
-            ``adjoint_values(y, out=None)``, for the thresholding solvers
+            ``adjoint_values(y, out=None, moduli=None)`` (the thresholding
+            solvers pass ``moduli``, a float64 buffer it fills with the
+            squared moduli of A^H y), for the thresholding solvers
             ``adjoint_residual(y, aty, idx, values, out=None)`` (an index
             of the entries it changes, and their values: ``slice(None)``
             and the whole step, written into ``out``, when it changes every
@@ -234,7 +239,7 @@ def solve(y, op, cfg: RecoveryConfig, aty=None) -> RecoveryResult:
             OMP picks k = its max_support entries.
         aty: A^H y of this op and y, if the caller already has it: a
             complex128 array of length op.in_dim, which solve only reads.
-            When None, the solve forms it with ``op.adjoint_values(y)``.
+            When None, the solve forms it with ``op.adjoint_values``.
     """
     y = _check_measurement(y, op)
     if aty is not None and not (isinstance(aty, np.ndarray) and aty.dtype == np.complex128

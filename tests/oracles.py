@@ -79,12 +79,14 @@ class DenseOperator:
         idx, values = _support(idx, values, self.in_dim)
         return self.A[:, idx] @ values
 
-    def adjoint_values(self, y, out=None) -> np.ndarray:
+    def adjoint_values(self, y, out=None, moduli=None) -> np.ndarray:
         adj = self.A.conj().T @ np.asarray(y, dtype=np.complex128)
-        if out is None:
-            return adj
-        out[...] = adj
-        return out
+        if out is not None:
+            out[...] = adj
+            adj = out
+        if moduli is not None:
+            squared_moduli(adj, out=moduli)
+        return adj
 
     def adjoint_residual(self, y, aty, idx, values, out=None):
         """Every entry and A^H (y - A x) by the two dense products; ``aty`` is not read."""

@@ -83,9 +83,9 @@ def test_only_a_shared_draw_hands_solve_its_aty(monkeypatch):
         solves.append(kwargs)
         return solve(*args, **kwargs)
 
-    def counted_adjoint(self, y, out=None):
+    def counted_adjoint(self, y, out=None, moduli=None):
         adjoints.append(out is not None)
-        return adjoint(self, y, out)
+        return adjoint(self, y, out, moduli)
 
     monkeypatch.setattr(hisparse.simulate, "solve", spy)
     monkeypatch.setattr(op_class, "adjoint_values", counted_adjoint)
@@ -223,12 +223,13 @@ def test_seed_zero_quality_matches_the_benchmark_reference(workload, tmp_path):
 
 def test_sweep_trials_reach_both_pool_threads(monkeypatch, tmp_path):
     # perfbench fails small-offgrid-sweep unless its run_trial spans run on two
-    # pool threads. A sweep point runs one pool task per trial index, so the
-    # workload's two trials at --threads 2 must put one row on each thread,
-    # and run_trial stays the one call per (condition, trial). Each call waits
-    # for a call of the other row: both rows must be in flight at once, so the
-    # pool cannot run them one after the other on one thread, and a run_sweep
-    # that does not run them concurrently breaks the barrier.
+    # threads. Trial row t of a sweep point runs on lane t % threads, so the
+    # workload's two trials at --threads 2 put row 0 on the calling thread and
+    # row 1 on one lane thread, and run_trial stays the one call per
+    # (condition, trial). Each call waits for a call of the other row: both
+    # rows must be in flight at once, so a run_sweep that ran them one after
+    # the other on one thread, or did not run them concurrently, breaks the
+    # barrier.
     runner = _perfbench_workloads().make_workload("small-offgrid-sweep", 0, "full", tmp_path)
     config = ExperimentConfig.from_json(runner.config_text(0), "small")
     threads = Counter()

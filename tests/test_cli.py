@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import hisparse.simulate
@@ -338,3 +339,19 @@ def test_run_into_existing_file_fails_before_any_trial(tmp_path, capsys, monkeyp
     assert taken.read_text() == "not a directory"
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: cannot write results: ")
+
+
+def test_the_cli_loads_numpy_and_the_standard_library_only():
+    # hisparse stays numpy-only. A fresh interpreter imports the CLI and lists
+    # every top-level module it has loaded. It runs without the site hook
+    # (-S), whose .pth files load packages of their own before any import,
+    # with numpy's install directory and src on its path instead.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    site = str(Path(np.__file__).resolve().parents[1])
+    code = "import sys, hisparse.cli; print(*sorted({m.partition('.')[0] for m in sys.modules}))"
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src + os.pathsep + site}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split()) - {"__main__"}
+    assert {"numpy", "hisparse"} <= loaded
+    assert sorted(loaded - {"numpy", "hisparse"} - set(sys.stdlib_module_names)) == []

@@ -11,10 +11,11 @@ from hisparse import (
     KroneckerSensingOperator,
     dft_matrix,
     make_design,
+    squared_moduli,
     tau_factor,
     theta_factor,
 )
-from hisparse.operators import flat_index, unvectorize, vectorize
+from hisparse.operators import VectorizationOption, flat_index, unvectorize, vectorize
 from oracles import DenseOperator, step_route
 
 
@@ -312,6 +313,104 @@ def test_adjoint_into_out_matches_allocated(option, N, D, U, route):
     # The allocated result does not share memory with out or with a later call.
     assert not np.shares_memory(expected, out)
     assert not np.shares_memory(expected, op.adjoint_values(y))
+
+
+def adjoint_design(rng, trial):
+    """A seeded design for the adjoint's block tests: even trials on the
+    product route (Np*U*D <= 2*N*log2(N)), odd ones on the FFT route. D is
+    N // U, so U*D = N whenever U divides N, except on every fourth trial,
+    where D is drawn. M = 1 gives a one-row product under FS and one-entry
+    rows under SF."""
+    N = int(rng.choice([16, 32, 64, 128]))
+    M = int(rng.choice([1, 2, 3, 5, 8, 16]))
+    U = int(rng.integers(1, 5))
+    D = int(rng.integers(1, N // U + 1)) if trial % 4 == 2 else N // U
+    cap = int(2 * N * math.log2(N)) // (U * D)  # the largest Np on the product route
+    Np = int(rng.integers(1, min(N, cap) + 1) if trial % 2 == 0 else rng.integers(cap + 1, N + 1))
+    return make_design(N, M, D, U, Np, int(rng.integers(1, M + 1)), seed=trial)
+
+
+def product_rows(op):
+    """(rows, entries per row) of the product route's output: (M, U*D) under FS, (U*D, M) under SF."""
+    d = op.design
+    if op.option is VectorizationOption.FS:
+        return d.M, d.U * d.D
+    return d.U * d.D, d.M
+
+
+def test_adjoint_moduli_are_the_squared_moduli_of_the_adjoint(monkeypatch):
+    # adjoint_values(y, out, moduli) writes the bits of adjoint_values(y) into
+    # out and squared_moduli of them into moduli, on both routes. The product
+    # route is run whole (the default block, larger than these designs), in
+    # blocks of three rows (a ragged last block unless 3 divides the rows),
+    # and with a block below one row, which still takes two rows per block.
+    rng = np.random.default_rng(32)
+    default = hisparse.operators.ADJOINT_BLOCK
+    for trial in range(240):
+        op = KroneckerSensingOperator(adjoint_design(rng, trial), ("FS", "SF")[trial % 3 % 2])
+        assert (op._adjoint_table is not None) == (trial % 2 == 0)
+        y = rng.standard_normal(op.out_dim) + 1j * rng.standard_normal(op.out_dim)
+        for block in (default, 3 * product_rows(op)[1], 1):
+            monkeypatch.setattr(hisparse.operators, "ADJOINT_BLOCK", block)
+            expected = op.adjoint_values(y)
+            out = np.full(op.in_dim, np.nan + 1j * np.nan)
+            moduli = np.full(op.in_dim, np.nan)
+            assert op.adjoint_values(y, out, moduli) is out
+            assert out.tobytes() == expected.tobytes()
+            assert moduli.tobytes() == squared_moduli(expected).tobytes()
+
+
+def test_product_blocks_keep_the_whole_products_bits(monkeypatch):
+    # Split into blocks of whole rows, the product route gives the bits of its
+    # one whole product (a block of in_dim entries), the paper preset's eight
+    # default blocks of 32 rows included. No block has one row; a ragged tail
+    # of one row joins the block before it. Designs with one entry per row
+    # (U*D = 1 under FS, M = 1 under SF) are left out: their product is a
+    # matrix-vector product however it is split, and no default block splits
+    # one unless it has over 2*ADJOINT_BLOCK entries.
+    rng = np.random.default_rng(33)
+    paper = KroneckerSensingOperator(make_design(1024, 256, 256, 4, 15, 256, seed=0), "FS")
+    cases = [(paper, hisparse.operators.ADJOINT_BLOCK)]
+    for trial in range(0, 240, 2):
+        op = KroneckerSensingOperator(adjoint_design(rng, trial), ("FS", "SF")[trial % 3 % 2])
+        rows, cols = product_rows(op)
+        if cols > 1:
+            cases += [(op, block) for block in (1, 2 * cols, 3 * cols, 5 * cols + 1)]
+    assert all(op._adjoint_table is not None for op, _ in cases)
+    for op, block in cases:
+        y = rng.standard_normal(op.out_dim) + 1j * rng.standard_normal(op.out_dim)
+        monkeypatch.setattr(hisparse.operators, "ADJOINT_BLOCK", op.in_dim)
+        whole = op.adjoint_values(y)
+        monkeypatch.setattr(hisparse.operators, "ADJOINT_BLOCK", block)
+        moduli = np.empty(op.in_dim)
+        assert op.adjoint_values(y, moduli=moduli).tobytes() == whole.tobytes()
+        assert moduli.tobytes() == squared_moduli(whole).tobytes()
+
+
+@pytest.mark.parametrize("route", ["product", "fft"])
+def test_a_bad_moduli_is_refused_before_any_product(route):
+    # Refused in one line, worded as for out, before anything is written.
+    op = KroneckerSensingOperator(make_design(128 if route == "product" else 32, 8, 8, 4, 12, 5,
+                                              seed=2), "FS")
+    assert (op._adjoint_table is not None) == (route == "product")
+    y = np.ones(op.out_dim, dtype=complex)
+    bad = [
+        np.empty(op.in_dim + 1),                  # wrong length
+        np.empty(op.in_dim, dtype=np.float32),    # wrong dtype
+        np.empty(op.in_dim, dtype=complex),       # wrong dtype
+        np.empty(2 * op.in_dim)[::2],             # not C-contiguous
+        np.empty((op.in_dim, 1)),                 # not flat
+        [0.0] * op.in_dim,                        # not an array
+    ]
+    for moduli in bad:
+        out = np.full(op.in_dim, np.nan + 1j * np.nan)
+        with pytest.raises(DimensionError,
+                           match=f"^moduli must be a C-contiguous float64 array of length {op.in_dim}$"):
+            op.adjoint_values(y, out, moduli)
+        assert np.isnan(out).all()
+    with pytest.raises(DimensionError,
+                       match=f"^out must be a C-contiguous complex128 array of length {op.in_dim}$"):
+        op.adjoint_values(y, out=np.empty(op.in_dim), moduli=np.empty(op.in_dim))
 
 
 def test_theta_factor_shape():

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
+import hisparse.operators
 import hisparse.recovery
 from hisparse import (
     BlockShape,
@@ -595,6 +596,29 @@ def test_solves_are_reentrant(algorithm, option, N, D, U):
     for offset in (0, 1):
         assert got[offset] == [expected[(offset + k) % len(ys)] for k in range(12)]
     assert [fingerprint(res) for res in first] == expected
+
+
+@pytest.mark.parametrize("algorithm", ["HiIHT", "HiHTP", "IHT"])
+def test_a_formed_and_a_given_aty_give_the_same_solve(algorithm, monkeypatch):
+    # On the product route a solve that forms A^H y takes its squared moduli
+    # from the adjoint's blocks; one handed A^H y copies it and squares the
+    # copy. Both return the same bits, with the product whole (the default
+    # block, at this size) and in ragged blocks of five rows or more.
+    rng = np.random.default_rng(44)
+    default = hisparse.operators.ADJOINT_BLOCK
+    for option in ("FS", "SF"):
+        for Mp in (16, 11):
+            op = KroneckerSensingOperator(make_design(128, 16, 32, 4, 12, Mp, seed=6), option)
+            assert op._adjoint_table is not None
+            profile = SparsityProfile((3, 1, 2) if option == "FS" else (2, 2, 2))
+            cfg = RecoveryConfig(algorithm=algorithm, profile=profile)
+            for block in (default, 5 * 128):
+                monkeypatch.setattr(hisparse.operators, "ADJOINT_BLOCK", block)
+                for _ in range(3):
+                    y = rng.standard_normal(op.out_dim) + 1j * rng.standard_normal(op.out_dim)
+                    given = solve(y, op, cfg, aty=op.adjoint_values(y))
+                    formed = solve(y, op, cfg)
+                    assert (fingerprint(formed), formed.stop) == (fingerprint(given), given.stop)
 
 
 def test_outputs_are_hierarchically_sparse():
