@@ -6,7 +6,8 @@ A multilevel block vector in C^(N1*N2*...*Nl) is a plain ndarray of shape
 a view with no copy. A sparsity profile (s1, ..., sl) constrains the support
 recursively: at most s1 of the N1 outer blocks are populated, each populated
 block holding at most s2 of its N2 sub-blocks, and so on down to s_l elements
-per innermost block.
+per innermost block. A level of size 1 constrains nothing, and removing it
+leaves every flat index as it is, so ``hi_threshold`` drops it before selecting.
 
 ``hi_threshold`` selects on squared moduli shaped by the block dims
 (``squared_moduli(x)``, float64 re*re + im*im of complex x), so a caller
@@ -151,53 +152,40 @@ def hi_threshold(moduli: np.ndarray, s: SparsityProfile) -> np.ndarray:
     point) shaped by the block dims. Returns the sorted flat (C-order)
     indices (int64) of the support.
 
-    Bottom-up selection: per innermost block keep the s_l largest entries,
-    then at each coarser level keep the per-block child blocks of largest
-    retained energy, up to the root (s1 of the N1 outer blocks). Ties go to
-    the lowest flat index. A level of sparsity 1 keeps each block's first
-    maximum (``argmax``) and passes its energy up by a gather; a level with
-    s >= N keeps every child. The root level's pick is read by nothing
-    above it, so it forms no energy. The support is then built top-down:
-    the root's pick gives the first kept blocks, each level below reads its
-    pick only for the blocks kept above it, and a level of size 1 keeps the
-    blocks as they are.
+    A level of size 1 has no choice to make, so it is dropped with its
+    sparsity first: the C-order flat indices stay the same (a layout of all
+    ones keeps one level). Bottom-up selection: per innermost block keep the
+    s_l largest entries, then at each coarser level keep the per-block child
+    blocks of largest retained energy, up to the root (s1 of the N1 outer
+    blocks). Ties go to the lowest flat index. A level of sparsity 1 keeps
+    each block's first maximum (``argmax``) and passes its energy up by a
+    gather; any other level keeps a ``_top_mask`` row, which is all true
+    when s >= N. The root level's pick is read by nothing above it, so it
+    forms no energy. The support is then built top-down: the root's pick
+    gives the first kept blocks, and each level below reads its pick only
+    for the blocks kept above it.
     """
     moduli = np.asarray(moduli)
     if not np.issubdtype(moduli.dtype, np.floating):
         raise DimensionError(f"hi_threshold takes real squared moduli, got dtype {moduli.dtype}")
     s.check_compatible(moduli.shape)
-    energy, picks = moduli, []  # per level, innermost first: argmax, _top_mask or None (all)
-    for lvl in range(moduli.ndim - 1, -1, -1):
-        k, n = s.s[lvl], moduli.shape[lvl]
-        if k >= n:
-            pick = None
-        elif k == 1:
-            pick = np.argmax(energy, axis=-1)
-        else:
-            pick = _top_mask(energy, k)
+    dims, ks = zip(*([(n, k) for n, k in zip(moduli.shape, s.s) if n > 1] or [(1, 1)]))
+    energy, picks = moduli.reshape(dims), []  # per level, innermost first: argmax or _top_mask
+    for lvl in range(len(dims) - 1, -1, -1):
+        k = ks[lvl]
+        pick = np.argmax(energy, axis=-1) if k == 1 else _top_mask(energy, k)
         picks.append(pick)
         if lvl == 0:  # the root: no level above reads its energy
             break
-        if pick is None:
-            energy = energy.sum(axis=-1) if n > 1 else energy[..., 0]
-        elif k == 1:
+        if k == 1:
             energy = np.take_along_axis(energy, pick[..., None], axis=-1)[..., 0]
         else:
             energy = np.where(pick, energy, 0.0).sum(axis=-1)
 
-    root, n = picks[-1], moduli.shape[0]
-    if root is None:  # flat indices of the blocks kept so far
-        kept = np.arange(n, dtype=np.int64)
-    elif root.dtype == bool:
-        kept = np.flatnonzero(root)
-    else:
-        kept = root.reshape(1)
-    for pick, n in zip(reversed(picks[:-1]), moduli.shape[1:]):
-        if n == 1:  # kept * 1 + 0
-            continue
-        if pick is None:
-            kept = (kept[:, None] * n + np.arange(n)).reshape(-1)
-        elif pick.dtype == bool:
+    root = picks[-1]  # kept: flat indices of the blocks kept so far
+    kept = np.flatnonzero(root) if root.dtype == bool else root.reshape(1)
+    for pick, n in zip(reversed(picks[:-1]), dims[1:]):
+        if pick.dtype == bool:
             rows, cols = np.nonzero(pick.reshape(-1, n)[kept])
             kept = kept[rows] * n + cols
         else:

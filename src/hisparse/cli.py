@@ -55,6 +55,9 @@ def main(argv=None) -> int:
         except OSError as exc:
             print(f"error: cannot write results: {exc}", file=sys.stderr)
             return 1
+        except RuntimeError as exc:  # a sweep lane thread that cannot start
+            print(f"error: cannot run sweep: {exc}", file=sys.stderr)
+            return 1
         print_line(f"wrote {csv_path} ({len(records)} rows) and {manifest_path}")
         return 0
     if args.command == "plot":

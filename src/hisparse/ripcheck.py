@@ -31,7 +31,7 @@ support, skipped or solved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
 import math
 
@@ -39,7 +39,7 @@ import numpy as np
 
 from .blocks import BlockShape, SparsityProfile
 from .design import PilotDesign
-from .operators import dft_matrix, tau_factor
+from .operators import tau_factor
 
 ENUM_CAP = 1_000_000
 EIG_BLOCK_CAP = 64
@@ -242,8 +242,7 @@ def extension_rip_check(design: PilotDesign, s: int) -> ExtensionCheck:
     all N; the restricted constant can never exceed the extended one.
     """
     restricted = tau_factor(design)
-    full = design.base_sequence[:, None] * dft_matrix(design.N, design.N)
-    extended = full[design.subcarriers] / math.sqrt(design.Np)
+    extended = tau_factor(replace(design, U=1, D=design.N))
     d_r = rip_constant(restricted, s).delta
     d_e = rip_constant(extended, s).delta
     return ExtensionCheck(d_r, d_e, holds=bool(d_r <= d_e + 1e-12))

@@ -124,7 +124,7 @@ class ExperimentConfig:
     l2_values: list | None = None
 
     def __post_init__(self):
-        if self.scenario not in _SCENARIO_TABLE:
+        if not isinstance(self.scenario, str) or self.scenario not in _SCENARIO_TABLE:
             raise ValueError(f"unknown scenario {self.scenario!r}")
         if not self.sweep:
             raise ValueError("sweep axis must be non-empty")
@@ -242,22 +242,23 @@ class ExperimentConfig:
                 )
 
     def to_json(self) -> str:
-        doc = asdict(self)
-        return json.dumps(doc, sort_keys=True, indent=2)
+        """The config as JSON; a numpy scalar the checks accepted is written as its value."""
+        return json.dumps(asdict(self), sort_keys=True, indent=2, default=np.generic.item)
 
     @classmethod
-    def from_json_dict(cls, doc: dict, preset: str | None = None) -> "ExperimentConfig":
+    def from_json(cls, text: str, preset: str | None = None) -> "ExperimentConfig":
         """The config a JSON document describes, validated once at its final
         sizes: a named preset's sizes replace the document's before that."""
-        doc = dict(doc)
+        doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise ValueError(f"a config must be a JSON object, got {type(doc).__name__}")
+        for name in ("system", "channel"):
+            if not isinstance(doc.get(name, {}), dict):
+                raise ValueError(f"{name} must be a JSON object, got {doc[name]!r}")
         sizes = PRESETS[preset] if preset is not None else {}
         doc["system"] = SystemConfig(**{**doc.get("system", {}), **sizes})
         doc["channel"] = ChannelConfig(**doc.get("channel", {}))
         return cls(**doc)
-
-    @classmethod
-    def from_json(cls, text: str, preset: str | None = None) -> "ExperimentConfig":
-        return cls.from_json_dict(json.loads(text), preset)
 
     def apply_preset(self, name: str) -> None:
         """Take the preset's sizes; a ValueError leaves this config as it was."""
@@ -503,7 +504,8 @@ def run_sweep(config: ExperimentConfig, out_dir=None, threads: int = 1):
     in trial order. A record's ``seconds`` is the summed wall time of its
     condition's ``run_trial`` calls. The first exception in any lane, the
     caller's included, stops every lane before its next row; it is raised
-    once every lane thread has ended. A ``threads`` that is not an integer
+    once every lane thread has ended. A lane thread that cannot start
+    raises ``Thread.start``'s RuntimeError this way. A ``threads`` that is not an integer
     >= 1 is refused before the output directory is made. Returns (records,
     csv_path, manifest_path); the paths are None when no output directory
     is given.

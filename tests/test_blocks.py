@@ -282,9 +282,13 @@ def test_top_mask_matches_stable_sort(data):
 
 
 # Block layouts the benchmark workloads select under: the small off-grid sweep
-# (FS, HiIHT/HiHTP at L1 = 1 and 2; flat IHT with k = 45 and 75) and the paper size.
+# (FS, HiIHT/HiHTP at L1 = 1 and 2; flat IHT with k = 45 and 75) and the paper
+# size. Then two on-grid layouts at the small preset that no workload runs, each
+# with a keep-all level of more than one block: SF with V = U = 4 (dims (U, D, M),
+# s = (V, L, K_L)) and FS with K_V = U = 4 (dims (M, U, D), s = (V*L, K_V, K_L)).
 WORKLOAD_LAYOUTS = [((64, 1, 32), (15, 1, 3)), ((64, 1, 32), (15, 1, 5)),
-                    ((2048,), (45,)), ((2048,), (75,)), ((256, 4, 256), (6, 1, 1))]
+                    ((2048,), (45,)), ((2048,), (75,)), ((256, 4, 256), (6, 1, 1)),
+                    ((4, 32, 64), (4, 3, 1)), ((64, 4, 32), (6, 4, 1))]
 
 
 def _tie_passes(energy, k):
@@ -300,7 +304,8 @@ def test_top_mask_skips_the_tie_pass_when_no_row_ties():
     rng = np.random.default_rng(5)
     cases = [(dims, s[-1]) for dims, s in WORKLOAD_LAYOUTS] + [((dims[0],), s[0]) for dims, s in WORKLOAD_LAYOUTS]
     cases = [(shape, k) for shape, k in cases if k < shape[-1]]
-    assert {shape for shape, _ in cases} == {(64, 1, 32), (64,), (2048,), (256, 4, 256), (256,)}
+    assert {shape for shape, _ in cases} == {(64, 1, 32), (64,), (2048,), (256, 4, 256), (256,),
+                                            (4, 32, 64), (64, 4, 32)}
     for shape, k in cases:
         energy = rng.random(shape)
         assert np.unique(energy).size == energy.size
@@ -367,21 +372,29 @@ def test_top_down_support_matches_the_mask_oracle():
     assert all(seen[dims] > 0 for dims, _ in WORKLOAD_LAYOUTS)
 
 
-# Root sparsities that reach each branch of the root's pick: keep every block
-# (s1 >= N1), argmax (s1 = 1) and top-k (1 < s1 < N1). Each is crossed with a
-# size-1 level at the root, in the middle and innermost, and with none.
+# Root sparsities that reach each of the root's two picks: argmax (s1 = 1) and
+# the top-k mask, both below N1 and at s1 >= N1, where the mask keeps every
+# block. Each is crossed with a size-1 level at the root, in the middle and
+# innermost, and with none. Then layouts with a keep-all level of more than one
+# block in the middle, innermost or both; tiny SF V = U and FS K_V = U shapes;
+# several size-1 levels at once; and layouts of all ones.
 ROOT_BRANCH_LAYOUTS = [
     (dims, (s1,) + tuple(min(2, n) for n in dims[1:]))
     for dims in ((3, 2, 3), (1, 2, 3), (3, 1, 3), (3, 2, 1), (5,))
     for s1 in sorted({dims[0], 1, min(2, dims[0])})
+] + [
+    ((3, 3, 2), (2, 3, 1)), ((3, 2, 3), (2, 1, 3)), ((2, 3, 2), (1, 3, 2)),
+    ((2, 4, 3), (2, 2, 1)), ((4, 2, 3), (2, 2, 1)),
+    ((1, 3, 1), (1, 2, 1)), ((3, 1, 1, 2), (2, 1, 1, 1)), ((1, 1, 4), (1, 1, 2)),
+    ((1,), (1,)), ((1, 1, 1), (1, 1, 1)),
 ]
 
 
 @pytest.mark.parametrize("dims, s", ROOT_BRANCH_LAYOUTS, ids=[f"{d}-{s}" for d, s in ROOT_BRANCH_LAYOUTS])
 def test_every_root_branch_matches_the_oracles(dims, s):
-    # The root forms no energy and a size-1 level is not expanded; the support
-    # is still the mask oracle's array, in every bit, and attains the brute
-    # force's best residual, with continuous values, ties and exact zeros.
+    # The root forms no energy and size-1 levels are dropped; the support is
+    # still the mask oracle's array, in every bit, and attains the brute force's
+    # best residual, with continuous values, ties and exact zeros.
     rng = np.random.default_rng(sum(dims) + 7 * sum(s))
     profile = SparsityProfile(s)
     n = math.prod(dims)
@@ -394,3 +407,21 @@ def test_every_root_branch_matches_the_oracles(dims, s):
         values = x.reshape(-1)
         residual = float(np.linalg.norm(values - project(values, got)))
         assert residual == pytest.approx(best_residual_bruteforce(values, dims, s), abs=1e-12)
+
+
+@pytest.mark.parametrize("dims, s", ROOT_BRANCH_LAYOUTS + WORKLOAD_LAYOUTS,
+                         ids=[f"{d}-{s}" for d, s in ROOT_BRANCH_LAYOUTS + WORKLOAD_LAYOUTS])
+def test_nan_moduli_match_the_mask_oracle(dims, s):
+    # A NaN modulus has no best residual to reach, so only the mask oracle is
+    # checked; the support never holds a NaN entry (NaN > 0 is false).
+    rng = np.random.default_rng(sum(dims) + 3 * sum(s))
+    profile = SparsityProfile(s)
+    n = math.prod(dims)
+    for frac in (0.1, 0.5, 1.0):
+        raw = rng.integers(-1, 2, 2 * n).astype(float)
+        raw[:n][rng.random(n) < frac] = np.nan
+        x = (raw[:n] + 1j * raw[n:]).reshape(dims)
+        got = hi_threshold(squared_moduli(x), profile)
+        assert got.dtype == np.int64
+        assert got.tobytes() == mask_hi_threshold(x, profile).tobytes()
+        assert not np.isnan(squared_moduli(x).reshape(-1)[got]).any()

@@ -5,6 +5,7 @@ from pathlib import Path
 import re
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -192,6 +193,35 @@ def test_run_rejects_nonpositive_threads(tmp_path, capsys):
     assert capsys.readouterr().err.splitlines() == ["error: --threads must be >= 1, got 0"]
 
 
+
+def test_run_with_a_lane_that_cannot_start_exits_one(tmp_path, capsys, monkeypatch):
+    # Thread.start is patched to fail as it does when the system has no thread
+    # to give, so no thread starts and no trial runs.
+    def refuse(self):
+        raise RuntimeError("can't start new thread")
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    config_path = tmp_path / "config.json"
+    write_config(config_path)
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", str(config_path), "--out", str(out_dir),
+                 "--threads", "2"]) == 1
+    assert not (out_dir / "results.csv").exists() and not (out_dir / "manifest.json").exists()
+    assert capsys.readouterr().err.splitlines() == ["error: cannot run sweep: can't start new thread"]
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[1, 2]", "a config must be a JSON object, got list"),
+    ("8", "a config must be a JSON object, got int"),
+], ids=["array", "number"])
+def test_run_config_that_is_not_an_object_exits_one(tmp_path, capsys, text, message):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(text)
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", str(config_path), "--out", str(out_dir)]) == 1
+    assert not out_dir.exists()
+    assert capsys.readouterr().err.splitlines() == [f"error: bad config: {message}"]
+
+
 def test_plot_unreadable_csv_exits_one(tmp_path, capsys):
     missing = tmp_path / "nowhere" / "missing.csv"
     assert main(["plot", "--csv", str(missing)]) == 1
@@ -292,6 +322,10 @@ def test_plot_unreadable_csv_exits_one(tmp_path, capsys):
      "v_values lists 4 twice"),
     ({"scenario": "offgrid-sweep", "l1_values": [1, 1]}, "l1_values lists 1 twice"),
     ({"scenario": "offgrid-sweep", "l2_values": [2, 1, 2]}, "l2_values lists 2 twice"),
+    ({"system": [1, 2]}, "system must be a JSON object, got [1, 2]"),
+    ({"channel": "L=3"}, "channel must be a JSON object, got 'L=3'"),
+    ({"scenario": ["single-user-sweep"]}, "unknown scenario ['single-user-sweep']"),
+    ({"scenario": 3}, "unknown scenario 3"),
 ], ids=["negative-seed", "fractional-seed", "nan-snr", "negative-alpha", "fractional-trials",
         "fractional-sweep", "fractional-v", "fractional-l", "fractional-mp", "boolean-trials",
         "unknown-algorithm", "ongrid-l-exceeds-angles", "ongrid-users-exceed-angles",
@@ -306,7 +340,8 @@ def test_plot_unreadable_csv_exits_one(tmp_path, capsys):
         "zero-k-v-sf-offgrid", "zero-k-l", "negative-k-v-offgrid", "zero-l1", "negative-l1",
         "l1-beyond-n", "l2-beyond-m", "zero-l2", "default-l2-beyond-m", "duplicate-algorithm",
         "duplicate-sweep", "duplicate-l-values", "duplicate-v-values", "duplicate-l1-values",
-        "duplicate-l2-values"])
+        "duplicate-l2-values", "array-system", "string-channel", "array-scenario",
+        "number-scenario"])
 def test_run_config_out_of_model_exits_one_before_any_trial(tmp_path, capsys, bad, message):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({"scenario": "single-user-sweep", "sweep": [8],

@@ -165,7 +165,7 @@ def test_default_scenarios_pass_the_refit_guard(preset):
 
 
 def test_omp_compare_default_antennas_follow_preset():
-    config = ExperimentConfig.from_json_dict({"scenario": "omp-compare", "sweep": [24]})
+    config = ExperimentConfig.from_json('{"scenario": "omp-compare", "sweep": [24]}')
     assert config.antenna_count() == 16
     config.apply_preset("paper")
     assert config.antenna_count() == 64
@@ -488,13 +488,27 @@ def test_manifest_reproduces_rows(tmp_path):
     _, csv_path, manifest_path = run_sweep(config, out_dir=tmp_path / "a")
     manifest = json.loads(manifest_path.read_text())
     assert manifest["version"] == hisparse.__version__
-    rebuilt = ExperimentConfig.from_json_dict(manifest["config"])
+    rebuilt = ExperimentConfig.from_json(json.dumps(manifest["config"]))
     _, csv2, _ = run_sweep(rebuilt, out_dir=tmp_path / "b")
     first, second = read_csv(csv_path), read_csv(csv2)
     for a, b in zip(first, second):
         assert (a.sweep_value, a.algorithm, a.trials) == (b.sweep_value, b.algorithm, b.trials)
         assert a.mse_mean == b.mse_mean
         assert a.mse_stderr == b.mse_stderr
+
+
+
+def test_config_of_numpy_scalars_writes_csv_and_manifest(tmp_path):
+    # The checks accept numpy integers and floats; the manifest writes their
+    # values, so a run leaves both files and the manifest rebuilds the config.
+    config = tiny_config(system=SystemConfig(N=np.int64(64), M=np.int32(16), D=16, U=1),
+                         sweep=list(np.array([4, 8])), trials=np.int64(2), seed=np.uint8(1),
+                         snr_db=np.float32(10.0))
+    records, csv_path, manifest_path = run_sweep(config, out_dir=tmp_path)
+    assert csv_path.exists() and manifest_path.exists() and len(read_csv(csv_path)) == len(records)
+    manifest = json.loads(manifest_path.read_text())
+    assert manifest["config"]["sweep"] == [4, 8] and manifest["config"]["system"]["N"] == 64
+    assert ExperimentConfig.from_json(json.dumps(manifest["config"])) == config
 
 
 def test_records_do_not_depend_on_thread_count():
