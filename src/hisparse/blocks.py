@@ -145,12 +145,33 @@ def squared_moduli(x: np.ndarray, out=None) -> np.ndarray:
     return out
 
 
+def divide_real(x: np.ndarray, s) -> np.ndarray:
+    """x / s in place for a C- or F-contiguous complex array x and a real
+    s > 0; returns x.
+
+    numpy divides a complex array by a real number as by s + 0j, with Smith's
+    method, which then multiplies each part by fl(1/s). Multiplying the
+    float64 parts of x by ``1.0 / s`` gives the same parts at about a sixth
+    of the cost. Only the sign of a zero part can differ: the division adds
+    the other part times +0.0 first, so for instance a -0.0 real part next to
+    a positive imaginary part comes out +0.0.
+    """
+    if not (x.flags.c_contiguous or x.flags.f_contiguous):
+        raise ValueError("divide_real needs a contiguous array")
+    parts = x.ravel(order="K").view(np.float64)  # x's own memory, in its order
+    parts *= 1.0 / s
+    return x
+
+
 def hi_threshold(moduli: np.ndarray, s: SparsityProfile) -> np.ndarray:
     """Support of the best s-hierarchically-sparse approximation of x.
 
     ``moduli`` is x's squared moduli (``squared_moduli(x)``, real floating
     point) shaped by the block dims. Returns the sorted flat (C-order)
-    indices (int64) of the support.
+    indices (int64) of the support. A NaN energy is outside this contract:
+    a row whose kth largest slot holds NaN keeps fewer than its k entries.
+    No pass here looks for one, since it would cost about what a selection
+    costs; ``solve`` refuses a non-finite y or A^H y before its first pass.
 
     A level of size 1 has no choice to make, so it is dropped with its
     sparsity first: the C-order flat indices stay the same (a layout of all

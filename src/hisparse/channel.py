@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .blocks import _is_integer
+from .blocks import _is_integer, divide_real
 from .operators import VectorizationOption, as_option
 
 DEFAULT_ALPHA = 0.25
@@ -204,7 +204,7 @@ def delay_angular_offgrid(H: np.ndarray) -> np.ndarray:
     H is one N x M matrix or a (..., N, M) stack, mapped slice by slice.
     """
     M = H.shape[-1]
-    return np.fft.ifft(np.fft.fft(H, axis=-1), axis=-2) / M
+    return divide_real(np.fft.ifft(np.fft.fft(H, axis=-1), axis=-2), M)
 
 
 def dirichlet_vector(K: int, omega: float) -> np.ndarray:

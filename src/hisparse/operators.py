@@ -22,8 +22,12 @@ Gram from two kernels. With every antenna observed (Mp = M) the angle factor
 is the unitary M-point DFT, so A^H A = I (x) T^H T (FS) or T^H T (x) I (SF),
 with T the delay factor: the gradient step ``adjoint_residual`` then stays in
 the delay domain and the least-squares refit ``solve_normal`` splits by
-angle. Each method's docstring gives its routes and their costs; the design
-picks the route, apart from the refit's lstsq of a singular block.
+angle. On the FFT step route that step changes only the angles x occupies,
+so ``angle_bounds`` bounds each angle's |A^H y|^2 from the pilot spectrum,
+and a thresholding pass forms A^H y (``adjoint_values(..., angles=)``) only
+on the angles those bounds cannot rule out. Each method's docstring gives
+its routes and their costs; the design picks the route, apart from the
+refit's lstsq of a singular block.
 ``columns`` builds exact columns from the two factors, and ``densify`` a
 dense matrix kept as a test oracle for small problems.
 """
@@ -35,7 +39,7 @@ import math
 
 import numpy as np
 
-from .blocks import BlockShape, DimensionError, squared_moduli, work_buffer
+from .blocks import BlockShape, DimensionError, divide_real, squared_moduli, work_buffer
 from .design import PilotDesign
 
 DENSIFY_CAP = 4096
@@ -185,7 +189,8 @@ class KroneckerSensingOperator:
         self._twiddle = np.exp(-2j * np.pi * np.arange(d.N) / d.N)  # read at n*q mod N
         # conj(T) for the product route of the delay adjoint; see PRODUCT_CROSSOVER.
         if d.Np * self._ud <= PRODUCT_CROSSOVER * d.N * math.log2(d.N):
-            self._adjoint_table = np.conj(self._delay_columns(np.arange(self._ud))) / math.sqrt(d.Np)
+            table = self._delay_columns(np.arange(self._ud))
+            self._adjoint_table = divide_real(np.conjugate(table, out=table), math.sqrt(d.Np))
         else:
             self._adjoint_table = None
         self.shape_in = unknown_shape(self.option, d.M, d.U, d.D)
@@ -260,78 +265,175 @@ class KroneckerSensingOperator:
         rows, slot = _groups(q, self._ud)
         block = np.zeros((rows.size, d.M), dtype=np.complex128)
         block[slot, m] = values
-        W = self._delay_columns(rows) @ block / math.sqrt(d.Np)
+        W = divide_real(self._delay_columns(rows) @ block, math.sqrt(d.Np))
         V = np.fft.ifft(W, axis=1) * d.M
-        return vectorize(V[:, d.antennas] / math.sqrt(d.Mp), self.option)
+        return vectorize(divide_real(V[:, d.antennas], math.sqrt(d.Mp)), self.option)
 
-    def adjoint_values(self, y, out=None, moduli=None) -> np.ndarray:
+    def _pilot_spectrum(self, y) -> np.ndarray:
+        """Z, the (Np x M) angle adjoint of the measurement y: one length-M FFT
+        per pilot row of the (Np x Mp) observation zero-padded to M antennas,
+        scaled by 1/sqrt(Mp). O(Np*M log M)."""
+        d = self.design
+        v = np.asarray(y, dtype=np.complex128)
+        if v.shape != (self.out_dim,):
+            raise DimensionError(f"measurement length {v.shape} != {self.out_dim}")
+        padded = np.zeros((d.Np, d.M), dtype=np.complex128)
+        padded[:, d.antennas] = unvectorize(v, self.option, d.Np, d.Mp)
+        return divide_real(np.fft.fft(padded, axis=1), math.sqrt(d.Mp))
+
+    def adjoint_values(self, y, out=None, moduli=None, angles=None) -> np.ndarray:
         """A^H @ y as a flat vector of the input length, written into ``out``.
 
         ``out`` is an optional destination: a C-contiguous complex128 array
         of length ``in_dim``, allocated when None; the result is the same in
         every bit either way. ``moduli``, if given, is a C-contiguous float64
         array of length ``in_dim`` that receives ``squared_moduli`` of the
-        result, the same bits as that call on the returned array. Both are
-        checked before any product. The angle adjoint is one length-M FFT per
-        pilot row of the (Np x Mp) observation, zero-padded to M antennas,
-        O(Np*M log M). The delay adjoint takes one of two routes:
+        result, the same bits as that call on the returned array. ``angles``,
+        if given, is a nonempty 1-D index of angles in [0, M), and ``out``
+        must be given with it: then only the entries of those angles are
+        written, in ``out`` and ``moduli``, with the bits the whole call
+        writes there (``_form_angles``). All of these are checked before any
+        product. The angle adjoint is the pilot spectrum Z
+        (``_pilot_spectrum``). The delay adjoint takes one of two routes:
 
           * product route, when Np*U*D <= PRODUCT_CROSSOVER * N*log2(N)
-            (sparse pilots): that (Np x M) result times the table
-            ``_adjoint_table`` = conj(T) (Np x U*D), one matrix product
-            written into ``out`` viewed as (M x U*D) under FS or (U*D x M)
-            under SF. It runs in blocks of whole output rows of about
-            ADJOINT_BLOCK entries, at least two rows each, and each block's
-            moduli are formed right after its product. O(Np*U*D*M); the
-            product needs no scratch memory.
+            (sparse pilots): Z^T times the table ``_adjoint_table`` =
+            conj(T) (Np x U*D), one matrix product written into ``out``
+            viewed as (M x U*D) under FS or (U*D x M) under SF, with each
+            block's moduli formed right after it (``_product``).
+            O(Np*U*D*M); the product needs no scratch memory.
           * FFT route otherwise: one unnormalized length-N inverse FFT per
             angle, run in place along the contiguous rows of an (M x N)
-            buffer. Under FS with U*D = N that buffer is ``out`` viewed as
-            (M x N); otherwise it is this thread's work buffer, and its first
-            U*D columns are copied into ``out``. The moduli are formed from
-            ``out`` at the end. O(M*N log N).
+            buffer (``_delay_ffts``). Under FS with U*D = N that buffer is
+            ``out`` viewed as (M x N); otherwise it is this thread's work
+            buffer, and its first U*D columns are copied into ``out``. The
+            moduli are formed from ``out`` at the end. O(M*N log N).
         """
         d = self.design
-        v = np.asarray(y, dtype=np.complex128)
-        if v.shape != (self.out_dim,):
-            raise DimensionError(f"measurement length {v.shape} != {self.out_dim}")
+        if angles is not None:
+            angles = np.asarray(angles, dtype=np.int64)
+            if (out is None or angles.ndim != 1 or not angles.size
+                    or angles.min() < 0 or angles.max() >= d.M):
+                raise DimensionError(
+                    f"angles must be a nonempty 1-D index in [0, {d.M}), given with out")
         out = self._destination(out)
         if moduli is not None:
             self._checked(moduli, np.float64, "moduli")
-        padded = np.zeros((d.Np, d.M), dtype=np.complex128)
-        padded[:, d.antennas] = unvectorize(v, self.option, d.Np, d.Mp)
-        Z = np.fft.fft(padded, axis=1) / math.sqrt(d.Mp)
-        table = self._adjoint_table
-        if table is not None:
-            if self.option is VectorizationOption.FS:
-                left, right, rows = Z.T, table, d.M
-            else:
-                left, right, rows = table.T, Z, self._ud
-            cols = self.in_dim // rows
-            result = out.reshape(rows, cols)
-            energy = None if moduli is None else moduli.reshape(rows, cols)
-            # At least two rows per block: a one-row product takes BLAS's
-            # matrix-vector path, whose rounding differs from the whole product's.
-            blocks = max(1, rows // max(2, ADJOINT_BLOCK // cols))
-            for k in range(blocks):
-                part = slice(k * rows // blocks, (k + 1) * rows // blocks)
-                block = np.matmul(left[part], right, out=result[part])
-                if energy is not None:
-                    squared_moduli(block, out=energy[part])
+        Z = self._pilot_spectrum(y)
+        if angles is not None:
+            self._form_angles(Z, angles, out, moduli)
+            return out
+        if self._adjoint_table is not None:
+            self._product(Z, out, moduli)
             return out
         direct = self.option is VectorizationOption.FS and self._ud == d.N
         if direct:
             buf = out.reshape(d.M, d.N)
         else:
             buf = work_buffer("adjoint_values", (d.M, d.N), np.complex128)
-        buf.fill(0.0)
-        buf[:, d.subcarriers] = Z.T * self._adjoint_weights
-        np.fft.ifft(buf, axis=1, norm="forward", out=buf)
+        rows = self._delay_ffts(Z.T, buf)
         if not direct:
-            unvectorize(out, self.option, self._ud, d.M)[...] = buf[:, : self._ud].T
+            unvectorize(out, self.option, self._ud, d.M)[...] = rows.T
         if moduli is not None:
             squared_moduli(out, out=moduli)
         return out
+
+    def _product(self, Z, out, moduli=None) -> None:
+        """The product route's whole product into ``out``, and its moduli into ``moduli`` if given.
+
+        Z^T times ``_adjoint_table`` (FS) or the table's transpose times Z
+        (SF) runs in blocks of whole output rows of about ADJOINT_BLOCK
+        entries, at least two rows each, since a one-row product takes
+        BLAS's matrix-vector path, whose rounding differs. Each block's
+        moduli are formed right after its product, while it is in cache.
+        """
+        d, table = self.design, self._adjoint_table
+        if self.option is VectorizationOption.FS:
+            left, right, rows = Z.T, table, d.M
+        else:
+            left, right, rows = table.T, Z, self._ud
+        cols = self.in_dim // rows
+        result = out.reshape(rows, cols)
+        energy = None if moduli is None else moduli.reshape(rows, cols)
+        blocks = max(1, rows // max(2, ADJOINT_BLOCK // cols))
+        for k in range(blocks):
+            part = slice(k * rows // blocks, (k + 1) * rows // blocks)
+            block = np.matmul(left[part], right, out=result[part])
+            if energy is not None:
+                squared_moduli(block, out=energy[part])
+
+    def _delay_ffts(self, spectrum, buf) -> np.ndarray:
+        """The FFT route on some angles: each row of ``spectrum`` (rows of
+        Z^T), weighted onto the pilot subcarriers of a zeroed row of ``buf``
+        (rows x N), then one unnormalized inverse FFT per row, in place.
+        Returns the view of buf's first U*D columns."""
+        buf.fill(0.0)
+        buf[:, self.design.subcarriers] = spectrum * self._adjoint_weights
+        np.fft.ifft(buf, axis=1, norm="forward", out=buf)
+        return buf[:, : self._ud]
+
+    def _form_angles(self, Z, angles, out, moduli=None) -> None:
+        """A^H y on the given angles, written into their entries of ``out``
+        (and their squared moduli into ``moduli``, if given), in the bits of
+        the whole adjoint.
+
+        The angles run in chunks of about ADJOINT_BLOCK entries, at least two
+        angles each, so that no temporary outgrows a chunk. On the FFT route a
+        chunk's rows run alone, each FFT on its own row, O(N log N) per angle.
+        On the product route under FS with M > 1 and U*D > 1 a chunk is the
+        product of its rows of Z^T alone, a lone angle's row taken twice so
+        that BLAS takes its matrix path, O(Np*U*D) per angle. Otherwise (SF,
+        or a factor that is a vector) rows or columns alone would take another
+        BLAS path than the whole product, so the whole product runs once into
+        a work buffer and the chunks are read from it.
+        """
+        d, table = self.design, self._adjoint_table
+
+        def by_angle(flat):  # the (M x U*D) view, one row per angle ((U*D x M) under SF)
+            return unvectorize(flat, self.option, self._ud, d.M).T
+
+        result = by_angle(out)
+        energy = None if moduli is None else by_angle(moduli)
+        whole = None
+        if table is not None and not (self.option is VectorizationOption.FS
+                                      and d.M > 1 and self._ud > 1):
+            whole = work_buffer("adjoint_whole", (self.in_dim,), np.complex128)
+            self._product(Z, whole)
+            whole = by_angle(whole)
+        count = angles.size
+        chunks = max(1, count // max(2, ADJOINT_BLOCK // self._ud))
+        for k in range(chunks):
+            part = angles[k * count // chunks: (k + 1) * count // chunks]
+            if whole is not None:
+                rows = whole[part]
+            elif table is None:
+                buf = work_buffer("adjoint_values", (d.M, d.N), np.complex128)[: part.size]
+                rows = self._delay_ffts(Z.T[part], buf)
+            else:
+                pair = part if part.size > 1 else np.repeat(part, 2)
+                rows = (Z.T[pair] @ table)[: part.size]
+            result[part] = rows
+            if energy is not None:
+                energy[part] = squared_moduli(rows)
+
+    def angle_bounds(self, y):
+        """Per-angle bounds on the squared moduli of A^H y, where a screened
+        first pass may use them; None elsewhere.
+
+        They are returned under FS, where the angle leads the layout, with
+        every antenna observed on the FFT step route, whose step changes only
+        the occupied angles (see ``adjoint_residual``). Entry a is
+
+            beta_a = (sum_k |Z[k, a]| * |c[n_k]|)**2 / Np >= max_q |(A^H y)[a, q]|**2,
+
+        with Z the pilot spectrum, by the triangle inequality over the Np
+        pilot terms of each entry; an angle whose spectrum holds one nonzero
+        pilot attains it. O(Np*M log M + Np*M).
+        """
+        if self.option is not VectorizationOption.FS or self._delay_spectrum is None:
+            return None
+        bound = np.abs(self._adjoint_weights) @ np.abs(self._pilot_spectrum(y))
+        return np.multiply(bound, bound, out=bound)
 
     def adjoint_residual(self, y, aty, idx, values, out=None) -> tuple[np.ndarray, np.ndarray]:
         """A^H (y - A x) for the x that holds ``values`` at the flat indices ``idx``.

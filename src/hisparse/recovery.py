@@ -28,6 +28,19 @@ bit, apart from the sign of a zero off S (0.0 + -0.0 is +0.0).
     moduli, selects, reads x_temp on the new support and puts the saved
     A^H y entries and moduli back before a refit reads A^H y. It makes no
     length-in_dim copy and no full moduli pass.
+    Under FS, where the angle is the root level of a hierarchical
+    selection, such a solve that forms A^H y itself also screens its
+    passes: ``op.angle_bounds(y)`` gives per angle a a bound beta_a on
+    |A^H y|^2 over its entries, A^H y and its moduli are formed first only
+    on the s_M angles of largest bound (``adjoint_values(..., angles=)``),
+    and each pass selects on the formed angles alone. The selection
+    stands when s_U*s_D*beta_a, with a relative margin, lies below its
+    smallest selected angle energy for every unformed angle a; otherwise
+    the failing angles are formed and it selects again
+    (``_screened_support``). An unformed angle is never occupied, so the
+    step leaves it at A^H y and its bound holds on every pass; refits and
+    x_temp's values read formed angles only. Every support, iterate and
+    stop is the full first pass's, bit for bit.
   * With Mp < M, and with Mp = M on the operator's Gram route (one product
     of the whole unknown with the restricted delay Gram), the step changes
     every entry: with Mp < M it is ``adjoint_values(y - forward(S, x[S]))``,
@@ -62,10 +75,13 @@ support is a fixed function of the one before; once pass i selects the
 support of a pass j < i - 1, the run repeats with period p = i - j. The loop
 then stops and returns what pass max_iters would: pass j + (max_iters - j)
 mod p's support and refit values, with iterations = max_iters, the same in
-every bit as the full run ("support-cycle"). The IHT variants carry values
-from pass to pass, so they run on past such a repeat. OMP grows its support
-one correlation pick at a time, k picks at most, with the same least-squares
-refit, and reports its pick count as iterations; it stops on "residual" once
+every bit as the full run ("support-cycle"). A refit is a function of A^H y
+and the support, so a pass that reselects a support (at either exit) takes
+that support's earlier refit, and each solve refits a support once. The IHT
+variants carry values from pass to pass, so they run on past such a repeat.
+OMP grows its support one correlation pick at a time, k picks at most, with
+the same least-squares refit, and reports its pick count as iterations; it
+stops on "residual" once
 its residual falls to LS_TOLERANCE, else on "k-picks". Every refit is the
 operator's ``op.solve_normal(A^H y, S)``, which solves the |S| x |S| normal
 equations (A^H A)[S, S] beta = (A^H y)[S] and keeps the minimum-norm solution
@@ -90,6 +106,17 @@ FLAT_ALGORITHMS = ("IHT", "HTP", "OMP")
 LS_ALGORITHMS = ("HiHTP", "HTP", "OMP")  # the solvers that refit by least squares
 # OMP stops once its residual is this small relative to max(1, ||y||).
 LS_TOLERANCE = 1e-10
+# Slack, relative, when a screened pass certifies an angle out (see
+# _screened_support): s_U*s_D*beta_a*(1 + _SCREEN_MARGIN) must lie below the
+# smallest selected angle energy. A formed entry of A^H y errs from the exact
+# sum of its Np pilot terms by a small multiple of (Np + sqrt(N)*log2(N)) *
+# 2**-53 relative to beta_a's sum of moduli (a length-Np product, or a
+# length-N inverse FFT); squaring it, beta_a's own length-Np sum and square,
+# and the energies (sums of at most U*D entries, in hi_threshold and again
+# where the loop reads them back) add a multiple of (Np + U*D) * 2**-53, with
+# U*D <= N. Up to N = 2**16 all of it stays below 1e-10, so 1e-9 is an order
+# above it: an angle that could tie or beat the selection is always formed.
+_SCREEN_MARGIN = 1e-9
 
 
 class GuaranteeVoidError(ValueError):
@@ -120,23 +147,67 @@ class RecoveryResult:
     stop: str  # "support-repeat", "support-cycle" or "max-iters"; OMP "residual" or "k-picks"
 
 
+def _check_finite(name: str, v: np.ndarray) -> None:
+    """ValueError unless every part of the complex array v is finite."""
+    if not np.isfinite(v).all():
+        raise ValueError(f"{name} contains non-finite entries")
+
+
 def _check_measurement(y, op) -> np.ndarray:
     y = np.asarray(y, dtype=np.complex128)
     if y.shape != (op.out_dim,):
         raise DimensionError(f"measurement length {y.shape} != {op.out_dim}")
-    if not np.all(np.isfinite(y.view(np.float64))):
-        raise ValueError("measurement contains non-finite entries")
+    _check_finite("measurement", y)
     return y
+
+
+def _screened_support(y, op, aty, moduli, dims, profile, unformed, cutoff) -> np.ndarray:
+    """``hi_threshold(moduli.reshape(dims), profile)``, read on the formed angles only.
+
+    ``unformed`` marks the angles (the root level of ``dims``) whose entries
+    of A^H y and its moduli are not formed; each such angle a keeps x_temp =
+    A^H y, so its energy is at most ``cutoff[a]`` (s_U*s_D*beta_a, with
+    slack). The selection runs on the formed angles' rows and its picks are
+    mapped back to flat indices; it stands once every unformed angle's cutoff
+    lies below the smallest selected angle energy (strictly, since ties go to
+    the lowest index): no such angle can then enter the full selection.
+    Otherwise every failing angle is formed, into ``aty`` and ``moduli`` and
+    off ``unformed``, and the selection runs again. The smallest selected
+    energy can only rise, so up to its rounding a pass selects twice at most.
+    """
+    width, keep = moduli.size // dims[0], profile.s[0]
+    while unformed.any():
+        rows = np.flatnonzero(~unformed)
+        block, offset = np.divmod(hi_threshold(moduli.reshape(dims)[rows], profile), width)
+        support = rows[block] * width + offset
+        # Per formed angle, the energy of its selected entries; an angle
+        # selected with no nonzero entry reads 0, and so does the floor.
+        energy = np.bincount(block, weights=moduli[support], minlength=rows.size)
+        floor = np.partition(energy, rows.size - keep)[rows.size - keep]
+        failing = unformed & (cutoff >= floor)
+        if not failing.any():
+            return support
+        op.adjoint_values(y, out=aty, moduli=moduli, angles=np.flatnonzero(failing))
+        unformed &= ~failing
+    return hi_threshold(moduli.reshape(dims), profile)
 
 
 def _threshold_loop(y, op, max_iters: int, dims, profile, pursuit: bool, given_aty):
     aty = work_buffer("aty", (op.in_dim,), np.complex128)
     moduli = work_buffer("moduli", (op.in_dim,), np.float64)
-    if given_aty is None:
-        op.adjoint_values(y, out=aty, moduli=moduli)
-    else:  # a copy: the passes of the FFT step route patch aty in place
+    bounds = None  # per-angle bounds on |A^H y|^2, where the operator serves them
+    if given_aty is None and dims == op.shape_in.dims and profile.s[0] < dims[0]:
+        bounds = op.angle_bounds(y)
+    unformed = None if bounds is None else np.ones(dims[0], dtype=bool)  # angles A^H y lacks
+    if given_aty is not None:  # a copy: the passes of the FFT step route patch aty in place
         np.copyto(aty, given_aty)
         squared_moduli(aty, out=moduli)
+    elif bounds is None:
+        op.adjoint_values(y, out=aty, moduli=moduli)
+    else:  # screened: only the top s_M angles by bound, to start with
+        unformed[np.argsort(-bounds, kind="stable")[: profile.s[0]]] = False
+        op.adjoint_values(y, out=aty, moduli=moduli, angles=np.flatnonzero(~unformed))
+        cutoff = (profile.max_support // profile.s[0]) * bounds * (1.0 + _SCREEN_MARGIN)
     x_temp, x_moduli = aty, moduli  # what a pass selects on: pass 1 takes A^H y as it is
     x = np.zeros(op.in_dim, dtype=np.complex128)
     latest, passes = {}, []  # support bytes -> latest pass that selected it; (support, values) per pass
@@ -156,14 +227,19 @@ def _threshold_loop(y, op, max_iters: int, dims, profile, pursuit: bool, given_a
                 aty[support] += x[support]
                 moduli[changed] = squared_moduli(aty[changed])
             x[support] = 0.0
-        support = hi_threshold(x_moduli.reshape(dims), profile)
+        if unformed is None:
+            support = hi_threshold(x_moduli.reshape(dims), profile)
+        else:
+            support = _screened_support(y, op, aty, moduli, dims, profile, unformed, cutoff)
         values = x_temp[support]
         if x_temp is aty and i > 1:  # A^H y back, before a refit reads it
             aty[changed], moduli[changed] = saved, saved_moduli
-        x[support] = values = op.solve_normal(aty, support) if pursuit else values
-        passes.append((support, values))
         key = support.tobytes()
         j, latest[key] = latest.get(key), i
+        if pursuit:  # a refit is a function of A^H y and the support: a repeated support keeps its own
+            values = op.solve_normal(aty, support) if j is None else passes[j - 1][1]
+        x[support] = values
+        passes.append((support, values))
         if j == i - 1:  # the previous pass's support
             stop = "support-repeat"
             break
@@ -226,9 +302,12 @@ def solve(y, op, cfg: RecoveryConfig, aty=None) -> RecoveryResult:
         y: measurement vector of length op.out_dim.
         op: the sensing operator. solve reads its ``shape_in`` (a
             BlockShape), ``in_dim``, ``out_dim``, ``forward(idx, values)``,
-            ``adjoint_values(y, out=None, moduli=None)`` (the thresholding
-            solvers pass ``moduli``, a float64 buffer it fills with the
-            squared moduli of A^H y), for the thresholding solvers
+            ``adjoint_values(y, out=None, moduli=None, angles=None)`` (the
+            thresholding solvers pass ``moduli``, a float64 buffer it fills
+            with the squared moduli of A^H y, and a screened solve
+            ``angles``, the angles to form alone), for HiIHT/HiHTP
+            ``angle_bounds(y)`` (per-angle bounds on |A^H y|^2, or None for
+            no screening), for the thresholding solvers
             ``adjoint_residual(y, aty, idx, values, out=None)`` (an index
             of the entries it changes, and their values: ``slice(None)``
             and the whole step, written into ``out``, when it changes every
@@ -238,14 +317,17 @@ def solve(y, op, cfg: RecoveryConfig, aty=None) -> RecoveryResult:
             HiIHT/HiHTP select under the clipped profile, IHT/HTP select and
             OMP picks k = its max_support entries.
         aty: A^H y of this op and y, if the caller already has it: a
-            complex128 array of length op.in_dim, which solve only reads.
-            When None, the solve forms it with ``op.adjoint_values``.
+            complex128 array of length op.in_dim with finite entries, which
+            solve only reads. When None, the solve forms it with
+            ``op.adjoint_values``.
     """
     y = _check_measurement(y, op)
     if aty is not None and not (isinstance(aty, np.ndarray) and aty.dtype == np.complex128
                                 and aty.shape == (op.in_dim,)):
         raise DimensionError(f"aty must be a complex128 array of length {op.in_dim}, got "
                              f"{getattr(aty, 'dtype', type(aty).__name__)} {np.shape(aty)}")
+    if aty is not None:  # a NaN energy would break hi_threshold's top-k picks
+        _check_finite("aty", aty)
     profile = cfg.profile.clip(op.shape_in)
     if cfg.algorithm == "OMP":
         return _omp(y, op, profile.max_support, aty)

@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .blocks import SparsityProfile, _is_integer
+from .blocks import SparsityProfile, _is_integer, divide_real
 from .channel import (
     DEFAULT_ALPHA,
     ChannelParams,
@@ -163,13 +163,14 @@ class ExperimentConfig:
         as_option(self.option)  # ValueError unless FS or SF
         if not _is_integer(self.seed) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
-        counts = [("trials", self.trials), ("Np", self.Np), ("Mp", self.Mp)]
+        counts = [("trials", self.trials)]  # Np and Mp alone may be None (null): not given
+        counts += [(name, v) for name, v in (("Np", self.Np), ("Mp", self.Mp)) if v is not None]
         counts += [("sweep", v) for v in self.sweep]
         counts += [(key, v) for key in _AXIS_KEYS for v in getattr(self, key) or []]
         counts += [(f"system.{key}", v) for key, v in asdict(self.system).items() if key != "alpha"]
         counts += [(f"channel.{key}", v) for key, v in asdict(self.channel).items()]
         for name, value in counts:
-            if value is not None and not _is_integer(value):
+            if not _is_integer(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
@@ -330,7 +331,7 @@ def observed_matrix(H, design, rng, snr_db) -> np.ndarray:
     for u, H_u in enumerate(H):
         Y += signature(design, u)[:, None] * H_u[np.ix_(design.subcarriers, design.antennas)]
     Y += _complex_normal(rng, (design.Np, design.Mp), 1.0 / 10.0 ** (snr_db / 10.0))
-    return Y / math.sqrt(design.Np * design.Mp)
+    return divide_real(Y, math.sqrt(design.Np * design.Mp))
 
 
 @dataclass(frozen=True)
@@ -440,7 +441,7 @@ def _draw(config: ExperimentConfig, condition: Condition, Np: int, trial_index: 
     if condition.on_grid:
         idx, gains = sparse_delay_angular(paths, N, M, D, condition.option)
         z = _complex_normal(rng, (design.Np, design.Mp), 1.0 / 10.0 ** (config.snr_db / 10.0))
-        z /= math.sqrt(design.Np * design.Mp)
+        divide_real(z, math.sqrt(design.Np * design.Mp))
         y = op.forward(idx, gains) + vectorize(z, condition.option)
         truth = (idx, gains)
     else:

@@ -22,7 +22,7 @@ from .channel import (
     superpose_transfer,
 )
 from .design import make_design
-from .operators import DENSIFY_CAP, KroneckerSensingOperator, tau_factor
+from .operators import DENSIFY_CAP, KroneckerSensingOperator, tau_factor, unvectorize
 from .recovery import contraction_constants, min_overhead
 from .ripcheck import extension_rip_check, hirip_constant, kron_hirip_bound, rip_constant
 
@@ -66,12 +66,30 @@ def _random_design(rng):
     return make_design(N, M, D, U, Np, Mp, base_sequence=base, seed=int(rng.integers(2**31)))
 
 
+def _by_angle(op, flat: np.ndarray) -> np.ndarray:
+    """The (M x U*D) rows of a flat unknown-length array, one per angle."""
+    d = op.design
+    return unvectorize(flat, op.option, d.U * d.D, d.M).T
+
+
+def _screening_design(rng):
+    """An FS design with every antenna observed on the FFT step route, the
+    designs ``angle_bounds`` serves: (U*D)**2 > 4*N*log2(N); either adjoint route."""
+    N = int(rng.choice([32, 64]))
+    U = int(rng.integers(1, 5))
+    D = int(rng.integers(math.isqrt(4 * N * int(math.log2(N))) // U + 1, N // U + 1))
+    M = int(rng.integers(1, 9))
+    return make_design(N, M, D, U, int(rng.integers(1, N + 1)), M, seed=int(rng.integers(2**31)))
+
+
 def suite_operators(trials: int = 50, seed: int = 0) -> bool:
     rng = np.random.default_rng(seed)
     pick = np.random.default_rng([seed, 1])  # Gram indices; leaves rng's stream as it was
     sparse = np.random.default_rng([seed, 2])  # s-sparse inputs, likewise
+    chosen = np.random.default_rng([seed, 3])  # per-angle subsets and the bound's inputs, likewise
     ok = True
     worst_fwd = worst_sparse = worst_adj = worst_dot = worst_col = worst_row = worst_gram = 0.0
+    angle_bits, angles_checked, worst_bound = True, 0, 0.0
     for _ in range(trials):
         design = _random_design(rng)
         option = "FS" if rng.integers(2) == 0 else "SF"
@@ -99,6 +117,23 @@ def suite_operators(trials: int = 50, seed: int = 0) -> bool:
         # the dense row-sampled factor.
         table = op._delay_columns(np.arange(design.U * design.D)) / math.sqrt(design.Np)
         worst_row = max(worst_row, float(np.max(np.abs(table - tau_factor(design)))))
+        # A^H y formed on some angles only: the whole call's bits there.
+        angles = chosen.choice(design.M, int(chosen.integers(1, design.M + 1)), replace=False)
+        part = op.adjoint_values(y, np.empty(op.in_dim, dtype=complex), angles=angles)
+        angle_bits &= _by_angle(op, part)[angles].tobytes() == _by_angle(op, adj)[angles].tobytes()
+        angles_checked += angles.size
+    # The per-angle bound of a screened first pass, on Gaussian y and on y of
+    # one path (which attains it): the largest |A^H y|^2 / beta over angles.
+    for trial in range(trials):
+        op = KroneckerSensingOperator(_screening_design(chosen), "FS")
+        if trial % 2:
+            y = chosen.standard_normal(op.out_dim) + 1j * chosen.standard_normal(op.out_dim)
+        else:
+            y = op.forward([int(chosen.integers(op.in_dim))], [1.0])
+        energy = np.max(_by_angle(op, np.abs(op.adjoint_values(y)) ** 2), axis=1)
+        bound = op.angle_bounds(y)  # an angle of bound 0 reads inf unless its energy is 0 too
+        ratio = np.divide(energy, bound, out=np.where(energy > 0, np.inf, 0.0), where=bound > 0)
+        worst_bound = max(worst_bound, float(np.max(ratio)))
     ok &= _report("fast forward matches dense", worst_fwd <= 1e-10, f"max rel err {worst_fwd:.2e}")
     ok &= _report("sparse forward matches dense", worst_sparse <= 1e-10,
                   f"max rel err {worst_sparse:.2e}")
@@ -107,6 +142,10 @@ def suite_operators(trials: int = 50, seed: int = 0) -> bool:
     ok &= _report("unit column norms", worst_col <= 1e-10, f"max dev {worst_col:.2e}")
     ok &= _report("Gram matches dense", worst_gram <= 1e-12, f"max abs err {worst_gram:.2e}")
     ok &= _report("delay factor row structure", worst_row <= 1e-12, f"max dev {worst_row:.2e}")
+    ok &= _report("per-angle adjoint equals the full adjoint bit for bit", angle_bits,
+                  f"{angles_checked} angles checked")
+    ok &= _report("per-angle bound holds", worst_bound <= 1.0 + 1e-12,
+                  f"{trials} designs, largest |A^H y|^2/beta {worst_bound:.12f}")
     return ok
 
 

@@ -88,6 +88,10 @@ class DenseOperator:
             squared_moduli(adj, out=moduli)
         return adj
 
+    def angle_bounds(self, y):
+        """None: a solve on a dense matrix forms A^H y whole, with no screening."""
+        return None
+
     def adjoint_residual(self, y, aty, idx, values, out=None):
         """Every entry and A^H (y - A x) by the two dense products; ``aty`` is not read."""
         return slice(None), self.adjoint_values(y - self.forward(idx, values), out)

@@ -17,7 +17,7 @@ from hisparse import (
     hi_threshold,
     rip_constant,
 )
-from hisparse.blocks import _top_mask, squared_moduli, work_buffer
+from hisparse.blocks import _top_mask, divide_real, squared_moduli, work_buffer
 from hisparse.ripcheck import count_hi_supports
 from conftest import REFERENCE_HIER_SUPPORT, REFERENCE_FLAT_SUPPORT
 from oracles import is_hi_sparse, mask_hi_threshold
@@ -425,3 +425,30 @@ def test_nan_moduli_match_the_mask_oracle(dims, s):
         assert got.dtype == np.int64
         assert got.tobytes() == mask_hi_threshold(x, profile).tobytes()
         assert not np.isnan(squared_moduli(x).reshape(-1)[got]).any()
+
+
+def test_divide_real_keeps_the_bits_of_numpy_division():
+    # numpy divides complex x by a real s as by s + 0j (Smith's method), which
+    # multiplies each part by fl(1/s): divide_real's product on the float64
+    # parts is the same in every bit. Pinned for each divisor form the
+    # package uses, sqrt of a count (Np, Mp, Np*Mp) and a count (M), on C-
+    # and F-ordered arrays whose parts span the exponent range, subnormal
+    # results included.
+    rng = np.random.default_rng(7)
+    scale = 10.0 ** rng.integers(-310, 300, size=(2, 40, 24))
+    x = rng.standard_normal((40, 24)) * scale[0] + 1j * rng.standard_normal((40, 24)) * scale[1]
+    for s in [math.sqrt(n) for n in range(1, 1025)] + list(range(1, 1025)):
+        expected = x / s
+        for array in (x.copy(), np.asfortranarray(x)):
+            assert divide_real(array, s) is array
+            assert np.ascontiguousarray(array).tobytes() == expected.tobytes()
+    # A zero part may differ in sign only: the division adds the other part
+    # times +0.0 first.
+    zeros = np.array([complex(a, b) for a in (-0.0, 0.0, -1.5, 2.0) for b in (-0.0, 0.0, -3.0, 0.5)])
+    for s in (math.sqrt(15), 4):
+        got, expected = divide_real(zeros.copy(), s), zeros / s
+        assert np.array_equal(got, expected)
+        differ = (got.view(np.uint64) != expected.view(np.uint64)).reshape(-1, 2)
+        assert not differ.all(axis=1).any() and np.all(got.view(np.float64)[differ.ravel()] == 0.0)
+    with pytest.raises(ValueError, match="contiguous"):
+        divide_real(x[:, ::2], 2.0)

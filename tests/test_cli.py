@@ -136,6 +136,20 @@ def test_verify_hirip_prints_its_worst_margins(capsys):
     assert gap <= 1e-12 and 0.0 <= restricted <= extended  # six seeds, none above its extension
 
 
+def test_verify_operators_prints_its_angle_figures(capsys):
+    # The per-angle adjoint line counts the angles it compared bit for bit;
+    # the bound line prints its largest |A^H y|^2/beta, which a one-path y
+    # (every other design) attains.
+    assert main(["verify", "--suite", "operators", "--trials", "8"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    angles = re.fullmatch(r"\[ok\] per-angle adjoint equals the full adjoint bit for bit "
+                          r"\((\d+) angles checked\)", lines[-3])
+    bound = re.fullmatch(r"\[ok\] per-angle bound holds \(8 designs, largest \|A\^H y\|\^2/beta "
+                         r"(\d\.\d{12})\)", lines[-2])
+    assert angles and bound and lines[-1] == "verify: PASS"
+    assert int(angles[1]) >= 8 and float(bound[1]) == 1.0
+
+
 def test_verify_bounds_prints_its_worst_margin(capsys):
     # The sparse-approximation line prints its largest ||X - X_sp|| - bound,
     # so a byte-identical output pins sparse_approx's error and bound.
@@ -216,6 +230,23 @@ def test_run_with_a_lane_that_cannot_start_exits_one(tmp_path, capsys, monkeypat
 def test_run_config_that_is_not_an_object_exits_one(tmp_path, capsys, text, message):
     config_path = tmp_path / "config.json"
     config_path.write_text(text)
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", str(config_path), "--out", str(out_dir)]) == 1
+    assert not out_dir.exists()
+    assert capsys.readouterr().err.splitlines() == [f"error: bad config: {message}"]
+
+
+@pytest.mark.parametrize("bad, message", [
+    ({"channel": {"L": None}}, "channel.L must be an integer, got None"),
+    ({"channel": {"K_L": None}}, "channel.K_L must be an integer, got None"),
+    ({"system": {"N": None}}, "system.N must be an integer, got None"),
+    ({"trials": None}, "trials must be an integer, got None"),
+    ({"sweep": [8, None]}, "sweep must be an integer, got None"),
+], ids=["channel-l", "channel-k-l", "system-n", "trials", "sweep-point"])
+def test_run_config_with_a_null_size_exits_one(tmp_path, capsys, bad, message):
+    # JSON null is None: only Np and Mp may be left out that way.
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"scenario": "single-user-sweep", "sweep": [8], **bad}))
     out_dir = tmp_path / "out"
     assert main(["run", "--config", str(config_path), "--out", str(out_dir)]) == 1
     assert not out_dir.exists()

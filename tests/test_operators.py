@@ -387,6 +387,93 @@ def test_product_blocks_keep_the_whole_products_bits(monkeypatch):
         assert moduli.tobytes() == squared_moduli(whole).tobytes()
 
 
+def by_angle(op, flat):
+    """The (M x U*D) rows of a flat unknown-length array, one per angle."""
+    return unvectorize(flat, op.option, op.design.U * op.design.D, op.design.M).T
+
+
+def test_adjoint_on_given_angles_keeps_the_whole_calls_bits(monkeypatch):
+    # adjoint_values(y, out, moduli, angles) writes, on those angles only, the
+    # bits the whole call writes there, on both routes and both options: one
+    # angle, a few, every angle, in chunks of the default size or of a few
+    # angles (the whole call under the same ADJOINT_BLOCK). Under FS the product route multiplies a chunk's rows alone (a
+    # lone one taken twice); with one angle or one delay, and under SF, it
+    # runs the whole product, whose rows or columns alone would take a
+    # different BLAS path. The paper preset runs its six-angle first round and
+    # a 190-angle second round, six default chunks.
+    rng = np.random.default_rng(34)
+    default = hisparse.operators.ADJOINT_BLOCK
+    paper = KroneckerSensingOperator(make_design(1024, 256, 256, 4, 15, 256, seed=0), "FS")
+    cases = [(paper, np.sort(rng.choice(256, 6, replace=False)), default),
+             (paper, rng.choice(256, 190, replace=False), default)]
+    for trial in range(240):
+        op = KroneckerSensingOperator(adjoint_design(rng, trial), ("FS", "SF")[trial % 3 % 2])
+        M, ud = op.design.M, op.design.U * op.design.D
+        for size in {1, min(2, M), int(rng.integers(1, M + 1)), M}:
+            block = int(rng.choice([default, 1, 2 * ud, 3 * ud + 1]))
+            cases.append((op, rng.choice(M, size, replace=False), block))
+    routes = set()
+    for op, angles, block in cases:
+        y = rng.standard_normal(op.out_dim) + 1j * rng.standard_normal(op.out_dim)
+        monkeypatch.setattr(hisparse.operators, "ADJOINT_BLOCK", block)
+        moduli = np.empty(op.in_dim)
+        whole = op.adjoint_values(y, moduli=moduli)
+        out, part = np.full(op.in_dim, np.nan + 1j * np.nan), np.full(op.in_dim, np.nan)
+        assert op.adjoint_values(y, out, part, angles=angles) is out
+        assert by_angle(op, out)[angles].tobytes() == by_angle(op, whole)[angles].tobytes()
+        assert by_angle(op, part)[angles].tobytes() == by_angle(op, moduli)[angles].tobytes()
+        rest = np.setdiff1d(np.arange(op.design.M), angles)
+        assert np.isnan(by_angle(op, out)[rest]).all() and np.isnan(by_angle(op, part)[rest]).all()
+        routes.add((op.option, op._adjoint_table is not None, angles.size == 1))
+    assert len(routes) == 8
+
+
+def test_bad_angles_are_refused_before_anything_is_written():
+    op = KroneckerSensingOperator(make_design(64, 8, 16, 4, 12, 8, seed=2), "FS")
+    y = np.ones(op.out_dim, dtype=complex)
+    out = np.full(op.in_dim, np.nan + 1j * np.nan)
+    message = "^angles must be a nonempty 1-D index in \\[0, 8\\), given with out$"
+    for angles in ([], [8], [-1], [[1, 2]]):
+        with pytest.raises(DimensionError, match=message):
+            op.adjoint_values(y, out, angles=angles)
+    with pytest.raises(DimensionError, match=message):
+        op.adjoint_values(y, angles=[1])
+    assert np.isnan(out).all()
+
+
+def test_angle_bounds_bound_each_angles_adjoint():
+    # beta_a >= max_q |(A^H y)[a, q]|**2, attained to rounding by an angle
+    # whose pilot spectrum holds one nonzero pilot. Bounds exist under FS
+    # with every antenna observed on the FFT step route, on either adjoint
+    # route; under SF, with Mp < M and on the Gram route they are None.
+    rng = np.random.default_rng(35)
+    worst, tight, routes = 0.0, 1.0, set()
+    for trial in range(60):
+        N, M = int(rng.choice([32, 64])), int(rng.integers(1, 9))
+        U = int(rng.integers(1, 5))
+        least = math.isqrt(4 * N * int(math.log2(N))) // U + 1  # (U*D)**2 > 4*N*log2(N): the FFT step
+        D = N // U if trial % 2 else int(rng.integers(least, N // U + 1))
+        op = KroneckerSensingOperator(make_design(N, M, D, U, int(rng.integers(1, N + 1)), M,
+                                                  seed=trial), "FS")
+        assert step_route(op) == "fft"
+        routes.add(op._adjoint_table is not None)
+        Z = np.zeros((op.design.Np, M), dtype=complex)
+        Z[rng.integers(op.design.Np, size=M), np.arange(M)] = rng.standard_normal(M) + 1j
+        spread = rng.standard_normal(op.out_dim) + 1j * rng.standard_normal(op.out_dim)
+        one_pilot = vectorize(np.fft.ifft(Z, axis=1) * math.sqrt(M), "FS")
+        for y, ratios in ((spread, None), (one_pilot, "tight")):
+            energy = squared_moduli(by_angle(op, op.adjoint_values(y))).max(axis=1)
+            ratio = energy / op.angle_bounds(y)
+            worst = max(worst, ratio.max())
+            if ratios:
+                tight = min(tight, ratio.min())
+    assert worst <= 1.0 + 1e-12 and tight >= 1.0 - 1e-12 and routes == {True, False}
+    y = np.ones(64 * 8, dtype=complex)
+    for option, Mp, U in (("SF", 8, 4), ("FS", 5, 4), ("FS", 8, 1)):
+        op = KroneckerSensingOperator(make_design(64, 8, 16, U, 64, Mp, seed=1), option)
+        assert op.angle_bounds(y[: op.out_dim]) is None
+
+
 @pytest.mark.parametrize("route", ["product", "fft"])
 def test_a_bad_moduli_is_refused_before_any_product(route):
     # Refused in one line, worded as for out, before anything is written.

@@ -302,10 +302,14 @@ def test_in_place_loop_matches_textbook_loop(algorithm, option):
 
 
 class ForwardAdjointOperator(KroneckerSensingOperator):
-    """The operator with its gradient step as forward + adjoint on every design."""
+    """The operator with its gradient step as forward + adjoint on every design,
+    and its solves forming A^H y whole: this step changes every entry."""
 
     def adjoint_residual(self, y, aty, idx, values, out=None):
         return slice(None), self.adjoint_values(y - self.forward(idx, values), out)
+
+    def angle_bounds(self, y):
+        return None
 
 
 def solved_trial(config, cond, Np, t, operator):
@@ -387,7 +391,8 @@ def test_block_refit_tracks_the_full_gram_refit(option, offgrid):
 
 def test_a_weak_block_refits_alone():
     # Flat HTP on the U = 4 off-grid grids above picks more delays at one
-    # angle than the Np = 24 pilots on 12 refits, so that angle's block is
+    # angle than the Np = 24 pilots on 11 refits (a pass that reselects a
+    # support reuses that support's refit), so that angle's block is
     # singular. Only that block takes an lstsq, of its own Gram, and the
     # other blocks keep the batched solve; the Gram is block-diagonal, so
     # the refit is still the full-Gram minimum-norm solution, to 1e-12.
@@ -411,7 +416,7 @@ def test_a_weak_block_refits_alone():
             cond = Condition(label="HTP", algorithm="HTP", option=option, V=V, L=3, **grid)
             for t in range(5):
                 solved_trial(config, cond, 24, t, Recording)
-    assert len(refits) == 12
+    assert len(refits) == 11
 
 
 def offgrid_style_measurement(op, design, rng):
@@ -492,6 +497,39 @@ def test_cycle_exit_replays_the_full_run():
     # The exit ran for both pursuit solvers, also on a cycle that starts at
     # pass 1, and HiIHT/IHT supports that cycle were run to the end.
     assert all(seen[name] > 0 for name in ("HiHTP", "HTP", "from pass 1", "HiIHT", "IHT"))
+
+
+def test_a_reselected_support_keeps_its_refit():
+    # A HiHTP pass that reselects an earlier pass's support, at a
+    # support-repeat or a support-cycle exit, takes that pass's refit: the
+    # refit is a function of A^H y and the support. So solve_normal runs once
+    # per distinct support, and every bit is still the textbook loop's, which
+    # refits on every pass.
+    rng = np.random.default_rng(12)
+    seen = Counter()
+    while min(seen["support-repeat"], seen["support-cycle"]) < 3:
+        design = make_design(32, 8, 8, int(rng.integers(1, 3)), int(rng.integers(6, 17)),
+                             int(rng.integers(3, 9)), seed=int(rng.integers(2**63)))
+        op = KroneckerSensingOperator(design, "FS")
+        y = offgrid_style_measurement(op, design, rng)
+        profile = SparsityProfile(tuple(int(v) for v in rng.integers(1, 5, size=3))).clip(op.shape_in)
+        supports = []  # one selection per pass
+
+        def pick(*args):
+            supports.append(hi_threshold(*args).tobytes())
+            return np.frombuffer(supports[-1], dtype=np.int64)
+
+        with mock.patch.object(hisparse.recovery, "hi_threshold", pick), \
+                mock.patch.object(KroneckerSensingOperator, "solve_normal", autospec=True,
+                                  side_effect=KroneckerSensingOperator.solve_normal) as refits:
+            res = solve(y, op, RecoveryConfig(algorithm="HiHTP", profile=profile, max_iters=CYCLE_CAP))
+        assert sorted(call.args[2].tobytes() for call in refits.call_args_list) == sorted(set(supports))
+        x_ref, support, iterations, residual = textbook_threshold_loop(
+            y, op, op.shape_in, profile, True, CYCLE_CAP)
+        assert res.x_hat.tobytes() == x_ref.tobytes() and res.residual_norm == residual
+        np.testing.assert_array_equal(res.support, support)
+        assert res.iterations == iterations
+        seen[res.stop] += len(supports) > len(set(supports))
 
 
 @pytest.mark.parametrize("option", ["FS", "SF"])
@@ -705,6 +743,24 @@ def test_an_aty_of_the_wrong_length_or_type_is_refused():
             assert adjoint.call_count == forward.call_count == 0
 
 
+def test_a_non_finite_aty_is_refused():
+    # Refused as a non-finite y is, in one line before any operator call, for
+    # every solver: a NaN energy is outside hi_threshold's contract.
+    op, _, y = single_path_setup()
+    good = op.adjoint_values(y)
+    for alg in ("HiIHT", "HiHTP", "IHT", "HTP", "OMP"):
+        cfg = RecoveryConfig(algorithm=alg, profile=SparsityProfile((1, 1, 1)))
+        for value in (complex(np.nan, 0.0), complex(0.0, np.inf), complex(-np.inf, 1.0)):
+            aty, bad_y = good.copy(), y.copy()
+            aty[3] = bad_y[2] = value
+            for name, args, kwargs in (("aty", (y,), {"aty": aty}), ("measurement", (bad_y,), {})):
+                with mock.patch.object(KroneckerSensingOperator, "adjoint_values") as adjoint, \
+                        mock.patch.object(KroneckerSensingOperator, "forward") as forward:
+                    with pytest.raises(ValueError, match=f"^{name} contains non-finite entries$"):
+                        solve(*args, op, cfg, **kwargs)
+                assert adjoint.call_count == forward.call_count == 0
+
+
 def test_config_without_profile_is_rejected():
     # A config the solver cannot size is rejected before any solve. A bare
     # tuple used to pass here and die in solve on profile.clip.
@@ -790,3 +846,93 @@ def test_omp_tracks_htp_at_reduced_antenna_sampling():
         htp = mean_mse("HiHTP", Np)
         greedy = mean_mse("OMP", Np)
         assert greedy <= 2.0 * htp
+
+
+class UnscreenedOperator(KroneckerSensingOperator):
+    """The operator with every solve forming A^H y on all angles in its first pass."""
+
+    def angle_bounds(self, y):
+        return None
+
+
+def screening_case(rng, kind):
+    """(op, y, profile) of one random FS design on the FFT step route with Mp = M.
+
+    ``kind`` picks y: "sparse" (a few paths in a few angles, plus noise),
+    "spread" (Gaussian), "zero", "even" (one pilot per angle, all of one
+    modulus: every bound is attained and equal, so nothing is pruned) or
+    "near-tie" (the same with moduli within 1e-10 relative of each other,
+    inside the screening margin)."""
+    N = int(rng.choice([32, 64]))
+    M = 1 if rng.random() < 0.05 else int(rng.integers(2, 17))
+    U = int(rng.integers(1, 5))
+    least = math.isqrt(4 * N * int(math.log2(N))) // U + 1  # (U*D)**2 > 4*N*log2(N): the FFT step
+    D = int(rng.integers(least, N // U + 1))
+    Np = int(rng.integers(1, N + 1)) if rng.random() < 0.5 else int(rng.integers(1, 9))
+    op = KroneckerSensingOperator(make_design(N, M, D, U, Np, M, seed=int(rng.integers(2**63))), "FS")
+    assert step_route(op) == "fft"
+    noise = rng.standard_normal(op.out_dim) + 1j * rng.standard_normal(op.out_dim)
+    if kind == "sparse":
+        idx = np.sort(rng.choice(op.in_dim, int(rng.integers(1, 7)), replace=False))
+        y = op.forward(idx, rng.standard_normal(idx.size) + 1j * rng.standard_normal(idx.size))
+        y = y + float(rng.choice([0.0, 0.01, 0.3])) * noise
+    elif kind == "spread":
+        y = noise
+    elif kind == "zero":
+        y = np.zeros(op.out_dim, dtype=complex)
+    else:
+        Z = np.zeros((Np, M), dtype=complex)
+        pilots = rng.integers(Np, size=M) if kind == "near-tie" else np.zeros(M, dtype=int)
+        Z[pilots, np.arange(M)] = np.exp(2j * np.pi * rng.random(M))
+        if kind == "near-tie":
+            Z *= 1.0 + 1e-10 * rng.integers(-2, 3, size=M)
+        y = vectorize(np.fft.ifft(Z, axis=1) * math.sqrt(M), "FS")
+    s_M = int(rng.integers(1, M + 2) if rng.random() < 0.15 else rng.integers(1, M // 3 + 2))
+    s = (s_M, int(rng.integers(1, U + 1)), int(rng.integers(1, 4)))
+    return op, y, SparsityProfile(s).clip(op.shape_in)
+
+
+def test_screened_passes_equal_full_first_passes():
+    # With every antenna observed on the FFT step route, an FS HiIHT/HiHTP
+    # solve forms A^H y first on the top s_M angles by bound and certifies the
+    # rest out, forming the angles that fail. Against the same solve forming
+    # every angle first, on 1,200 random designs and measurements (product
+    # and FFT adjoint routes; y = 0, evenly spread energy, near-ties within
+    # the margin, s_M >= M and M = 1 among them), every support, pass count,
+    # stop, residual and x_hat byte is the same. Some solves leave angles
+    # unformed, and some form a second round.
+    rng = np.random.default_rng(36)
+    kinds = ["sparse"] * 6 + ["spread"] * 2 + ["zero", "even", "near-tie"]
+    seen = Counter()
+    adjoint = KroneckerSensingOperator.adjoint_values
+    for trial in range(1200):
+        kind = kinds[trial % len(kinds)]
+        op, y, profile = screening_case(rng, kind)
+        full_op = UnscreenedOperator(op.design, "FS")
+        algorithm = ("HiIHT", "HiHTP")[trial % 2]
+        cfg = RecoveryConfig(algorithm=algorithm, profile=profile, max_iters=int(rng.integers(1, 11)))
+        formed = []
+
+        def recorded(self, y, out=None, moduli=None, angles=None):
+            formed.append(angles)
+            return adjoint(self, y, out, moduli, angles)
+
+        with mock.patch.object(KroneckerSensingOperator, "adjoint_values", recorded):
+            res = solve(y, op, cfg)
+        ref = solve(y, full_op, cfg)
+        assert fingerprint(res) == fingerprint(ref) and res.stop == ref.stop
+        screened = profile.s[0] < op.design.M
+        assert (formed[0] is not None) == screened
+        if screened:
+            unformed = op.design.M - len(set(np.concatenate(formed).tolist()))
+            seen["screened"] += 1
+            seen["pruned"] += unformed > 0
+            seen["second round"] += len(formed) > 1
+            seen[f"{kind}, nothing pruned"] += unformed == 0
+            seen[f"{op._adjoint_table is not None} route"] += 1
+        seen["M = 1"] += op.design.M == 1
+        seen["s_M >= M"] += not screened and op.design.M > 1
+    assert seen["screened"] >= 1000 and seen["pruned"] >= 300 and seen["second round"] >= 300
+    covered = ("zero, nothing pruned", "even, nothing pruned", "near-tie, nothing pruned",
+               "True route", "False route", "M = 1", "s_M >= M")
+    assert min(seen[key] for key in covered) > 0

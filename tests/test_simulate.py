@@ -555,7 +555,7 @@ def test_sweep_records_equal_independent_trials(monkeypatch, scenario, threads):
     # the mean and stderr of run_trial calls that share nothing.
     fields, keys, sharing = _SHARED_DRAW_CASES[scenario]
     config = ExperimentConfig(scenario=scenario, sweep=[8, 16], trials=3, seed=4, **fields)
-    designs, adjoints, given = [], [], []
+    designs, adjoints, given, measured = [], [], [], []
     make, adjoint, solve = simulate.make_design, KroneckerSensingOperator.adjoint_values, simulate.solve
 
     def counted(*args, **kwargs):
@@ -568,6 +568,7 @@ def test_sweep_records_equal_independent_trials(monkeypatch, scenario, threads):
 
     def spied_solve(*args, **kwargs):
         given.append(kwargs["aty"] is not None)
+        measured.append(args[0])
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(simulate, "make_design", counted)
@@ -579,11 +580,14 @@ def test_sweep_records_equal_independent_trials(monkeypatch, scenario, threads):
     assert sum(given) == len(config.sweep) * config.trials * sharing
     assert len(given) == len(config.sweep) * config.trials * len(simulate._conditions(config))
     # Thresholding solves with every antenna observed call adjoint_values
-    # only for A^H y (OMP's picks and the Mp < M step call it too).
+    # only to form A^H y of a draw's own measurement, never for a step (OMP's
+    # picks and the Mp < M step call it too): once per draw, or more often
+    # where a screened solve forms A^H y angle by angle, in rounds.
     if scenario != "omp-compare":
         assert config.antenna_count() == config.system.M
         assert "OMP" not in {cond.algorithm for cond in simulate._conditions(config)}
-        assert len(adjoints) == len(designs)
+        assert len(adjoints) >= len(designs)
+        assert all(any(args[1] is y for y in measured) for args in adjoints)
     expected = []
     for Np in config.sweep:
         for cond in simulate._conditions(config):
