@@ -13,21 +13,21 @@ squares the copy (a sweep's trial row forms it once per draw that more than
 one of its conditions reads). Otherwise the solve forms both in one call,
 ``op.adjoint_values(y, out, moduli)``, which on the operator's product
 route squares each block of its product while that block is still in cache.
-Pass 1 starts from x = 0 and selects on the two as they are. The iterate x
-is one buffer per solve, updated in place. The
-step is ``op.adjoint_residual(y, A^H y, S, x[S], out)`` on x's support S,
-so no pass reads the rest of x; it returns the entries where
-A^H (y - A x) differs from A^H y, and its values there. x is zero off S and
-IEEE addition commutes, so either way below x_temp is x plus the step bit for
-bit, apart from the sign of a zero off S (0.0 + -0.0 is +0.0).
+Pass 1 starts from x = 0 and selects on the two as they are. The loop holds
+the iterate x only as the previous pass's support S and its values x[S], so
+a solve allocates no length-in_dim x. The step is
+``op.adjoint_residual(y, A^H y, S, x[S], out)``; it returns the entries
+where A^H (y - A x) differs from A^H y, and its values there. x is zero off
+S and IEEE addition commutes, so either way below x_temp is x plus the step
+bit for bit, apart from the sign of a zero off S (0.0 + -0.0 is +0.0).
 
   * With every antenna observed (Mp = M) the step stays in the delay domain
     (see ``adjoint_residual``). On the operator's FFT route it changes only
     the entries of the angles that x occupies. A later pass writes those
-    over A^H y, adds x on S only, zeroes S in x, patches those entries'
-    moduli, selects, reads x_temp on the new support and puts the saved
-    A^H y entries and moduli back before a refit reads A^H y. It makes no
-    length-in_dim copy and no full moduli pass.
+    over A^H y, adds x on S only, patches those entries' moduli, selects,
+    reads x_temp on the new support and puts the saved A^H y entries and
+    moduli back before a refit reads A^H y. It makes no length-in_dim copy
+    and no full moduli pass.
     Under FS, where the angle is the root level of a hierarchical
     selection, such a solve that forms A^H y itself also screens its
     passes: ``op.angle_bounds(y)`` gives per angle a a bound beta_a on
@@ -57,8 +57,9 @@ step, and HiHTP/HTP/OMP through the per-angle block refit of
 step moves them only where a support choice sits on a tie at rounding
 level). The tests bound the relative MSE change by 1e-12. Every Mp < M solve
 runs the textbook arithmetic and keeps its bits.
-The work buffers never reach a result, so only x, allocated per
-solve, leaves the loop, and solves on different threads share nothing.
+The work buffers never reach a result: only the support and its values,
+fresh arrays per solve, leave the loop, so solves on different threads
+share nothing.
 Every solver takes one hierarchical profile, cfg.profile, clipped to the
 unknown's layout. HiIHT/HiHTP select under it;
 the flat IHT/HTP are the one-level case (a single block of length U*D*M with
@@ -86,13 +87,17 @@ its residual falls to LS_TOLERANCE, else on "k-picks". Every refit is the
 operator's ``op.solve_normal(A^H y, S)``, which solves the |S| x |S| normal
 equations (A^H A)[S, S] beta = (A^H y)[S] and keeps the minimum-norm solution
 on a rank-deficient support; the route it takes is the operator's. Supports are
-sorted int64 arrays of flat indices, and the estimate ``RecoveryResult.x_hat``
-is the flat vector of length op.in_dim in layout op.shape_in.
+sorted int64 arrays of flat indices. The estimate is ``RecoveryResult.values``
+on ``RecoveryResult.support``; ``RecoveryResult.x_hat``, the flat vector of
+length op.in_dim in layout op.shape_in, is formed from the two on its first
+read (4 MB at the paper size), and only OMP, which holds a full x anyway,
+hands one over.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+import functools
 import math
 
 import numpy as np
@@ -140,11 +145,22 @@ class RecoveryConfig:
 
 @dataclass
 class RecoveryResult:
-    x_hat: np.ndarray
     support: np.ndarray
+    values: np.ndarray  # the estimate on support
+    in_dim: int
     iterations: int
     residual_norm: float
     stop: str  # "support-repeat", "support-cycle" or "max-iters"; OMP "residual" or "k-picks"
+
+    @functools.cached_property
+    def x_hat(self) -> np.ndarray:
+        """The flat estimate of length in_dim: values on support, zero elsewhere.
+
+        Formed on first read and kept; OMP hands over its own x instead.
+        """
+        x = np.zeros(self.in_dim, dtype=np.complex128)
+        x[self.support] = self.values
+        return x
 
 
 def _check_finite(name: str, v: np.ndarray) -> None:
@@ -209,24 +225,22 @@ def _threshold_loop(y, op, max_iters: int, dims, profile, pursuit: bool, given_a
         op.adjoint_values(y, out=aty, moduli=moduli, angles=np.flatnonzero(~unformed))
         cutoff = (profile.max_support // profile.s[0]) * bounds * (1.0 + _SCREEN_MARGIN)
     x_temp, x_moduli = aty, moduli  # what a pass selects on: pass 1 takes A^H y as it is
-    x = np.zeros(op.in_dim, dtype=np.complex128)
     latest, passes = {}, []  # support bytes -> latest pass that selected it; (support, values) per pass
     stop = "max-iters"
     for i in range(1, max_iters + 1):
         if i > 1:
-            # x_temp = x + A^H (y - A x).
-            changed, step = op.adjoint_residual(y, aty, support, x[support],
+            # x_temp = x + A^H (y - A x), with x the previous pass's values on its support.
+            changed, step = op.adjoint_residual(y, aty, support, values,
                                                 out=work_buffer("step", aty.shape, aty.dtype))
             if isinstance(changed, slice):  # every entry: the step, in this thread's buffers
                 x_temp = step
-                x_temp[support] += x[support]
+                x_temp[support] += values
                 x_moduli = squared_moduli(step, out=work_buffer("step_moduli", moduli.shape, moduli.dtype))
             else:  # A^H y and its moduli, patched where the step changed them
                 saved, saved_moduli = aty[changed], moduli[changed]
                 aty[changed] = step
-                aty[support] += x[support]
+                aty[support] += values
                 moduli[changed] = squared_moduli(aty[changed])
-            x[support] = 0.0
         if unformed is None:
             support = hi_threshold(x_moduli.reshape(dims), profile)
         else:
@@ -238,22 +252,20 @@ def _threshold_loop(y, op, max_iters: int, dims, profile, pursuit: bool, given_a
         j, latest[key] = latest.get(key), i
         if pursuit:  # a refit is a function of A^H y and the support: a repeated support keeps its own
             values = op.solve_normal(aty, support) if j is None else passes[j - 1][1]
-        x[support] = values
         passes.append((support, values))
         if j == i - 1:  # the previous pass's support
             stop = "support-repeat"
             break
         if pursuit and j is not None:  # pass i repeats pass j < i - 1: a cycle of period i - j
             stop = "support-cycle"
-            x[support] = 0.0
             support, values = passes[j - 1 + (max_iters - j) % (i - j)]
-            x[support] = values
             i = max_iters  # the pass whose answer this is
             break
-    residual = float(np.linalg.norm(y - op.forward(support, x[support])))
+    residual = float(np.linalg.norm(y - op.forward(support, values)))
     return RecoveryResult(
-        x_hat=x,
         support=support,
+        values=values,
+        in_dim=op.in_dim,
         iterations=i,
         residual_norm=residual,
         stop=stop,
@@ -286,13 +298,16 @@ def _omp(y, op, k: int, aty):
     x[selected] = beta
     support = np.sort(np.asarray(selected, dtype=np.int64))
     support = support[np.abs(x[support]) > 0.0]
-    return RecoveryResult(
-        x_hat=x,
+    result = RecoveryResult(
         support=support,
+        values=x[support],
+        in_dim=op.in_dim,
         iterations=len(selected),
         residual_norm=float(np.linalg.norm(r)),
         stop=stop,
     )
+    result.x_hat = x  # as is: a pick whose beta is exactly 0 keeps its -0.0
+    return result
 
 
 def solve(y, op, cfg: RecoveryConfig, aty=None) -> RecoveryResult:
@@ -320,6 +335,11 @@ def solve(y, op, cfg: RecoveryConfig, aty=None) -> RecoveryResult:
             complex128 array of length op.in_dim with finite entries, which
             solve only reads. When None, the solve forms it with
             ``op.adjoint_values``.
+
+    Returns:
+        A RecoveryResult. Its ``x_hat`` is zero-filled and scattered from
+        ``support`` and ``values`` when first read; a caller that needs only
+        the estimate on its support reads ``values`` and never pays for it.
     """
     y = _check_measurement(y, op)
     if aty is not None and not (isinstance(aty, np.ndarray) and aty.dtype == np.complex128

@@ -27,6 +27,7 @@ import itertools
 import json
 import math
 import operator
+import platform
 import sys
 import threading
 import time
@@ -403,9 +404,10 @@ def run_trial(config: ExperimentConfig, condition: Condition, Np: int, trial_ind
         return float(np.linalg.norm(result.x_hat - g) ** 2 + tail)
     idx, gains = truth
     # On-grid both vectors vanish off the union of the estimate's support
-    # and the true one, so only that union is summed.
+    # and the true one, so only that union is summed, and x_hat is not formed.
     union = np.union1d(result.support, idx)
-    err = result.x_hat[union]
+    err = np.zeros(union.size, dtype=np.complex128)
+    err[np.searchsorted(union, result.support)] = result.values
     err[np.searchsorted(union, idx)] -= gains
     return float(np.linalg.norm(err) ** 2)
 
@@ -566,7 +568,7 @@ def run_sweep(config: ExperimentConfig, out_dir=None, threads: int = 1):
     if out_dir is not None:
         csv_path, manifest_path = out_dir / "results.csv", out_dir / "manifest.json"
         write_csv(records, csv_path)
-        manifest_path.write_text(run_manifest(config, csv_path.name))
+        manifest_path.write_text(run_manifest(config, csv_path.name, threads))
     return records, csv_path, manifest_path
 
 
@@ -597,13 +599,20 @@ def read_csv(path) -> list[MseRecord]:
         return records
 
 
-def run_manifest(config: ExperimentConfig, csv_name: str) -> str:
+def run_manifest(config: ExperimentConfig, csv_name: str, threads: int = 1) -> str:
+    """The run's manifest: the config that reproduces every row, and the environment it ran in."""
     doc = {
         "package": "hisparse",
         "version": __version__,
         "config": json.loads(config.to_json()),
         "trial_seed_rule": "default_rng(SeedSequence([seed, trial_index]))",
         "csv": csv_name,
+        "environment": {
+            "numpy": np.__version__,
+            "python": platform.python_version(),
+            "platform": sys.platform,
+            "threads": int(threads),
+        },
     }
     return json.dumps(doc, sort_keys=True, indent=2)
 

@@ -2,6 +2,7 @@ import json
 import math
 import os
 from pathlib import Path
+import platform
 import re
 import subprocess
 import sys
@@ -46,6 +47,21 @@ def test_run_with_preset(tmp_path, capsys):
                  "--preset", "small", "--threads", "2"]) == 0
     manifest = json.loads((out_dir / "manifest.json").read_text())
     assert manifest["config"]["system"]["N"] == 128
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("threads", [None, 2])
+def test_manifest_records_the_environment(tmp_path, capsys, threads):
+    # The manifest says which numpy, Python and platform produced the rows,
+    # and on how many threads; without --threads the run takes one.
+    config_path = tmp_path / "config.json"
+    write_config(config_path)
+    out_dir = tmp_path / "out"
+    flags = [] if threads is None else ["--threads", str(threads)]
+    assert main(["run", "--config", str(config_path), "--out", str(out_dir)] + flags) == 0
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    assert manifest["environment"] == {"numpy": np.__version__, "python": platform.python_version(),
+                                       "platform": sys.platform, "threads": threads or 1}
     capsys.readouterr()
 
 

@@ -1,7 +1,9 @@
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+import hashlib
 import math
 import threading
+import tracemalloc
 from unittest import mock
 
 from hypothesis import given, settings, strategies as st
@@ -545,6 +547,7 @@ def test_estimate_vanishes_off_support(algorithm, option):
         res = solve(y, op, cfg)
         assert res.support.size > 0
         assert not np.delete(res.x_hat, res.support).any()
+        assert np.array_equal(res.x_hat[res.support].view(np.uint64), res.values.view(np.uint64))
 
 
 def test_htp_consistent_system_zero_residual():
@@ -657,6 +660,99 @@ def test_a_formed_and_a_given_aty_give_the_same_solve(algorithm, monkeypatch):
                     given = solve(y, op, cfg, aty=op.adjoint_values(y))
                     formed = solve(y, op, cfg)
                     assert (fingerprint(formed), formed.stop) == (fingerprint(given), given.stop)
+
+# Each solve of test_the_estimate_keeps_the_eager_bytes, as the loop that held
+# a dense iterate x and returned it as x_hat gave it with numpy 2.4.6 (x86-64,
+# OpenBLAS): the first 16 hex digits of the SHA-256 of x_hat's bytes, the
+# support, iterations, stop and residual_norm.hex(). Keys are
+# algorithm-option-NxMxDxUxNpxMp; the three shapes per option run the Gram
+# step route, the FFT step route (FS HiIHT/HiHTP screened) and Mp < M.
+EAGER_NUMPY = "2.4.6"
+EAGER_ESTIMATES = {
+    "HiIHT-FS-64x8x16x2x10x8": ("7f74a3b3ff5c953e", [49, 62, 66, 79], 10, "max-iters", "0x1.d5610aae19a9ep+1"),
+    "HiHTP-FS-64x8x16x2x10x8": ("2dc38f4763e42ded", [51, 62, 66, 79], 2, "support-repeat", "0x1.cbf971e305848p+1"),
+    "IHT-FS-64x8x16x2x10x8": ("99c98f79d18d02d1", [34, 45, 52, 79], 10, "max-iters", "0x1.b36277dc9fcf9p+2"),
+    "HTP-FS-64x8x16x2x10x8": ("d580648d1f9d4d6a", [62, 66, 79, 113], 3, "support-repeat", "0x1.c22d4be99e87cp+1"),
+    "OMP-FS-64x8x16x2x10x8": ("60a8139bb5bd4f7c", [62, 66, 79, 113], 4, "k-picks", "0x1.c22d4be99e87bp+1"),
+    "HiIHT-FS-128x16x32x4x12x16": ("3e9571837d50e5aa", [482, 485, 1508, 1519], 10, "max-iters", "0x1.8c147dca7e71dp+2"),
+    "HiHTP-FS-128x16x32x4x12x16": ("9e68196b9f70f3d3", [482, 485, 1519, 1532], 10, "support-cycle", "0x1.89af2564c2958p+2"),
+    "IHT-FS-128x16x32x4x12x16": ("72ed16623d958dbe", [1446, 1464, 1499, 1519], 10, "max-iters", "0x1.e226cdd0f2748p+8"),
+    "HTP-FS-128x16x32x4x12x16": ("9572b7e2ed85280e", [65, 482, 1519, 1644], 4, "support-repeat", "0x1.6741613510468p+2"),
+    "OMP-FS-128x16x32x4x12x16": ("9572b7e2ed85280e", [65, 482, 1519, 1644], 4, "k-picks", "0x1.6741613510468p+2"),
+    "HiIHT-FS-64x8x16x2x10x5": ("ffd514a3a45155fd", [61, 62, 66, 79], 10, "max-iters", "0x1.6248c3fe29b5dp+1"),
+    "HiHTP-FS-64x8x16x2x10x5": ("1954573580524f8f", [56, 62, 66, 79], 3, "support-repeat", "0x1.5b0d77762e0f0p+1"),
+    "IHT-FS-64x8x16x2x10x5": ("50beba75c7d1cdcb", [42, 45, 48, 50], 10, "max-iters", "0x1.0df2bc87e1d69p+4"),
+    "HTP-FS-64x8x16x2x10x5": ("a0c98c4947d2db64", [62, 65, 79, 222], 4, "support-repeat", "0x1.46839dbbe0868p+1"),
+    "OMP-FS-64x8x16x2x10x5": ("ffcfb4c7a7f50036", [62, 65, 79, 222], 4, "k-picks", "0x1.46839dbbe0868p+1"),
+    "HiIHT-SF-64x8x16x2x10x8": ("4f11f207c410ca27", [54, 55, 86, 87, 214, 215, 222, 223], 10, "max-iters", "0x1.263d027f8d782p+7"),
+    "HiHTP-SF-64x8x16x2x10x8": ("14decdc648fc8e04", [62, 63, 74, 79, 168, 172, 194, 199], 4, "support-repeat", "0x1.a88ab05ca830dp+1"),
+    "IHT-SF-64x8x16x2x10x8": ("b754bb1784e3c579", [46, 62, 70, 86, 182, 198, 206, 222], 6, "support-repeat", "0x1.fb1ccdf2bc860p+8"),
+    "HTP-SF-64x8x16x2x10x8": ("4cea6282b9f3f92b", [29, 62, 79, 168, 172, 175, 194, 206], 4, "support-repeat", "0x1.8c4cf6156d72fp+1"),
+    "OMP-SF-64x8x16x2x10x8": ("8d604a1049ac4e89", [29, 62, 79, 166, 168, 172, 175, 194], 8, "k-picks", "0x1.82d55848250afp+1"),
+    "HiIHT-SF-128x16x32x4x12x16": ("12d43d5ae83acd9c", [396, 399, 476, 479, 636, 639, 716, 719], 10, "max-iters", "0x1.d7554102a369bp+7"),
+    "HiHTP-SF-128x16x32x4x12x16": ("c40de8deab03f498", [1474, 1476, 1518, 1519, 1633, 1644, 1842, 1845], 3, "support-repeat", "0x1.6b5c3ea694378p+2"),
+    "IHT-SF-128x16x32x4x12x16": ("43e29a2671c0afee", [511, 559, 799, 1151, 1199, 1439, 1519, 1919], 10, "max-iters", "0x1.321aab0b08ae0p+15"),
+    "HTP-SF-128x16x32x4x12x16": ("9baa0f0aa356d18a", [30, 482, 644, 700, 1214, 1400, 1519, 1644], 10, "support-cycle", "0x1.519b378943f2ap+2"),
+    "OMP-SF-128x16x32x4x12x16": ("a9e2831952a711fd", [30, 482, 644, 700, 1400, 1519, 1644, 1845], 8, "k-picks", "0x1.507ea8bf768f0p+2"),
+    "HiIHT-SF-64x8x16x2x10x5": ("b50ff2b159d2de36", [38, 39, 54, 55, 198, 199, 214, 215], 10, "max-iters", "0x1.9c4cf0f9fccb3p+12"),
+    "HiHTP-SF-64x8x16x2x10x5": ("033d14bac68666b6", [62, 63, 73, 79, 232, 235, 243, 245], 5, "support-repeat", "0x1.2e3d3cb2b00f7p+1"),
+    "IHT-SF-64x8x16x2x10x5": ("38447a78893c619a", [46, 62, 78, 86, 198, 206, 222, 238], 10, "max-iters", "0x1.f8943b5616db3p+13"),
+    "HTP-SF-64x8x16x2x10x5": ("1284fc2191de31b9", [62, 64, 79, 86, 112, 182, 195, 227], 5, "support-repeat", "0x1.155bf38664f0dp+1"),
+    "OMP-SF-64x8x16x2x10x5": ("9652dd644e0cedec", [62, 64, 79, 81, 99, 112, 174, 227], 8, "k-picks", "0x1.150a25cf702f0p+1"),
+}
+
+
+def test_the_estimate_keeps_the_eager_bytes():
+    # x_hat is formed from support and values on first read. It must hold the
+    # bytes the dense iterate held (a zero off the support is +0.0), every
+    # other field must keep its bits, and a second read returns the same
+    # array. The cases include a cycling HiHTP and HTP solve.
+    if np.__version__ != EAGER_NUMPY:
+        pytest.skip(f"bits recorded with numpy {EAGER_NUMPY}, running {np.__version__}")
+    got = {}
+    for option in ("FS", "SF"):
+        profile = SparsityProfile((2, 1, 2) if option == "FS" else (2, 2, 2))
+        for shape in ((64, 8, 16, 2, 10, 8), (128, 16, 32, 4, 12, 16), (64, 8, 16, 2, 10, 5)):
+            op = KroneckerSensingOperator(make_design(*shape, seed=3), option)
+            for algorithm in ("HiIHT", "HiHTP", "IHT", "HTP", "OMP"):
+                rng = np.random.default_rng(5)
+                idx = np.sort(rng.permutation(op.in_dim)[:4])
+                y = op.forward(idx, rng.standard_normal(4) + 1j * rng.standard_normal(4))
+                y = y + 0.3 * (rng.standard_normal(op.out_dim) + 1j * rng.standard_normal(op.out_dim))
+                res = solve(y, op, RecoveryConfig(algorithm=algorithm, profile=profile))
+                x_hat = res.x_hat
+                assert res.x_hat is x_hat
+                digest = hashlib.sha256(x_hat.view(np.uint64).tobytes()).hexdigest()[:16]
+                key = f"{algorithm}-{option}-{'x'.join(map(str, shape))}"
+                got[key] = (digest, res.support.tolist(), res.iterations, res.stop,
+                            res.residual_norm.hex())
+    assert got == EAGER_ESTIMATES
+    assert {stop for _, _, _, stop, _ in got.values()} == {
+        "max-iters", "support-repeat", "support-cycle", "k-picks"}
+
+
+@pytest.mark.parametrize("given", [False, True])
+def test_a_paper_size_solve_allocates_no_iterate(given):
+    # A paper-shape FS HiIHT solve on the FFT step route, screened or handed
+    # A^H y, holds no length-in_dim iterate: once this thread's work buffers
+    # exist, its peak allocation stays below one complex vector of in_dim.
+    op = KroneckerSensingOperator(make_design(1024, 256, 256, 4, 15, 256, seed=0), "FS")
+    assert step_route(op) == "fft"
+    rng = np.random.default_rng(0)
+    idx = np.sort(rng.permutation(op.in_dim)[:12])
+    y = op.forward(idx, rng.standard_normal(12) + 1j * rng.standard_normal(12))
+    y = y + 0.05 * (rng.standard_normal(op.out_dim) + 1j * rng.standard_normal(op.out_dim))
+    aty = op.adjoint_values(y) if given else None
+    cfg = RecoveryConfig(algorithm="HiIHT", profile=SparsityProfile((6, 4, 2)))
+    solve(y, op, cfg, aty=aty)  # the work buffers, once per thread
+    tracemalloc.start()
+    try:
+        res = solve(y, op, cfg, aty=aty)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.iterations > 1
+    assert peak < op.in_dim * np.dtype(np.complex128).itemsize
 
 
 def test_outputs_are_hierarchically_sparse():

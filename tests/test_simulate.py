@@ -318,6 +318,9 @@ def test_ongrid_score_matches_dense_oracle(monkeypatch, algorithm, option):
     params = ChannelParams(N=64, M=16, D=16, U=3, V=2, L=2)
     for t in range(6):
         mse = run_trial(config, cond, 6, t)
+        # The score reads the support and its values: only OMP, which hands
+        # over its own x, returns an x_hat already formed.
+        assert ("x_hat" in vars(seen["solve"])) == (algorithm == "OMP")
         x_truth = stack_delay_angular(seen["gen_ongrid"], params, option)
         dense = float(np.linalg.norm(seen["solve"].x_hat - x_truth) ** 2)
         assert mse == pytest.approx(dense, rel=1e-12, abs=0.0)
